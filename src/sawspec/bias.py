@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import CharacterTable
+from .characters import CharacterTable, require_odd_prime
 from .errors import ResourceLimitError
 from .foundations import SieveTables, coeff_b_floats, constant_C, mod_inverse
 
@@ -116,6 +116,7 @@ def ck_point(
     characters; ``truncated`` evaluates -C sum_{n <= N} b(n) psi(k inv(2n)/q).
     Both are antisymmetrized over k <-> q-k so oddness is exact.
     """
+    require_odd_prime(q)
     if k % q == 0:
         raise ValueError("k must be nonzero mod q")
     if method == "characters":
@@ -155,6 +156,7 @@ def ck_all(
     the cyclic group, rearranged through the discrete-log table; the
     truncated route accumulates the sawtooth series over all k at once.
     """
+    require_odd_prime(q)
     if q > max_q:
         raise ResourceLimitError(f"q = {q} exceeds configured cap {max_q}")
     if method == "characters":

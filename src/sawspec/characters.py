@@ -57,6 +57,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(q: int) -> None:
+    """Raise ValueError unless q is an odd prime (the moduli the maths needs)."""
+    if q < 3 or not is_prime(q):
+        raise ValueError(f"{q} is not an odd prime")
+
+
 def _factor_smalls(n: int) -> list[int]:
     out = []
     d = 2
@@ -98,8 +104,7 @@ class PrimeContext:
 
 
 def build_context(q: int) -> PrimeContext:
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"{q} is not an odd prime")
+    require_odd_prime(q)
     g = primitive_root(q)
     powers = np.empty(q - 1, dtype=np.int64)
     acc = 1

@@ -3,9 +3,8 @@
 Every command emits CSV (header row, fixed column order, ``#`` metadata
 lines) or JSON (stable key order with a meta block); numbers are printed
 with 12 significant digits and exact rationals as "num/den".  Outputs are
-byte-identical for identical flags regardless of the thread setting: the
-computations are deterministic by construction, the flag only reaches the
-metadata.
+byte-identical for identical flags: the computations are deterministic by
+construction.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 resource or
 I/O error.
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -28,6 +26,7 @@ from .characters import build_table
 from .correlations import b_exact, b_lattice_estimate, discrete_correlation
 from .dedekind import dedekind_sum, spectrum_all
 from .distribution import (
+    EULER_GAMMA,
     almost_period_stat,
     ecdf_scaled,
     from_ck_vector,
@@ -130,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
             "correlation integrals, their moments and distributions, and "
             "the totient summatory error term."
         ),
-    )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=None,
-        help="thread budget (default: SAWSPEC_THREADS or all cores); results "
-        "are identical for any value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,8 +254,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_ck(args) -> int:
-    if args.q < 3:
-        raise ValueError("q must be an odd prime")
     if args.method == "characters":
         table = build_table(args.q)
         vec = ck_all(args.q, "characters", table=table)
@@ -272,7 +262,7 @@ def _cmd_ck(args) -> int:
     values = vec.samples
     scale_note = "none"
     if args.scale_egamma:
-        values = values * (2.0 * math.exp(-0.5772156649015328606))
+        values = values * (2.0 * math.exp(-EULER_GAMMA))
         scale_note = "2/e^gamma"
     meta = {"q": args.q, "method": vec.method, "scale": scale_note}
     meta.update(vec.truncation)
@@ -457,9 +447,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("SAWSPEC_THREADS")
-        args.threads = int(env) if env else (os.cpu_count() or 1)
     try:
         return _DISPATCH[args.command](args)
     except ResourceLimitError as exc:

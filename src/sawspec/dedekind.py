@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .characters import require_odd_prime
 from .errors import ResourceLimitError
 from .foundations import inverse_table
 
@@ -155,8 +156,7 @@ def spectrum_all(q: int, algorithm: str = "chirp-z", max_q: int = 2_000_000) -> 
     O(q log q).  The real part is asserted negligible and dropped, and the
     stored imaginary part is antisymmetrized so oddness holds exactly.
     """
-    if q < 3:
-        raise ValueError("q must be an odd prime >= 3")
+    require_odd_prime(q)
     if q > max_q:
         raise ResourceLimitError(f"q = {q} exceeds configured cap {max_q}")
     s = dedekind_values(q)
@@ -187,6 +187,7 @@ def spectrum_point_truncated(
 
     Error contract: |result - s_hat_q(t)| = O(q/x).
     """
+    require_odd_prime(q)
     if t % q == 0:
         raise ValueError("t must be coprime to q")
     if x < 1:

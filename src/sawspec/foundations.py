@@ -1,4 +1,5 @@
-"""Sawtooth kernels, sieve tables, and the multiplicative coefficients a(n), b(n).
+"""Sawtooth kernels, sieve tables, the multiplicative coefficients a(n), b(n),
+and the constant C = 2 Pi_2.
 
 Everything downstream (Dedekind spectra, bias constants, correlation
 integrals, totient error moments) consumes these primitives.  Exact
@@ -9,9 +10,9 @@ the bulk/vectorized consumers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +27,6 @@ __all__ = [
     "inverse_table",
     "SieveTables",
     "build_sieves",
-    "CoefficientSeries",
-    "build_coefficient_series",
     "coeff_a",
     "coeff_b",
     "coeff_a_floats",
@@ -313,80 +312,26 @@ def coeff_b_fractions(limit: int, sieves: SieveTables | None = None) -> list[Fra
     return [Fraction(0)] + [coeff_b(n, sieves) for n in range(1, limit + 1)]
 
 
-@dataclass(frozen=True)
-class CoefficientSeries:
-    """a(n), b(n) up to a cutoff plus the Euler-product constant."""
-
-    cutoff: int
-    a_values: np.ndarray
-    b_values: np.ndarray
-    constant: float
-    constant_error_bound: float
-
-
-def build_coefficient_series(
-    cutoff: int,
-    sieves: SieveTables | None = None,
-    excluded_prime: int | None = None,
-    tolerance: float = 1e-9,
-) -> CoefficientSeries:
-    c, bound = constant_C(excluded_prime, tolerance)
-    return CoefficientSeries(
-        cutoff,
-        coeff_a_floats(cutoff, sieves),
-        coeff_b_floats(cutoff, sieves),
-        c,
-        bound,
-    )
-
-
 # ---------------------------------------------------------------------------
-# the Euler-product constant 2 * prod_{p >= 3} (1 - 1/(p-1)^2)
+# the constant C = 2 * prod_{p >= 3} (1 - 1/(p-1)^2), twice the twin-prime constant
+
+# 2 * Pi_2 = 1.32032363169373914785562422002911155686..., known to any
+# precision by Cohen's prime-zeta acceleration (Cohen, "High precision
+# computation of Hardy-Littlewood constants", 1998); rounded to float64.
+_TWIN_PRIME_DOUBLED = 1.3203236316937392
 
 
-def _tail_log_bound(P: int) -> float:
-    # sum_{p > P} -log(1 - 1/(p-1)^2) <= 1.35 * 2 / ((P-1) log P),
-    # via pi(x) < 1.26 x / log x and partial summation.
-    return 2.7 / ((P - 1) * math.log(P))
+def constant_C(excluded_prime: int | None = None) -> tuple[float, float]:
+    """The constant 2 prod_{p>=3, p != excluded} (1 - 1/(p-1)^2).
 
-
-@lru_cache(maxsize=None)
-def _base_product(P: int) -> float:
-    """prod over odd primes p <= P of (1 - 1/(p-1)^2), odd-only sieve."""
-    # odd-only sieve: entry i represents 2i + 3
-    size = (P - 1) // 2
-    is_prime = np.ones(size, dtype=bool)
-    for i in range(math.isqrt(P) // 2 + 1):
-        if is_prime[i]:
-            p = 2 * i + 3
-            start = (p * p - 3) // 2
-            is_prime[start::p] = False
-    p_vals = 2.0 * np.nonzero(is_prime)[0] + 3.0
-    return float(np.prod(1.0 - 1.0 / (p_vals - 1.0) ** 2))
-
-
-@lru_cache(maxsize=None)
-def _product_limit_for(tolerance: float) -> int:
-    P = 1 << 17
-    while 1.4 * math.expm1(_tail_log_bound(P)) > tolerance and P < (1 << 29):
-        P *= 2
-    return P
-
-
-def constant_C(
-    excluded_prime: int | None = None, tolerance: float = 1e-9
-) -> tuple[float, float]:
-    """Truncated Euler product 2 prod_{p>=3, p != excluded} (1 - 1/(p-1)^2).
-
-    Returns ``(value, bound)`` where ``bound`` certifies
-    |value - limit| <= bound via a pi(x)-based estimate of the omitted tail.
-    The default tolerance drives the product out to ~2e8.
+    This is the twin-prime constant 2 Pi_2, with the factor of the odd
+    prime ``excluded_prime`` (if given) divided back out.  Returns
+    ``(value, bound)`` where ``bound`` certifies |value - exact| <= bound:
+    the float64 rounding of the literal (u = 2^-53 relative) plus that of
+    forming and applying the divisor (below 3u), so 4u in all.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    P = _product_limit_for(tolerance)
-    value = 2.0 * _base_product(P)
-    if excluded_prime is not None and excluded_prime >= 3 and excluded_prime <= P:
+    value = _TWIN_PRIME_DOUBLED
+    if excluded_prime is not None and excluded_prime >= 3:
         value /= 1.0 - 1.0 / (excluded_prime - 1.0) ** 2
-    bound = value * math.expm1(_tail_log_bound(P))
+    bound = 2.0 * sys.float_info.epsilon * value
     return value, bound

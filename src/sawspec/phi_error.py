@@ -215,8 +215,6 @@ def rtilde_truncated_model(u, N: int, sieves: SieveTables | None = None):
 def _pair_integral_exact(n1: int, n2: int, y: int):
     """Exact int_0^y psi(x/n1) psi(x/n2) dx as a Fraction: full periods
     through the pair correlation plus an integer partial-period sum."""
-    from fractions import Fraction
-
     T = math.lcm(n1, n2)
     full, rem = divmod(y, T)
     total = full * T * b_exact((n1, n2))
@@ -235,8 +233,6 @@ def pair_correlation_stat(N: int, y: int, pair_budget: int = 4096) -> float:
     if N < 1 or y < 2 * N:
         raise ValueError("need N >= 1 and y >= 2N")
     if N * N > pair_budget:
-        from .errors import ResourceLimitError
-
         raise ResourceLimitError(f"{N * N} pair integrals exceed budget")
     total = 0.0
     for n1 in range(N + 1, 2 * N + 1):

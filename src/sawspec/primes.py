@@ -10,6 +10,7 @@ import numpy as np
 
 from .bias import Pattern, c1_pattern, c2_pattern
 from .characters import CharacterTable, is_prime
+from .distribution import EULER_GAMMA
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -20,8 +21,6 @@ __all__ = [
     "log_integral",
     "conjecture_report",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 def prime_array(limit: int) -> np.ndarray:
@@ -41,8 +40,6 @@ def _segmented_primes(limit: int, segment: int = 1 << 22) -> np.ndarray:
         return prime_array(limit)
     base = prime_array(math.isqrt(limit))
     chunks = [base]
-    lo = int(base[-1]) + 1 if len(base) else 2
-    lo = max(lo, math.isqrt(limit) + 1)
     start = math.isqrt(limit) + 1
     for seg_lo in range(start, limit + 1, segment):
         seg_hi = min(seg_lo + segment - 1, limit)

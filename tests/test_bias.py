@@ -64,8 +64,17 @@ class TestCkPoint:
         b = sw.ck_point(101, 96, "truncated", cutoff=200, sieves=sieves_1m)
         assert a + b == 0.0
 
+    def test_truncated_route_rejects_composite_q(self):
+        with pytest.raises(ValueError, match="prime"):
+            sw.ck_point(25, 3, "truncated", cutoff=3)
+
 
 class TestCkVector:
+    @pytest.mark.parametrize("q", [9, 25, 100])
+    def test_truncated_route_rejects_composite_q(self, q):
+        with pytest.raises(ValueError, match="prime"):
+            sw.ck_all(q, "truncated", cutoff=3)
+
     def test_sum_is_zero(self, ck_1009):
         assert abs(float(np.sum(ck_1009.samples))) <= 1e-8
 

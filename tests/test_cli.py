@@ -51,6 +51,24 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--q", "100"),
+            ("ck", "--q", "25", "--method", "truncated", "--N", "3"),
+        ],
+    )
+    def test_composite_modulus_is_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "prime" in err
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "dedekind", "--q", "7", "--a", "1"])
+        assert exc.value.code == 2
+
     def test_resource_error_is_3(self, capsys):
         code, _, err = run_cli(
             capsys, "bcorr", "--moduli", "5,5,7,7", "--lcm-cap", "10"
@@ -82,13 +100,11 @@ class TestSpectrumCsv:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_thread_counts(self, capsys, monkeypatch):
-        outs = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("SAWSPEC_THREADS", threads)
-            _, out, _ = run_cli(capsys, "ck", "--q", "101", "--method", "truncated")
-            outs.append(out)
-        assert outs[0] == outs[1]
+    def test_truncated_ck_repeat_run_identical(self, capsys):
+        argv = ("ck", "--q", "101", "--method", "truncated")
+        _, a, _ = run_cli(capsys, *argv)
+        _, b, _ = run_cli(capsys, *argv)
+        assert a == b
 
     def test_repeat_run_identical(self, capsys):
         _, a, _ = run_cli(capsys, "moments", "--kind", "s", "--ell", "2", "--B", "500")

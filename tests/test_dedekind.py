@@ -91,6 +91,11 @@ class TestSpectrum:
         with pytest.raises(ResourceLimitError):
             sw.spectrum_all(10007, max_q=9999)
 
+    @pytest.mark.parametrize("q", [9, 15, 100])
+    def test_rejects_composite_q(self, q):
+        with pytest.raises(ValueError, match="prime"):
+            sw.spectrum_all(q)
+
 
 class TestTruncatedRoute:
     def test_purely_imaginary(self):
@@ -121,6 +126,12 @@ class TestTruncatedRoute:
     def test_rejects_zero_class(self):
         with pytest.raises(ValueError):
             sw.spectrum_point_truncated(101, 0, 100)
+
+    def test_rejects_composite_q(self):
+        # inverse_table's recurrence needs a prime: for q = 100 it maps the
+        # unit 7 to 0, which silently corrupts the series
+        with pytest.raises(ValueError, match="prime"):
+            sw.spectrum_point_truncated(100, 3, 1000)
 
 
 class TestCharacterRoute:

@@ -250,7 +250,43 @@ class TestConstant:
         excl3, _ = constant_C(excluded_prime=3)
         assert excl3 / base == pytest.approx(4.0 / 3.0, rel=1e-14)
 
-    def test_exclusion_beyond_cutoff_is_noop(self):
-        base, bound = constant_C(tolerance=1e-6)
-        far, _ = constant_C(excluded_prime=2**31 - 1, tolerance=1e-6)
-        assert abs(far - base) <= 1e-6
+    def test_exclusion_divides_out_one_factor(self):
+        base, _ = constant_C()
+        for p in (3, 2**31 - 1):
+            assert constant_C(excluded_prime=p)[0] == base / (1 - (p - 1) ** -2)
+
+    def test_matches_mpmath_twin_prime_constant(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            reference = 2 * mpmath.twinprime
+            value, bound = constant_C()
+            assert abs(value - reference) <= 1e-15 * reference
+            assert abs(value - reference) <= bound
+
+    def test_small_sieve_product_brackets_literal(self):
+        # independent route: the truncated Euler product over odd primes
+        # p <= P, whose omitted factors all lie in (0, 1), so the literal
+        # sits between the truncated product and its certified tail
+        P = 100_000
+        value, _ = constant_C()
+        upper = 2.0 * _odd_prime_product(P)
+        lower = upper * math.exp(-_tail_log_bound(P))
+        assert lower < value < upper
+
+
+def _odd_prime_product(P: int) -> float:
+    """prod over odd primes p <= P of (1 - 1/(p-1)^2), odd-only sieve."""
+    # entry i represents 2i + 3
+    is_prime = np.ones((P - 1) // 2, dtype=bool)
+    for i in range(math.isqrt(P) // 2 + 1):
+        if is_prime[i]:
+            p = 2 * i + 3
+            is_prime[(p * p - 3) // 2 :: p] = False
+    p_vals = 2.0 * np.nonzero(is_prime)[0] + 3.0
+    return float(np.prod(1.0 - 1.0 / (p_vals - 1.0) ** 2))
+
+
+def _tail_log_bound(P: int) -> float:
+    # sum_{p > P} -log(1 - 1/(p-1)^2) <= 1.35 * 2 / ((P-1) log P),
+    # via pi(x) < 1.26 x / log x and partial summation.
+    return 2.7 / ((P - 1) * math.log(P))
