@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .foundations import SieveTables, coeff_a_floats, constant_C, inverse_table, psi
+from .foundations import SieveTables, coeff_a_floats, constant_C, psi
 
 __all__ = [
     "is_prime",
@@ -63,6 +63,17 @@ def require_odd_prime(q: int) -> None:
         raise ValueError(f"{q} is not an odd prime")
 
 
+def require_int64_modulus(q: int, nbytes: int) -> None:
+    """Raise ResourceLimitError for q >= 2^31, where the vectorized residue
+    kernels would overflow int64 (they form h^2 + k^2 + 1 with k <= q, and
+    products below q^2).  ``nbytes`` is what their arrays would have needed."""
+    if q >= 1 << 31:
+        raise ResourceLimitError(
+            f"q = {q} >= 2^31 overflows the int64 residue kernels "
+            f"(their arrays would need {nbytes} bytes)"
+        )
+
+
 def _factor_smalls(n: int) -> list[int]:
     out = []
     d = 2
@@ -105,15 +116,24 @@ class PrimeContext:
 
 def build_context(q: int) -> PrimeContext:
     require_odd_prime(q)
+    M = q - 1
+    require_int64_modulus(q, 8 * (M + 2 * q))
     g = primitive_root(q)
-    powers = np.empty(q - 1, dtype=np.int64)
-    acc = 1
-    for m in range(q - 1):
-        powers[m] = acc
-        acc = acc * g % q
+    # powers by doubling: powers[n:2n] = powers[:n] * g^n, products below q^2
+    powers = np.empty(M, dtype=np.int64)
+    powers[0] = 1
+    n = 1
+    while n < M:
+        m = min(n, M - n)
+        powers[n : n + m] = powers[:m] * pow(g, n, q) % q
+        n += m
+    exponents = np.arange(M, dtype=np.int64)
     index = np.full(q, -1, dtype=np.int64)
-    index[powers] = np.arange(q - 1, dtype=np.int64)
-    return PrimeContext(q, g, powers, index, inverse_table(q))
+    index[powers] = exponents
+    # (g^m)^-1 = g^(-m mod M); entry 0 holds 0
+    inverses = np.zeros(q, dtype=np.int64)
+    inverses[powers] = powers[-exponents % M]
+    return PrimeContext(q, g, powers, index, inverses)
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,7 @@ def discrete_correlation(q: int, moduli) -> float:
     ell = len(mods)
     if any(n < 1 for n in mods):
         raise ValueError("moduli must be positive integers")
-    if any(n % q == 0 for n in mods):
+    if any(math.gcd(n, q) != 1 for n in mods):
         raise ValueError("moduli must be coprime to q")
     K = 1
     for n in mods:

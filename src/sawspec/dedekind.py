@@ -14,9 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import require_odd_prime
+from .characters import build_context, require_int64_modulus, require_odd_prime
 from .errors import ResourceLimitError
-from .foundations import inverse_table
 
 __all__ = [
     "dedekind_sum",
@@ -56,17 +55,6 @@ def _dedekind_reciprocity(h: int, k: int) -> Fraction:
     return total
 
 
-def _dedekind_float(h: int, k: int) -> float:
-    h %= k
-    total = 0.0
-    sign = 1.0
-    while h:
-        total += sign * ((h * h + k * k + 1) / (12.0 * h * k) - 0.25)
-        h, k = k % h, h
-        sign = -sign
-    return total
-
-
 def dedekind_sum_pair(h: int, k: int, method: str = "reciprocity") -> Fraction:
     """Classical Dedekind sum s(h, k) for any modulus k >= 1, gcd(h, k) = 1."""
     if k < 1:
@@ -92,14 +80,30 @@ def dedekind_sum(q: int, a: int, method: str = "reciprocity") -> Fraction:
 
 
 def dedekind_values(q: int) -> np.ndarray:
-    """s_q(a) for a = 0..q-1 as float64 (a = 0 entry is 0)."""
+    """s_q(a) for a = 0..q-1 as float64 (a = 0 entry is 0), q an odd prime.
+
+    The float reciprocity descent runs in lockstep over every a < q/2: each
+    step adds sign * ((h^2 + k^2 + 1)/(12hk) - 1/4) to the live lanes, maps
+    (h, k) -> (k mod h, h) and drops the lanes that reached h = 0.  All lanes
+    are at the same step, so the sign is shared, and each lane sees the
+    float operations of a scalar descent in the same order.
+    """
+    require_odd_prime(q)
+    half = (q - 1) // 2
+    require_int64_modulus(q, 8 * q + 3 * 8 * half)
     vals = np.zeros(q)
-    half = (q + 1) // 2
-    for a in range(1, half):
-        vals[a] = _dedekind_float(a, q)
+    idx = np.arange(1, half + 1, dtype=np.int64)
+    h = idx.copy()
+    k = np.full(half, q, dtype=np.int64)
+    sign = 1.0
+    while len(idx):
+        vals[idx] += sign * ((h * h + k * k + 1) / (12.0 * h * k) - 0.25)
+        h, k = k % h, h
+        live = h != 0
+        idx, h, k = idx[live], h[live], k[live]
+        sign = -sign
     # oddness s_q(q - a) = -s_q(a) fills the upper half exactly
-    for a in range(half, q):
-        vals[a] = -vals[q - a]
+    vals[half + 1 :] = -vals[half:0:-1]
     return vals
 
 
@@ -192,7 +196,7 @@ def spectrum_point_truncated(
         raise ValueError("t must be coprime to q")
     if x < 1:
         raise ValueError("x must be >= 1")
-    inv = inverse_table(q)
+    inv = build_context(q).inverses
     total = 0.0
     top = int(x)
     for lo in range(1, top + 1, chunk):

@@ -24,7 +24,6 @@ __all__ = [
     "psi_smoothed",
     "fejer_kernel",
     "mod_inverse",
-    "inverse_table",
     "SieveTables",
     "build_sieves",
     "coeff_a",
@@ -111,16 +110,6 @@ def mod_inverse(a: int, q: int) -> int:
     if a % q == 0:
         raise ValueError(f"{a} is not invertible mod {q}")
     return pow(a, -1, q)
-
-
-def inverse_table(q: int) -> np.ndarray:
-    """Table of inverses mod prime q: entry a holds a^-1, entry 0 holds 0."""
-    inv = np.zeros(q, dtype=np.int64)
-    if q > 1:
-        inv[1] = 1
-    for i in range(2, q):
-        inv[i] = (-(q // i) * inv[q % i]) % q
-    return inv
 
 
 # ---------------------------------------------------------------------------

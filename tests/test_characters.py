@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sawspec as sw
 from sawspec.characters import build_context, char_value, gauss_sum, l_one_series
+from sawspec.errors import ResourceLimitError
 
 
 class TestContext:
@@ -27,6 +29,28 @@ class TestContext:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             build_context(91)
+
+    @pytest.mark.parametrize("q", [3, 101, 1_000_003])
+    def test_tables_match_scalar_arithmetic(self, q):
+        ctx = build_context(q)
+        g = ctx.primitive_root
+        rng = np.random.default_rng(q)
+        for m in rng.integers(0, q - 1, 200).tolist():
+            assert ctx.powers[m] == pow(g, m, q)
+            assert ctx.index[ctx.powers[m]] == m
+        for a in rng.integers(1, q, 200).tolist():
+            assert ctx.inverses[a] * a % q == 1
+        assert ctx.index[0] == -1 and ctx.inverses[0] == 0
+
+    def test_int64_limit_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="bytes"):
+                build_context(2_147_483_659)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestBuildTable:

@@ -64,6 +64,14 @@ class TestExitCodes:
         assert out == ""
         assert "prime" in err
 
+    def test_discrete_moduli_not_coprime_to_q_is_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bcorr", "--moduli", "2,3", "--method", "discrete", "--q", "100"
+        )
+        assert code == 1
+        assert out == ""
+        assert "coprime" in err
+
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "2", "dedekind", "--q", "7", "--a", "1"])

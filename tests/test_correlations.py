@@ -153,3 +153,8 @@ class TestDiscrete:
             sw.discrete_correlation(101, (6, 6, 6, 6))  # K = 216 >= q/ell
         with pytest.raises(ValueError):
             sw.discrete_correlation(7, (7, 1))
+
+    def test_moduli_sharing_a_factor_with_q(self):
+        # 2 and 3 are not multiples of 100, but neither is invertible mod 100
+        with pytest.raises(ValueError, match="coprime"):
+            sw.discrete_correlation(100, (2, 3))

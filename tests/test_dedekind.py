@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 import sawspec as sw
 from sawspec.dedekind import dedekind_values
+from sawspec.errors import ResourceLimitError
+
+
+def _dedekind_float(h: int, k: int) -> float:
+    """Scalar float reciprocity descent: the reference for dedekind_values,
+    which runs the same operations in the same order over all h at once."""
+    h %= k
+    total = 0.0
+    sign = 1.0
+    while h:
+        total += sign * ((h * h + k * k + 1) / (12.0 * h * k) - 0.25)
+        h, k = k % h, h
+        sign = -sign
+    return total
 
 
 class TestDedekindSum:
@@ -48,13 +63,44 @@ class TestDedekindSum:
                 break
 
     def test_float_descent_matches_exact(self):
-        from sawspec.dedekind import _dedekind_float
-
         for q in (101, 1009, 10007):
             for a in (1, 7, q // 2, q - 3):
                 assert _dedekind_float(a, q) == pytest.approx(
                     float(sw.dedekind_sum(q, a)), abs=1e-10
                 )
+
+
+class TestDedekindValues:
+    @pytest.mark.parametrize("q", [3, 5, 101, 1009, 10007])
+    def test_bit_identical_to_scalar_descent(self, q):
+        half = [_dedekind_float(a, q) for a in range(1, (q + 1) // 2)]
+        expected = np.array([0.0] + half + [-v for v in reversed(half)])
+        assert np.array_equal(dedekind_values(q), expected)
+
+    def test_bit_identical_sampled_near_1e6(self):
+        q = 1_000_003
+        vals = dedekind_values(q)
+        rng = np.random.default_rng(11)
+        for a in rng.integers(1, q, 200).tolist():
+            # the upper half is the odd extension of the lower half
+            expected = _dedekind_float(a, q) if 2 * a < q else -_dedekind_float(q - a, q)
+            assert vals[a] == expected
+        assert vals[0] == 0.0
+
+    @pytest.mark.parametrize("q", [1, 2, 9, 15, 100])
+    def test_rejects_non_odd_prime(self, q):
+        with pytest.raises(ValueError, match="prime"):
+            dedekind_values(q)
+
+    def test_int64_limit_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="bytes"):
+                dedekind_values(2_147_483_659)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSpectrum:
@@ -128,8 +174,7 @@ class TestTruncatedRoute:
             sw.spectrum_point_truncated(101, 0, 100)
 
     def test_rejects_composite_q(self):
-        # inverse_table's recurrence needs a prime: for q = 100 it maps the
-        # unit 7 to 0, which silently corrupts the series
+        # the inverses come from a primitive root, which needs a prime
         with pytest.raises(ValueError, match="prime"):
             sw.spectrum_point_truncated(100, 3, 1000)
 
