@@ -52,8 +52,8 @@ from .foundations import (
     coeff_b,
     constant_C,
     mod_inverse,
+    prime_array,
     psi,
-    psi_smoothed,
 )
 from .moments import (
     MomentEstimate,
@@ -78,5 +78,4 @@ from .primes import (
     conjecture_report,
     log_integral,
     pattern_census,
-    prime_array,
 )

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import CharacterTable, require_odd_prime
+from .characters import CharacterTable, build_context, require_odd_prime
 from .errors import ResourceLimitError
-from .foundations import SieveTables, coeff_b_floats, constant_C, mod_inverse
+from .foundations import SieveTables, coeff_b_floats, constant_C
 
 __all__ = [
     "Pattern",
@@ -102,6 +102,18 @@ def _ck_char_raw(table: CharacterTable, k: int) -> float:
     return float(val.real)
 
 
+def _truncated_terms(q: int, cutoff: int | None, sieves: SieveTables | None):
+    """Terms of -C_q sum_{n <= N, (n,q)=1} b(n) psi(k inv(2n)/q):
+    (N, C_q, the nonzero weights b(n), inv(2n) mod q)."""
+    N = cutoff if cutoff is not None else max(1000, q)
+    b = coeff_b_floats(N, sieves)
+    c_q, _ = constant_C(excluded_prime=q)
+    ns = np.nonzero(b)[0]
+    ns = ns[ns % q != 0]
+    inv2n = build_context(q).inverses[(2 * ns) % q]
+    return N, c_q, b[ns], inv2n
+
+
 def ck_point(
     q: int,
     k: int,
@@ -124,19 +136,10 @@ def ck_point(
             raise ValueError("characters route needs a table built for q")
         return 0.5 * (_ck_char_raw(table, k) - _ck_char_raw(table, q - k))
     if method == "truncated":
-        N = cutoff if cutoff is not None else max(1000, q)
-        b = coeff_b_floats(N, sieves)
-        c_q, _ = constant_C(excluded_prime=q)
-        ns = np.nonzero(b)[0]
-        ns = ns[ns % q != 0]
-        bw = b[ns]
+        _, c_q, weights, inv2n = _truncated_terms(q, cutoff, sieves)
 
         def raw(kk: int) -> float:
-            total = 0.0
-            for n, w in zip(ns.tolist(), bw.tolist()):
-                r = (kk * mod_inverse(2 * n, q)) % q
-                total += w * (r / q - 0.5)
-            return -c_q * total
+            return -c_q * float(np.sum(weights * ((kk * inv2n) % q / q - 0.5)))
 
         return 0.5 * (raw(k % q) - raw(q - k % q))
     raise ValueError(f"unknown method {method!r}")
@@ -173,16 +176,11 @@ def ck_all(
         values[ctx.powers] = spectrum.real
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
-        N = cutoff if cutoff is not None else max(1000, q)
-        b = coeff_b_floats(N, sieves)
-        c_q, _ = constant_C(excluded_prime=q)
-        ns = np.nonzero(b)[0]
-        ns = ns[ns % q != 0]
+        N, c_q, weights, inv2n = _truncated_terms(q, cutoff, sieves)
         k = np.arange(q, dtype=np.int64)
         acc = np.zeros(q)
-        for n in ns.tolist():
-            inv2n = mod_inverse(2 * n, q)
-            acc += b[n] * (((k * inv2n) % q) / q - 0.5)
+        for w, inv in zip(weights.tolist(), inv2n.tolist()):
+            acc += w * (((k * inv) % q) / q - 0.5)
         values = -c_q * acc
         meta = {"series_cutoff": N}
     else:

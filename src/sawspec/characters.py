@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .foundations import SieveTables, coeff_a_floats, constant_C, psi
+from .foundations import SieveTables, coeff_a_floats, constant_C, factorize
 
 __all__ = [
     "is_prime",
@@ -74,25 +74,11 @@ def require_int64_modulus(q: int, nbytes: int) -> None:
         )
 
 
-def _factor_smalls(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def primitive_root(q: int) -> int:
     """Smallest primitive root of the prime q (trial over candidates)."""
     if q == 2:
         return 1
-    factors = _factor_smalls(q - 1)
+    factors = [p for p, _ in factorize(q - 1)]
     for g in range(2, q):
         if all(pow(g, (q - 1) // r, q) != 1 for r in factors):
             return g
@@ -246,8 +232,3 @@ def l_one_series(
         phases = np.exp((2j * math.pi / M) * (j * ctx.index[nm[keep]] % M))
         total += complex(np.sum(phases / n))
     return total
-
-
-def l_zero_direct(q: int, chi: np.ndarray) -> complex:
-    """Definitional L(0,chi) = -sum_a chi(a) psi(a/q); small-q oracle helper."""
-    return -sum(chi[a] * psi(a / q) for a in range(1, q))

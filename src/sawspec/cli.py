@@ -104,6 +104,14 @@ def emit_csv(columns, rows, args, meta: dict) -> None:
     _write("\n".join(lines) + "\n", args.output)
 
 
+def _emit_histogram(dist, args, meta: dict) -> None:
+    counts, edges = histogram(dist)
+    rows = [
+        (float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)
+    ]
+    emit_csv(("bin_lo", "bin_hi", "count"), rows, args, meta)
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -135,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--output", default=None, help="file path (default stdout)")
+        p.set_defaults(usage_error=p.error)  # prints the subcommand usage, exits 2
 
     p = sub.add_parser("dedekind", help="exact Dedekind sum s_q(a)")
     p.add_argument("--q", type=_positive_int, required=True)
@@ -285,11 +294,9 @@ def _cmd_c2(args) -> int:
             "c1": c1_pattern(pattern),
             "c2": value,
         }
-    elif args.a is not None and args.b is not None:
+    else:
         value = c2_pair(args.q, args.a, args.b, table)
         payload = {"q": args.q, "a": args.a, "b": args.b, "c2": value}
-    else:
-        raise ValueError("need --pattern or both --a and --b")
     if args.format == "csv":
         emit_csv(tuple(payload), [tuple(payload.values())], args, {"command": "c2"})
     else:
@@ -310,8 +317,6 @@ def _cmd_bcorr(args) -> int:
         payload["error_bound"] = None
         payload["K"] = args.K
     else:
-        if args.q is None:
-            raise ValueError("discrete route needs --q")
         value = discrete_correlation(args.q, mods)
         K = 1
         for n in mods:
@@ -343,16 +348,10 @@ def _cmd_moments(args) -> int:
 
 def _dist_dataset(args):
     if args.source == "ck":
-        if args.q is None:
-            raise ValueError("--source ck needs --q")
         table = build_table(args.q)
         return from_ck_vector(ck_all(args.q, "characters", table=table))
     if args.source == "spectrum":
-        if args.q is None:
-            raise ValueError("--source spectrum needs --q")
         return from_spectrum(spectrum_all(args.q))
-    if args.y is None:
-        raise ValueError("--source rtilde needs --y")
     acc = build_phi_accumulator(args.y)
     return make_distribution("R", rtilde_samples(acc))
 
@@ -371,12 +370,7 @@ def _cmd_dist(args) -> int:
         rows = [(float(x), ecdf_scaled(dist, float(x))) for x in xs]
         emit_csv(("x", "F"), rows, args, meta)
     elif args.stat == "hist":
-        counts, edges = histogram(dist)
-        rows = [
-            (float(edges[i]), float(edges[i + 1]), int(c))
-            for i, c in enumerate(counts)
-        ]
-        emit_csv(("bin_lo", "bin_hi", "count"), rows, args, meta)
+        _emit_histogram(dist, args, meta)
     elif args.stat == "tails":
         xs = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         rows = [
@@ -404,13 +398,7 @@ def _cmd_phi(args) -> int:
         ]
         emit_csv(("ell", "moment"), rows, args, meta)
     else:
-        dist = make_distribution("R", rtilde_samples(acc))
-        counts, edges = histogram(dist)
-        rows = [
-            (float(edges[i]), float(edges[i + 1]), int(c))
-            for i, c in enumerate(counts)
-        ]
-        emit_csv(("bin_lo", "bin_hi", "count"), rows, args, meta)
+        _emit_histogram(make_distribution("R", rtilde_samples(acc)), args, meta)
     return EXIT_OK
 
 
@@ -444,9 +432,25 @@ _DISPATCH = {
 }
 
 
+def _flag_combination_error(args) -> str | None:
+    """What is wrong with a flag combination argparse cannot check alone."""
+    if args.command == "c2":
+        if args.pattern is None and (args.a is None or args.b is None):
+            return "need --pattern or both --a and --b"
+    if args.command == "bcorr" and args.method == "discrete" and args.q is None:
+        return "the discrete route needs --q"
+    if args.command == "dist":
+        flag = "y" if args.source == "rtilde" else "q"
+        if getattr(args, flag) is None:
+            return f"--source {args.source} needs --{flag}"
+    return None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    problem = _flag_combination_error(args)
+    if problem is not None:
+        args.usage_error(problem)
     try:
         return _DISPATCH[args.command](args)
     except ResourceLimitError as exc:

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ResourceLimitError
-from .foundations import mod_inverse
+from .foundations import factorize, mod_inverse
 
 __all__ = [
     "CorrelationKey",
@@ -42,33 +42,13 @@ class CorrelationKey:
     period: int
 
 
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
-def _factorize_small(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def reduce_correlation(moduli) -> CorrelationKey:
     """Apply the single-prime reduction until every prime dividing one
     modulus divides at least two of them; track the extracted 1/p factors."""
     mods = [int(n) for n in moduli]
     if not mods or any(n < 1 for n in mods):
         raise ValueError("moduli must be positive integers")
-    factored = [_factorize_small(n) for n in mods]
+    factored = [dict(factorize(n)) for n in mods]
     counts: dict[int, int] = {}
     for f in factored:
         for p in f:
@@ -80,7 +60,7 @@ def reduce_correlation(moduli) -> CorrelationKey:
                 mods[i] //= p**e
                 scalar *= Fraction(1, p**e)
     reduced = tuple(sorted(mods))
-    return CorrelationKey(reduced, scalar, _lcm_all(reduced))
+    return CorrelationKey(reduced, scalar, math.lcm(*reduced))
 
 
 def _poly_int_bound(moduli, ell: int, period: int) -> int:
@@ -184,7 +164,7 @@ def b_lattice_estimate(
     order = sorted(range(ell), key=lambda i: mods[i])
     free = [mods[i] for i in order[:-1]]
     n_last = mods[order[-1]]
-    D = _lcm_all(free)
+    D = math.lcm(*free)
     mult = [D // n for n in free]
     ks = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
 
@@ -236,7 +216,7 @@ def prop_bound_parts(moduli) -> tuple[int, int]:
     """Split prod n_j = r * s with r squarefree, s squarefull, gcd(r,s) = 1."""
     total: dict[int, int] = {}
     for n in moduli:
-        for p, e in _factorize_small(int(n)).items():
+        for p, e in factorize(int(n)):
             total[p] = total.get(p, 0) + e
     r = s = 1
     for p, e in total.items():

@@ -1,5 +1,5 @@
-"""Sawtooth kernels, sieve tables, the multiplicative coefficients a(n), b(n),
-and the constant C = 2 Pi_2.
+"""The sawtooth, factorization, prime and SPF/phi/mu sieves, the
+multiplicative coefficients a(n), b(n), and the constant C = 2 Pi_2.
 
 Everything downstream (Dedekind spectra, bias constants, correlation
 integrals, totient error moments) consumes these primitives.  Exact
@@ -21,11 +21,12 @@ from .errors import ResourceLimitError
 __all__ = [
     "psi",
     "psi_array",
-    "psi_smoothed",
-    "fejer_kernel",
     "mod_inverse",
+    "factorize",
+    "prime_array",
     "SieveTables",
     "build_sieves",
+    "ensure_sieves",
     "coeff_a",
     "coeff_b",
     "coeff_a_floats",
@@ -36,7 +37,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# sawtooth and Fejer machinery
+# the sawtooth
 
 
 def psi(x: float, plus: bool = False) -> float:
@@ -67,40 +68,8 @@ def psi_array(x: np.ndarray, plus: bool = False) -> np.ndarray:
     )
 
 
-def psi_smoothed(N: int, x) -> float | np.ndarray:
-    """Fejer-smoothed sawtooth of order N.
-
-    Equals i * sum_{0<|k|<=N} e(kx) (1 - |k|/(N+1)) / (2 pi k), folded to the
-    real sine series -sum_k (1 - k/(N+1)) sin(2 pi k x)/(pi k).  Bounded by
-    1/2 in absolute value.
-    """
-    if N < 1:
-        raise ValueError("smoothing order must be >= 1")
-    k = np.arange(1, N + 1, dtype=float)
-    weights = (1.0 - k / (N + 1.0)) / (math.pi * k)
-    xs = np.asarray(x, dtype=float)
-    vals = -np.sin(2.0 * math.pi * np.multiply.outer(xs, k)) @ weights
-    return float(vals) if np.ndim(x) == 0 else vals
-
-
-def fejer_kernel(N: int, x) -> float | np.ndarray:
-    """Order-N Fejer kernel; nonnegative, equals N + 1 at integers.
-
-    Evaluated through the distance to the nearest integer, which keeps the
-    sin ratio well conditioned arbitrarily close to the poles of sin(pi x).
-    """
-    if N < 0:
-        raise ValueError("order must be >= 0")
-    xs = np.asarray(x, dtype=float)
-    d = xs - np.rint(xs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin(math.pi * (N + 1) * d) / np.sin(math.pi * d)
-    vals = np.where(d == 0.0, float(N + 1), ratio**2 / (N + 1.0))
-    return float(vals) if np.ndim(x) == 0 else vals
-
-
 # ---------------------------------------------------------------------------
-# modular arithmetic
+# modular arithmetic and factorization
 
 
 def mod_inverse(a: int, q: int) -> int:
@@ -112,8 +81,38 @@ def mod_inverse(a: int, q: int) -> int:
     return pow(a, -1, q)
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n by trial division, p
+    increasing; empty for n <= 1."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sieves
+
+
+def prime_array(limit: int) -> np.ndarray:
+    """All primes <= limit (plain numpy sieve)."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.nonzero(flags)[0].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -145,41 +144,57 @@ class SieveTables:
         return np.nonzero(self.smallest_prime_factor == idx)[0][1:]  # drop 0==0
 
 
+# bytes per sieve entry: int64 spf, int64 phi, int8 mu
+_SIEVE_ENTRY_BYTES = 17
+
+
 def build_sieves(limit: int, max_limit: int = 200_000_000) -> SieveTables:
     """Build SPF/phi/mu tables up to ``limit``.
 
-    phi and mu are filled by one vectorized pass per prime; the SPF table
-    is the factorization workhorse for the multiplicative coefficients.
+    One vectorized pass per prime p <= sqrt(limit) fills spf, phi and mu
+    and divides the powers of p out of ``rest``.  What is left in ``rest``
+    is 1 or the single prime factor above sqrt(limit), applied to phi and
+    mu in one array step.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > max_limit:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds configured cap {max_limit}"
+            f"sieve limit {limit} exceeds configured cap {max_limit} "
+            f"(its tables would need {_SIEVE_ENTRY_BYTES * (limit + 1)} bytes)"
         )
     n = limit + 1
     spf = np.zeros(n, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.nonzero(untouched)[0]
-
     phi = np.arange(n, dtype=np.int64)
     mu = np.ones(n, dtype=np.int8)
     mu[0] = 0
-    idx = np.arange(n, dtype=np.int64)
-    for p in np.nonzero(spf == idx)[0]:
-        if p < 2:
-            continue
-        p = int(p)
+    rest = np.arange(n, dtype=np.int64)
+    for p in prime_array(math.isqrt(limit)).tolist():
+        seg = spf[p * p :: p]
+        seg[seg == 0] = p
         phi[p::p] -= phi[p::p] // p
         mu[p::p] = -mu[p::p]
         mu[p * p :: p * p] = 0
-    phi[0] = 0
+        pk = p
+        while pk <= limit:
+            rest[pk::pk] //= p
+            pk *= p
+    big = rest > 1
+    np.negative(mu, out=mu, where=big)
+    np.floor_divide(phi, rest, out=rest, where=big)
+    np.subtract(phi, rest, out=phi, where=big)
+    del rest, big  # freed before the spf fill allocates its mask
+    untouched = spf == 0
+    untouched[:2] = False
+    spf[untouched] = np.nonzero(untouched)[0]
     return SieveTables(limit, spf, phi, mu)
+
+
+def ensure_sieves(limit: int, sieves: SieveTables | None) -> SieveTables:
+    """``sieves`` if it reaches ``limit``, else fresh tables up to it."""
+    if sieves is None or sieves.limit < limit:
+        return build_sieves(max(limit, 4))
+    return sieves
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +204,10 @@ _A_CACHE: dict[int, Fraction] = {}
 _B_CACHE: dict[int, Fraction] = {}
 
 
-def _trial_factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def _factorize(n: int, sieves: SieveTables | None) -> list[tuple[int, int]]:
     if sieves is not None and n <= sieves.limit:
         return sieves.factorize(n)
-    return _trial_factorize(n)
+    return factorize(n)
 
 
 def _a_prime_power(p: int, e: int) -> Fraction:
@@ -256,8 +255,7 @@ def coeff_b(n: int, sieves: SieveTables | None = None) -> Fraction:
 
 def coeff_a_floats(limit: int, sieves: SieveTables | None = None) -> np.ndarray:
     """a(n) for n = 0..limit as float64 (a[0] = 0), built multiplicatively."""
-    if sieves is None or sieves.limit < limit:
-        sieves = build_sieves(max(limit, 4))
+    sieves = ensure_sieves(limit, sieves)
     a = np.ones(limit + 1)
     a[0] = 0.0
     if limit >= 2:
@@ -278,8 +276,7 @@ def coeff_a_floats(limit: int, sieves: SieveTables | None = None) -> np.ndarray:
 
 def coeff_b_floats(limit: int, sieves: SieveTables | None = None) -> np.ndarray:
     """b(n) for n = 0..limit as float64 (zero off odd squarefree support)."""
-    if sieves is None or sieves.limit < limit:
-        sieves = build_sieves(max(limit, 4))
+    sieves = ensure_sieves(limit, sieves)
     b = np.ones(limit + 1)
     b[0] = 0.0
     if limit >= 2:
@@ -296,8 +293,7 @@ def coeff_b_floats(limit: int, sieves: SieveTables | None = None) -> np.ndarray:
 
 def coeff_b_fractions(limit: int, sieves: SieveTables | None = None) -> list[Fraction]:
     """b(n) for n = 0..limit as exact rationals."""
-    if sieves is None or sieves.limit < limit:
-        sieves = build_sieves(max(limit, 4))
+    sieves = ensure_sieves(limit, sieves)
     return [Fraction(0)] + [coeff_b(n, sieves) for n in range(1, limit + 1)]
 
 

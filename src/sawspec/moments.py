@@ -22,10 +22,10 @@ from .correlations import b_exact
 from .errors import ResourceLimitError
 from .foundations import (
     SieveTables,
-    build_sieves,
     coeff_b_floats,
     coeff_b_fractions,
     constant_C,
+    ensure_sieves,
     psi,
 )
 
@@ -52,10 +52,19 @@ class MomentEstimate:
     partial: bool = False
 
 
-def _ensure_sieves(B: int, sieves: SieveTables | None) -> SieveTables:
-    if sieves is None or sieves.limit < B:
-        return build_sieves(max(B, 4))
-    return sieves
+def _multisets(support, ell: int):
+    """Yield (combo, multiplicity) over the size-ell multisets of ``support``
+    in ``combinations_with_replacement`` order; the multiplicity is the
+    number of distinct orderings of combo."""
+    fact = math.factorial(ell)
+    for combo in combinations_with_replacement(support, ell):
+        mult = fact
+        run = 1
+        for i in range(1, ell):
+            run = run + 1 if combo[i] == combo[i - 1] else 1
+            if run > 1:
+                mult //= run
+        yield combo, mult
 
 
 def _support_weights(kind: str, B: int, sieves: SieveTables) -> np.ndarray:
@@ -122,7 +131,7 @@ def theoretical_moment(
         raise ValueError("ell and B must be >= 1")
     if ell % 2 == 1:
         return MomentEstimate(kind, ell, B, 0.0, "odd moment vanishes identically")
-    sieves = _ensure_sieves(B, sieves)
+    sieves = ensure_sieves(B, sieves)
     scale = constant_C()[0] ** ell if kind == "C" else 1.0
 
     if ell == 2:
@@ -136,20 +145,13 @@ def theoretical_moment(
         raise ResourceLimitError(
             f"{count} support multisets exceed budget {multiset_budget}"
         )
-    fact = math.factorial(ell)
     total = 0.0
     pruned_mass = 0.0
     floor = 2.0**-ell  # |correlation| <= 2^-ell on any tuple
-    for combo in combinations_with_replacement(ns.tolist(), ell):
+    for combo, mult in _multisets(ns.tolist(), ell):
         weight = 1.0
         for n in combo:
             weight *= w[n]
-        mult = fact
-        run = 1
-        for i in range(1, ell):
-            run = run + 1 if combo[i] == combo[i - 1] else 1
-            if run > 1:
-                mult //= run
         contrib_bound = abs(weight) * mult * floor
         if contrib_bound < prune:
             pruned_mass += contrib_bound
@@ -183,17 +185,10 @@ def continuous_model_eval(x: float, B: int, sieves: SieveTables | None = None) -
     """C * sum_{n <= B} b(n) psi(x/n) with the limiting constant."""
     if B < 1:
         raise ValueError("B must be >= 1")
-    sieves = _ensure_sieves(B, sieves)
+    sieves = ensure_sieves(B, sieves)
     b = coeff_b_floats(B, sieves)
     total = sum(b[n] * psi(x / n) for n in np.nonzero(b)[0].tolist())
     return constant_C()[0] * total
-
-
-def _lcm_upto(B: int) -> int:
-    out = 1
-    for n in range(2, B + 1):
-        out = math.lcm(out, n)
-    return out
 
 
 def continuous_model_moment_exact(
@@ -211,10 +206,10 @@ def continuous_model_moment_exact(
         raise ValueError("exact model moments support 1 <= ell <= 6")
     if B < 1:
         raise ValueError("B must be >= 1")
-    L = _lcm_upto(B)
+    L = math.lcm(*range(1, B + 1))
     if L > lcm_cap:
         raise ResourceLimitError(f"lcm(1..{B}) = {L} exceeds cap {lcm_cap}")
-    sieves = _ensure_sieves(B, sieves)
+    sieves = ensure_sieves(B, sieves)
     b = coeff_b_fractions(B, sieves)
     support = [n for n in range(1, B + 1) if b[n]]
     slope = sum(b[n] / n for n in support)  # Fraction, > 0 (b(1) = 1)
@@ -233,21 +228,14 @@ def moment_tuple_sum_exact(
     correlation integral; the tuple-sum side of the pre-limit identity."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    sieves = _ensure_sieves(B, sieves)
+    sieves = ensure_sieves(B, sieves)
     b = coeff_b_fractions(B, sieves)
     support = [n for n in range(1, B + 1) if b[n]]
-    fact = math.factorial(ell)
     total = Fraction(0)
-    for combo in combinations_with_replacement(support, ell):
+    for combo, mult in _multisets(support, ell):
         weight = Fraction(1)
         for n in combo:
             weight *= b[n]
-        mult = fact
-        run = 1
-        for i in range(1, ell):
-            run = run + 1 if combo[i] == combo[i - 1] else 1
-            if run > 1:
-                mult //= run
         total += weight * mult * b_exact(combo)
     return total
 
@@ -265,10 +253,10 @@ def char_function_estimate(
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    L = _lcm_upto(B)
+    L = math.lcm(*range(1, B + 1))
     if L > lcm_cap:
         raise ResourceLimitError(f"lcm(1..{B}) = {L} exceeds cap {lcm_cap}")
-    sieves = _ensure_sieves(B, sieves)
+    sieves = ensure_sieves(B, sieves)
     b = coeff_b_floats(B, sieves)
     support = np.nonzero(b)[0]
     c = constant_C()[0]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .correlations import b_exact
 from .errors import ResourceLimitError
-from .foundations import SieveTables, build_sieves, psi_array
+from .foundations import SieveTables, ensure_sieves, psi_array
 
 __all__ = [
     "PhiAccumulator",
@@ -60,8 +60,7 @@ def build_phi_accumulator(y: int, sieves: SieveTables | None = None) -> PhiAccum
     if y > 100_000_000:
         # prefix sums stay exact in float64 view up to ~1.7e8
         raise ValueError("accumulator capped at 1e8")
-    if sieves is None or sieves.limit < y:
-        sieves = build_sieves(y)
+    sieves = ensure_sieves(y, sieves)
     prefix = np.zeros(y + 1, dtype=np.int64)
     np.cumsum(sieves.euler_phi[: y + 1], out=prefix)
     return PhiAccumulator(y, prefix)
@@ -200,9 +199,7 @@ def rtilde_truncated_model(u, N: int, sieves: SieveTables | None = None):
     """-sum_{n <= N} (mu(n)/n) psi(u/n): the truncated sawtooth model."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if sieves is None or sieves.limit < N:
-        sieves = build_sieves(max(N, 4))
-    mu = sieves.mobius
+    mu = ensure_sieves(N, sieves).mobius
     us = np.asarray(u, dtype=float)
     total = np.zeros_like(us)
     for n in range(1, N + 1):

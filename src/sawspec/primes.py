@@ -1,5 +1,6 @@
-"""Segmented prime sieve, consecutive-prime residue census, and the
-observed-vs-predicted reports for the pattern frequency conjecture."""
+"""Segmented prime sieve (its base primes from ``foundations.prime_array``),
+consecutive-prime residue census, and the observed-vs-predicted reports for
+the pattern frequency conjecture."""
 
 from __future__ import annotations
 
@@ -12,27 +13,15 @@ from .bias import Pattern, c1_pattern, c2_pattern
 from .characters import CharacterTable, is_prime
 from .distribution import EULER_GAMMA
 from .errors import ResourceLimitError
+from .foundations import prime_array
 
 __all__ = [
-    "prime_array",
     "primes_with_successors",
     "PatternCensus",
     "pattern_census",
     "log_integral",
     "conjecture_report",
 ]
-
-
-def prime_array(limit: int) -> np.ndarray:
-    """All primes <= limit (plain numpy sieve)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
 
 
 def _segmented_primes(limit: int, segment: int = 1 << 22) -> np.ndarray:

@@ -68,6 +68,14 @@ class TestCkPoint:
         with pytest.raises(ValueError, match="prime"):
             sw.ck_point(25, 3, "truncated", cutoff=3)
 
+    def test_truncated_point_matches_truncated_vector(self, sieves_1m):
+        # both routes evaluate the same series terms; only the summation
+        # order differs (all k at once per n against one k over all n)
+        vec = sw.ck_all(1009, "truncated", sieves=sieves_1m)
+        for k in (1, 2, 3, 500, 504, 505, 1008):
+            point = sw.ck_point(1009, k, "truncated", sieves=sieves_1m)
+            assert point == pytest.approx(vec.value(k), abs=1e-12)
+
 
 class TestCkVector:
     @pytest.mark.parametrize("q", [9, 25, 100])

@@ -46,6 +46,26 @@ class TestExitCodes:
             main(["dedekind", "--q", "7", "--a", "1", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("c2", "--q", "101"),
+            ("c2", "--q", "101", "--a", "1"),
+            ("bcorr", "--moduli", "2,3", "--method", "discrete"),
+            ("dist", "--source", "ck"),
+            ("dist", "--source", "spectrum", "--y", "100"),
+            ("dist", "--source", "rtilde", "--q", "101"),
+        ],
+    )
+    def test_missing_flag_combination_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"usage: sawspec {argv[0]}" in out.err
+        assert "need" in out.err
+
     def test_computation_error_is_1(self, capsys):
         code, _, err = run_cli(capsys, "dedekind", "--q", "7", "--a", "14")
         assert code == 1

@@ -11,11 +11,10 @@ from sawspec.foundations import (
     coeff_a_floats,
     coeff_b,
     constant_C,
-    fejer_kernel,
+    factorize,
     mod_inverse,
     psi,
     psi_array,
-    psi_smoothed,
 )
 
 TWIN_DOUBLED = 1.3203236316937392  # 2 * prod_{p>=3} (1 - (p-1)^-2)
@@ -57,38 +56,6 @@ class TestPsi:
         xs = np.array([-2.5, -0.3, 0.0, 0.125, 1.0, 3.7])
         assert np.array_equal(psi_array(xs), [psi(float(x)) for x in xs])
         assert psi_array(np.array(4.0), plus=True) == 0.5
-
-
-class TestSmoothing:
-    def test_vanishes_at_zero(self):
-        for N in (1, 5, 40):
-            assert psi_smoothed(N, 0.0) == 0.0
-
-    def test_single_term_value(self):
-        # N=1: -(1/2) sin(2 pi x)/pi at x = 1/4
-        assert psi_smoothed(1, 0.25) == pytest.approx(-1.0 / (2 * math.pi), abs=1e-15)
-
-    def test_bounded_by_half(self):
-        x = np.linspace(-2, 2, 1501)
-        for N in (1, 7, 100):
-            assert np.max(np.abs(psi_smoothed(N, x))) <= 0.5 + 1e-12
-
-    def test_approximation_rate(self):
-        # |psi_N - psi| <= c min(1, 1/(N ||x||)); measured c just under 1/2
-        x = np.linspace(-2.3, 2.3, 4001) + 1e-4
-        dist = np.abs(x - np.round(x))
-        for N in (1, 8, 64, 512):
-            err = np.abs(psi_smoothed(N, x) - psi_array(x))
-            bound = np.minimum(1.0, 1.0 / (N * dist))
-            assert np.max(err / bound) <= 1.0
-
-    def test_fejer_nonnegative_dense_grid(self):
-        x = np.linspace(-1.5, 1.5, 20001)
-        for N in (1, 3, 17):
-            vals = fejer_kernel(N, x)
-            assert np.min(vals) >= -1e-12
-            assert fejer_kernel(N, 0.0) == N + 1
-            assert fejer_kernel(N, 2.0) == N + 1
 
 
 class TestModular:
@@ -183,11 +150,48 @@ class TestSieves:
         assert sieves_1m.factorize(360) == [(2, 3), (3, 2), (5, 1)]
         assert sieves_1m.factorize(1) == []
 
+    def test_small_limits_against_trial_division(self):
+        # every limit up to 200 passes p^2 - 1, p^2 and p^2 + 1 for
+        # p <= 13, where the largest sieving prime sqrt(limit) changes
+        for limit in range(2, 201):
+            s = build_sieves(limit)
+            assert s.smallest_prime_factor[:2].tolist() == [0, 0], limit
+            assert s.euler_phi[0] == 0 and s.mobius[0] == 0, limit
+            for n in range(1, limit + 1):
+                assert s.euler_phi[n] == _phi_trial(n), (limit, n)
+                assert s.mobius[n] == _mu_trial(n), (limit, n)
+                if n > 1:
+                    spf = min(d for d in range(2, n + 1) if n % d == 0)
+                    assert s.smallest_prime_factor[n] == spf, (limit, n)
+
     def test_resource_cap(self):
         from sawspec.errors import ResourceLimitError
 
-        with pytest.raises(ResourceLimitError):
+        # 17 bytes per entry: int64 spf, int64 phi, int8 mu
+        with pytest.raises(ResourceLimitError, match=r"170000017 bytes"):
             build_sieves(10**7, max_limit=10**6)
+
+
+class TestFactorize:
+    def test_examples(self):
+        assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+        assert factorize(1) == []
+        assert factorize(2) == [(2, 1)]
+        assert factorize(999983) == [(999983, 1)]
+
+    def test_matches_sieve_up_to_1e5(self, sieves_1m):
+        for n in range(1, 10**5 + 1):
+            assert factorize(n) == sieves_1m.factorize(n), n
+
+    def test_matches_sieve_sampled_to_1e6(self, sieves_1m):
+        rng = np.random.default_rng(11)
+        for n in rng.integers(10**5, 10**6 + 1, 2000).tolist():
+            assert factorize(n) == sieves_1m.factorize(n), n
+
+    @pytest.mark.parametrize("q", [999953, 999959, 999961, 999979, 999983])
+    def test_prime_minus_one(self, sieves_1m, q):
+        # q - 1 is what primitive_root factors
+        assert factorize(q - 1) == sieves_1m.factorize(q - 1)
 
 
 class TestCoefficients:

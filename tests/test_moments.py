@@ -6,7 +6,7 @@ import pytest
 
 import sawspec as sw
 from sawspec.errors import ResourceLimitError
-from sawspec.moments import theoretical_moment
+from sawspec.moments import _multisets, theoretical_moment
 
 HALF_INV_PI2 = 1.0 / (2.0 * math.pi**2)
 SPECTRUM_SECOND = 5.0 * math.pi**2 / 144.0  # gcd-sum identity zeta(2)^3/zeta(4)/144
@@ -64,6 +64,21 @@ class TestTheoretical:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             theoretical_moment("x", 2, 10)
+
+
+class TestMultisets:
+    @pytest.mark.parametrize("s, ell", [(1, 4), (2, 1), (3, 2), (4, 4), (5, 3), (6, 6)])
+    def test_multiplicities_count_ordered_tuples(self, s, ell):
+        # each multiset stands for its distinct orderings, so the
+        # multiplicities add up to the s^ell ordered tuples
+        assert sum(mult for _, mult in _multisets(range(s), ell)) == s**ell
+
+    def test_multiplicity_is_orderings(self):
+        for combo, mult in _multisets((1, 3, 5, 7), 4):
+            orderings = math.factorial(4)
+            for n in set(combo):
+                orderings //= math.factorial(combo.count(n))
+            assert mult == orderings
 
 
 class TestEmpirical:
