@@ -70,6 +70,7 @@ from .phi_error import (
     pair_correlation_stat,
     r_values,
     rtilde_moment_exact,
+    rtilde_moments_exact,
     rtilde_samples,
     rtilde_truncated_model,
 )

@@ -39,9 +39,10 @@ from .distribution import (
 from .errors import ResourceLimitError
 from .moments import theoretical_moment
 from .phi_error import (
+    MAX_MOMENT_ORDER,
     build_phi_accumulator,
     r_values,
-    rtilde_moment_exact,
+    rtilde_moments_exact,
     rtilde_samples,
 )
 from .primes import conjecture_report, pattern_census
@@ -392,10 +393,8 @@ def _cmd_phi(args) -> int:
         R, Rt = r_values(x, acc)
         emit_json({"x": x, "R": R, "R_tilde": Rt}, args, meta)
     elif args.stat == "moments":
-        rows = [
-            (ell, rtilde_moment_exact(args.y, ell, acc))
-            for ell in range(1, args.ell + 1)
-        ]
+        moments = rtilde_moments_exact(args.y, args.ell, acc)
+        rows = list(enumerate(moments, start=1))
         emit_csv(("ell", "moment"), rows, args, meta)
     else:
         _emit_histogram(make_distribution("R", rtilde_samples(acc)), args, meta)
@@ -433,7 +432,8 @@ _DISPATCH = {
 
 
 def _flag_combination_error(args) -> str | None:
-    """What is wrong with a flag combination argparse cannot check alone."""
+    """What is wrong with the flags that argparse cannot check alone: a
+    missing combination or a value outside the command's domain."""
     if args.command == "c2":
         if args.pattern is None and (args.a is None or args.b is None):
             return "need --pattern or both --a and --b"
@@ -443,6 +443,12 @@ def _flag_combination_error(args) -> str | None:
         flag = "y" if args.source == "rtilde" else "q"
         if getattr(args, flag) is None:
             return f"--source {args.source} needs --{flag}"
+    if args.command == "phi" or (args.command == "dist" and args.source == "rtilde"):
+        if args.y < 2:
+            return "need --y >= 2"
+    if args.command == "phi" and args.stat == "moments":
+        if args.ell > MAX_MOMENT_ORDER:
+            return f"need --ell in [1, {MAX_MOMENT_ORDER}] for --stat moments"
     return None
 
 

@@ -139,9 +139,11 @@ class SieveTables:
             out.append((p, e))
         return out
 
-    def primes(self) -> np.ndarray:
-        idx = np.arange(self.limit + 1, dtype=np.int64)
-        return np.nonzero(self.smallest_prime_factor == idx)[0][1:]  # drop 0==0
+    def primes(self, upto: int | None = None) -> np.ndarray:
+        """The primes <= upto (default: every prime of the table)."""
+        spf = self.smallest_prime_factor[: None if upto is None else upto + 1]
+        idx = np.arange(len(spf), dtype=np.int64)
+        return np.nonzero(spf == idx)[0][1:]  # drop 0==0
 
 
 # bytes per sieve entry: int64 spf, int64 phi, int8 mu
@@ -262,10 +264,7 @@ def coeff_a_floats(limit: int, sieves: SieveTables | None = None) -> np.ndarray:
         a[2::2] *= -0.5
     if limit >= 4:
         a[4::4] = 0.0
-    for p in sieves.primes():
-        p = int(p)
-        if p == 2 or p > limit:
-            continue
+    for p in map(int, sieves.primes(limit)[1:]):  # odd primes; 2 is done above
         a[p::p] *= 2.0 / (p * (p - 2))
         if p * p <= limit:
             a[p * p :: p * p] *= -0.5
@@ -281,10 +280,7 @@ def coeff_b_floats(limit: int, sieves: SieveTables | None = None) -> np.ndarray:
     b[0] = 0.0
     if limit >= 2:
         b[2::2] = 0.0
-    for p in sieves.primes():
-        p = int(p)
-        if p == 2 or p > limit:
-            continue
+    for p in map(int, sieves.primes(limit)[1:]):  # odd primes; 2 is done above
         b[p::p] /= p - 2
         if p * p <= limit:
             b[p * p :: p * p] = 0.0

@@ -86,10 +86,7 @@ def _support_weights(kind: str, B: int, sieves: SieveTables) -> np.ndarray:
 def _jordan_totient2(B: int, sieves: SieveTables) -> np.ndarray:
     d = np.arange(B + 1, dtype=np.int64)
     J = d * d
-    for p in sieves.primes():
-        p = int(p)
-        if p > B:
-            break
+    for p in map(int, sieves.primes(B)):
         J[p::p] //= p * p
         J[p::p] *= p * p - 1
     return J

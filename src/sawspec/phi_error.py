@@ -2,22 +2,45 @@
 
 R(x) is the deviation of sum_{n<=x} phi(n) from 3x^2/pi^2 and
 Rt(u) = R(u)/u - phi(u)/(2u) its normalized form (the phi correction only
-at integers).  Between consecutive integers Rt(u) = S_m/u - (3/pi^2) u, a
-rational function, so moment integrals over [0, y] reduce to per-interval
-closed forms with no quadrature error.
+at integers).  Between consecutive integers Rt is a rational function, so
+the moment integrals over [0, y] split into one smooth integral per unit
+interval.
 
-Numerical note: expanding those closed forms in powers of u cancels
+Numerical note.  Expanding those integrals in powers of u cancels
 catastrophically for large m (terms of size (0.3 m)^ell against O(1)
-integrals), so each interval is integrated through the algebraically
-identical expansion around its left endpoint: the numerator polynomial in
-v = u - m has coefficients of the size of R(m), and the kernel integrals
-J_i = int_0^1 v^i (m+v)^-ell dv are evaluated by a geometric series in 1/m
-(m >= 128) or fixed Gauss-Legendre nodes (m < 128), both exact to float64
-resolution.
-"""
+integrals).  With P = 3/pi^2 and u = m + v, 0 <= v < 1, the integrand is
+evaluated in the v-form
 
+    Rt(m + v) = (d0 + d1 v + d2 v^2) / (m + v),
+    d0 = S_m - P m^2 = R(m),  d1 = -2 P m,  d2 = -P,
+
+whose numerator has the size of R(m), so Rt is accurate to float64
+resolution at every v.  Each interval's integral of Rt^ell is an n-point
+Gauss-Legendre sum, all orders ell from the same node values.
+
+Node counts.  If f is analytic with |f| <= M in the Bernstein ellipse
+E_rho of [-1, 1], the n-point rule errs by at most
+(64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen, Approximation Theory and
+Approximation Practice, Thm 19.3; on [0, 1] it is half that).  The only
+singularity of Rt^ell is the pole at v = -m.  Take rho = 2m: the ellipse
+reaches down to v = (1 - m)/2 - 1/(8m) > -m, so |m + v| >= m/2 there, and
+with |v| <= V = (m + 1)/2 + 1/8,
+
+    |Rt| <= 2 |Rt(m)| + 2 P V (2m + V) / m  ~  2 |Rt(m)| + 0.76 m.
+
+With the trivial |Rt(m)| <= P m + 1/2 (0 <= S_m <= m(m+1)/2) the bound
+falls like m^(ell - 2n - 2).  A moment is a mean of per-interval
+integrals, so its quadrature error is at most the worst per-interval bound.
+That should sit below half an ulp of a moment of size 1e-8
+(2^-53 * 1e-8 = 1.1e-24) for every ell <= 8:
+
+- m < 128: n = 64, bound below 2e-34;
+- m >= 128: n = 8, bound 1.9e-25 at m = 128, ell = 8 (n = 7 gives
+  1.2e-20).  With the measured |Rt(128)| = 0.327 it is 1.8e-27.
+"""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +56,7 @@ __all__ = [
     "build_phi_accumulator",
     "r_values",
     "rtilde_moment_exact",
+    "rtilde_moments_exact",
     "rtilde_samples",
     "rtilde_truncated_model",
     "pair_correlation_stat",
@@ -91,104 +115,69 @@ def rtilde_samples(acc: PhiAccumulator, y: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact moment integrals
+# moment integrals
+
+MAX_MOMENT_ORDER = 8
+_CHUNK = 1 << 19  # intervals per array step: ~4 MB per float64 temporary
 
 
-def _kernel_integrals_gl(m: np.ndarray, ell: int, count: int) -> np.ndarray:
-    """J_i(m) = int_0^1 v^i/(m+v)^ell dv by 64-node Gauss-Legendre.
-
-    For m >= 1 the integrand is analytic with its pole at distance >= 1
-    from the interval; the quadrature error is below 1e-60, far under
-    float64 resolution, and all terms are positive (condition number 1).
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    v = (nodes + 1.0) / 2.0
-    w = weights / 2.0
-    kern = w / (m[:, None] + v[None, :]) ** ell  # (M, 64)
-    vpow = np.vander(v, count, increasing=True).T  # (count, 64)
-    return vpow @ kern.T  # (count, M)
+@functools.cache
+def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-def _kernel_integrals_series(
-    m: np.ndarray, ell: int, count: int, terms: int
-) -> np.ndarray:
-    """Same J_i by the binomial series (1+v/m)^-ell; truncation below
-    1e-22 relative for m >= 128 with the default term count."""
-    minv = 1.0 / m
-    mp = minv**ell
-    J = np.zeros((count, len(m)))
-    coef = 1.0
-    sign = 1.0
-    for r in range(terms + 1):
-        scaled = sign * coef * mp
-        for i in range(count):
-            J[i] += scaled / (i + r + 1.0)
-        mp = mp * minv
-        sign = -sign
-        coef = coef * (ell + r) / (r + 1.0)
-    return J
-
-
-def _numerator_power(d0: np.ndarray, d1: np.ndarray, d2: float, ell: int):
-    """Coefficient arrays of (d0 + d1 v + d2 v^2)^ell in v."""
-    base = [d0, d1, np.full_like(d0, d2)]
-    coeffs = list(base)
-    for _ in range(ell - 1):
-        out = [np.zeros_like(d0) for _ in range(len(coeffs) + 2)]
-        for i, c in enumerate(coeffs):
-            out[i] += c * base[0]
-            out[i + 1] += c * base[1]
-            out[i + 2] += c * d2
-        coeffs = out
-    return coeffs
-
-
-def _interval_sum(acc: PhiAccumulator, lo: int, hi: int, ell: int, terms: int) -> float:
+def _interval_sum(acc: PhiAccumulator, lo: int, hi: int, ell_max: int) -> np.ndarray:
+    """[sum over lo <= m < hi of int_m^{m+1} Rt(u)^ell du, ell = 1..ell_max]
+    by the 64-node rule if lo < 128, else the 8-node rule (module note)."""
     m_int = np.arange(lo, hi, dtype=np.int64)
-    S = acc.prefix[lo:hi]
     m = m_int.astype(float)
     # d0 = S - P m^2 exactly (80-bit intermediate; operands are exact there)
     ld = np.longdouble
+    S = acc.prefix[lo:hi]
     d0 = np.asarray(S.astype(ld) - ld(_P) * m_int.astype(ld) ** 2, dtype=float)
     d1 = -2.0 * _P * m
-    coeffs = _numerator_power(d0, d1, -_P, ell)
-    if lo >= 128:
-        J = _kernel_integrals_series(m, ell, 2 * ell + 1, terms)
-    else:
-        J = _kernel_integrals_gl(m, ell, 2 * ell + 1)
-    total = np.zeros_like(m)
-    for c, Ji in zip(coeffs, J):
-        total += c * Ji
-    return float(np.sum(total))
+    sums = np.zeros(ell_max)
+    for v, w in zip(*_gauss_legendre_01(64 if lo < 128 else 8)):
+        r = (d0 + v * (d1 - _P * v)) / (m + v)  # Rt(m + v)
+        power = np.ones_like(r)
+        for k in range(ell_max):
+            power *= r
+            sums[k] += w * np.sum(power)
+    return sums
 
 
-def rtilde_moment_exact(
-    y: int,
-    ell: int,
-    acc: PhiAccumulator,
-    chunk: int = 1 << 19,
-    series_terms: int = 26,
-) -> float:
-    """(1/y) int_0^y Rt(u)^ell du by per-interval closed forms.
+def rtilde_moments_exact(y: int, ell_max: int, acc: PhiAccumulator) -> list[float]:
+    """[(1/y) int_0^y Rt(u)^ell du for ell = 1..ell_max], all orders in
+    one pass over the unit intervals.
 
-    On [m, m+1) the integrand is (S_m/u - (3/pi^2) u)^ell; the integral is
-    evaluated exactly per interval (see the module note on conditioning)
-    and accumulated in fixed chunk order.
+    Each interval's integral is a Gauss-Legendre sum with error far under
+    float64 resolution (the module note derives it); the sums are
+    accumulated in fixed chunk order, so entry ell - 1 does not depend on
+    ``ell_max``.
     """
-    if not 1 <= ell <= 8:
-        raise ValueError("moment order must be in [1, 8]")
+    if not 1 <= ell_max <= MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order must be in [1, {MAX_MOMENT_ORDER}]")
     if y < 2 or y > acc.y:
         raise ValueError(f"y={y} outside [2, {acc.y}]")
-    parts = [(-_P) ** ell / (ell + 1.0)]  # the [0,1) interval: S_0 = 0
+    # the [0,1) interval: S_0 = 0, so Rt(u) = -P u
+    parts = [[(-_P) ** ell / (ell + 1.0)] for ell in range(1, ell_max + 1)]
     lo = 1
     while lo < y:
-        hi = min(lo + chunk, y)
-        # keep the GL/series switch at a chunk boundary
-        if lo < 128 < hi:
+        hi = min(lo + _CHUNK, y)
+        if lo < 128 < hi:  # keep the rule switch at a chunk boundary
             hi = 128
-        parts.append(_interval_sum(acc, lo, hi, ell, series_terms))
+        for part, s in zip(parts, _interval_sum(acc, lo, hi, ell_max).tolist()):
+            part.append(s)
         lo = hi
-    return math.fsum(parts) / y
+    return [math.fsum(part) / y for part in parts]
+
+
+def rtilde_moment_exact(y: int, ell: int, acc: PhiAccumulator) -> float:
+    """(1/y) int_0^y Rt(u)^ell du: the last entry of
+    :func:`rtilde_moments_exact`."""
+    return rtilde_moments_exact(y, ell, acc)[-1]
 
 
 # ---------------------------------------------------------------------------

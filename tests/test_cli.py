@@ -66,6 +66,29 @@ class TestExitCodes:
         assert f"usage: sawspec {argv[0]}" in out.err
         assert "need" in out.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("phi", "--y", "1"),
+            ("dist", "--source", "rtilde", "--y", "1"),
+            ("phi", "--y", "1000", "--stat", "moments", "--ell", "9"),
+        ],
+    )
+    def test_flag_outside_domain_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"usage: sawspec {argv[0]}" in out.err
+
+    def test_unused_ell_is_not_checked(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "phi", "--y", "1000", "--stat", "hist", "--ell", "9"
+        )
+        assert code == 0
+        assert "bin_lo,bin_hi,count" in out
+
     def test_computation_error_is_1(self, capsys):
         code, _, err = run_cli(capsys, "dedekind", "--q", "7", "--a", "14")
         assert code == 1
