@@ -11,10 +11,7 @@ from .characters import (
     PrimeContext,
     build_context,
     build_table,
-    char_value,
-    gauss_sum,
     is_prime,
-    l_one_series,
 )
 from .correlations import (
     CorrelationKey,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import CharacterTable, build_context, require_odd_prime
+from .characters import CharacterTable, PrimeContext, build_context, require_odd_prime
 from .errors import ResourceLimitError
 from .foundations import SieveTables, coeff_b_floats, constant_C
 
@@ -83,34 +83,26 @@ def c1_pattern(pattern: Pattern) -> float:
 
 
 def _ck_products(table: CharacterTable) -> np.ndarray:
-    M = table.q - 1
-    P = table.l_zero * table.l_one * table.a_chi
-    P[0] = 0.0
-    P[2::2] = 0.0  # even characters carry l_zero = 0 already; keep it exact
-    return P
+    return table.l_zero * table.l_one * table.a_chi
 
 
 def _ck_char_raw(table: CharacterTable, k: int) -> float:
-    ctx = table.context
-    M = table.q - 1
-    P = _ck_products(table)
-    j = np.arange(1, M, 2)
-    phases = np.exp((-2j * math.pi / M) * (j * int(ctx.index[k % table.q]) % M))
-    val = np.sum(phases * P[j]) / M
+    val = np.sum(table.chi_bar(k) * _ck_products(table)) / (table.q - 1)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ArithmeticError("character sum for C(k) not real enough")
     return float(val.real)
 
 
-def _truncated_terms(q: int, cutoff: int | None, sieves: SieveTables | None):
+def _truncated_terms(ctx: PrimeContext, cutoff: int | None, sieves: SieveTables | None):
     """Terms of -C_q sum_{n <= N, (n,q)=1} b(n) psi(k inv(2n)/q):
     (N, C_q, the nonzero weights b(n), inv(2n) mod q)."""
+    q = ctx.q
     N = cutoff if cutoff is not None else max(1000, q)
     b = coeff_b_floats(N, sieves)
     c_q, _ = constant_C(excluded_prime=q)
     ns = np.nonzero(b)[0]
     ns = ns[ns % q != 0]
-    inv2n = build_context(q).inverses[(2 * ns) % q]
+    inv2n = ctx.inverses[(2 * ns) % q]
     return N, c_q, b[ns], inv2n
 
 
@@ -136,7 +128,7 @@ def ck_point(
             raise ValueError("characters route needs a table built for q")
         return 0.5 * (_ck_char_raw(table, k) - _ck_char_raw(table, q - k))
     if method == "truncated":
-        _, c_q, weights, inv2n = _truncated_terms(q, cutoff, sieves)
+        _, c_q, weights, inv2n = _truncated_terms(build_context(q), cutoff, sieves)
 
         def raw(kk: int) -> float:
             return -c_q * float(np.sum(weights * ((kk * inv2n) % q / q - 0.5)))
@@ -155,9 +147,12 @@ def ck_all(
 ) -> CkVector:
     """The full vector of bias values C(k), k = 1..q-1.
 
-    The character route is a single DFT of the per-character products over
-    the cyclic group, rearranged through the discrete-log table; the
-    truncated route accumulates the sawtooth series over all k at once.
+    Both routes work over the cyclic group, k = g^i, and are rearranged
+    through the discrete-log table.  The character route is one half-length
+    DFT of the per-character products: C(g^i) = e(-i/(q-1)) FFT(P)[i]/(q-1)
+    for i < H = (q-1)/2, and C(g^(i+H)) = -C(g^i).  The truncated route
+    bins the weights b(n) by e = ind(inv(2n)) into W, so that
+    C(g^i) = -C_q sum_e W_e psi(g^(i+e)/q), one cyclic correlation by FFT.
     """
     require_odd_prime(q)
     if q > max_q:
@@ -166,22 +161,25 @@ def ck_all(
         if table is None or table.q != q:
             raise ValueError("characters route needs a table built for q")
         ctx = table.context
-        M = q - 1
-        P = _ck_products(table)
-        spectrum = np.fft.fft(P) / M  # entry i is C at the residue g^i
-        max_im = float(np.max(np.abs(spectrum.imag)))
-        if max_im > 1e-10 * max(1.0, float(np.max(np.abs(spectrum.real)))):
+        H = (q - 1) // 2
+        half = np.fft.fft(_ck_products(table))
+        half *= np.exp((-1j * math.pi / H) * np.arange(H)) / (q - 1)
+        max_im = float(np.max(np.abs(half.imag)))
+        if max_im > 1e-10 * max(1.0, float(np.max(np.abs(half.real)))):
             raise ArithmeticError("C(k) character average not real enough")
         values = np.empty(q)
-        values[ctx.powers] = spectrum.real
+        values[ctx.powers[:H]] = half.real
+        values[ctx.powers[H:]] = -half.real  # g^(i+H) = -g^i
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
-        N, c_q, weights, inv2n = _truncated_terms(q, cutoff, sieves)
-        k = np.arange(q, dtype=np.int64)
-        acc = np.zeros(q)
-        for w, inv in zip(weights.tolist(), inv2n.tolist()):
-            acc += w * (((k * inv) % q) / q - 0.5)
-        values = -c_q * acc
+        ctx = build_context(q)
+        N, c_q, weights, inv2n = _truncated_terms(ctx, cutoff, sieves)
+        M = q - 1
+        W = np.bincount(ctx.index[inv2n], weights=weights, minlength=M)
+        saw = ctx.powers / q - 0.5
+        corr = np.fft.irfft(np.fft.rfft(saw) * np.conj(np.fft.rfft(W)), M)
+        values = np.empty(q)
+        values[ctx.powers] = -c_q * corr
         meta = {"series_cutoff": N}
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -212,15 +210,9 @@ def c2_pair(q: int, a: int, b: int, table: CharacterTable) -> float:
         raise ValueError("character table was built for a different modulus")
     if (a - b) % q == 0:
         return (q - 2) / 2.0 * math.log(q / (2.0 * math.pi))
-    ctx = table.context
     M = q - 1
-    j = np.arange(1, M, 2)  # only odd characters contribute (l_zero else 0)
-
-    def chibar(x: int) -> np.ndarray:
-        return np.exp((-2j * math.pi / M) * (j * int(ctx.index[x % q]) % M))
-
-    coef = chibar(b - a) + (chibar(b) - chibar(a)) / M
-    total = np.sum(coef * table.l_zero[j] * table.l_one[j] * table.a_chi[j])
+    coef = table.chi_bar(b - a) + (table.chi_bar(b) - table.chi_bar(a)) / M
+    total = np.sum(coef * table.l_zero * table.l_one * table.a_chi)
     val = 0.5 * math.log(2.0 * math.pi / q) + (q / M) * total
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise ArithmeticError("c2 character sum not real enough")

@@ -1,11 +1,17 @@
 """Dirichlet character group mod a prime, Gauss sums and the attached L-data.
 
 A ``PrimeContext`` fixes a primitive root g and the discrete-log table, so
-character j acts by chi_j(a) = e(j * ind(a) / (q-1)).  The table rows hold
-L(0,chi) (finite sum), L(1,chi) for odd chi (functional equation), the Gauss
-sum, and the Euler-correction factor A_{q,chi} as a truncated series.  All
-of these are sums over the cyclic group and are evaluated together as
-index-reordered DFTs of length q-1.
+character j acts by chi_j(a) = e(j * ind(a) / (q-1)).  Only the odd
+characters (odd j) enter the bias sums, so the table holds those alone, one
+row per odd character: L(0,chi) (finite sum), L(1,chi) (functional
+equation), the Gauss sum, and the Euler-correction factor A_{q,chi} as a
+truncated series.  Each is a sum over the cyclic group, evaluated for all
+odd characters at once by one half-length FFT: with H = (q-1)/2 and
+j = 2i + 1,
+
+    sum_{m<q-1} x_m e(jm/(q-1)) = sum_{m<H} (x_m - x_{m+H}) e(m/(q-1)) e(im/H),
+
+and g^H = -1 mod q makes the folded inputs x_m - x_{m+H} explicit.
 """
 
 from __future__ import annotations
@@ -25,9 +31,6 @@ __all__ = [
     "build_context",
     "CharacterTable",
     "build_table",
-    "char_value",
-    "gauss_sum",
-    "l_one_series",
 ]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -124,11 +127,12 @@ def build_context(q: int) -> PrimeContext:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Per-character data for all q-1 characters mod q, indexed by j.
+    """Per-character data for the (q-1)/2 odd characters mod q.
 
-    Character j is odd iff j is odd.  ``l_one`` holds the functional-equation
-    value for odd j and 0 for even j (even characters never contribute to the
-    bias sums because l_zero vanishes there).
+    Every row array has length H = (q-1)/2, and row i holds character
+    j = 2i + 1.  Even characters are not stored: L(0,chi) vanishes for them,
+    so they never contribute to the bias sums.  The conjugate of row i is
+    row H-1-i.
     """
 
     context: PrimeContext
@@ -144,10 +148,19 @@ class CharacterTable:
     def q(self) -> int:
         return self.context.q
 
+    def chi_bar(self, a: int) -> np.ndarray:
+        """conj(chi_j(a)) for every row, a coprime to q."""
+        ctx = self.context
+        M = ctx.q - 1
+        j = np.arange(1, M, 2)
+        return np.exp((-2j * math.pi / M) * (j * int(ctx.index[a % ctx.q]) % M))
 
-def _group_dft(values: np.ndarray) -> np.ndarray:
-    # F[j] = sum_m values[m] e(+jm/M): the positive-sign DFT over Z/(q-1)
-    return np.fft.ifft(values) * len(values)
+
+def _odd_dft(folded: np.ndarray) -> np.ndarray:
+    """Row i is sum_m x_m e((2i+1)m/(q-1)), given folded[m] = x_m - x_{m+H}."""
+    H = len(folded)
+    twiddle = np.exp((1j * math.pi / H) * np.arange(H))  # e(m/(q-1))
+    return np.fft.ifft(folded * twiddle) * H
 
 
 def build_table(
@@ -156,79 +169,42 @@ def build_table(
     sieves: SieveTables | None = None,
     max_q: int = 2_000_000,
 ) -> CharacterTable:
-    """Build the full character table for the prime q.
+    """Build the odd-character table for the prime q.
 
     L(0,chi_j) comes from the finite sum -sum_a chi(a) psi(a/q); L(1,chi_j)
-    for odd j from L(1,chi) = -tau(chi) pi i / q * L(0, chi_bar); A_{q,chi_j}
-    from the a(n)-series through 2n, truncated at ``a_series_cutoff`` with a
-    recorded tail bound.  Even characters get l_zero = 0 exactly.
+    from L(1,chi) = -tau(chi) pi i / q * L(0, chi_bar); A_{q,chi_j} from the
+    a(n)-series through 2n, truncated at ``a_series_cutoff`` with a recorded
+    tail bound.
     """
     if q > max_q:
         raise ResourceLimitError(f"q = {q} exceeds configured cap {max_q}")
     ctx = build_context(q)
-    M = q - 1
-    powers = ctx.powers
+    H = (q - 1) // 2
+    low = ctx.powers[:H]  # g^(m+H) = q - g^m
 
-    # L(0, chi_j) = -sum_m psi(g^m/q) e(jm/M)
-    saw = powers / q - 0.5
-    l_zero = -_group_dft(saw)
-    l_zero[0] = 0.0  # principal: the psi values sum to zero
-    l_zero[2::2] = 0.0  # even characters: exact zero, drop FFT noise
+    # L(0, chi_j) = -sum_m psi(g^m/q) e(jm/M); psi(g^(m+H)/q) = -psi(g^m/q).
+    # tau(chi_j) = sum_m e(g^m/q) e(jm/M); e(g^(m+H)/q) = conj(e(g^m/q)).
+    # Both folded inputs are real up to the factor i of the second, and a
+    # real input x gives rows with F[H-1-i] = conj(F[i]), so one transform
+    # of x + iy carries both: F_x = (Z + Z*)/2, F_y = (Z - Z*)/2i with
+    # Z* = conj(Z[::-1]).
+    z = _odd_dft(2.0 * (low / q - 0.5) + 2j * np.sin((2.0 * math.pi / q) * low))
+    z_rev = np.conj(z[::-1])
+    l_zero = -0.5 * (z + z_rev)
+    gauss = 0.5 * (z - z_rev)
 
-    # tau(chi_j) = sum_m e(g^m/q) e(jm/M)
-    gauss = _group_dft(np.exp((2j * math.pi / q) * powers))
-
-    # functional equation for odd j: L(1,chi_j) = -tau(chi_j) pi i/q L(0, chi_bar_j)
-    l_one = np.zeros(M, dtype=complex)
-    j_odd = np.arange(1, M, 2)
-    l_zero_conj = l_zero[(M - j_odd) % M]
-    l_one[j_odd] = -gauss[j_odd] * (1j * math.pi / q) * l_zero_conj
+    # functional equation: L(1,chi_j) = -tau(chi_j) pi i/q L(0, chi_bar_j)
+    l_one = -gauss * (1j * math.pi / q) * l_zero[::-1]
 
     # A_{q,chi_j} = C_q * sum_{n <= N, (n,q)=1} a(n) chi_j(2n)
     a_vals = coeff_a_floats(a_series_cutoff, sieves)
     n = np.nonzero(a_vals)[0]
     n = n[n % q != 0]
-    w = np.zeros(M)
-    np.add.at(w, ctx.index[(2 * n) % q], a_vals[n])
+    w = np.bincount(ctx.index[(2 * n) % q], weights=a_vals[n], minlength=q - 1)
     c_q, _ = constant_C(excluded_prime=q)
-    a_chi = c_q * _group_dft(w)
+    a_chi = c_q * _odd_dft(w[:H] - w[H:])
     tail_bound = 2.0 * a_series_cutoff ** (-0.45)
 
     return CharacterTable(
         ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, tail_bound, c_q
     )
-
-
-def char_value(table: CharacterTable, j: int, a: int) -> complex:
-    """chi_j(a) = e(j ind(a)/(q-1)), or 0 on the residue 0."""
-    ctx = table.context
-    a %= ctx.q
-    if a == 0:
-        return 0j
-    return complex(np.exp(2j * math.pi * j * int(ctx.index[a]) / (ctx.q - 1)))
-
-
-def gauss_sum(table: CharacterTable, j: int) -> complex:
-    """tau(chi_j) = sum_m chi_j(m) e(m/q)."""
-    return complex(table.gauss[j % (table.q - 1)])
-
-
-def l_one_series(
-    table: CharacterTable, j: int, x: float, chunk: int = 1 << 22
-) -> complex:
-    """Truncated Dirichlet series sum_{n <= x} chi_j(n)/n; error O(q/x)."""
-    ctx = table.context
-    q = ctx.q
-    M = q - 1
-    if j % M == 0:
-        raise ValueError("series cutoff route requires a nonprincipal character")
-    total = 0j
-    top = int(x)
-    for lo in range(1, top + 1, chunk):
-        n = np.arange(lo, min(lo + chunk, top + 1), dtype=np.int64)
-        nm = n % q
-        keep = nm != 0
-        n = n[keep]
-        phases = np.exp((2j * math.pi / M) * (j * ctx.index[nm[keep]] % M))
-        total += complex(np.sum(phases / n))
-    return total

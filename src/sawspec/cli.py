@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bias import Pattern, c1_pattern, c2_pair, c2_pattern, ck_all
-from .characters import build_table
+from .characters import build_table, is_prime
 from .correlations import b_exact, b_lattice_estimate, discrete_correlation
 from .dedekind import dedekind_sum, spectrum_all
 from .distribution import (
@@ -437,12 +437,21 @@ def _flag_combination_error(args) -> str | None:
     if args.command == "c2":
         if args.pattern is None and (args.a is None or args.b is None):
             return "need --pattern or both --a and --b"
+        if args.pattern is not None and len(args.pattern) < 2:
+            return "need a --pattern of length >= 2"
     if args.command == "bcorr" and args.method == "discrete" and args.q is None:
         return "the discrete route needs --q"
     if args.command == "dist":
         flag = "y" if args.source == "rtilde" else "q"
         if getattr(args, flag) is None:
             return f"--source {args.source} needs --{flag}"
+    if args.command in ("spectrum", "ck", "c2") or (
+        args.command == "dist" and args.source != "rtilde"
+    ):
+        if args.q < 3 or not is_prime(args.q):
+            return f"need --q an odd prime, got {args.q}"
+    if args.command == "primes" and not is_prime(args.q):
+        return f"need --q a prime, got {args.q}"
     if args.command == "phi" or (args.command == "dist" and args.source == "rtilde"):
         if args.y < 2:
             return "need --y >= 2"

@@ -49,7 +49,7 @@ import numpy as np
 
 from .correlations import b_exact
 from .errors import ResourceLimitError
-from .foundations import SieveTables, ensure_sieves, psi_array
+from .foundations import _SIEVE_ENTRY_BYTES, SieveTables, ensure_sieves, psi_array
 
 __all__ = [
     "PhiAccumulator",
@@ -82,8 +82,11 @@ def build_phi_accumulator(y: int, sieves: SieveTables | None = None) -> PhiAccum
     if y < 2:
         raise ValueError("y must be >= 2")
     if y > 100_000_000:
-        # prefix sums stay exact in float64 view up to ~1.7e8
-        raise ValueError("accumulator capped at 1e8")
+        raise ResourceLimitError(
+            f"y = {y} exceeds the accumulator cap 1e8, below which the prefix "
+            f"sums stay exact in a float64 view (~1.7e8); the sieve and prefix "
+            f"would need {(_SIEVE_ENTRY_BYTES + 8) * (y + 1)} bytes"
+        )
     sieves = ensure_sieves(y, sieves)
     prefix = np.zeros(y + 1, dtype=np.int64)
     np.cumsum(sieves.euler_phi[: y + 1], out=prefix)

@@ -69,12 +69,14 @@ class TestCkPoint:
             sw.ck_point(25, 3, "truncated", cutoff=3)
 
     def test_truncated_point_matches_truncated_vector(self, sieves_1m):
-        # both routes evaluate the same series terms; only the summation
-        # order differs (all k at once per n against one k over all n)
-        vec = sw.ck_all(1009, "truncated", sieves=sieves_1m)
-        for k in (1, 2, 3, 500, 504, 505, 1008):
-            point = sw.ck_point(1009, k, "truncated", sieves=sieves_1m)
-            assert point == pytest.approx(vec.value(k), abs=1e-12)
+        # both routes evaluate the same series terms: the point route sums
+        # them directly, the vector route as one cyclic correlation by FFT
+        cases = {1009: (1, 2, 3, 500, 504, 505, 1008), 10007: (1, 2, 3, 5003, 5004, 10006)}
+        for q, ks in cases.items():
+            vec = sw.ck_all(q, "truncated", sieves=sieves_1m)
+            for k in ks:
+                point = sw.ck_point(q, k, "truncated", sieves=sieves_1m)
+                assert point == pytest.approx(vec.value(k), abs=1e-12)
 
 
 class TestCkVector:
@@ -103,15 +105,15 @@ class TestCkVector:
             shape = math.log(vec.q) ** (2 / 3) * math.log(math.log(vec.q)) ** 2
             assert 0.0 < peak / shape < 5.0
 
-    def test_routes_mean_square_gap(self, table_1009, ck_1009):
-        q = 1009
-        gaps = []
-        for B in (50, 100, 200):
-            trunc = sw.ck_all(q, "truncated", cutoff=B)
-            gaps.append(float(np.mean((ck_1009.samples - trunc.samples) ** 2)))
-        assert gaps[0] > gaps[1] > gaps[2]
-        for B, gap in zip((50, 100, 200), gaps):
-            assert gap <= 10.0 / math.sqrt(B)
+    def test_routes_mean_square_gap(self, ck_1009, ck_10007):
+        for vec in (ck_1009, ck_10007):
+            gaps = []
+            for B in (50, 100, 200):
+                trunc = sw.ck_all(vec.q, "truncated", cutoff=B)
+                gaps.append(float(np.mean((vec.samples - trunc.samples) ** 2)))
+            assert gaps[0] > gaps[1] > gaps[2]
+            for B, gap in zip((50, 100, 200), gaps):
+                assert gap <= 10.0 / math.sqrt(B)
 
 
 class TestC2:

@@ -5,8 +5,85 @@ import numpy as np
 import pytest
 
 import sawspec as sw
-from sawspec.characters import build_context, char_value, gauss_sum, l_one_series
+from sawspec.characters import CharacterTable, build_context
 from sawspec.errors import ResourceLimitError
+from sawspec.foundations import coeff_a_floats, constant_C
+
+
+# ---------------------------------------------------------------------------
+# oracles: the full-length layout, one row per character j = 0..q-2, and the
+# per-character helpers that read it
+
+
+def _group_dft(values: np.ndarray) -> np.ndarray:
+    # F[j] = sum_m values[m] e(+jm/M): the positive-sign DFT over Z/(q-1)
+    return np.fft.ifft(values) * len(values)
+
+
+def _full_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
+    """All q-1 characters by three full-length DFTs (L(0), Gauss sums,
+    A_{q,chi}); row j is character j, and even rows of L(0), L(1) are 0."""
+    ctx = build_context(q)
+    M = q - 1
+    powers = ctx.powers
+    l_zero = -_group_dft(powers / q - 0.5)
+    l_zero[0] = 0.0
+    l_zero[2::2] = 0.0
+    gauss = _group_dft(np.exp((2j * math.pi / q) * powers))
+    l_one = np.zeros(M, dtype=complex)
+    j_odd = np.arange(1, M, 2)
+    l_one[j_odd] = -gauss[j_odd] * (1j * math.pi / q) * l_zero[(M - j_odd) % M]
+    a_vals = coeff_a_floats(a_series_cutoff)
+    n = np.nonzero(a_vals)[0]
+    n = n[n % q != 0]
+    w = np.zeros(M)
+    np.add.at(w, ctx.index[(2 * n) % q], a_vals[n])
+    c_q, _ = constant_C(excluded_prime=q)
+    a_chi = c_q * _group_dft(w)
+    tail_bound = 2.0 * a_series_cutoff ** (-0.45)
+    return CharacterTable(
+        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, tail_bound, c_q
+    )
+
+
+def char_value(table: CharacterTable, j: int, a: int) -> complex:
+    """chi_j(a) = e(j ind(a)/(q-1)), or 0 on the residue 0."""
+    ctx = table.context
+    a %= ctx.q
+    if a == 0:
+        return 0j
+    return complex(np.exp(2j * math.pi * j * int(ctx.index[a]) / (ctx.q - 1)))
+
+
+def gauss_sum(full: CharacterTable, j: int) -> complex:
+    """tau(chi_j) = sum_m chi_j(m) e(m/q), read from a ``_full_table``."""
+    return complex(full.gauss[j % (full.q - 1)])
+
+
+def l_one_series(
+    table: CharacterTable, j: int, x: float, chunk: int = 1 << 22
+) -> complex:
+    """Truncated Dirichlet series sum_{n <= x} chi_j(n)/n; error O(q/x)."""
+    ctx = table.context
+    q = ctx.q
+    M = q - 1
+    if j % M == 0:
+        raise ValueError("series cutoff route requires a nonprincipal character")
+    total = 0j
+    top = int(x)
+    for lo in range(1, top + 1, chunk):
+        n = np.arange(lo, min(lo + chunk, top + 1), dtype=np.int64)
+        nm = n % q
+        keep = nm != 0
+        n = n[keep]
+        phases = np.exp((2j * math.pi / M) * (j * ctx.index[nm[keep]] % M))
+        total += complex(np.sum(phases / n))
+    return total
+
+
+@pytest.fixture(scope="module")
+def full_101():
+    return _full_table(101)
 
 
 class TestContext:
@@ -56,12 +133,30 @@ class TestContext:
 class TestBuildTable:
     def test_q3_l_values(self):
         t = sw.build_table(3, a_series_cutoff=100)
-        assert t.l_zero[1].real == pytest.approx(1.0 / 3.0, abs=1e-14)
-        assert abs(t.l_zero[1].imag) <= 1e-14
-        assert t.l_one[1].real == pytest.approx(math.pi / (3 * math.sqrt(3)), abs=1e-13)
+        # one odd character mod 3, j = 1, in row 0
+        assert t.l_zero[0].real == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert abs(t.l_zero[0].imag) <= 1e-14
+        assert t.l_one[0].real == pytest.approx(math.pi / (3 * math.sqrt(3)), abs=1e-13)
 
-    def test_even_characters_l_zero_vanishes(self, table_101):
-        assert np.all(table_101.l_zero[0::2] == 0)
+    def test_even_characters_l_zero_vanishes(self, table_101, full_101):
+        # the table stores the 50 odd rows only; the even rows it leaves out
+        # carry L(0) = 0
+        t = table_101
+        for arr in (t.l_zero, t.l_one, t.gauss, t.a_chi):
+            assert arr.shape == (50,)
+        assert np.all(full_101.l_zero[0::2] == 0)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 101, 10007])
+    def test_odd_rows_match_full_table(self, q):
+        # row i is character j = 2i + 1.  The L(0) and tau rows grow with q
+        # (to ~130 at q = 10007) and both sides carry ~1e-15 relative FFT
+        # noise; L(1) and A are O(1).  At q = 10007 the gaps are 2.3e-13
+        # (tau) and 6.0e-15 (L(1))
+        half, full = sw.build_table(q), _full_table(q)
+        bounds = {"l_zero": 1e-11, "gauss": 1e-11, "l_one": 1e-13, "a_chi": 1e-13}
+        for name, bound in bounds.items():
+            gap = np.max(np.abs(getattr(half, name) - getattr(full, name)[1::2]))
+            assert gap <= bound, name
 
     def test_principal_sawtooth_sum_is_zero(self):
         # sum_a psi(a/q) = 0, so the principal row vanishes before zeroing too
@@ -108,28 +203,31 @@ class TestCharValue:
 
 
 class TestGaussSums:
-    def test_principal_is_minus_one(self, table_101):
-        assert gauss_sum(table_101, 0) == pytest.approx(-1.0 + 0j, abs=1e-11)
+    def test_principal_is_minus_one(self, full_101):
+        assert gauss_sum(full_101, 0) == pytest.approx(-1.0 + 0j, abs=1e-11)
 
     def test_quadratic_mod5(self):
-        t = sw.build_table(5, a_series_cutoff=100)
+        t = _full_table(5, a_series_cutoff=100)
         # j = 2 is the quadratic (Legendre) character; classical value sqrt(5)
         assert gauss_sum(t, 2) == pytest.approx(math.sqrt(5.0) + 0j, abs=1e-10)
 
-    def test_modulus_sqrt_q(self, table_101):
+    def test_modulus_sqrt_q(self, table_101, full_101):
         for j in range(1, 100):
-            assert abs(gauss_sum(table_101, j)) == pytest.approx(
+            assert abs(gauss_sum(full_101, j)) == pytest.approx(
                 math.sqrt(101.0), abs=1e-10
             )
+        assert np.max(np.abs(np.abs(table_101.gauss) - math.sqrt(101.0))) <= 1e-10
 
-    def test_against_direct_definition(self, table_101):
+    def test_against_direct_definition(self, table_101, full_101):
         q = 101
         for j in (1, 17, 50):
             direct = sum(
                 char_value(table_101, j, m) * np.exp(2j * math.pi * m / q)
                 for m in range(1, q)
             )
-            assert gauss_sum(table_101, j) == pytest.approx(direct, abs=1e-10)
+            assert gauss_sum(full_101, j) == pytest.approx(direct, abs=1e-10)
+            if j % 2:
+                assert table_101.gauss[j // 2] == pytest.approx(direct, abs=1e-10)
 
 
 class TestLOneSeries:
@@ -146,7 +244,7 @@ class TestLOneSeries:
     def test_functional_equation_scan(self, table_101):
         q, x = 101, 10**5
         for j in range(1, 100, 2):
-            diff = abs(l_one_series(table_101, j, x) - table_101.l_one[j])
+            diff = abs(l_one_series(table_101, j, x) - table_101.l_one[j // 2])
             assert diff <= 10 * q / x
 
     def test_rejects_principal(self, table_101):
@@ -171,8 +269,9 @@ class TestTableProperties:
             expected = 1.0 if a == b else 0.0
             assert abs(total - expected) <= 1e-10
 
-    def test_a_chi_principal_near_one(self, table_10007):
-        assert abs(table_10007.a_chi[0] - 1.0) <= table_10007.a_tail_bound
+    def test_a_chi_principal_near_one(self):
+        full = _full_table(10007)
+        assert abs(full.a_chi[0] - 1.0) <= full.a_tail_bound
 
     def test_a_chi_tail_shrinks(self):
         t1 = sw.build_table(101, a_series_cutoff=2000)
@@ -182,16 +281,16 @@ class TestTableProperties:
         d2 = float(np.max(np.abs(t16.a_chi - t4.a_chi)))
         assert d1 / d2 >= 1.5
 
-    def test_conjugate_pairing(self, table_101):
+    def test_conjugate_pairing(self, full_101):
         # the L-values and the Euler corrections have real Dirichlet
         # coefficients, so conjugating the character conjugates the value
         M = 100
         j = np.arange(1, M)
-        for arr in (table_101.l_zero, table_101.l_one, table_101.a_chi):
+        for arr in (full_101.l_zero, full_101.l_one, full_101.a_chi):
             assert np.max(np.abs(arr[j] - np.conj(arr[M - j]))) <= 1e-10
         # Gauss sums pick up the parity sign: tau(chi_bar) = chi(-1) conj(tau)
         signs = (-1.0) ** j
         assert (
-            np.max(np.abs(table_101.gauss[M - j] - signs * np.conj(table_101.gauss[j])))
+            np.max(np.abs(full_101.gauss[M - j] - signs * np.conj(full_101.gauss[j])))
             <= 1e-10
         )

@@ -72,6 +72,7 @@ class TestExitCodes:
             ("phi", "--y", "1"),
             ("dist", "--source", "rtilde", "--y", "1"),
             ("phi", "--y", "1000", "--stat", "moments", "--ell", "9"),
+            ("c2", "--q", "101", "--pattern", "1"),
         ],
     )
     def test_flag_outside_domain_is_2(self, capsys, argv):
@@ -99,13 +100,20 @@ class TestExitCodes:
         [
             ("spectrum", "--q", "100"),
             ("ck", "--q", "25", "--method", "truncated", "--N", "3"),
+            ("ck", "--q", "100"),
+            ("c2", "--q", "100", "--a", "1", "--b", "2"),
+            ("dist", "--source", "ck", "--q", "2"),
+            ("primes", "--x", "100", "--q", "4"),
         ],
     )
-    def test_composite_modulus_is_1(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "prime" in err
+    def test_composite_modulus_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"usage: sawspec {argv[0]}" in out.err
+        assert "prime" in out.err
 
     def test_discrete_moduli_not_coprime_to_q_is_1(self, capsys):
         code, out, err = run_cli(
@@ -119,6 +127,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "2", "dedekind", "--q", "7", "--a", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("phi", "--y", "100000001"),
+            ("dist", "--source", "rtilde", "--y", "100000001"),
+        ],
+    )
+    def test_accumulator_cap_is_3(self, capsys, argv):
+        # rejected before the sieve is built, with the bytes it would need
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "2500000050 bytes" in err
 
     def test_resource_error_is_3(self, capsys):
         code, _, err = run_cli(
