@@ -14,8 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import CharacterTable, PrimeContext, build_context, require_odd_prime
-from .errors import ResourceLimitError
+from .characters import (
+    CharacterTable,
+    PrimeContext,
+    _group_correlation,
+    build_context,
+    require_below_cap,
+    require_odd_prime,
+)
 from .foundations import SieveTables, coeff_b_floats, constant_C
 
 __all__ = [
@@ -82,12 +88,9 @@ def c1_pattern(pattern: Pattern) -> float:
 # C(k)
 
 
-def _ck_products(table: CharacterTable) -> np.ndarray:
-    return table.l_zero * table.l_one * table.a_chi
-
-
 def _ck_char_raw(table: CharacterTable, k: int) -> float:
-    val = np.sum(table.chi_bar(k) * _ck_products(table)) / (table.q - 1)
+    products = table.l_zero * table.l_one * table.a_chi
+    val = np.sum(table.chi_bar(k) * products) / (table.q - 1)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ArithmeticError("character sum for C(k) not real enough")
     return float(val.real)
@@ -137,6 +140,11 @@ def ck_point(
     raise ValueError(f"unknown method {method!r}")
 
 
+# tracemalloc peak per residue of ck_all: the truncated route at the default
+# cutoff N = q (the characters route peaks at 20, reading a built table)
+_CK_BYTES_PER_RESIDUE = 75
+
+
 def ck_all(
     q: int,
     method: str = "characters",
@@ -147,49 +155,42 @@ def ck_all(
 ) -> CkVector:
     """The full vector of bias values C(k), k = 1..q-1.
 
-    Both routes work over the cyclic group, k = g^i, and are rearranged
-    through the discrete-log table.  The character route is one half-length
-    DFT of the per-character products: C(g^i) = e(-i/(q-1)) FFT(P)[i]/(q-1)
-    for i < H = (q-1)/2, and C(g^(i+H)) = -C(g^i).  The truncated route
-    bins the weights b(n) by e = ind(inv(2n)) into W, so that
-    C(g^i) = -C_q sum_e W_e psi(g^(i+e)/q), one cyclic correlation by FFT.
+    Both routes work over the cyclic group, k = g^i, fill i < H = (q-1)/2
+    and write C(g^(i+H)) = -C(g^i), so the vector is exactly odd.  The
+    character route reads the table's character sums:
+    C(g^i) = bias_sums[i]/(q-1).  The truncated route bins the weights b(n)
+    by e = ind(inv(2n)) into W, so that C(g^i) = -C_q sum_e W_e psi(g^(i+e)/q);
+    psi(g^(e+H)/q) = -psi(g^e/q) folds that to Rader's form
+
+        C(g^i) = -C_q sum_{e<H} (W_e - W_{e+H}) psi(g^(i+e)/q),
+
+    one real correlation by FFT at the smallest 5-smooth length >= q - 2.
     """
     require_odd_prime(q)
-    if q > max_q:
-        raise ResourceLimitError(f"q = {q} exceeds configured cap {max_q}")
+    require_below_cap(q, max_q, "C(k) vector", _CK_BYTES_PER_RESIDUE)
+    H = (q - 1) // 2
     if method == "characters":
         if table is None or table.q != q:
             raise ValueError("characters route needs a table built for q")
         ctx = table.context
-        H = (q - 1) // 2
-        half = np.fft.fft(_ck_products(table))
-        half *= np.exp((-1j * math.pi / H) * np.arange(H)) / (q - 1)
+        half = table.bias_sums / (q - 1)
         max_im = float(np.max(np.abs(half.imag)))
         if max_im > 1e-10 * max(1.0, float(np.max(np.abs(half.real)))):
             raise ArithmeticError("C(k) character average not real enough")
-        values = np.empty(q)
-        values[ctx.powers[:H]] = half.real
-        values[ctx.powers[H:]] = -half.real  # g^(i+H) = -g^i
+        half = half.real
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         ctx = build_context(q)
         N, c_q, weights, inv2n = _truncated_terms(ctx, cutoff, sieves)
-        M = q - 1
-        W = np.bincount(ctx.index[inv2n], weights=weights, minlength=M)
-        saw = ctx.powers / q - 0.5
-        corr = np.fft.irfft(np.fft.rfft(saw) * np.conj(np.fft.rfft(W)), M)
-        values = np.empty(q)
-        values[ctx.powers] = -c_q * corr
+        W = np.bincount(ctx.index[inv2n], weights=weights, minlength=q - 1)
+        half = -c_q * _group_correlation(W[:H] - W[H:], ctx.powers / q - 0.5)
         meta = {"series_cutoff": N}
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    rev = np.roll(values[::-1], 1)  # rev[k] = values[(q-k) % q]
-    defect = float(np.max(np.abs((values + rev)[1:])))
-    if defect > 1e-10:
-        raise ArithmeticError(f"C(k) oddness defect {defect:g} above 1e-10")
-    values = (values - rev) / 2.0
+    values = np.empty(q)
     values[0] = np.nan
+    values[ctx.powers[:H]] = half
+    values[ctx.powers[H:]] = -half  # g^(i+H) = -g^i
     return CkVector(q, values, method, meta)
 
 
@@ -202,7 +203,9 @@ def c2_pair(q: int, a: int, b: int, table: CharacterTable) -> float:
 
     Diagonal pairs have the closed form ((q-2)/2) log(q/2pi); otherwise the
     nonprincipal-character sum with the (chi_bar(b) - chi_bar(a))/phi
-    correction term is evaluated from the table.
+    correction term is read from the table's character sums: with
+    S(x) = sum_chi chi_bar(x) L(0,chi) L(1,chi) A_{q,chi}, the sum is
+    S(b-a) + (S(b) - S(a))/phi(q).
     """
     if a % q == 0 or b % q == 0:
         raise ValueError("a, b must be coprime to q")
@@ -211,8 +214,7 @@ def c2_pair(q: int, a: int, b: int, table: CharacterTable) -> float:
     if (a - b) % q == 0:
         return (q - 2) / 2.0 * math.log(q / (2.0 * math.pi))
     M = q - 1
-    coef = table.chi_bar(b - a) + (table.chi_bar(b) - table.chi_bar(a)) / M
-    total = np.sum(coef * table.l_zero * table.l_one * table.a_chi)
+    total = table.bias_sum(b - a) + (table.bias_sum(b) - table.bias_sum(a)) / M
     val = 0.5 * math.log(2.0 * math.pi / q) + (q / M) * total
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise ArithmeticError("c2 character sum not real enough")

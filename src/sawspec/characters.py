@@ -12,6 +12,17 @@ j = 2i + 1,
     sum_{m<q-1} x_m e(jm/(q-1)) = sum_{m<H} (x_m - x_{m+H}) e(m/(q-1)) e(im/H),
 
 and g^H = -1 mod q makes the folded inputs x_m - x_{m+H} explicit.
+
+The same reindexing over the group (Rader's, for a transform of prime
+length) turns sums over the residues into correlations: for f and h odd
+mod q and n < H,
+
+    sum_{a mod q} f(a) h(g^n a) = 2 sum_{m<H} f(g^m) h(g^(m+n)),
+
+a linear correlation of f(g^m), m < H, against h(g^k), k < 2H - 1, which a
+real FFT zero-padded to the smallest 5-smooth length >= 2H - 1 computes
+with no wrap-around.  The Dedekind spectrum and the truncated C(k) vector
+both take that form (``_group_correlation``).
 """
 
 from __future__ import annotations
@@ -77,6 +88,16 @@ def require_int64_modulus(q: int, nbytes: int) -> None:
         )
 
 
+def require_below_cap(q: int, max_q: int, route: str, bytes_per_residue: int) -> None:
+    """Raise ResourceLimitError for q > max_q, stating the bytes the route
+    would have needed at q."""
+    if q > max_q:
+        raise ResourceLimitError(
+            f"q = {q} exceeds configured cap {max_q} (the {route} needs about "
+            f"{bytes_per_residue} bytes per residue, {bytes_per_residue * q} bytes)"
+        )
+
+
 def primitive_root(q: int) -> int:
     """Smallest primitive root of the prime q (trial over candidates)."""
     if q == 2:
@@ -133,6 +154,10 @@ class CharacterTable:
     j = 2i + 1.  Even characters are not stored: L(0,chi) vanishes for them,
     so they never contribute to the bias sums.  The conjugate of row i is
     row H-1-i.
+
+    ``bias_sums`` is indexed by the group, not by characters:
+    bias_sums[n] = sum_j conj(chi_j(g^n)) L(0,chi_j) L(1,chi_j) A_{q,chi_j}
+    for n < H, and the sum at g^(n+H) = -g^n is -bias_sums[n].
     """
 
     context: PrimeContext
@@ -141,6 +166,7 @@ class CharacterTable:
     l_one: np.ndarray
     gauss: np.ndarray
     a_chi: np.ndarray
+    bias_sums: np.ndarray
     a_tail_bound: float
     constant: float
 
@@ -155,12 +181,52 @@ class CharacterTable:
         j = np.arange(1, M, 2)
         return np.exp((-2j * math.pi / M) * (j * int(ctx.index[a % ctx.q]) % M))
 
+    def bias_sum(self, a: int) -> complex:
+        """sum_j conj(chi_j(a)) L(0,chi_j) L(1,chi_j) A_{q,chi_j}, a coprime to q."""
+        n = int(self.context.index[a % self.q])
+        H = len(self.bias_sums)
+        return complex(self.bias_sums[n] if n < H else -self.bias_sums[n - H])
 
-def _odd_dft(folded: np.ndarray) -> np.ndarray:
-    """Row i is sum_m x_m e((2i+1)m/(q-1)), given folded[m] = x_m - x_{m+H}."""
-    H = len(folded)
-    twiddle = np.exp((1j * math.pi / H) * np.arange(H))  # e(m/(q-1))
-    return np.fft.ifft(folded * twiddle) * H
+
+def _odd_dft(folded: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
+    """Row i is sum_m x_m e((2i+1)m/(q-1)), given folded[m] = x_m - x_{m+H}
+    and twiddle[m] = e(m/(q-1))."""
+    return np.fft.ifft(folded * twiddle) * len(folded)
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT factors directly."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _group_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c_n = sum_{m<H} u_m v_{m+n} for n < H = len(u), v of length >= 2H - 1.
+
+    One real cyclic correlation at the 5-smooth length L >= 2H - 1: the
+    indices m + n <= 2H - 2 stay below L, so the zero padding leaves no
+    wrap-around term.
+    """
+    H = len(u)
+    L = _smooth_length(2 * H - 1)
+    spectrum = np.fft.rfft(v[: 2 * H - 1], L) * np.conj(np.fft.rfft(u, L))
+    return np.fft.irfft(spectrum, L)[:H]
+
+
+# tracemalloc peak per residue of build_table at q ~ 1e6 with the default
+# a-series cutoff: the context (24), the five length-H complex rows (40), the
+# twiddle and the FFT inputs and outputs
+_TABLE_BYTES_PER_RESIDUE = 86
 
 
 def build_table(
@@ -174,13 +240,14 @@ def build_table(
     L(0,chi_j) comes from the finite sum -sum_a chi(a) psi(a/q); L(1,chi_j)
     from L(1,chi) = -tau(chi) pi i / q * L(0, chi_bar); A_{q,chi_j} from the
     a(n)-series through 2n, truncated at ``a_series_cutoff`` with a recorded
-    tail bound.
+    tail bound.  ``bias_sums`` is one more length-H FFT, of the products
+    P_i = L(0) L(1) A: sum_i P_i e(-(2i+1)n/(q-1)) = e(-n/(q-1)) FFT(P)[n].
     """
-    if q > max_q:
-        raise ResourceLimitError(f"q = {q} exceeds configured cap {max_q}")
+    require_below_cap(q, max_q, "character table", _TABLE_BYTES_PER_RESIDUE)
     ctx = build_context(q)
     H = (q - 1) // 2
     low = ctx.powers[:H]  # g^(m+H) = q - g^m
+    twiddle = np.exp((1j * math.pi / H) * np.arange(H))  # e(m/(q-1))
 
     # L(0, chi_j) = -sum_m psi(g^m/q) e(jm/M); psi(g^(m+H)/q) = -psi(g^m/q).
     # tau(chi_j) = sum_m e(g^m/q) e(jm/M); e(g^(m+H)/q) = conj(e(g^m/q)).
@@ -188,10 +255,17 @@ def build_table(
     # real input x gives rows with F[H-1-i] = conj(F[i]), so one transform
     # of x + iy carries both: F_x = (Z + Z*)/2, F_y = (Z - Z*)/2i with
     # Z* = conj(Z[::-1]).
-    z = _odd_dft(2.0 * (low / q - 0.5) + 2j * np.sin((2.0 * math.pi / q) * low))
+    z = _odd_dft(
+        2.0 * (low / q - 0.5) + 2j * np.sin((2.0 * math.pi / q) * low), twiddle
+    )
     z_rev = np.conj(z[::-1])
-    l_zero = -0.5 * (z + z_rev)
     gauss = 0.5 * (z - z_rev)
+    # l_zero reuses z, and the dels drop temporaries before the next
+    # length-H arrays are made: that bounds the peak memory
+    l_zero = z
+    l_zero += z_rev
+    l_zero *= -0.5
+    del z_rev
 
     # functional equation: L(1,chi_j) = -tau(chi_j) pi i/q L(0, chi_bar_j)
     l_one = -gauss * (1j * math.pi / q) * l_zero[::-1]
@@ -202,9 +276,12 @@ def build_table(
     n = n[n % q != 0]
     w = np.bincount(ctx.index[(2 * n) % q], weights=a_vals[n], minlength=q - 1)
     c_q, _ = constant_C(excluded_prime=q)
-    a_chi = c_q * _odd_dft(w[:H] - w[H:])
+    a_chi = c_q * _odd_dft(w[:H] - w[H:], twiddle)
+    del w
     tail_bound = 2.0 * a_series_cutoff ** (-0.45)
 
+    bias_sums = np.fft.fft(l_zero * l_one * a_chi)
+    bias_sums *= np.conjugate(twiddle, out=twiddle)  # e(-n/(q-1))
     return CharacterTable(
-        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, tail_bound, c_q
+        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, bias_sums, tail_bound, c_q
     )

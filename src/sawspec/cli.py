@@ -452,6 +452,16 @@ def _flag_combination_error(args) -> str | None:
             return f"need --q an odd prime, got {args.q}"
     if args.command == "primes" and not is_prime(args.q):
         return f"need --q a prime, got {args.q}"
+    residues = ()
+    if args.command == "dedekind":
+        residues = (args.a,)
+    elif args.command == "c2":
+        residues = args.pattern if args.pattern is not None else (args.a, args.b)
+    elif args.command == "primes" and args.report_pattern is not None:
+        residues = args.report_pattern
+    for r in residues:
+        if r % args.q == 0:
+            return f"need residues nonzero mod --q {args.q}, got {r}"
     if args.command == "phi" or (args.command == "dist" and args.source == "rtilde"):
         if args.y < 2:
             return "need --y >= 2"

@@ -1,10 +1,12 @@
 """Dedekind sums over a prime modulus and their discrete Fourier transform.
 
 The transform s_hat_q(t) = (1/q) sum_a s_q(a) e(at/q) is purely imaginary
-and odd in t.  Three independent routes are provided: the definitional DFT
-(naive, or numpy's FFT, which takes Bluestein's chirp-z path at these prime
-lengths), a Dirichlet-character identity over the odd characters, and a
-truncated sawtooth series with an O(q/x) error contract.
+and odd in t.  Three independent routes are provided: the full transform
+(the naive definitional sums, or Rader's reindexing over the cyclic group,
+which makes it one real correlation of length-(q-1)/2 sequences by an FFT
+zero-padded to a 5-smooth length >= q - 2, with no Bluestein step), a
+Dirichlet-character identity over the odd characters, and a truncated
+sawtooth series with an O(q/x) error contract.
 """
 
 from __future__ import annotations
@@ -15,8 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import build_context, require_int64_modulus, require_odd_prime
-from .errors import ResourceLimitError
+from .characters import (
+    _group_correlation,
+    build_context,
+    require_below_cap,
+    require_int64_modulus,
+    require_odd_prime,
+)
 
 __all__ = [
     "dedekind_sum",
@@ -125,47 +132,62 @@ class Spectrum:
         return complex(0.0, self.values[t % self.q])
 
 
-def _dft_positive_naive(x: np.ndarray, block: int = 256) -> np.ndarray:
-    """X_t = sum_a x_a e(+at/q) by blocked outer products, O(q^2)."""
+def _dft_positive_naive(
+    x: np.ndarray, ts: np.ndarray, block: int = 256
+) -> np.ndarray:
+    """X_t = sum_a x_a e(+at/q) for each t in ``ts``, by blocked outer
+    products, O(q len(ts))."""
     q = len(x)
     a = np.arange(q)
-    out = np.empty(q, dtype=complex)
-    for lo in range(0, q, block):
-        t = np.arange(lo, min(lo + block, q))
+    out = np.empty(len(ts), dtype=complex)
+    for lo in range(0, len(ts), block):
+        t = ts[lo : lo + block]
         phases = np.exp((2j * math.pi / q) * (np.outer(t, a) % q))
         out[lo : lo + len(t)] = phases @ x
     return out
 
 
-def spectrum_all(q: int, algorithm: str = "chirp-z", max_q: int = 2_000_000) -> Spectrum:
-    """Full transform of the Dedekind sums mod q by DFT.
+# tracemalloc peak per residue of spectrum_all (chirp-z): the context (24),
+# dedekind_values (8), and the correlation's inputs and real FFT buffers
+_SPECTRUM_BYTES_PER_RESIDUE = 69
 
-    The naive route is the quadratic-time oracle; chirp-z is numpy's inverse
-    FFT, O(q log q) through pocketfft's own Bluestein step at prime length.
-    The real part is asserted negligible and dropped, and the stored
-    imaginary part is antisymmetrized so oddness holds exactly.
+
+def spectrum_all(q: int, algorithm: str = "chirp-z", max_q: int = 2_000_000) -> Spectrum:
+    """Full transform of the Dedekind sums mod q.
+
+    s_q is odd, so s_hat_q(t) = (i/q) sum_a s_q(a) sin(2 pi a t/q) is
+    imaginary and odd in t, and only t = g^n, n < H = (q-1)/2, is computed;
+    t = g^(n+H) = -g^n takes the negated value and t = 0 the value 0, so
+    ``values`` is exactly odd.  ``naive`` evaluates the definitional DFT at
+    those t in O(q^2).  ``chirp-z`` (the name of the fast route) uses Rader's
+    reindexing over the group, a = g^m:
+
+        s_hat_q(g^n) = (2i/q) sum_{m<H} s_q(g^m) sin(2 pi g^(m+n)/q),
+
+    one real correlation by FFT at the smallest 5-smooth length >= q - 2.
+    Both routes must pass Parseval: with E = (1/q) sum_a s_q(a)^2,
+    |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E.
     """
     require_odd_prime(q)
-    if q > max_q:
-        raise ResourceLimitError(f"q = {q} exceeds configured cap {max_q}")
+    require_below_cap(q, max_q, "spectrum", _SPECTRUM_BYTES_PER_RESIDUE)
     s = dedekind_values(q)
+    ctx = build_context(q)
+    H = (q - 1) // 2
+    low = ctx.powers[:H]
     if algorithm == "naive":
-        transform = _dft_positive_naive(s)
+        half = _dft_positive_naive(s, low).imag / q
     elif algorithm == "chirp-z":
-        transform = np.fft.ifft(s) * q
+        sines = np.sin((2.0 * math.pi / q) * ctx.powers)
+        half = (2.0 / q) * _group_correlation(s[low], sines)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    shat = transform / q
-    scale = max(1.0, float(np.max(np.abs(shat))))
-    max_re = float(np.max(np.abs(shat.real)))
-    if max_re > 1e-12 * scale * math.log(q + 2):
-        raise ArithmeticError(f"spectrum real part {max_re:g} above budget")
-    im = shat.imag
-    rev = np.roll(im[::-1], 1)  # rev[t] = im[(q - t) % q]
-    if float(np.max(np.abs(im + rev))) > 1e-10 * scale:
-        raise ArithmeticError("spectrum oddness defect above 1e-10")
-    values = (im - rev) / 2.0
-    values[0] = 0.0
+    energy = float(np.dot(s, s)) / q
+    residual = abs(2.0 * float(np.dot(half, half)) - energy)
+    if residual > 1e-12 * math.log(q) * energy:
+        raise ArithmeticError(f"spectrum Parseval residual {residual:g} above budget")
+    values = np.zeros(q)
+    values[low] = half
+    values[ctx.powers[H:]] = -half
     return Spectrum(q, values, algorithm)
 
 

@@ -5,11 +5,37 @@ import numpy as np
 import pytest
 
 import sawspec as sw
-from sawspec.bias import Pattern
+from sawspec.errors import ResourceLimitError
+from sawspec.bias import Pattern, _truncated_terms
+from sawspec.characters import build_context
 
 # pinned from the first verified run (default table settings), after the
 # dual-route C(k) checks and the c2/q bridge scan both passed
 C2_PIN_Q101_A1_B2 = 18.411653044372997
+
+
+def _ck_truncated_full(q: int) -> np.ndarray:
+    """The full-length route: -C_q sum_e W_e psi(g^(i+e)/q) as one cyclic
+    correlation of length q-1 by rfft, antisymmetrized over k <-> q-k."""
+    ctx = build_context(q)
+    _, c_q, weights, inv2n = _truncated_terms(ctx, None, None)
+    M = q - 1
+    W = np.bincount(ctx.index[inv2n], weights=weights, minlength=M)
+    saw = ctx.powers / q - 0.5
+    corr = np.fft.irfft(np.fft.rfft(saw) * np.conj(np.fft.rfft(W)), M)
+    values = np.empty(q)
+    values[ctx.powers] = -c_q * corr
+    values = (values - np.roll(values[::-1], 1)) / 2.0
+    values[0] = np.nan
+    return values
+
+
+def _c2_pair_chi_bar(q: int, a: int, b: int, table) -> float:
+    """c2 off the diagonal from the per-character sum with three chi_bar rows."""
+    M = q - 1
+    coef = table.chi_bar(b - a) + (table.chi_bar(b) - table.chi_bar(a)) / M
+    total = np.sum(coef * table.l_zero * table.l_one * table.a_chi)
+    return float((0.5 * math.log(2.0 * math.pi / q) + (q / M) * total).real)
 
 
 class TestC1:
@@ -80,6 +106,24 @@ class TestCkPoint:
 
 
 class TestCkVector:
+    @pytest.mark.parametrize("q", [3, 5, 7, 101, 1009, 100003])
+    def test_truncated_matches_full_length_correlation(self, q):
+        values = sw.ck_all(q, "truncated").values
+        assert np.nanmax(np.abs(values - _ck_truncated_full(q))) <= 1e-12
+        assert np.array_equal(values[1:], -values[1:][::-1])
+        assert np.isnan(values[0])
+
+    @pytest.mark.parametrize("q", [3, 5, 101, 199])
+    def test_truncated_matches_direct_sums(self, q):
+        values = sw.ck_all(q, "truncated").values
+        direct = [sw.ck_point(q, k, "truncated") for k in range(1, q)]
+        assert np.max(np.abs(values[1:] - direct)) <= 1e-12
+
+    def test_resource_cap(self):
+        # 75 bytes per residue at q = 10007
+        with pytest.raises(ResourceLimitError, match="750525 bytes"):
+            sw.ck_all(10007, "truncated", max_q=9999)
+
     @pytest.mark.parametrize("q", [9, 25, 100])
     def test_truncated_route_rejects_composite_q(self, q):
         with pytest.raises(ValueError, match="prime"):
@@ -140,6 +184,19 @@ class TestC2:
                 continue
             c2 = sw.c2_pair(q, int(a), int(b), table_101)
             assert abs(c2 / q - vec.value(int(b - a))) <= allowed
+
+    @pytest.mark.parametrize("q", [3, 5, 101, 1009])
+    def test_table_sums_match_chi_bar_sums(self, q):
+        table = sw.build_table(q)
+        if q <= 5:
+            pairs = [(a, b) for a in range(1, q) for b in range(1, q) if a != b]
+        else:
+            rng = np.random.default_rng(q)
+            pairs = [(a, b) for a, b in rng.integers(1, q, (60, 2)).tolist() if a != b]
+        for a, b in pairs:
+            expected = _c2_pair_chi_bar(q, a, b, table)
+            value = sw.c2_pair(q, a, b, table)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_rejects_bad_residues(self, table_101):
         with pytest.raises(ValueError):

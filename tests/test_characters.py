@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sawspec as sw
-from sawspec.characters import CharacterTable, build_context
+from sawspec.characters import CharacterTable, _smooth_length, build_context
 from sawspec.errors import ResourceLimitError
 from sawspec.foundations import coeff_a_floats, constant_C
 
@@ -22,7 +22,9 @@ def _group_dft(values: np.ndarray) -> np.ndarray:
 
 def _full_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     """All q-1 characters by three full-length DFTs (L(0), Gauss sums,
-    A_{q,chi}); row j is character j, and even rows of L(0), L(1) are 0."""
+    A_{q,chi}); row j is character j, and even rows of L(0), L(1) are 0.
+    ``bias_sums`` has all q-1 group entries n, by a fourth full-length DFT:
+    sum_j P_j e(-jn/(q-1))."""
     ctx = build_context(q)
     M = q - 1
     powers = ctx.powers
@@ -41,8 +43,9 @@ def _full_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     c_q, _ = constant_C(excluded_prime=q)
     a_chi = c_q * _group_dft(w)
     tail_bound = 2.0 * a_series_cutoff ** (-0.45)
+    bias_sums = np.fft.fft(l_zero * l_one * a_chi)
     return CharacterTable(
-        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, tail_bound, c_q
+        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, bias_sums, tail_bound, c_q
     )
 
 
@@ -130,7 +133,26 @@ class TestContext:
         assert peak < 1 << 20
 
 
+def test_smooth_length_is_least_5_smooth_bound():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 3000):
+        L = _smooth_length(n)
+        assert smooth(L) and L >= n
+        assert not any(smooth(m) for m in range(n, L))
+    assert _smooth_length(1_000_001) == 1_012_500
+
+
 class TestBuildTable:
+    def test_resource_cap(self):
+        # 86 bytes per residue at q = 10007
+        with pytest.raises(ResourceLimitError, match="860602 bytes"):
+            sw.build_table(10007, max_q=9999)
+
     def test_q3_l_values(self):
         t = sw.build_table(3, a_series_cutoff=100)
         # one odd character mod 3, j = 1, in row 0
@@ -157,6 +179,24 @@ class TestBuildTable:
         for name, bound in bounds.items():
             gap = np.max(np.abs(getattr(half, name) - getattr(full, name)[1::2]))
             assert gap <= bound, name
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 101, 10007])
+    def test_bias_sums_match_full_table(self, q):
+        # the sums are (q-1) C(g^n), so they are compared on the C scale,
+        # where the values are O(1) like L(1) and A
+        half, full = sw.build_table(q), _full_table(q)
+        H = (q - 1) // 2
+        assert half.bias_sums.shape == (H,)
+        gap = np.max(np.abs(half.bias_sums - full.bias_sums[:H])) / (q - 1)
+        assert gap <= 1e-13
+        # the sum at g^(n+H) = -g^n is the negated one
+        gap = np.max(np.abs(full.bias_sums[H:] + full.bias_sums[:H])) / (q - 1)
+        assert gap <= 1e-13
+        for n in (0, H - 1, H, q - 2):
+            a = int(half.context.powers[n])
+            assert half.bias_sum(a) == (
+                half.bias_sums[n] if n < H else -half.bias_sums[n - H]
+            )
 
     def test_principal_sawtooth_sum_is_zero(self):
         # sum_a psi(a/q) = 0, so the principal row vanishes before zeroing too

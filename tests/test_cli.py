@@ -90,8 +90,28 @@ class TestExitCodes:
         assert code == 0
         assert "bin_lo,bin_hi,count" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("c2", "--q", "101", "--a", "0", "--b", "1"),
+            ("c2", "--q", "101", "--pattern", "1,101,2"),
+            ("primes", "--x", "100", "--q", "3", "--report-pattern", "3,1"),
+            ("dedekind", "--q", "101", "--a", "0"),
+        ],
+    )
+    def test_residue_zero_mod_q_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"usage: sawspec {argv[0]}" in out.err
+        assert "nonzero mod --q" in out.err
+
     def test_computation_error_is_1(self, capsys):
-        code, _, err = run_cli(capsys, "dedekind", "--q", "7", "--a", "14")
+        # a residue sharing a factor with a composite modulus is left to the
+        # library, which raises ValueError
+        code, _, err = run_cli(capsys, "dedekind", "--q", "10", "--a", "4")
         assert code == 1
         assert "error" in err
 
@@ -141,6 +161,12 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "2500000050 bytes" in err
+
+    def test_spectrum_cap_is_3(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")
+        assert code == 3
+        assert out == ""
+        assert "138000207 bytes" in err
 
     def test_resource_error_is_3(self, capsys):
         code, _, err = run_cli(

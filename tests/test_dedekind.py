@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sawspec as sw
+from sawspec import dedekind
 from sawspec.dedekind import dedekind_values
 from sawspec.errors import ResourceLimitError
 
@@ -22,6 +23,22 @@ def _dedekind_float(h: int, k: int) -> float:
         h, k = k % h, h
         sign = -sign
     return total
+
+
+def _spectrum_fft(q: int) -> np.ndarray:
+    """The full-length route: Im of numpy's inverse FFT of s_q at length q
+    (pocketfft's Bluestein step at prime q), antisymmetrized over t <-> q-t."""
+    im = np.fft.ifft(dedekind_values(q)).imag
+    values = (im - np.roll(im[::-1], 1)) / 2.0
+    values[0] = 0.0
+    return values
+
+
+def _spectrum_naive(q: int) -> np.ndarray:
+    """Im s_hat_q(t) by the definitional DFT, one complex outer product."""
+    a = np.arange(q)
+    phases = np.exp((2j * math.pi / q) * (np.outer(a, a) % q))
+    return (phases @ dedekind_values(q)).imag / q
 
 
 class TestDedekindSum:
@@ -132,10 +149,35 @@ class TestSpectrum:
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_resource_cap(self):
-        from sawspec.errors import ResourceLimitError
-
-        with pytest.raises(ResourceLimitError):
+        # 69 bytes per residue at q = 10007
+        with pytest.raises(ResourceLimitError, match="690483 bytes"):
             sw.spectrum_all(10007, max_q=9999)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 101, 1009, 100003, 1_000_003])
+    def test_matches_full_length_fft(self, q):
+        values = sw.spectrum_all(q).values
+        assert np.max(np.abs(values - _spectrum_fft(q))) <= 1e-12
+        assert np.array_equal(values[1:], -values[1:][::-1])
+        assert values[0] == 0.0
+
+    @pytest.mark.parametrize("q", [3, 5, 101, 199])
+    @pytest.mark.parametrize("algorithm", ["naive", "chirp-z"])
+    def test_matches_definitional_dft(self, q, algorithm):
+        values = sw.spectrum_all(q, algorithm).values
+        assert np.max(np.abs(values - _spectrum_naive(q))) <= 1e-12
+        assert np.array_equal(values[1:], -values[1:][::-1])
+
+    def test_perturbed_correlation_fails_parseval(self, monkeypatch):
+        exact = dedekind._group_correlation
+
+        def perturbed(u, v):
+            c = exact(u, v)
+            c[3] += 1e-6
+            return c
+
+        monkeypatch.setattr(dedekind, "_group_correlation", perturbed)
+        with pytest.raises(ArithmeticError, match="Parseval"):
+            sw.spectrum_all(1009)
 
     @pytest.mark.parametrize("q", [9, 15, 100])
     def test_rejects_composite_q(self, q):
