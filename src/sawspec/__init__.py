@@ -54,7 +54,6 @@ from .foundations import (
 )
 from .moments import (
     MomentEstimate,
-    char_function_estimate,
     continuous_model_eval,
     continuous_model_moment_exact,
     empirical_moments,

@@ -98,15 +98,15 @@ def _ck_char_raw(table: CharacterTable, k: int) -> float:
 
 def _truncated_terms(ctx: PrimeContext, cutoff: int | None, sieves: SieveTables | None):
     """Terms of -C_q sum_{n <= N, (n,q)=1} b(n) psi(k inv(2n)/q):
-    (N, C_q, the nonzero weights b(n), inv(2n) mod q)."""
+    (N, C_q, the nonzero weights b(n), e with inv(2n) = g^e mod q)."""
     q = ctx.q
     N = cutoff if cutoff is not None else max(1000, q)
     b = coeff_b_floats(N, sieves)
     c_q, _ = constant_C(excluded_prime=q)
     ns = np.nonzero(b)[0]
     ns = ns[ns % q != 0]
-    inv2n = ctx.inverses[(2 * ns) % q]
-    return N, c_q, b[ns], inv2n
+    e = -ctx.index[(2 * ns) % q] % (q - 1)  # inv(g^m) = g^(-m)
+    return N, c_q, b[ns], e
 
 
 def ck_point(
@@ -131,7 +131,9 @@ def ck_point(
             raise ValueError("characters route needs a table built for q")
         return 0.5 * (_ck_char_raw(table, k) - _ck_char_raw(table, q - k))
     if method == "truncated":
-        _, c_q, weights, inv2n = _truncated_terms(build_context(q), cutoff, sieves)
+        ctx = build_context(q)
+        _, c_q, weights, e = _truncated_terms(ctx, cutoff, sieves)
+        inv2n = ctx.powers[e]
 
         def raw(kk: int) -> float:
             return -c_q * float(np.sum(weights * ((kk * inv2n) % q / q - 0.5)))
@@ -142,7 +144,7 @@ def ck_point(
 
 # tracemalloc peak per residue of ck_all: the truncated route at the default
 # cutoff N = q (the characters route peaks at 20, reading a built table)
-_CK_BYTES_PER_RESIDUE = 75
+_CK_BYTES_PER_RESIDUE = 67
 
 
 def ck_all(
@@ -151,7 +153,6 @@ def ck_all(
     table: CharacterTable | None = None,
     cutoff: int | None = None,
     sieves: SieveTables | None = None,
-    max_q: int = 2_000_000,
 ) -> CkVector:
     """The full vector of bias values C(k), k = 1..q-1.
 
@@ -167,7 +168,7 @@ def ck_all(
     one real correlation by FFT at the smallest 5-smooth length >= q - 2.
     """
     require_odd_prime(q)
-    require_below_cap(q, max_q, "C(k) vector", _CK_BYTES_PER_RESIDUE)
+    require_below_cap(q, "C(k) vector", _CK_BYTES_PER_RESIDUE)
     H = (q - 1) // 2
     if method == "characters":
         if table is None or table.q != q:
@@ -181,8 +182,8 @@ def ck_all(
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         ctx = build_context(q)
-        N, c_q, weights, inv2n = _truncated_terms(ctx, cutoff, sieves)
-        W = np.bincount(ctx.index[inv2n], weights=weights, minlength=q - 1)
+        N, c_q, weights, e = _truncated_terms(ctx, cutoff, sieves)
+        W = np.bincount(e, weights=weights, minlength=q - 1)
         half = -c_q * _group_correlation(W[:H] - W[H:], ctx.powers / q - 0.5)
         meta = {"series_cutoff": N}
     else:

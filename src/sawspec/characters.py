@@ -88,12 +88,17 @@ def require_int64_modulus(q: int, nbytes: int) -> None:
         )
 
 
-def require_below_cap(q: int, max_q: int, route: str, bytes_per_residue: int) -> None:
-    """Raise ResourceLimitError for q > max_q, stating the bytes the route
+# the largest modulus the O(q) routes (spectrum, character table, C(k)
+# vector) accept
+MAX_Q = 2_000_000
+
+
+def require_below_cap(q: int, route: str, bytes_per_residue: int) -> None:
+    """Raise ResourceLimitError for q > MAX_Q, stating the bytes the route
     would have needed at q."""
-    if q > max_q:
+    if q > MAX_Q:
         raise ResourceLimitError(
-            f"q = {q} exceeds configured cap {max_q} (the {route} needs about "
+            f"q = {q} exceeds configured cap {MAX_Q} (the {route} needs about "
             f"{bytes_per_residue} bytes per residue, {bytes_per_residue * q} bytes)"
         )
 
@@ -111,23 +116,23 @@ def primitive_root(q: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """Prime modulus with discrete-log and inverse tables.
+    """Prime modulus with power and discrete-log tables.
 
     ``powers[m] = g^m mod q`` for m in [0, q-2] and ``index`` is its inverse
-    permutation (index[0] = -1 as a sentinel).
+    permutation (index[0] = -1 as a sentinel).  The inverse of g^m is
+    g^(-m mod q-1), so the two tables also give every inverse.
     """
 
     q: int
     primitive_root: int
     powers: np.ndarray
     index: np.ndarray
-    inverses: np.ndarray
 
 
 def build_context(q: int) -> PrimeContext:
     require_odd_prime(q)
     M = q - 1
-    require_int64_modulus(q, 8 * (M + 2 * q))
+    require_int64_modulus(q, 8 * (M + q))
     g = primitive_root(q)
     # powers by doubling: powers[n:2n] = powers[:n] * g^n, products below q^2
     powers = np.empty(M, dtype=np.int64)
@@ -137,13 +142,9 @@ def build_context(q: int) -> PrimeContext:
         m = min(n, M - n)
         powers[n : n + m] = powers[:m] * pow(g, n, q) % q
         n += m
-    exponents = np.arange(M, dtype=np.int64)
     index = np.full(q, -1, dtype=np.int64)
-    index[powers] = exponents
-    # (g^m)^-1 = g^(-m mod M); entry 0 holds 0
-    inverses = np.zeros(q, dtype=np.int64)
-    inverses[powers] = powers[-exponents % M]
-    return PrimeContext(q, g, powers, index, inverses)
+    index[powers] = np.arange(M, dtype=np.int64)
+    return PrimeContext(q, g, powers, index)
 
 
 @dataclass(frozen=True)
@@ -224,16 +225,15 @@ def _group_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # tracemalloc peak per residue of build_table at q ~ 1e6 with the default
-# a-series cutoff: the context (24), the five length-H complex rows (40), the
+# a-series cutoff: the context (16), the five length-H complex rows (40), the
 # twiddle and the FFT inputs and outputs
-_TABLE_BYTES_PER_RESIDUE = 86
+_TABLE_BYTES_PER_RESIDUE = 78
 
 
 def build_table(
     q: int,
     a_series_cutoff: int = 100_000,
     sieves: SieveTables | None = None,
-    max_q: int = 2_000_000,
 ) -> CharacterTable:
     """Build the odd-character table for the prime q.
 
@@ -243,7 +243,7 @@ def build_table(
     tail bound.  ``bias_sums`` is one more length-H FFT, of the products
     P_i = L(0) L(1) A: sum_i P_i e(-(2i+1)n/(q-1)) = e(-n/(q-1)) FFT(P)[n].
     """
-    require_below_cap(q, max_q, "character table", _TABLE_BYTES_PER_RESIDUE)
+    require_below_cap(q, "character table", _TABLE_BYTES_PER_RESIDUE)
     ctx = build_context(q)
     H = (q - 1) // 2
     low = ctx.powers[:H]  # g^(m+H) = q - g^m

@@ -460,14 +460,32 @@ def _flag_combination_error(args) -> str | None:
     elif args.command == "primes" and args.report_pattern is not None:
         residues = args.report_pattern
     for r in residues:
-        if r % args.q == 0:
-            return f"need residues nonzero mod --q {args.q}, got {r}"
+        # r % q catches q = 1, where gcd(r, 1) = 1 for every r
+        if r % args.q == 0 or math.gcd(r, args.q) != 1:
+            return f"need residues coprime to --q {args.q} and nonzero mod it, got {r}"
     if args.command == "phi" or (args.command == "dist" and args.source == "rtilde"):
         if args.y < 2:
             return "need --y >= 2"
     if args.command == "phi" and args.stat == "moments":
         if args.ell > MAX_MOMENT_ORDER:
             return f"need --ell in [1, {MAX_MOMENT_ORDER}] for --stat moments"
+    only = _single_format(args)
+    if args.format is not None and only not in (None, args.format):
+        return f"--format {args.format} is not available here; this output is {only}"
+    return None
+
+
+def _single_format(args) -> str | None:
+    """The one format a command (or its --stat) emits, None where --format
+    chooses."""
+    if args.command == "bcorr":
+        return "json"
+    if args.command == "dist":
+        return "json" if args.stat in ("summary", "almost-period") else "csv"
+    if args.command == "phi":
+        return "json" if args.stat == "values" else "csv"
+    if args.command == "primes":
+        return "json" if args.report_pattern is not None else "csv"
     return None
 
 

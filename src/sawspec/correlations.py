@@ -142,9 +142,10 @@ def b_exact(moduli, lcm_cap: int = 1_000_000) -> Fraction:
     return key.extracted_scalar * cached
 
 
-def b_lattice_estimate(
-    moduli, K: int, enumeration_budget: int = 20_000_000
-) -> float:
+_LATTICE_BUDGET = 20_000_000  # lattice points b_lattice_estimate enumerates
+
+
+def b_lattice_estimate(moduli, K: int) -> float:
     """Lattice-sum route: (i/2pi)^ell sum over nonzero |k_j| <= K with
     sum k_j/n_j = 0 of 1/(k_1 ... k_ell); defined for an even number of
     factors (the exact value is zero for odd counts)."""
@@ -156,7 +157,7 @@ def b_lattice_estimate(
         raise ValueError("need at least two moduli")
     if K < 1:
         raise ValueError("K must be >= 1")
-    if (2 * K) ** (ell - 1) > enumeration_budget:
+    if (2 * K) ** (ell - 1) > _LATTICE_BUDGET:
         raise ResourceLimitError("lattice enumeration exceeds budget")
 
     # solve for the coordinate with the largest modulus (tightest

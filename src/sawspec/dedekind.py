@@ -132,27 +132,28 @@ class Spectrum:
         return complex(0.0, self.values[t % self.q])
 
 
-def _dft_positive_naive(
-    x: np.ndarray, ts: np.ndarray, block: int = 256
-) -> np.ndarray:
+_NAIVE_BLOCK = 256  # rows of t per outer product in _dft_positive_naive
+
+
+def _dft_positive_naive(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """X_t = sum_a x_a e(+at/q) for each t in ``ts``, by blocked outer
     products, O(q len(ts))."""
     q = len(x)
     a = np.arange(q)
     out = np.empty(len(ts), dtype=complex)
-    for lo in range(0, len(ts), block):
-        t = ts[lo : lo + block]
+    for lo in range(0, len(ts), _NAIVE_BLOCK):
+        t = ts[lo : lo + _NAIVE_BLOCK]
         phases = np.exp((2j * math.pi / q) * (np.outer(t, a) % q))
         out[lo : lo + len(t)] = phases @ x
     return out
 
 
-# tracemalloc peak per residue of spectrum_all (chirp-z): the context (24),
+# tracemalloc peak per residue of spectrum_all (chirp-z): the context (16),
 # dedekind_values (8), and the correlation's inputs and real FFT buffers
-_SPECTRUM_BYTES_PER_RESIDUE = 69
+_SPECTRUM_BYTES_PER_RESIDUE = 61
 
 
-def spectrum_all(q: int, algorithm: str = "chirp-z", max_q: int = 2_000_000) -> Spectrum:
+def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
     """Full transform of the Dedekind sums mod q.
 
     s_q is odd, so s_hat_q(t) = (i/q) sum_a s_q(a) sin(2 pi a t/q) is
@@ -169,7 +170,7 @@ def spectrum_all(q: int, algorithm: str = "chirp-z", max_q: int = 2_000_000) -> 
     |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E.
     """
     require_odd_prime(q)
-    require_below_cap(q, max_q, "spectrum", _SPECTRUM_BYTES_PER_RESIDUE)
+    require_below_cap(q, "spectrum", _SPECTRUM_BYTES_PER_RESIDUE)
     s = dedekind_values(q)
     ctx = build_context(q)
     H = (q - 1) // 2
@@ -191,9 +192,10 @@ def spectrum_all(q: int, algorithm: str = "chirp-z", max_q: int = 2_000_000) -> 
     return Spectrum(q, values, algorithm)
 
 
-def spectrum_point_truncated(
-    q: int, t: int, x: float, chunk: int = 1 << 22
-) -> complex:
+_TRUNCATED_CHUNK = 1 << 22  # terms n per array step in spectrum_point_truncated
+
+
+def spectrum_point_truncated(q: int, t: int, x: float) -> complex:
     """Truncated series (1/(pi i)) sum_{n<=x, (n,q)=1} psi(t inv(n)/q)/n.
 
     Error contract: |result - s_hat_q(t)| = O(q/x).
@@ -203,15 +205,16 @@ def spectrum_point_truncated(
         raise ValueError("t must be coprime to q")
     if x < 1:
         raise ValueError("x must be >= 1")
-    inv = build_context(q).inverses
+    ctx = build_context(q)
     total = 0.0
     top = int(x)
-    for lo in range(1, top + 1, chunk):
-        n = np.arange(lo, min(lo + chunk, top + 1), dtype=np.int64)
+    for lo in range(1, top + 1, _TRUNCATED_CHUNK):
+        n = np.arange(lo, min(lo + _TRUNCATED_CHUNK, top + 1), dtype=np.int64)
         nm = n % q
         keep = nm != 0
         n = n[keep]
-        r = (t * inv[nm[keep]]) % q
+        inv = ctx.powers[-ctx.index[nm[keep]] % (q - 1)]  # inv(g^m) = g^(-m)
+        r = (t * inv) % q
         total += float(np.sum((r / q - 0.5) / n))
     # 1/(pi i) = -i/pi, so the value is purely imaginary by construction
     return complex(0.0, -total / math.pi)

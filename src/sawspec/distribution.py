@@ -63,12 +63,11 @@ class EmpiricalDistribution:
         return self.samples.size
 
 
-def make_distribution(label, samples, scale=None, index=None) -> EmpiricalDistribution:
+def make_distribution(label, samples, index=None) -> EmpiricalDistribution:
+    """Dataset with the label's scale from ``DEFAULT_SCALES``."""
     if label not in DEFAULT_SCALES:
         raise ValueError(f"label must be one of {tuple(DEFAULT_SCALES)}")
-    if scale is None:
-        scale = DEFAULT_SCALES[label]
-    return EmpiricalDistribution(label, np.asarray(samples, float), scale, index)
+    return EmpiricalDistribution(label, samples, DEFAULT_SCALES[label], index)
 
 
 def from_ck_vector(vec) -> EmpiricalDistribution:
@@ -148,17 +147,15 @@ def symmetry_statistic(dist: EmpiricalDistribution, xs) -> float:
     return max(abs(ecdf_scaled(dist, x) + ecdf_scaled(dist, -x) - 1.0) for x in xs)
 
 
-def histogram(dist: EmpiricalDistribution, bins="fd"):
-    """Counts and edges; Freedman-Diaconis binning unless overridden."""
-    counts, edges = np.histogram(dist.samples, bins=bins)
-    return counts, edges
+def histogram(dist: EmpiricalDistribution):
+    """Counts and edges, Freedman-Diaconis binning."""
+    return np.histogram(dist.samples, bins="fd")
 
 
-def summary(dist: EmpiricalDistribution, ell_max: int = 6, grid=None) -> dict:
+def summary(dist: EmpiricalDistribution) -> dict:
+    """Extremes, moments 1..6 and the symmetry statistic on x = 0.1..3.0."""
     from .moments import empirical_moments
 
-    if grid is None:
-        grid = np.linspace(0.1, 3.0, 30)
     mn, amn, mx, amx = extremes(dist)
     return {
         "label": dist.label,
@@ -166,6 +163,6 @@ def summary(dist: EmpiricalDistribution, ell_max: int = 6, grid=None) -> dict:
         "scale": dist.scale,
         "min": mn,
         "max": mx,
-        "moments": empirical_moments(dist.samples, ell_max),
-        "symmetry_stat": symmetry_statistic(dist, grid),
+        "moments": empirical_moments(dist.samples, 6),
+        "symmetry_stat": symmetry_statistic(dist, np.linspace(0.1, 3.0, 30)),
     }

@@ -40,16 +40,15 @@ __all__ = [
 # the sawtooth
 
 
-def psi(x: float, plus: bool = False) -> float:
+def psi(x: float) -> float:
     """Centered sawtooth: {x} - 1/2 off integers, 0 at integers.
 
-    ``plus=True`` returns 1/2 at integers instead of 0.  The value is
-    computed from |x| with the sign restored afterwards, so the oddness
-    psi(-x) == -psi(x) is exact in floating point, not just up to
-    rounding.
+    The value is computed from |x| with the sign restored afterwards, so
+    the oddness psi(-x) == -psi(x) is exact in floating point, not just up
+    to rounding.
     """
     if x == math.floor(x):
-        return 0.5 if plus else 0.0
+        return 0.0
     sign = 1.0
     if x < 0.0:
         x = -x
@@ -57,15 +56,11 @@ def psi(x: float, plus: bool = False) -> float:
     return sign * (x - math.floor(x) - 0.5)
 
 
-def psi_array(x: np.ndarray, plus: bool = False) -> np.ndarray:
-    """Vectorized :func:`psi` (same integer conventions, exact oddness)."""
+def psi_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`psi` (0 at integers, exact oddness)."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    return np.where(
-        x == np.floor(x),
-        0.5 if plus else 0.0,
-        np.sign(x) * ((ax - np.floor(ax)) - 0.5),
-    )
+    return np.where(x == np.floor(x), 0.0, np.sign(x) * ((ax - np.floor(ax)) - 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +143,11 @@ class SieveTables:
 
 # bytes per sieve entry: int64 spf, int64 phi, int8 mu
 _SIEVE_ENTRY_BYTES = 17
+# the largest sieve limit: 3.4 GB of tables
+MAX_SIEVE_LIMIT = 200_000_000
 
 
-def build_sieves(limit: int, max_limit: int = 200_000_000) -> SieveTables:
+def build_sieves(limit: int) -> SieveTables:
     """Build SPF/phi/mu tables up to ``limit``.
 
     One vectorized pass per prime p <= sqrt(limit) fills spf, phi and mu
@@ -160,9 +157,9 @@ def build_sieves(limit: int, max_limit: int = 200_000_000) -> SieveTables:
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    if limit > max_limit:
+    if limit > MAX_SIEVE_LIMIT:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds configured cap {max_limit} "
+            f"sieve limit {limit} exceeds configured cap {MAX_SIEVE_LIMIT} "
             f"(its tables would need {_SIEVE_ENTRY_BYTES * (limit + 1)} bytes)"
         )
     n = limit + 1

@@ -36,10 +36,12 @@ __all__ = [
     "continuous_model_eval",
     "continuous_model_moment_exact",
     "moment_tuple_sum_exact",
-    "char_function_estimate",
 ]
 
 KINDS = ("C", "s", "R")
+_PRUNE = 1e-12  # tuples whose contribution bound falls below this are skipped
+_MULTISET_BUDGET = 300_000  # support multisets theoretical_moment enumerates
+_MODEL_LCM_CAP = 100_000  # span L = lcm(1..B) of the exact model moment
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class MomentEstimate:
     B: int
     value: float
     tail_note: str
-    partial: bool = False
 
 
 def _multisets(support, ell: int):
@@ -112,15 +113,14 @@ def theoretical_moment(
     ell: int,
     B: int,
     sieves: SieveTables | None = None,
-    prune: float = 1e-12,
-    multiset_budget: int = 300_000,
 ) -> MomentEstimate:
     """Truncated tuple sum for the ell-th limiting moment, all n_i <= B.
 
     Odd moments vanish identically.  ell = 2 uses the exact gcd^2
     regrouping; even ell >= 4 enumerates support multisets (odd squarefree
-    for the bias kind, squarefree for the totient kind) with tuple weights
-    pruned below ``prune`` and the pruned mass reported.
+    for the bias kind, squarefree for the totient kind), at most 300 000 of
+    them, skips a tuple when its contribution bound falls below 1e-12 and
+    reports the skipped (pruned) mass.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
@@ -138,9 +138,9 @@ def theoretical_moment(
     w = _support_weights(kind, B, sieves)
     ns = np.nonzero(w)[0]
     count = math.comb(len(ns) + ell - 1, ell)
-    if count > multiset_budget:
+    if count > _MULTISET_BUDGET:
         raise ResourceLimitError(
-            f"{count} support multisets exceed budget {multiset_budget}"
+            f"{count} support multisets exceed budget {_MULTISET_BUDGET}"
         )
     total = 0.0
     pruned_mass = 0.0
@@ -150,7 +150,7 @@ def theoretical_moment(
         for n in combo:
             weight *= w[n]
         contrib_bound = abs(weight) * mult * floor
-        if contrib_bound < prune:
+        if contrib_bound < _PRUNE:
             pruned_mass += contrib_bound
             continue
         total += weight * mult * float(b_exact(combo))
@@ -192,20 +192,19 @@ def continuous_model_moment_exact(
     ell: int,
     B: int,
     sieves: SieveTables | None = None,
-    lcm_cap: int = 100_000,
 ) -> Fraction:
     """Exact (1/L) integral of (sum_{n<=B} b(n) psi(x/n))^ell over one span
-    L = lcm(1..B), in rational arithmetic.  The model is linear on every
-    unit interval, so each piece integrates in closed form.  The constant
-    prefactor C^ell is factored out of the returned value.
+    L = lcm(1..B) <= 100 000, in rational arithmetic.  The model is linear
+    on every unit interval, so each piece integrates in closed form.  The
+    constant prefactor C^ell is factored out of the returned value.
     """
     if ell < 1 or ell > 6:
         raise ValueError("exact model moments support 1 <= ell <= 6")
     if B < 1:
         raise ValueError("B must be >= 1")
     L = math.lcm(*range(1, B + 1))
-    if L > lcm_cap:
-        raise ResourceLimitError(f"lcm(1..{B}) = {L} exceeds cap {lcm_cap}")
+    if L > _MODEL_LCM_CAP:
+        raise ResourceLimitError(f"lcm(1..{B}) = {L} exceeds cap {_MODEL_LCM_CAP}")
     sieves = ensure_sieves(B, sieves)
     b = coeff_b_fractions(B, sieves)
     support = [n for n in range(1, B + 1) if b[n]]
@@ -236,36 +235,3 @@ def moment_tuple_sum_exact(
         total += weight * mult * b_exact(combo)
     return total
 
-
-def char_function_estimate(
-    t: float,
-    B: int,
-    sieves: SieveTables | None = None,
-    lcm_cap: int = 100_000,
-) -> complex:
-    """Characteristic function (1/L) int exp(i t C(x;B)) dx over one span.
-
-    The model is piecewise linear, so each unit interval contributes the
-    exact closed form exp(itC A_m) (exp(itC D) - 1)/(itC D).
-    """
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    L = math.lcm(*range(1, B + 1))
-    if L > lcm_cap:
-        raise ResourceLimitError(f"lcm(1..{B}) = {L} exceeds cap {lcm_cap}")
-    sieves = ensure_sieves(B, sieves)
-    b = coeff_b_floats(B, sieves)
-    support = np.nonzero(b)[0]
-    c = constant_C()[0]
-    m = np.arange(L, dtype=np.int64)
-    base = np.zeros(L)
-    slope = 0.0
-    for n in support.tolist():
-        base += b[n] * ((m % n) / n - 0.5)
-        slope += b[n] / n
-    mean_phase = complex(np.mean(np.exp(1j * t * c * base)))
-    z = t * c * slope
-    if z == 0.0:
-        return mean_phase
-    ramp = (np.exp(1j * z) - 1.0) / (1j * z)
-    return mean_phase * ramp

@@ -106,12 +106,10 @@ def r_values(x: float, acc: PhiAccumulator) -> tuple[float, float]:
     return R, Rt
 
 
-def rtilde_samples(acc: PhiAccumulator, y: int | None = None) -> np.ndarray:
+def rtilde_samples(acc: PhiAccumulator) -> np.ndarray:
     """Rt at the half-integers m + 1/2, m = 0..y-1 (a measure-one sample
     of the continuous statistic, away from the integer corrections)."""
-    y = acc.y if y is None else y
-    if y > acc.y:
-        raise ValueError("y exceeds accumulator range")
+    y = acc.y
     u = np.arange(y, dtype=float) + 0.5
     S = acc.prefix[:y].astype(float)
     return S / u - _P * u
@@ -216,12 +214,15 @@ def _pair_integral_exact(n1: int, n2: int, y: int):
     return total
 
 
-def pair_correlation_stat(N: int, y: int, pair_budget: int = 4096) -> float:
+_PAIR_BUDGET = 4096  # pair integrals pair_correlation_stat evaluates
+
+
+def pair_correlation_stat(N: int, y: int) -> float:
     """sum over N < n1, n2 <= 2N of |(1/y) int_0^y psi(x/n1) psi(x/n2) dx|,
     every inner integral exact."""
     if N < 1 or y < 2 * N:
         raise ValueError("need N >= 1 and y >= 2N")
-    if N * N > pair_budget:
+    if N * N > _PAIR_BUDGET:
         raise ResourceLimitError(f"{N * N} pair integrals exceed budget")
     total = 0.0
     for n1 in range(N + 1, 2 * N + 1):

@@ -6,7 +6,7 @@ import pytest
 
 import sawspec as sw
 from sawspec.errors import ResourceLimitError
-from sawspec.bias import Pattern, _truncated_terms
+from sawspec.bias import Pattern
 from sawspec.characters import build_context
 
 # pinned from the first verified run (default table settings), after the
@@ -18,9 +18,13 @@ def _ck_truncated_full(q: int) -> np.ndarray:
     """The full-length route: -C_q sum_e W_e psi(g^(i+e)/q) as one cyclic
     correlation of length q-1 by rfft, antisymmetrized over k <-> q-k."""
     ctx = build_context(q)
-    _, c_q, weights, inv2n = _truncated_terms(ctx, None, None)
+    b = sw.foundations.coeff_b_floats(max(1000, q))
+    ns = np.nonzero(b)[0]
+    ns = ns[ns % q != 0]
+    inv2n = [pow(2 * n, -1, q) for n in ns.tolist()]
+    c_q, _ = sw.constant_C(excluded_prime=q)
     M = q - 1
-    W = np.bincount(ctx.index[inv2n], weights=weights, minlength=M)
+    W = np.bincount(ctx.index[inv2n], weights=b[ns], minlength=M)
     saw = ctx.powers / q - 0.5
     corr = np.fft.irfft(np.fft.rfft(saw) * np.conj(np.fft.rfft(W)), M)
     values = np.empty(q)
@@ -120,9 +124,9 @@ class TestCkVector:
         assert np.max(np.abs(values[1:] - direct)) <= 1e-12
 
     def test_resource_cap(self):
-        # 75 bytes per residue at q = 10007
-        with pytest.raises(ResourceLimitError, match="750525 bytes"):
-            sw.ck_all(10007, "truncated", max_q=9999)
+        # 67 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="134000201 bytes"):
+            sw.ck_all(2_000_003, "truncated")
 
     @pytest.mark.parametrize("q", [9, 25, 100])
     def test_truncated_route_rejects_composite_q(self, q):

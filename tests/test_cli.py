@@ -106,14 +106,69 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"usage: sawspec {argv[0]}" in out.err
-        assert "nonzero mod --q" in out.err
+        assert "coprime to --q" in out.err
+
+    @pytest.mark.parametrize("q, a", [("10", "4"), ("1", "5")])
+    def test_residue_sharing_a_factor_with_q_is_2(self, capsys, q, a):
+        # dedekind takes any modulus, so a nonzero residue can still share
+        # a factor with it, and every residue is 0 mod 1
+        with pytest.raises(SystemExit) as exc:
+            main(["dedekind", "--q", q, "--a", a])
+        assert exc.value.code == 2
+        assert f"coprime to --q {q}" in capsys.readouterr().err
 
     def test_computation_error_is_1(self, capsys):
-        # a residue sharing a factor with a composite modulus is left to the
-        # library, which raises ValueError
-        code, _, err = run_cli(capsys, "dedekind", "--q", "10", "--a", "4")
+        # prod/min = 3 >= q/ell = 2.5: the discrete route's precondition,
+        # checked by the library, which raises ValueError
+        code, _, err = run_cli(
+            capsys, "bcorr", "--moduli", "2,3", "--method", "discrete", "--q", "5"
+        )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bcorr", "--moduli", "2,3", "--format", "csv"),
+            ("dist", "--source", "spectrum", "--q", "101", "--format", "csv"),
+            ("dist", "--source", "spectrum", "--q", "101", "--stat", "almost-period",
+             "--format", "csv"),
+            ("dist", "--source", "spectrum", "--q", "101", "--stat", "ecdf",
+             "--format", "json"),
+            ("dist", "--source", "spectrum", "--q", "101", "--stat", "hist",
+             "--format", "json"),
+            ("dist", "--source", "spectrum", "--q", "101", "--stat", "tails",
+             "--format", "json"),
+            ("phi", "--y", "100", "--stat", "values", "--format", "csv"),
+            ("phi", "--y", "100", "--stat", "moments", "--format", "json"),
+            ("phi", "--y", "100", "--stat", "hist", "--format", "json"),
+            ("primes", "--x", "100", "--q", "3", "--format", "json"),
+            ("primes", "--x", "100", "--q", "3", "--report-pattern", "1,2",
+             "--format", "csv"),
+        ],
+    )
+    def test_format_the_output_cannot_take_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"usage: sawspec {argv[0]}" in out.err
+        assert "--format" in out.err
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (("bcorr", "--moduli", "2,3", "--format", "json"), "{"),
+            (("dist", "--source", "spectrum", "--q", "101", "--format", "json"), "{"),
+            (("phi", "--y", "100", "--stat", "moments", "--format", "csv"), "#"),
+            (("primes", "--x", "100", "--q", "3", "--format", "csv"), "#"),
+        ],
+    )
+    def test_format_the_output_takes_is_accepted(self, capsys, argv, start):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith(start)
 
     @pytest.mark.parametrize(
         "argv",
@@ -166,7 +221,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")
         assert code == 3
         assert out == ""
-        assert "138000207 bytes" in err
+        assert "122000183 bytes" in err
 
     def test_resource_error_is_3(self, capsys):
         code, _, err = run_cli(

@@ -149,9 +149,9 @@ class TestSpectrum:
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_resource_cap(self):
-        # 69 bytes per residue at q = 10007
-        with pytest.raises(ResourceLimitError, match="690483 bytes"):
-            sw.spectrum_all(10007, max_q=9999)
+        # 61 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="122000183 bytes"):
+            sw.spectrum_all(2_000_003)
 
     @pytest.mark.parametrize("q", [3, 5, 7, 101, 1009, 100003, 1_000_003])
     def test_matches_full_length_fft(self, q):

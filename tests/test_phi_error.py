@@ -257,4 +257,4 @@ class TestPairCorrelation:
         from sawspec.errors import ResourceLimitError
 
         with pytest.raises(ResourceLimitError):
-            sw.pair_correlation_stat(200, 10**6, pair_budget=100)
+            sw.pair_correlation_stat(200, 10**6)

@@ -94,7 +94,7 @@ class TestCensus:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            sw.pattern_census(10**7, 3, 2, x_cap=10**6)
+            sw.pattern_census(10**9 + 1, 3, 2)
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
@@ -133,6 +133,12 @@ class TestLogIntegral:
         for x in (0.3, 0.9, 1.5, 2.0, 50.0, 1e4, 1e6):
             assert sw.log_integral(x) == pytest.approx(
                 float(expi(math.log(x))), rel=1e-10, abs=1e-10
+            )
+
+    def test_below_two_to_1e_12_absolute(self):
+        for x in (1e-3, 0.00999, 0.05):
+            assert sw.log_integral(x) == pytest.approx(
+                float(expi(math.log(x))), rel=0, abs=1e-12
             )
 
     def test_domain_error_at_one(self):
