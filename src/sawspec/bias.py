@@ -22,7 +22,7 @@ from .characters import (
     require_below_cap,
     require_odd_prime,
 )
-from .foundations import SieveTables, coeff_b_floats, constant_C
+from .foundations import coeff_b_floats, constant_C
 
 __all__ = [
     "Pattern",
@@ -96,12 +96,12 @@ def _ck_char_raw(table: CharacterTable, k: int) -> float:
     return float(val.real)
 
 
-def _truncated_terms(ctx: PrimeContext, cutoff: int | None, sieves: SieveTables | None):
+def _truncated_terms(ctx: PrimeContext, cutoff: int | None):
     """Terms of -C_q sum_{n <= N, (n,q)=1} b(n) psi(k inv(2n)/q):
     (N, C_q, the nonzero weights b(n), e with inv(2n) = g^e mod q)."""
     q = ctx.q
     N = cutoff if cutoff is not None else max(1000, q)
-    b = coeff_b_floats(N, sieves)
+    b = coeff_b_floats(N)
     c_q, _ = constant_C(excluded_prime=q)
     ns = np.nonzero(b)[0]
     ns = ns[ns % q != 0]
@@ -114,14 +114,13 @@ def ck_point(
     k: int,
     method: str = "characters",
     table: CharacterTable | None = None,
-    cutoff: int | None = None,
-    sieves: SieveTables | None = None,
 ) -> float:
     """One bias value C(k) by the chosen route.
 
     ``characters`` averages chi_bar(k) L(0,chi) L(1,chi) A_{q,chi} over odd
-    characters; ``truncated`` evaluates -C sum_{n <= N} b(n) psi(k inv(2n)/q).
-    Both are antisymmetrized over k <-> q-k so oddness is exact.
+    characters; ``truncated`` evaluates -C sum_{n <= N} b(n) psi(k inv(2n)/q)
+    at N = max(1000, q).  Both are antisymmetrized over k <-> q-k so oddness
+    is exact.
     """
     require_odd_prime(q)
     if k % q == 0:
@@ -132,7 +131,7 @@ def ck_point(
         return 0.5 * (_ck_char_raw(table, k) - _ck_char_raw(table, q - k))
     if method == "truncated":
         ctx = build_context(q)
-        _, c_q, weights, e = _truncated_terms(ctx, cutoff, sieves)
+        _, c_q, weights, e = _truncated_terms(ctx, None)
         inv2n = ctx.powers[e]
 
         def raw(kk: int) -> float:
@@ -152,7 +151,6 @@ def ck_all(
     method: str = "characters",
     table: CharacterTable | None = None,
     cutoff: int | None = None,
-    sieves: SieveTables | None = None,
 ) -> CkVector:
     """The full vector of bias values C(k), k = 1..q-1.
 
@@ -182,7 +180,7 @@ def ck_all(
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         ctx = build_context(q)
-        N, c_q, weights, e = _truncated_terms(ctx, cutoff, sieves)
+        N, c_q, weights, e = _truncated_terms(ctx, cutoff)
         W = np.bincount(e, weights=weights, minlength=q - 1)
         half = -c_q * _group_correlation(W[:H] - W[H:], ctx.powers / q - 0.5)
         meta = {"series_cutoff": N}

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .foundations import SieveTables, coeff_a_floats, constant_C, factorize
+from .foundations import coeff_a_floats, constant_C, factorize
 
 __all__ = [
     "is_prime",
@@ -230,11 +230,7 @@ def _group_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 _TABLE_BYTES_PER_RESIDUE = 78
 
 
-def build_table(
-    q: int,
-    a_series_cutoff: int = 100_000,
-    sieves: SieveTables | None = None,
-) -> CharacterTable:
+def build_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     """Build the odd-character table for the prime q.
 
     L(0,chi_j) comes from the finite sum -sum_a chi(a) psi(a/q); L(1,chi_j)
@@ -271,7 +267,7 @@ def build_table(
     l_one = -gauss * (1j * math.pi / q) * l_zero[::-1]
 
     # A_{q,chi_j} = C_q * sum_{n <= N, (n,q)=1} a(n) chi_j(2n)
-    a_vals = coeff_a_floats(a_series_cutoff, sieves)
+    a_vals = coeff_a_floats(a_series_cutoff)
     n = np.nonzero(a_vals)[0]
     n = n[n % q != 0]
     w = np.bincount(ctx.index[(2 * n) % q], weights=a_vals[n], minlength=q - 1)

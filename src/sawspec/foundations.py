@@ -1,4 +1,4 @@
-"""The sawtooth, factorization, prime and SPF/phi/mu sieves, the
+"""The sawtooth, factorization, the prime sieve and the phi/mu tables, the
 multiplicative coefficients a(n), b(n), and the constant C = 2 Pi_2.
 
 Everything downstream (Dedekind spectra, bias constants, correlation
@@ -26,7 +26,6 @@ __all__ = [
     "prime_array",
     "SieveTables",
     "build_sieves",
-    "ensure_sieves",
     "coeff_a",
     "coeff_b",
     "coeff_a_floats",
@@ -95,7 +94,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# sieves
+# the prime sieve and the phi/mu tables
 
 
 def prime_array(limit: int) -> np.ndarray:
@@ -112,65 +111,41 @@ def prime_array(limit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SieveTables:
-    """Smallest-prime-factor, totient and Mobius tables on [0, limit]."""
+    """Totient and Mobius tables on [0, limit]."""
 
     limit: int
-    smallest_prime_factor: np.ndarray
     euler_phi: np.ndarray
     mobius: np.ndarray
 
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization of n <= limit via the SPF table."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
-        spf = self.smallest_prime_factor
-        out: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
 
-    def primes(self, upto: int | None = None) -> np.ndarray:
-        """The primes <= upto (default: every prime of the table)."""
-        spf = self.smallest_prime_factor[: None if upto is None else upto + 1]
-        idx = np.arange(len(spf), dtype=np.int64)
-        return np.nonzero(spf == idx)[0][1:]  # drop 0==0
-
-
-# bytes per sieve entry: int64 spf, int64 phi, int8 mu
-_SIEVE_ENTRY_BYTES = 17
-# the largest sieve limit: 3.4 GB of tables
+# tracemalloc peak bytes per entry of build_sieves: int64 phi, int8 mu and
+# int64 rest, plus the int64 quotients phi[2::2] // 2 of the first prime
+_SIEVE_ENTRY_BYTES = 21
+# the largest sieve limit: 4.2 GB at its peak
 MAX_SIEVE_LIMIT = 200_000_000
 
 
 def build_sieves(limit: int) -> SieveTables:
-    """Build SPF/phi/mu tables up to ``limit``.
+    """Build phi/mu tables up to ``limit``.
 
-    One vectorized pass per prime p <= sqrt(limit) fills spf, phi and mu
-    and divides the powers of p out of ``rest``.  What is left in ``rest``
-    is 1 or the single prime factor above sqrt(limit), applied to phi and
-    mu in one array step.
+    One vectorized pass per prime p <= sqrt(limit) fills phi and mu and
+    divides the powers of p out of ``rest``.  What is left in ``rest`` is 1
+    or the single prime factor above sqrt(limit), applied to phi and mu in
+    one array step.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds configured cap {MAX_SIEVE_LIMIT} "
-            f"(its tables would need {_SIEVE_ENTRY_BYTES * (limit + 1)} bytes)"
+            f"sieve limit {limit} exceeds configured cap {MAX_SIEVE_LIMIT} (building "
+            f"its tables would peak at {_SIEVE_ENTRY_BYTES * (limit + 1)} bytes)"
         )
     n = limit + 1
-    spf = np.zeros(n, dtype=np.int64)
     phi = np.arange(n, dtype=np.int64)
     mu = np.ones(n, dtype=np.int8)
     mu[0] = 0
     rest = np.arange(n, dtype=np.int64)
     for p in prime_array(math.isqrt(limit)).tolist():
-        seg = spf[p * p :: p]
-        seg[seg == 0] = p
         phi[p::p] -= phi[p::p] // p
         mu[p::p] = -mu[p::p]
         mu[p * p :: p * p] = 0
@@ -182,18 +157,7 @@ def build_sieves(limit: int) -> SieveTables:
     np.negative(mu, out=mu, where=big)
     np.floor_divide(phi, rest, out=rest, where=big)
     np.subtract(phi, rest, out=phi, where=big)
-    del rest, big  # freed before the spf fill allocates its mask
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.nonzero(untouched)[0]
-    return SieveTables(limit, spf, phi, mu)
-
-
-def ensure_sieves(limit: int, sieves: SieveTables | None) -> SieveTables:
-    """``sieves`` if it reaches ``limit``, else fresh tables up to it."""
-    if sieves is None or sieves.limit < limit:
-        return build_sieves(max(limit, 4))
-    return sieves
+    return SieveTables(limit, phi, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +165,6 @@ def ensure_sieves(limit: int, sieves: SieveTables | None) -> SieveTables:
 
 _A_CACHE: dict[int, Fraction] = {}
 _B_CACHE: dict[int, Fraction] = {}
-
-
-def _factorize(n: int, sieves: SieveTables | None) -> list[tuple[int, int]]:
-    if sieves is not None and n <= sieves.limit:
-        return sieves.factorize(n)
-    return factorize(n)
 
 
 def _a_prime_power(p: int, e: int) -> Fraction:
@@ -219,7 +177,7 @@ def _a_prime_power(p: int, e: int) -> Fraction:
     return Fraction(0)
 
 
-def coeff_a(n: int, sieves: SieveTables | None = None) -> Fraction:
+def coeff_a(n: int) -> Fraction:
     """Multiplicative coefficient a(n): a(2) = -1/2, a(p) = 2/(p(p-2)),
     a(p^2) = -1/(p(p-2)), zero on higher prime powers (and on 2^v, v >= 2)."""
     if n < 1:
@@ -227,7 +185,7 @@ def coeff_a(n: int, sieves: SieveTables | None = None) -> Fraction:
     if n in _A_CACHE:
         return _A_CACHE[n]
     val = Fraction(1)
-    for p, e in _factorize(n, sieves):
+    for p, e in factorize(n):
         val *= _a_prime_power(p, e)
         if not val:
             break
@@ -235,7 +193,7 @@ def coeff_a(n: int, sieves: SieveTables | None = None) -> Fraction:
     return val
 
 
-def coeff_b(n: int, sieves: SieveTables | None = None) -> Fraction:
+def coeff_b(n: int) -> Fraction:
     """Dirichlet convolution b = a * (1/id): zero unless n is odd and
     squarefree, with b(p) = 1/(p-2) on odd primes."""
     if n < 1:
@@ -243,7 +201,7 @@ def coeff_b(n: int, sieves: SieveTables | None = None) -> Fraction:
     if n in _B_CACHE:
         return _B_CACHE[n]
     val = Fraction(1)
-    for p, e in _factorize(n, sieves):
+    for p, e in factorize(n):
         if p == 2 or e > 1:
             val = Fraction(0)
             break
@@ -252,16 +210,15 @@ def coeff_b(n: int, sieves: SieveTables | None = None) -> Fraction:
     return val
 
 
-def coeff_a_floats(limit: int, sieves: SieveTables | None = None) -> np.ndarray:
+def coeff_a_floats(limit: int) -> np.ndarray:
     """a(n) for n = 0..limit as float64 (a[0] = 0), built multiplicatively."""
-    sieves = ensure_sieves(limit, sieves)
     a = np.ones(limit + 1)
     a[0] = 0.0
     if limit >= 2:
         a[2::2] *= -0.5
     if limit >= 4:
         a[4::4] = 0.0
-    for p in map(int, sieves.primes(limit)[1:]):  # odd primes; 2 is done above
+    for p in map(int, prime_array(limit)[1:]):  # odd primes; 2 is done above
         a[p::p] *= 2.0 / (p * (p - 2))
         if p * p <= limit:
             a[p * p :: p * p] *= -0.5
@@ -270,24 +227,22 @@ def coeff_a_floats(limit: int, sieves: SieveTables | None = None) -> np.ndarray:
     return a
 
 
-def coeff_b_floats(limit: int, sieves: SieveTables | None = None) -> np.ndarray:
+def coeff_b_floats(limit: int) -> np.ndarray:
     """b(n) for n = 0..limit as float64 (zero off odd squarefree support)."""
-    sieves = ensure_sieves(limit, sieves)
     b = np.ones(limit + 1)
     b[0] = 0.0
     if limit >= 2:
         b[2::2] = 0.0
-    for p in map(int, sieves.primes(limit)[1:]):  # odd primes; 2 is done above
+    for p in map(int, prime_array(limit)[1:]):  # odd primes; 2 is done above
         b[p::p] /= p - 2
         if p * p <= limit:
             b[p * p :: p * p] = 0.0
     return b
 
 
-def coeff_b_fractions(limit: int, sieves: SieveTables | None = None) -> list[Fraction]:
+def coeff_b_fractions(limit: int) -> list[Fraction]:
     """b(n) for n = 0..limit as exact rationals."""
-    sieves = ensure_sieves(limit, sieves)
-    return [Fraction(0)] + [coeff_b(n, sieves) for n in range(1, limit + 1)]
+    return [Fraction(0)] + [coeff_b(n) for n in range(1, limit + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ import numpy as np
 from .correlations import b_exact
 from .errors import ResourceLimitError
 from .foundations import (
-    SieveTables,
+    build_sieves,
     coeff_b_floats,
     coeff_b_fractions,
     constant_C,
-    ensure_sieves,
+    prime_array,
     psi,
 )
 
@@ -68,38 +68,38 @@ def _multisets(support, ell: int):
         yield combo, mult
 
 
-def _support_weights(kind: str, B: int, sieves: SieveTables) -> np.ndarray:
+def _support_weights(kind: str, B: int) -> np.ndarray:
     """w[n] for n = 0..B; the tuple weight is prod w(n_i)."""
     if kind == "C":
-        return coeff_b_floats(B, sieves)
+        return coeff_b_floats(B)
     n = np.arange(B + 1, dtype=float)
     n[0] = np.nan
     if kind == "s":
         w = 1.0 / n
     elif kind == "R":
-        w = sieves.mobius[: B + 1].astype(float) / n
+        w = build_sieves(max(B, 2)).mobius[: B + 1].astype(float) / n
     else:
         raise ValueError(f"unknown moment kind {kind!r}")
     w[0] = 0.0
     return w
 
 
-def _jordan_totient2(B: int, sieves: SieveTables) -> np.ndarray:
+def _jordan_totient2(B: int) -> np.ndarray:
     d = np.arange(B + 1, dtype=np.int64)
     J = d * d
-    for p in map(int, sieves.primes(B)):
+    for p in map(int, prime_array(B)):
         J[p::p] //= p * p
         J[p::p] *= p * p - 1
     return J
 
 
-def _second_moment(kind: str, B: int, sieves: SieveTables) -> float:
+def _second_moment(kind: str, B: int) -> float:
     # sum_{n1,n2<=B} w(n1) w(n2) gcd^2 / (12 n1 n2), regrouped through J_2
-    w = _support_weights(kind, B, sieves)
+    w = _support_weights(kind, B)
     n = np.arange(B + 1, dtype=float)
     n[0] = 1.0
     f = w / n
-    J = _jordan_totient2(B, sieves).astype(float)
+    J = _jordan_totient2(B).astype(float)
     total = 0.0
     for dd in range(1, B + 1):
         t = float(np.sum(f[dd::dd]))
@@ -108,12 +108,7 @@ def _second_moment(kind: str, B: int, sieves: SieveTables) -> float:
     return total / 12.0
 
 
-def theoretical_moment(
-    kind: str,
-    ell: int,
-    B: int,
-    sieves: SieveTables | None = None,
-) -> MomentEstimate:
+def theoretical_moment(kind: str, ell: int, B: int) -> MomentEstimate:
     """Truncated tuple sum for the ell-th limiting moment, all n_i <= B.
 
     Odd moments vanish identically.  ell = 2 uses the exact gcd^2
@@ -128,14 +123,13 @@ def theoretical_moment(
         raise ValueError("ell and B must be >= 1")
     if ell % 2 == 1:
         return MomentEstimate(kind, ell, B, 0.0, "odd moment vanishes identically")
-    sieves = ensure_sieves(B, sieves)
     scale = constant_C()[0] ** ell if kind == "C" else 1.0
 
     if ell == 2:
-        value = scale * _second_moment(kind, B, sieves)
+        value = scale * _second_moment(kind, B)
         return MomentEstimate(kind, ell, B, value, f"pair sum over all n <= {B}")
 
-    w = _support_weights(kind, B, sieves)
+    w = _support_weights(kind, B)
     ns = np.nonzero(w)[0]
     count = math.comb(len(ns) + ell - 1, ell)
     if count > _MULTISET_BUDGET:
@@ -178,21 +172,16 @@ def empirical_moments(values, ell_max: int) -> list[float]:
 # continuous sawtooth model
 
 
-def continuous_model_eval(x: float, B: int, sieves: SieveTables | None = None) -> float:
+def continuous_model_eval(x: float, B: int) -> float:
     """C * sum_{n <= B} b(n) psi(x/n) with the limiting constant."""
     if B < 1:
         raise ValueError("B must be >= 1")
-    sieves = ensure_sieves(B, sieves)
-    b = coeff_b_floats(B, sieves)
+    b = coeff_b_floats(B)
     total = sum(b[n] * psi(x / n) for n in np.nonzero(b)[0].tolist())
     return constant_C()[0] * total
 
 
-def continuous_model_moment_exact(
-    ell: int,
-    B: int,
-    sieves: SieveTables | None = None,
-) -> Fraction:
+def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
     """Exact (1/L) integral of (sum_{n<=B} b(n) psi(x/n))^ell over one span
     L = lcm(1..B) <= 100 000, in rational arithmetic.  The model is linear
     on every unit interval, so each piece integrates in closed form.  The
@@ -205,8 +194,7 @@ def continuous_model_moment_exact(
     L = math.lcm(*range(1, B + 1))
     if L > _MODEL_LCM_CAP:
         raise ResourceLimitError(f"lcm(1..{B}) = {L} exceeds cap {_MODEL_LCM_CAP}")
-    sieves = ensure_sieves(B, sieves)
-    b = coeff_b_fractions(B, sieves)
+    b = coeff_b_fractions(B)
     support = [n for n in range(1, B + 1) if b[n]]
     slope = sum(b[n] / n for n in support)  # Fraction, > 0 (b(1) = 1)
     half = Fraction(1, 2)
@@ -217,15 +205,12 @@ def continuous_model_moment_exact(
     return total / slope / L
 
 
-def moment_tuple_sum_exact(
-    ell: int, B: int, sieves: SieveTables | None = None
-) -> Fraction:
+def moment_tuple_sum_exact(ell: int, B: int) -> Fraction:
     """sum over tuples (n_1..n_ell), n_i <= B, of prod b(n_i) * the exact
     correlation integral; the tuple-sum side of the pre-limit identity."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    sieves = ensure_sieves(B, sieves)
-    b = coeff_b_fractions(B, sieves)
+    b = coeff_b_fractions(B)
     support = [n for n in range(1, B + 1) if b[n]]
     total = Fraction(0)
     for combo, mult in _multisets(support, ell):

@@ -89,23 +89,23 @@ class TestCkPoint:
                 vec.value(k), abs=1e-12
             )
 
-    def test_truncated_route_point(self, sieves_1m):
-        a = sw.ck_point(101, 5, "truncated", cutoff=200, sieves=sieves_1m)
-        b = sw.ck_point(101, 96, "truncated", cutoff=200, sieves=sieves_1m)
+    def test_truncated_route_point(self):
+        a = sw.ck_point(101, 5, "truncated")
+        b = sw.ck_point(101, 96, "truncated")
         assert a + b == 0.0
 
     def test_truncated_route_rejects_composite_q(self):
         with pytest.raises(ValueError, match="prime"):
-            sw.ck_point(25, 3, "truncated", cutoff=3)
+            sw.ck_point(25, 3, "truncated")
 
-    def test_truncated_point_matches_truncated_vector(self, sieves_1m):
+    def test_truncated_point_matches_truncated_vector(self):
         # both routes evaluate the same series terms: the point route sums
         # them directly, the vector route as one cyclic correlation by FFT
         cases = {1009: (1, 2, 3, 500, 504, 505, 1008), 10007: (1, 2, 3, 5003, 5004, 10006)}
         for q, ks in cases.items():
-            vec = sw.ck_all(q, "truncated", sieves=sieves_1m)
+            vec = sw.ck_all(q, "truncated")
             for k in ks:
-                point = sw.ck_point(q, k, "truncated", sieves=sieves_1m)
+                point = sw.ck_point(q, k, "truncated")
                 assert point == pytest.approx(vec.value(k), abs=1e-12)
 
 

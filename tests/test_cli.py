@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sawspec.cli import main
 
@@ -35,7 +38,22 @@ class TestDedekind:
         assert code == 0 and out.strip() == "-5/14"
 
 
+def exit_code(*argv):
+    """main's exit code, SystemExit included, with its output discarded."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return main(list(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
 class TestExitCodes:
+    @given(st.integers(1, 500), st.integers(-1000, 1000))
+    def test_dedekind_residue_is_0_or_2(self, q, a):
+        ok = a % q != 0 and math.gcd(a, q) == 1
+        assert exit_code("dedekind", "--q", str(q), "--a", str(a)) == (0 if ok else 2)
+
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ck", "--q", "0"])
@@ -163,6 +181,20 @@ class TestExitCodes:
             (("dist", "--source", "spectrum", "--q", "101", "--format", "json"), "{"),
             (("phi", "--y", "100", "--stat", "moments", "--format", "csv"), "#"),
             (("primes", "--x", "100", "--q", "3", "--format", "csv"), "#"),
+            (("dist", "--source", "spectrum", "--q", "101", "--stat", "summary",
+              "--format", "json"), "{"),
+            (("dist", "--source", "spectrum", "--q", "101", "--stat", "ecdf",
+              "--format", "csv"), "#"),
+            (("dist", "--source", "spectrum", "--q", "101", "--stat", "hist",
+              "--format", "csv"), "#"),
+            (("dist", "--source", "spectrum", "--q", "101", "--stat", "tails",
+              "--format", "csv"), "#"),
+            (("dist", "--source", "spectrum", "--q", "101", "--stat", "almost-period",
+              "--format", "json"), "{"),
+            (("phi", "--y", "100", "--stat", "values", "--format", "json"), "{"),
+            (("phi", "--y", "100", "--stat", "hist", "--format", "csv"), "#"),
+            (("primes", "--x", "100", "--q", "3", "--report-pattern", "1,2",
+              "--format", "json"), "{"),
         ],
     )
     def test_format_the_output_takes_is_accepted(self, capsys, argv, start):
@@ -211,11 +243,11 @@ class TestExitCodes:
         ],
     )
     def test_accumulator_cap_is_3(self, capsys, argv):
-        # rejected before the sieve is built, with the bytes it would need
+        # rejected before the sieve is built, with the bytes its peak would need
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert "2500000050 bytes" in err
+        assert "2100000042 bytes" in err
 
     def test_spectrum_cap_is_3(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")

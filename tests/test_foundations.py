@@ -13,6 +13,7 @@ from sawspec.foundations import (
     constant_C,
     factorize,
     mod_inverse,
+    prime_array,
     psi,
     psi_array,
 )
@@ -128,7 +129,6 @@ class TestSieves:
 
     def test_prime_rows(self, sieves_1m):
         for p in (2, 3, 101, 999983):
-            assert sieves_1m.smallest_prime_factor[p] == p
             assert sieves_1m.euler_phi[p] == p - 1
             assert sieves_1m.mobius[p] == -1
 
@@ -144,30 +144,37 @@ class TestSieves:
         total = int(np.sum(sieves_1m.euler_phi[: 10**6 + 1]))
         assert total == _totient_sum_recursive(10**6, {})
 
-    def test_factorize(self, sieves_1m):
-        assert sieves_1m.factorize(360) == [(2, 3), (3, 2), (5, 1)]
-        assert sieves_1m.factorize(1) == []
-
     def test_small_limits_against_trial_division(self):
         # every limit up to 200 passes p^2 - 1, p^2 and p^2 + 1 for
         # p <= 13, where the largest sieving prime sqrt(limit) changes
         for limit in range(2, 201):
             s = build_sieves(limit)
-            assert s.smallest_prime_factor[:2].tolist() == [0, 0], limit
             assert s.euler_phi[0] == 0 and s.mobius[0] == 0, limit
             for n in range(1, limit + 1):
                 assert s.euler_phi[n] == _phi_trial(n), (limit, n)
                 assert s.mobius[n] == _mu_trial(n), (limit, n)
-                if n > 1:
-                    spf = min(d for d in range(2, n + 1) if n % d == 0)
-                    assert s.smallest_prime_factor[n] == spf, (limit, n)
 
     def test_resource_cap(self):
         from sawspec.errors import ResourceLimitError
 
-        # 17 bytes per entry: int64 spf, int64 phi, int8 mu
-        with pytest.raises(ResourceLimitError, match=r"3400000034 bytes"):
+        # a peak of 21 bytes per entry: int64 phi, int8 mu, int64 rest and
+        # the int64 quotients of the first prime
+        with pytest.raises(ResourceLimitError, match=r"4200000042 bytes"):
             build_sieves(200_000_001)
+
+
+_IS_PRIME_1M = np.zeros(10**6 + 1, dtype=bool)
+_IS_PRIME_1M[prime_array(10**6)] = True
+
+
+def _assert_unique_factorization(n):
+    # the product of p^e is n, the p strictly increase and are prime, e >= 1:
+    # by unique factorization that pins factorize(n) down
+    pairs = factorize(n)
+    assert math.prod(p**e for p, e in pairs) == n, n
+    ps = [p for p, _ in pairs]
+    assert ps == sorted(set(ps)), n
+    assert all(_IS_PRIME_1M[p] and e >= 1 for p, e in pairs), n
 
 
 class TestFactorize:
@@ -177,19 +184,19 @@ class TestFactorize:
         assert factorize(2) == [(2, 1)]
         assert factorize(999983) == [(999983, 1)]
 
-    def test_matches_sieve_up_to_1e5(self, sieves_1m):
+    def test_unique_factorization_up_to_1e5(self):
         for n in range(1, 10**5 + 1):
-            assert factorize(n) == sieves_1m.factorize(n), n
+            _assert_unique_factorization(n)
 
-    def test_matches_sieve_sampled_to_1e6(self, sieves_1m):
+    def test_unique_factorization_sampled_to_1e6(self):
         rng = np.random.default_rng(11)
         for n in rng.integers(10**5, 10**6 + 1, 2000).tolist():
-            assert factorize(n) == sieves_1m.factorize(n), n
+            _assert_unique_factorization(n)
 
     @pytest.mark.parametrize("q", [999953, 999959, 999961, 999979, 999983])
-    def test_prime_minus_one(self, sieves_1m, q):
+    def test_prime_minus_one(self, q):
         # q - 1 is what primitive_root factors
-        assert factorize(q - 1) == sieves_1m.factorize(q - 1)
+        _assert_unique_factorization(q - 1)
 
 
 class TestCoefficients:
@@ -207,30 +214,30 @@ class TestCoefficients:
         assert coeff_b(2) == 0
         assert coeff_b(1) == 1
 
-    def test_b_equals_convolution_of_a(self, sieves_1m):
+    def test_b_equals_convolution_of_a(self):
         # b(n) = sum_{uv=n} a(u)/v exactly, for every n <= 1e4
         for n in range(1, 10_001):
             conv = Fraction(0)
             d = 1
             while d * d <= n:
                 if n % d == 0:
-                    conv += coeff_a(d, sieves_1m) * Fraction(d, n)
+                    conv += coeff_a(d) * Fraction(d, n)
                     if d * d != n:
-                        conv += coeff_a(n // d, sieves_1m) * Fraction(n // d, n)
+                        conv += coeff_a(n // d) * Fraction(n // d, n)
                 d += 1
-            assert conv == coeff_b(n, sieves_1m), n
+            assert conv == coeff_b(n), n
 
-    def test_float_tables_match_exact(self, sieves_1m):
-        a = coeff_a_floats(3000, sieves_1m)
+    def test_float_tables_match_exact(self):
+        a = coeff_a_floats(3000)
         for n in (1, 2, 3, 4, 8, 9, 15, 45, 105, 2048, 2310):
             assert a[n] == pytest.approx(float(coeff_a(n)), abs=1e-15)
 
-    def test_abs_a_tail_exponent(self, sieves_1m):
+    def test_abs_a_tail_exponent(self):
         # partial sums of |a| approach their limit like N^(-1/2+eps);
         # the fitted slope must be at most -0.4
-        a = np.abs(coeff_a_floats(10**5, sieves_1m))
+        a = np.abs(coeff_a_floats(10**5))
         partial = np.cumsum(a)
-        p = sieves_1m.primes().astype(float)
+        p = prime_array(10**6).astype(float)
         p = p[p >= 3]
         limit = 1.5 * float(np.prod(1.0 + 3.0 / (p * (p - 2.0))))
         grid = [100, 1000, 10_000, 100_000]

@@ -18,12 +18,24 @@ class TestTheoretical:
             for ell in (1, 3, 5):
                 assert theoretical_moment(kind, ell, 50).value == 0.0
 
-    def test_totient_second_moment_benchmark(self, sieves_1m):
-        est = theoretical_moment("R", 2, 10**4, sieves_1m)
+    @pytest.mark.parametrize("kind", ["C", "s", "R"])
+    def test_single_term_support(self, kind):
+        # B = 1 leaves the tuple (1, ..., 1) alone, weight 1 for every kind:
+        # the integrals of psi^2 and psi^4 over a period, 1/12 and 1/80
+        scale = sw.constant_C()[0] if kind == "C" else 1.0
+        assert theoretical_moment(kind, 2, 1).value == pytest.approx(
+            scale**2 / 12, rel=1e-15
+        )
+        assert theoretical_moment(kind, 4, 1).value == pytest.approx(
+            scale**4 / 80, rel=1e-15
+        )
+
+    def test_totient_second_moment_benchmark(self):
+        est = theoretical_moment("R", 2, 10**4)
         assert est.value == pytest.approx(HALF_INV_PI2, rel=1e-2)
 
-    def test_spectrum_second_moment_benchmark(self, sieves_1m):
-        est = theoretical_moment("s", 2, 10**4, sieves_1m)
+    def test_spectrum_second_moment_benchmark(self):
+        est = theoretical_moment("s", 2, 10**4)
         assert est.value == pytest.approx(SPECTRUM_SECOND, rel=5e-3)
 
     def test_grouped_pair_sum_equals_brute_force(self, sieves_1m):
@@ -39,21 +51,21 @@ class TestTheoretical:
             w = wfun / n  # w(n)/n
             w[0] = 0.0
             brute = float((np.outer(w, w) * g2).sum()) / 12.0
-            grouped = theoretical_moment(kind, 2, B, sieves_1m).value
+            grouped = theoretical_moment(kind, 2, B).value
             assert grouped == pytest.approx(brute, abs=1e-15)
 
-    def test_bias_second_moment_stabilizes(self, sieves_1m):
+    def test_bias_second_moment_stabilizes(self):
         # the truncated series converges like c/B with c ~ 1.9 (measured);
         # deltas must shrink and stay inside the calibrated envelope
-        m500 = theoretical_moment("C", 2, 500, sieves_1m).value
-        m1000 = theoretical_moment("C", 2, 1000, sieves_1m).value
-        m2000 = theoretical_moment("C", 2, 2000, sieves_1m).value
+        m500 = theoretical_moment("C", 2, 500).value
+        m1000 = theoretical_moment("C", 2, 1000).value
+        m2000 = theoretical_moment("C", 2, 2000).value
         assert abs(m1000 - m500) < 2.5e-3
         assert abs(m2000 - m1000) < abs(m1000 - m500)
 
-    def test_higher_moment_growth_band(self, sieves_1m):
+    def test_higher_moment_growth_band(self):
         for ell in (2, 4, 6):
-            est = theoretical_moment("C", ell, 30, sieves_1m)
+            est = theoretical_moment("C", ell, 30)
             ratio = est.value ** (1.0 / ell) / math.log(ell)
             assert 0.3 <= ratio <= 1.6
 
@@ -92,10 +104,10 @@ class TestEmpirical:
             scale = float(np.mean(np.abs(v) ** ell))
             assert abs(moms[ell - 1]) <= 1e-12 * scale
 
-    def test_ck_second_moment_vs_theory(self, ck_10007, sieves_1m):
+    def test_ck_second_moment_vs_theory(self, ck_10007):
         q = ck_10007.q
         emp = float(np.sum(ck_10007.samples**2)) / q
-        theory = theoretical_moment("C", 2, 1000, sieves_1m).value
+        theory = theoretical_moment("C", 2, 1000).value
         assert emp == pytest.approx(theory, rel=0.10)
 
     def test_empty_rejected(self):
@@ -115,18 +127,18 @@ class TestContinuousModel:
         )
         assert sw.continuous_model_eval(0.25, 3) == pytest.approx(-0.880216, abs=1e-6)
 
-    def test_exact_prelimit_identity(self, sieves_1m):
+    def test_exact_prelimit_identity(self):
         for ell, B in ((2, 3), (2, 5), (4, 3)):
-            lhs = sw.continuous_model_moment_exact(ell, B, sieves_1m)
-            rhs = sw.moment_tuple_sum_exact(ell, B, sieves_1m)
+            lhs = sw.continuous_model_moment_exact(ell, B)
+            rhs = sw.moment_tuple_sum_exact(ell, B)
             assert lhs == rhs
 
-    def test_known_small_case(self, sieves_1m):
+    def test_known_small_case(self):
         # B(1,1) + 2 B(1,3) + B(3,3) = 1/12 + 2/36 + 1/12 = 2/9
-        assert sw.continuous_model_moment_exact(2, 3, sieves_1m) == Fraction(2, 9)
+        assert sw.continuous_model_moment_exact(2, 3) == Fraction(2, 9)
 
-    def test_odd_power_exactly_zero(self, sieves_1m):
-        assert sw.continuous_model_moment_exact(3, 4, sieves_1m) == 0
+    def test_odd_power_exactly_zero(self):
+        assert sw.continuous_model_moment_exact(3, 4) == 0
 
     def test_lcm_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -203,21 +203,21 @@ class TestMomentExact:
 
 
 class TestTruncatedModel:
-    def test_single_term(self, sieves_1m):
-        assert sw.rtilde_truncated_model(10.5, 1, sieves_1m) == 0.0
+    def test_single_term(self):
+        assert sw.rtilde_truncated_model(10.5, 1) == 0.0
 
-    def test_two_terms(self, sieves_1m):
+    def test_two_terms(self):
         # mu(2) = -1, psi(5.25) = -1/4
-        assert sw.rtilde_truncated_model(10.5, 2, sieves_1m) == pytest.approx(
+        assert sw.rtilde_truncated_model(10.5, 2) == pytest.approx(
             -0.125, abs=1e-15
         )
 
-    def test_mean_gap_to_true_values(self, acc_1m, sieves_1m):
+    def test_mean_gap_to_true_values(self, acc_1m):
         N = 1000
         u = np.arange(N, 10**5, 7, dtype=float) + 0.5
         S = acc_1m.prefix[np.floor(u).astype(np.int64)].astype(float)
         truth = S / u - P * u
-        model = sw.rtilde_truncated_model(u, N, sieves_1m)
+        model = sw.rtilde_truncated_model(u, N)
         assert float(np.mean(np.abs(model - truth))) <= 0.05
 
 

@@ -56,7 +56,7 @@ class TestCensus:
         for key in c.counts:
             assert 0 not in key
 
-    def test_independent_recount(self, sieves_1m):
+    def test_independent_recount(self):
         x, q, r = 20000, 3, 2
         c = sw.pattern_census(x, q, r)
         ps = prime_array(x + 1000)
