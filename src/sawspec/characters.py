@@ -175,16 +175,21 @@ class CharacterTable:
     def q(self) -> int:
         return self.context.q
 
+    def _ind(self, a: int) -> int:
+        """ind(a), the n with g^n = a mod q; ValueError for a = 0 mod q."""
+        if a % self.q == 0:
+            raise ValueError(f"a = {a} must be nonzero mod q = {self.q}")
+        return int(self.context.index[a % self.q])
+
     def chi_bar(self, a: int) -> np.ndarray:
         """conj(chi_j(a)) for every row, a coprime to q."""
-        ctx = self.context
-        M = ctx.q - 1
+        M = self.q - 1
         j = np.arange(1, M, 2)
-        return np.exp((-2j * math.pi / M) * (j * int(ctx.index[a % ctx.q]) % M))
+        return np.exp((-2j * math.pi / M) * (j * self._ind(a) % M))
 
     def bias_sum(self, a: int) -> complex:
         """sum_j conj(chi_j(a)) L(0,chi_j) L(1,chi_j) A_{q,chi_j}, a coprime to q."""
-        n = int(self.context.index[a % self.q])
+        n = self._ind(a)
         H = len(self.bias_sums)
         return complex(self.bias_sums[n] if n < H else -self.bias_sums[n - H])
 

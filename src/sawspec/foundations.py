@@ -1,5 +1,5 @@
-"""The sawtooth, factorization, the prime sieve and the phi/mu tables, the
-multiplicative coefficients a(n), b(n), and the constant C = 2 Pi_2.
+"""The sawtooth, factorization, the prime sieve, the multiplicative tables
+phi, J_2, mu, a(n), b(n) (one sieve fills each, alone), and C = 2 Pi_2.
 
 Everything downstream (Dedekind spectra, bias constants, correlation
 integrals, totient error moments) consumes these primitives.  Exact
@@ -24,6 +24,8 @@ __all__ = [
     "mod_inverse",
     "factorize",
     "prime_array",
+    "jordan_table",
+    "mobius_table",
     "SieveTables",
     "build_sieves",
     "coeff_a",
@@ -94,19 +96,79 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# the prime sieve and the phi/mu tables
+# the prime sieve and the multiplicative sieve
+
+_SEGMENT = 1 << 22  # the most flags prime_array holds at once
 
 
 def prime_array(limit: int) -> np.ndarray:
-    """All primes <= limit (plain numpy sieve)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    """All primes <= limit: the primes <= sqrt(limit), by recursion, strike
+    out the composites of (sqrt(limit), limit], 2^22 entries at a time."""
+    if limit < 4:
+        return np.array([2, 3][: max(limit - 1, 0)], dtype=np.int64)
+    root = math.isqrt(limit)
+    chunks = [prime_array(root)]
+    for lo in range(root + 1, limit + 1, _SEGMENT):
+        flags = np.ones(min(_SEGMENT, limit + 1 - lo), dtype=bool)
+        for p in chunks[0].tolist():
+            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        chunks.append(np.nonzero(flags)[0].astype(np.int64) + lo)
+    return np.concatenate(chunks)
+
+
+# the largest sieve limit: 2.6 GB at the peak of an int64 table
+MAX_SIEVE_LIMIT = 200_000_000
+
+
+def _sieve(limit: int, dtype, prime_power, large_prime) -> np.ndarray:
+    """The multiplicative f on [0, limit] as an array of ``dtype``, f(0) = 0.
+
+    From table = 1, for p <= max(2, sqrt(limit)) then p^e <= limit, both
+    increasing: table[p^e::p^e] = prime_power(table[p^e::p^e], p, e).  Every
+    other n is s P with one prime P > sqrt(limit); s < sqrt(limit), so
+    table[s] is final, and table[s P] = large_prime(table[s], P) for all such
+    P at once.  The peak is the table, its product at p = 2 (half a table)
+    and the primes <= limit, which with the last products stay under a byte
+    per entry for limit >= 1e6.
+    """
+    if limit > MAX_SIEVE_LIMIT:
+        peak = (3 * np.dtype(dtype).itemsize + 2) * (limit + 1) // 2
+        raise ResourceLimitError(
+            f"sieve limit {limit} exceeds configured cap {MAX_SIEVE_LIMIT} (its "
+            f"{np.dtype(dtype)} table would peak below {peak} bytes)"
+        )
+    primes = prime_array(limit)
+    table = np.ones(limit + 1, dtype=dtype)
+    table[:1] = 0
+    root = max(math.isqrt(limit), 2)
+    cut = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:cut].tolist():
+        pk, e = p, 1
+        while pk <= limit:
+            table[pk::pk] = prime_power(table[pk::pk], p, e)
+            pk, e = pk * p, e + 1
+    large = primes[cut:]
+    for s in range(1, limit // (root + 1) + 1):
+        if table[s]:
+            P = large[: np.searchsorted(large, limit // s, side="right")]
+            table[s * P] = large_prime(table[s], P)
+    return table
+
+
+def jordan_table(limit: int, k: int) -> np.ndarray:
+    """Jordan's totient J_k(n) = n^k prod_{p | n} (1 - p^-k), n = 0..limit,
+    as int64 (exact while limit^k < 2^63); J_1 is Euler's phi."""
+    return _sieve(
+        limit,
+        np.int64,
+        lambda v, p, e: v * (p**k - 1 if e == 1 else p**k),
+        lambda x, P: x * (P**k - 1),
+    )
+
+
+def mobius_table(limit: int) -> np.ndarray:
+    """The Mobius function mu(n), n = 0..limit, as int8."""
+    return _sieve(limit, np.int8, lambda v, p, e: -v if e == 1 else 0, lambda x, P: -x)
 
 
 @dataclass(frozen=True)
@@ -118,46 +180,9 @@ class SieveTables:
     mobius: np.ndarray
 
 
-# tracemalloc peak bytes per entry of build_sieves: int64 phi, int8 mu and
-# int64 rest, plus the int64 quotients phi[2::2] // 2 of the first prime
-_SIEVE_ENTRY_BYTES = 21
-# the largest sieve limit: 4.2 GB at its peak
-MAX_SIEVE_LIMIT = 200_000_000
-
-
 def build_sieves(limit: int) -> SieveTables:
-    """Build phi/mu tables up to ``limit``.
-
-    One vectorized pass per prime p <= sqrt(limit) fills phi and mu and
-    divides the powers of p out of ``rest``.  What is left in ``rest`` is 1
-    or the single prime factor above sqrt(limit), applied to phi and mu in
-    one array step.
-    """
-    if limit < 2:
-        raise ValueError("limit must be >= 2")
-    if limit > MAX_SIEVE_LIMIT:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds configured cap {MAX_SIEVE_LIMIT} (building "
-            f"its tables would peak at {_SIEVE_ENTRY_BYTES * (limit + 1)} bytes)"
-        )
-    n = limit + 1
-    phi = np.arange(n, dtype=np.int64)
-    mu = np.ones(n, dtype=np.int8)
-    mu[0] = 0
-    rest = np.arange(n, dtype=np.int64)
-    for p in prime_array(math.isqrt(limit)).tolist():
-        phi[p::p] -= phi[p::p] // p
-        mu[p::p] = -mu[p::p]
-        mu[p * p :: p * p] = 0
-        pk = p
-        while pk <= limit:
-            rest[pk::pk] //= p
-            pk *= p
-    big = rest > 1
-    np.negative(mu, out=mu, where=big)
-    np.floor_divide(phi, rest, out=rest, where=big)
-    np.subtract(phi, rest, out=phi, where=big)
-    return SieveTables(limit, phi, mu)
+    """phi (int64) and mu (int8) up to ``limit``, mu sieved after phi."""
+    return SieveTables(limit, jordan_table(limit, 1), mobius_table(limit))
 
 
 # ---------------------------------------------------------------------------
@@ -211,33 +236,31 @@ def coeff_b(n: int) -> Fraction:
 
 
 def coeff_a_floats(limit: int) -> np.ndarray:
-    """a(n) for n = 0..limit as float64 (a[0] = 0), built multiplicatively."""
-    a = np.ones(limit + 1)
-    a[0] = 0.0
-    if limit >= 2:
-        a[2::2] *= -0.5
-    if limit >= 4:
-        a[4::4] = 0.0
-    for p in map(int, prime_array(limit)[1:]):  # odd primes; 2 is done above
-        a[p::p] *= 2.0 / (p * (p - 2))
-        if p * p <= limit:
-            a[p * p :: p * p] *= -0.5
-        if p * p * p <= limit:
-            a[p * p * p :: p * p * p] = 0.0
-    return a
+    """a(n) for n = 0..limit as float64 (a[0] = 0): per odd p | n, p
+    increasing, one rounded 2/(p(p-2)) and one rounded product (-1/2 and 0
+    are exact), so |error| <= gamma_{2w} |a(n)|, w = #{odd p | n},
+    gamma_m = m u/(1 - m u), u = 2^-53."""
+
+    def prime_power(v, p, e):  # a(p^e)/a(p^(e-1)), or 0 once a(p^e) is 0
+        if e == 1:
+            return v * (-0.5 if p == 2 else 2.0 / (p * (p - 2)))
+        return v * -0.5 if e == 2 and p > 2 else 0.0
+
+    return _sieve(
+        limit, np.float64, prime_power, lambda x, P: x * (2.0 / (P * (P - 2)))
+    )
 
 
 def coeff_b_floats(limit: int) -> np.ndarray:
-    """b(n) for n = 0..limit as float64 (zero off odd squarefree support)."""
-    b = np.ones(limit + 1)
-    b[0] = 0.0
-    if limit >= 2:
-        b[2::2] = 0.0
-    for p in map(int, prime_array(limit)[1:]):  # odd primes; 2 is done above
-        b[p::p] /= p - 2
-        if p * p <= limit:
-            b[p * p :: p * p] = 0.0
-    return b
+    """b(n) for n = 0..limit as float64 (zero off odd squarefree support):
+    1 divided by p - 2 for each p | n, p increasing, one rounding each, so
+    |error| <= gamma_w |b(n)|, w = #{p | n}, gamma_m = m u/(1 - m u)."""
+    return _sieve(
+        limit,
+        np.float64,
+        lambda v, p, e: v / (p - 2) if e == 1 and p > 2 else 0.0,
+        lambda x, P: x / (P - 2),
+    )
 
 
 def coeff_b_fractions(limit: int) -> list[Fraction]:

@@ -21,11 +21,11 @@ import numpy as np
 from .correlations import b_exact
 from .errors import ResourceLimitError
 from .foundations import (
-    build_sieves,
     coeff_b_floats,
     coeff_b_fractions,
     constant_C,
-    prime_array,
+    jordan_table,
+    mobius_table,
     psi,
 )
 
@@ -77,20 +77,11 @@ def _support_weights(kind: str, B: int) -> np.ndarray:
     if kind == "s":
         w = 1.0 / n
     elif kind == "R":
-        w = build_sieves(max(B, 2)).mobius[: B + 1].astype(float) / n
+        w = mobius_table(B) / n
     else:
         raise ValueError(f"unknown moment kind {kind!r}")
     w[0] = 0.0
     return w
-
-
-def _jordan_totient2(B: int) -> np.ndarray:
-    d = np.arange(B + 1, dtype=np.int64)
-    J = d * d
-    for p in map(int, prime_array(B)):
-        J[p::p] //= p * p
-        J[p::p] *= p * p - 1
-    return J
 
 
 def _second_moment(kind: str, B: int) -> float:
@@ -99,7 +90,7 @@ def _second_moment(kind: str, B: int) -> float:
     n = np.arange(B + 1, dtype=float)
     n[0] = 1.0
     f = w / n
-    J = _jordan_totient2(B).astype(float)
+    J = jordan_table(B, 2).astype(float)
     total = 0.0
     for dd in range(1, B + 1):
         t = float(np.sum(f[dd::dd]))

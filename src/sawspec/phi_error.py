@@ -49,7 +49,7 @@ import numpy as np
 
 from .correlations import b_exact
 from .errors import ResourceLimitError
-from .foundations import _SIEVE_ENTRY_BYTES, SieveTables, build_sieves, psi_array
+from .foundations import SieveTables, jordan_table, mobius_table, psi_array
 
 __all__ = [
     "PhiAccumulator",
@@ -82,17 +82,15 @@ def build_phi_accumulator(y: int, sieves: SieveTables | None = None) -> PhiAccum
     if y < 2:
         raise ValueError("y must be >= 2")
     if y > 100_000_000:
-        # the sieve's peak is the accumulator's: its tables and the int64
-        # prefix hold 9 + 8 bytes per entry once it is built
+        # phi and the prefix, int64 each, outweigh the sieve's own peak
         raise ResourceLimitError(
             f"y = {y} exceeds the accumulator cap 1e8, below which the prefix "
-            f"sums stay exact in a float64 view (~1.7e8); building the sieve "
-            f"and prefix would peak at {_SIEVE_ENTRY_BYTES * (y + 1)} bytes"
+            f"sums stay exact in a float64 view (~1.7e8); the phi table and "
+            f"prefix would peak at {16 * (y + 1)} bytes"
         )
-    if sieves is None or sieves.limit < y:
-        sieves = build_sieves(y)
+    phi = jordan_table(y, 1) if sieves is None or sieves.limit < y else sieves.euler_phi
     prefix = np.zeros(y + 1, dtype=np.int64)
-    np.cumsum(sieves.euler_phi[: y + 1], out=prefix)
+    np.cumsum(phi[: y + 1], out=prefix)
     return PhiAccumulator(y, prefix)
 
 
@@ -192,7 +190,7 @@ def rtilde_truncated_model(u, N: int):
     """-sum_{n <= N} (mu(n)/n) psi(u/n): the truncated sawtooth model."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    mu = build_sieves(max(N, 2)).mobius
+    mu = mobius_table(N)
     us = np.asarray(u, dtype=float)
     total = np.zeros_like(us)
     for n in range(1, N + 1):

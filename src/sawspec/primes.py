@@ -1,6 +1,6 @@
-"""Segmented prime sieve (its base primes from ``foundations.prime_array``),
-consecutive-prime residue census, and the observed-vs-predicted reports for
-the pattern frequency conjecture."""
+"""Consecutive-prime residue census (its primes from
+``foundations.prime_array``) and the observed-vs-predicted reports for the
+pattern frequency conjecture."""
 
 from __future__ import annotations
 
@@ -24,31 +24,12 @@ __all__ = [
 ]
 
 
-def _segmented_primes(limit: int, segment: int = 1 << 22) -> np.ndarray:
-    if limit <= segment:
-        return prime_array(limit)
-    base = prime_array(math.isqrt(limit))
-    chunks = [base]
-    start = math.isqrt(limit) + 1
-    for seg_lo in range(start, limit + 1, segment):
-        seg_hi = min(seg_lo + segment - 1, limit)
-        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            first = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if first > seg_hi:
-                continue
-            flags[first - seg_lo :: p] = False
-        chunks.append(np.nonzero(flags)[0].astype(np.int64) + seg_lo)
-    return np.concatenate(chunks)
-
-
 def primes_with_successors(x: int, extra: int) -> tuple[np.ndarray, int]:
     """All primes <= x plus at least ``extra`` primes beyond; returns the
     array and the count of primes <= x."""
     margin = 200 * (extra + 1) + 2000
     while True:
-        ps = _segmented_primes(x + margin)
+        ps = prime_array(x + margin)
         n_main = int(np.searchsorted(ps, x, side="right"))
         if len(ps) - n_main >= extra:
             return ps, n_main

@@ -191,6 +191,15 @@ class TestBuildTable:
                 half.bias_sums[n] if n < H else -half.bias_sums[n - H]
             )
 
+    @pytest.mark.parametrize("a", [0, 101, -202])
+    def test_zero_residue_is_refused(self, table_101, a):
+        # index[0] is the sentinel -1, which read as a group index would give
+        # bias_sums[-1] and chi_j(g^-1)
+        with pytest.raises(ValueError):
+            table_101.bias_sum(a)
+        with pytest.raises(ValueError):
+            table_101.chi_bar(a)
+
     def test_principal_sawtooth_sum_is_zero(self):
         # sum_a psi(a/q) = 0, so the principal row vanishes before zeroing too
         q = 101

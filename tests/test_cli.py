@@ -243,11 +243,12 @@ class TestExitCodes:
         ],
     )
     def test_accumulator_cap_is_3(self, capsys, argv):
-        # rejected before the sieve is built, with the bytes its peak would need
+        # rejected before the sieve is built, with the bytes its peak would
+        # need: phi and the prefix, int64 each
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert "2100000042 bytes" in err
+        assert "1600000032 bytes" in err
 
     def test_spectrum_cap_is_3(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")

@@ -10,8 +10,11 @@ from sawspec.foundations import (
     coeff_a,
     coeff_a_floats,
     coeff_b,
+    coeff_b_floats,
     constant_C,
     factorize,
+    jordan_table,
+    mobius_table,
     mod_inverse,
     prime_array,
     psi,
@@ -90,6 +93,21 @@ def _phi_trial(n):
     return out
 
 
+def _jordan2_trial(n):
+    # J_2(n) = n^2 prod_{p | n} (1 - 1/p^2)
+    out = n * n
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out -= out // (d * d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out -= out // (n * n)
+    return out
+
+
 def _mu_trial(n):
     mu = 1
     d = 2
@@ -146,21 +164,71 @@ class TestSieves:
 
     def test_small_limits_against_trial_division(self):
         # every limit up to 200 passes p^2 - 1, p^2 and p^2 + 1 for
-        # p <= 13, where the largest sieving prime sqrt(limit) changes
-        for limit in range(2, 201):
-            s = build_sieves(limit)
-            assert s.euler_phi[0] == 0 and s.mobius[0] == 0, limit
+        # p <= 13, where the largest sieving prime sqrt(limit) changes; at
+        # limits 2 and 3 the primes 2 and 3 lie above sqrt(limit)
+        for limit in range(0, 201):
+            phi, mu, j2 = jordan_table(limit, 1), mobius_table(limit), jordan_table(limit, 2)
+            assert len(phi) == len(mu) == len(j2) == limit + 1
+            assert phi[0] == mu[0] == j2[0] == 0, limit
             for n in range(1, limit + 1):
-                assert s.euler_phi[n] == _phi_trial(n), (limit, n)
-                assert s.mobius[n] == _mu_trial(n), (limit, n)
+                assert phi[n] == _phi_trial(n), (limit, n)
+                assert mu[n] == _mu_trial(n), (limit, n)
+                assert j2[n] == _jordan2_trial(n), (limit, n)
+            s = build_sieves(limit)
+            assert np.array_equal(s.euler_phi, phi) and np.array_equal(s.mobius, mu)
+
+    def test_callers_sieve_only_the_table_they_read(self, monkeypatch):
+        # the totient path fills phi alone (int64), the mu readers mu alone (int8)
+        import sawspec as sw
+        import sawspec.foundations as fnd
+
+        sieve, dtypes = fnd._sieve, []
+
+        def spy(limit, dtype, *steps):
+            dtypes.append(np.dtype(dtype))
+            return sieve(limit, dtype, *steps)
+
+        monkeypatch.setattr(fnd, "_sieve", spy)
+        for call, want in [
+            (lambda: sw.build_phi_accumulator(1000), np.int64),
+            (lambda: sw.theoretical_moment("R", 4, 30), np.int8),
+            (lambda: sw.rtilde_truncated_model(0.5, 30), np.int8),
+        ]:
+            dtypes.clear()
+            call()
+            assert dtypes == [np.dtype(want)]
+
+    @pytest.mark.parametrize("limit", [10**6, 10**7])
+    def test_peak_below_the_cap_figure(self, limit):
+        # the cap message states (1.5 itemsize + 1) bytes per entry: the
+        # table, its product at p = 2 and under a byte of primes and products
+        import tracemalloc
+
+        for build, dtype in [
+            (lambda: jordan_table(limit, 1), np.int64),
+            (lambda: build_sieves(limit), np.int64),
+            (lambda: mobius_table(limit), np.int8),
+            (lambda: coeff_a_floats(limit), np.float64),
+            (lambda: coeff_b_floats(limit), np.float64),
+        ]:
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = np.dtype(dtype).itemsize
+            assert size * (limit + 1) < peak < (1.5 * size + 1) * (limit + 1), dtype
 
     def test_resource_cap(self):
         from sawspec.errors import ResourceLimitError
 
-        # a peak of 21 bytes per entry: int64 phi, int8 mu, int64 rest and
-        # the int64 quotients of the first prime
-        with pytest.raises(ResourceLimitError, match=r"4200000042 bytes"):
+        # below 13 bytes per entry: phi, its product at p = 2 and the primes
+        with pytest.raises(ResourceLimitError, match=r"2600000026 bytes"):
             build_sieves(200_000_001)
+        # below 2.5 bytes per entry for mu alone
+        with pytest.raises(ResourceLimitError, match=r"500000005 bytes"):
+            mobius_table(200_000_001)
 
 
 _IS_PRIME_1M = np.zeros(10**6 + 1, dtype=bool)
@@ -227,6 +295,32 @@ class TestCoefficients:
                 d += 1
             assert conv == coeff_b(n), n
 
+    def test_float_tables_within_error_contract(self):
+        # every limit up to 200: sqrt(limit) changes, and 2 or 3 is the
+        # largest prime; the bounds are the docstrings' gamma_{2w} and gamma_w
+        u = Fraction(1, 2**53)
+
+        def gamma(m):
+            return m * u / (1 - m * u)
+
+        for limit in range(0, 201):
+            a, b = coeff_a_floats(limit), coeff_b_floats(limit)
+            assert len(a) == len(b) == limit + 1
+            assert a[0] == b[0] == 0, limit
+            for n in range(1, limit + 1):
+                w = sum(1 for p, _ in factorize(n) if p > 2)
+                exact = coeff_a(n)
+                assert abs(Fraction(a[n]) - exact) <= gamma(2 * w) * abs(exact), (limit, n)
+                exact = coeff_b(n)
+                assert abs(Fraction(b[n]) - exact) <= gamma(w) * abs(exact), (limit, n)
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 100, 1000, 10**6])
+    def test_float_tables_match_prime_loop_bitwise(self, limit):
+        # the reference loops over every prime <= limit, p increasing, with
+        # the same operations per entry as the sieve, so the bits agree
+        assert coeff_a_floats(limit).tobytes() == _a_floats_prime_loop(limit).tobytes()
+        assert coeff_b_floats(limit).tobytes() == _b_floats_prime_loop(limit).tobytes()
+
     def test_float_tables_match_exact(self):
         a = coeff_a_floats(3000)
         for n in (1, 2, 3, 4, 8, 9, 15, 45, 105, 2048, 2310):
@@ -245,6 +339,28 @@ class TestCoefficients:
         assert all(t > 0 for t in tails)
         slope = np.polyfit(np.log(grid), np.log(tails), 1)[0]
         assert slope <= -0.4
+
+
+def _a_floats_prime_loop(limit):
+    a = np.ones(limit + 1)
+    a[0] = 0.0
+    a[2::2] *= -0.5
+    a[4::4] = 0.0
+    for p in prime_array(limit)[1:].tolist():
+        a[p::p] *= 2.0 / (p * (p - 2))
+        a[p * p :: p * p] *= -0.5
+        a[p**3 :: p**3] = 0.0
+    return a
+
+
+def _b_floats_prime_loop(limit):
+    b = np.ones(limit + 1)
+    b[0] = 0.0
+    b[2::2] = 0.0
+    for p in prime_array(limit)[1:].tolist():
+        b[p::p] /= p - 2
+        b[p * p :: p * p] = 0.0
+    return b
 
 
 class TestConstant:

@@ -40,6 +40,21 @@ class TestRValues:
         assert np.all(diffs > 0)
         assert acc_1m.phi(10) == 4
 
+    def test_peak_is_phi_and_prefix(self):
+        # the cap message states 16 bytes per entry: phi and the prefix,
+        # int64 each, above the sieve's own peak
+        import tracemalloc
+
+        y = 10**6
+        tracemalloc.start()
+        try:
+            acc = sw.build_phi_accumulator(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 16 * (y + 1) <= peak < 16.01 * (y + 1)
+        assert np.array_equal(acc.prefix, np.cumsum(sw.build_sieves(y).euler_phi))
+
     def test_sign_changes(self, acc_1m):
         vals = np.array([sw.r_values(x, acc_1m)[0] for x in range(1, 10_001)])
         assert np.any(vals > 0) and np.any(vals < 0)

@@ -19,12 +19,19 @@ class TestSieve:
     def test_counts(self):
         assert len(prime_array(10**6)) == 78498
 
-    def test_segmented_matches_simple(self):
-        from sawspec.primes import _segmented_primes
+    def test_count_to_1e7(self):
+        assert len(prime_array(10**7)) == 664_579
 
-        simple = prime_array(3 * 10**5)
-        segmented = _segmented_primes(3 * 10**5, segment=1 << 12)
-        assert np.array_equal(simple, segmented)
+    def test_segment_boundaries_against_miller_rabin(self):
+        # the primes <= isqrt(10^7) = 3162 strike out (3162, 10^7] in
+        # segments of 2^22 entries; every n within 100 of a segment's ends
+        ps = set(prime_array(10**7).tolist())
+        ends = [10**7]
+        for lo in range(math.isqrt(10**7) + 1, 10**7 + 1, 1 << 22):
+            ends += [lo, min(lo + (1 << 22) - 1, 10**7)]
+        for end in ends:
+            for n in range(end - 100, min(end + 100, 10**7) + 1):
+                assert (n in ps) == sw.is_prime(n), n
 
     def test_successor_margin(self):
         ps, n_main = primes_with_successors(100, 3)
