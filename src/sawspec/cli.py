@@ -1,5 +1,10 @@
 """Command-line front end: one subcommand per analysis surface.
 
+Each subcommand is one ``_cmd_*`` function that owns its command: it checks
+the flags argparse cannot check alone, picks its output format from the
+formats it offers, computes and writes.  A flag value outside the command's
+domain is a usage error, reported before any work is done.
+
 Every command emits CSV (header row, fixed column order, ``#`` metadata
 lines) or JSON (stable key order with a meta block); numbers are printed
 with 12 significant digits and exact rationals as "num/den".  Outputs are
@@ -120,6 +125,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _prime(text: str) -> int:
+    value = int(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"expected a prime, got {text}")
+    return value
+
+
+def _odd_prime(text: str) -> int:
+    value = _prime(text)
+    if value == 2:
+        raise argparse.ArgumentTypeError("expected an odd prime, got 2")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         items = tuple(int(v) for v in text.replace(" ", "").split(",") if v)
@@ -141,24 +160,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--output", default=None, help="file path (default stdout)")
-        p.set_defaults(usage_error=p.error)  # prints the subcommand usage, exits 2
+        p.set_defaults(run=run, usage_error=p.error)  # prints the usage, exits 2
+        return p
 
-    p = sub.add_parser("dedekind", help="exact Dedekind sum s_q(a)")
+    p = command("dedekind", _cmd_dedekind, "exact Dedekind sum s_q(a)")
     p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--method", choices=("direct", "reciprocity"), default="reciprocity")
-    common(p)
 
-    p = sub.add_parser("spectrum", help="Fourier transform of the Dedekind sums")
-    p.add_argument("--q", type=_positive_int, required=True)
+    p = command("spectrum", _cmd_spectrum, "Fourier transform of the Dedekind sums")
+    p.add_argument("--q", type=_odd_prime, required=True)
     p.add_argument("--algorithm", choices=("naive", "chirp-z"), default="chirp-z")
-    common(p)
 
-    p = sub.add_parser("ck", help="bias constants C(k), k = 1..q-1")
-    p.add_argument("--q", type=_positive_int, required=True)
+    p = command("ck", _cmd_ck, "bias constants C(k), k = 1..q-1")
+    p.add_argument("--q", type=_odd_prime, required=True)
     p.add_argument("--method", choices=("characters", "truncated"), default="characters")
     p.add_argument("--N", type=_positive_int, default=None, help="series cutoff")
     p.add_argument(
@@ -166,32 +185,28 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit 2 e^-gamma C(k) (the distributional normalization)",
     )
-    common(p)
 
-    p = sub.add_parser("c2", help="second-order pattern constant")
-    p.add_argument("--q", type=_positive_int, required=True)
+    p = command("c2", _cmd_c2, "second-order pattern constant")
+    p.add_argument("--q", type=_odd_prime, required=True)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--pattern", type=_int_list, default=None)
-    common(p)
 
-    p = sub.add_parser("bcorr", help="sawtooth correlation integral")
+    p = command("bcorr", _cmd_bcorr, "sawtooth correlation integral")
     p.add_argument("--moduli", type=_int_list, required=True)
     p.add_argument("--method", choices=("exact", "lattice", "discrete"), default="exact")
     p.add_argument("--K", type=_positive_int, default=100, help="lattice box size")
     p.add_argument("--q", type=_positive_int, default=None, help="discrete modulus")
     p.add_argument("--lcm-cap", type=_positive_int, default=1_000_000)
-    common(p)
 
-    p = sub.add_parser("moments", help="theoretical moments by tuple sums")
+    p = command("moments", _cmd_moments, "theoretical moments by tuple sums")
     p.add_argument("--kind", choices=("C", "s", "R"), required=True)
     p.add_argument("--ell", type=_positive_int, required=True)
     p.add_argument("--B", type=_positive_int, required=True)
-    common(p)
 
-    p = sub.add_parser("dist", help="empirical distribution statistics")
+    p = command("dist", _cmd_dist, "empirical distribution statistics")
     p.add_argument("--source", choices=("ck", "spectrum", "rtilde"), required=True)
-    p.add_argument("--q", type=_positive_int, default=None)
+    p.add_argument("--q", type=_odd_prime, default=None)
     p.add_argument("--y", type=_positive_int, default=None)
     p.add_argument(
         "--stat",
@@ -200,18 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, default=0, help="shift for almost-period")
     p.add_argument("--grid", type=_positive_int, default=61, help="ecdf grid points")
-    common(p)
 
-    p = sub.add_parser("phi", help="totient summatory error term")
+    p = command("phi", _cmd_phi, "totient summatory error term")
     p.add_argument("--y", type=_positive_int, required=True)
     p.add_argument("--stat", choices=("moments", "hist", "values"), default="moments")
     p.add_argument("--ell", type=_positive_int, default=2)
     p.add_argument("--x", type=float, default=None)
-    common(p)
 
-    p = sub.add_parser("primes", help="consecutive-prime residue census")
+    p = command("primes", _cmd_primes, "consecutive-prime residue census")
     p.add_argument("--x", type=_positive_int, required=True)
-    p.add_argument("--q", type=_positive_int, required=True)
+    p.add_argument("--q", type=_prime, required=True)
     p.add_argument("--r", type=_positive_int, default=2)
     p.add_argument(
         "--report-pattern",
@@ -219,24 +232,46 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="emit the conjecture-comparison report for this pattern",
     )
-    common(p)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
-# command bodies
+# command bodies: each checks what argparse cannot, picks its format, then
+# computes and writes
+
+
+def _format(args, *offered: str) -> str:
+    """``--format`` when this output offers it, else the first offered."""
+    if args.format is None:
+        return offered[0]
+    if args.format not in offered:
+        args.usage_error(
+            f"--format {args.format} is not available here; this output is {offered[0]}"
+        )
+    return args.format
+
+
+def _check_residues(args, residues) -> None:
+    for r in residues:
+        # r % q catches q = 1, where gcd(r, 1) = 1 for every r
+        if r % args.q == 0 or math.gcd(r, args.q) != 1:
+            args.usage_error(
+                f"need residues coprime to --q {args.q} and nonzero mod it, got {r}"
+            )
 
 
 def _cmd_dedekind(args) -> int:
+    _check_residues(args, (args.a,))
+    fmt = _format(args, "text", "csv", "json")
     value = dedekind_sum(args.q, args.a, args.method)
-    if args.format == "json":
+    if fmt == "json":
         emit_json(
             {"q": args.q, "a": args.a, "method": args.method, "value": value},
             args,
             {},
         )
-    elif args.format == "csv":
+    elif fmt == "csv":
         emit_csv(
             ("q", "a", "method", "s_q_a"),
             [(args.q, args.a, args.method, value)],
@@ -249,9 +284,9 @@ def _cmd_dedekind(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    fmt = _format(args, "csv", "json")
     spec = spectrum_all(args.q, args.algorithm)
-    meta = {"q": args.q, "algorithm": args.algorithm}
-    if args.format == "json":
+    if fmt == "json":
         emit_json(
             {"q": args.q, "im_s_hat": list(spec.values)},
             args,
@@ -259,11 +294,12 @@ def _cmd_spectrum(args) -> int:
         )
     else:
         rows = [(t, float(v)) for t, v in enumerate(spec.values)]
-        emit_csv(("t", "im_s_hat"), rows, args, meta)
+        emit_csv(("t", "im_s_hat"), rows, args, {"q": args.q, "algorithm": args.algorithm})
     return EXIT_OK
 
 
 def _cmd_ck(args) -> int:
+    fmt = _format(args, "csv", "json")
     if args.method == "characters":
         table = build_table(args.q)
         vec = ck_all(args.q, "characters", table=table)
@@ -276,7 +312,7 @@ def _cmd_ck(args) -> int:
         scale_note = "2/e^gamma"
     meta = {"q": args.q, "method": vec.method, "scale": scale_note}
     meta.update(vec.truncation)
-    if args.format == "json":
+    if fmt == "json":
         emit_json({"q": args.q, "c_k": list(values)}, args, meta)
     else:
         rows = [(k + 1, float(v)) for k, v in enumerate(values)]
@@ -285,20 +321,26 @@ def _cmd_ck(args) -> int:
 
 
 def _cmd_c2(args) -> int:
+    residues = args.pattern if args.pattern is not None else (args.a, args.b)
+    if None in residues:
+        args.usage_error("need --pattern or both --a and --b")
+    if len(residues) < 2:
+        args.usage_error("need a --pattern of length >= 2")
+    _check_residues(args, residues)
+    fmt = _format(args, "json", "csv")
     table = build_table(args.q)
     if args.pattern is not None:
         pattern = Pattern(args.q, args.pattern)
-        value = c2_pattern(pattern, table)
         payload = {
             "q": args.q,
             "pattern": list(args.pattern),
             "c1": c1_pattern(pattern),
-            "c2": value,
+            "c2": c2_pattern(pattern, table),
         }
     else:
         value = c2_pair(args.q, args.a, args.b, table)
         payload = {"q": args.q, "a": args.a, "b": args.b, "c2": value}
-    if args.format == "csv":
+    if fmt == "csv":
         emit_csv(tuple(payload), [tuple(payload.values())], args, {"command": "c2"})
     else:
         emit_json(payload, args, {"a_series_cutoff": table.cutoff})
@@ -307,6 +349,16 @@ def _cmd_c2(args) -> int:
 
 def _cmd_bcorr(args) -> int:
     mods = args.moduli
+    if min(mods) < 1:
+        args.usage_error("need positive --moduli")
+    if args.method == "lattice" and len(mods) % 2:
+        args.usage_error("the lattice route needs an even number of --moduli")
+    if args.method == "discrete":
+        if args.q is None:
+            args.usage_error("the discrete route needs --q")
+        if any(math.gcd(n, args.q) != 1 for n in mods):
+            args.usage_error(f"need --moduli coprime to --q {args.q}")
+    _format(args, "json")
     payload: dict = {"moduli": list(mods), "method": args.method}
     if args.method == "exact":
         value = b_exact(mods, lcm_cap=args.lcm_cap)
@@ -319,10 +371,7 @@ def _cmd_bcorr(args) -> int:
         payload["K"] = args.K
     else:
         value = discrete_correlation(args.q, mods)
-        K = 1
-        for n in mods:
-            K *= n
-        K //= min(mods)
+        K = math.prod(mods) // min(mods)
         ell = len(mods)
         payload["value"] = value
         payload["q"] = args.q
@@ -332,6 +381,7 @@ def _cmd_bcorr(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    fmt = _format(args, "json", "csv")
     est = theoretical_moment(args.kind, args.ell, args.B)
     payload = {
         "kind": est.kind,
@@ -340,25 +390,28 @@ def _cmd_moments(args) -> int:
         "value": est.value,
         "tail_note": est.tail_note,
     }
-    if args.format == "csv":
+    if fmt == "csv":
         emit_csv(tuple(payload), [tuple(payload.values())], args, {"command": "moments"})
     else:
         emit_json(payload, args, {"B": args.B})
     return EXIT_OK
 
 
-def _dist_dataset(args):
-    if args.source == "ck":
-        table = build_table(args.q)
-        return from_ck_vector(ck_all(args.q, "characters", table=table))
-    if args.source == "spectrum":
-        return from_spectrum(spectrum_all(args.q))
-    acc = build_phi_accumulator(args.y)
-    return make_distribution("R", rtilde_samples(acc))
-
-
 def _cmd_dist(args) -> int:
-    dist = _dist_dataset(args)
+    flag = "y" if args.source == "rtilde" else "q"
+    if getattr(args, flag) is None:
+        args.usage_error(f"--source {args.source} needs --{flag}")
+    if args.source == "rtilde" and args.y < 2:
+        args.usage_error("need --y >= 2")
+    if args.source == "rtilde" and args.stat == "almost-period":
+        args.usage_error("--stat almost-period needs a residue-indexed --source: ck or spectrum")
+    _format(args, "json" if args.stat in ("summary", "almost-period") else "csv")
+    if args.source == "ck":
+        dist = from_ck_vector(ck_all(args.q, "characters", table=build_table(args.q)))
+    elif args.source == "spectrum":
+        dist = from_spectrum(spectrum_all(args.q))
+    else:
+        dist = make_distribution("R", rtilde_samples(build_phi_accumulator(args.y)))
     meta = {"source": args.source, "scale": dist.scale}
     if args.q is not None:
         meta["q"] = args.q
@@ -386,10 +439,17 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    if args.y < 2:
+        args.usage_error("need --y >= 2")
+    x = args.x if args.x is not None else float(args.y)
+    if args.stat == "values" and not 0 < x <= args.y:
+        args.usage_error(f"need --x in (0, {args.y}], got {x}")
+    if args.stat == "moments" and args.ell > MAX_MOMENT_ORDER:
+        args.usage_error(f"need --ell in [1, {MAX_MOMENT_ORDER}] for --stat moments")
+    _format(args, "json" if args.stat == "values" else "csv")
     acc = build_phi_accumulator(args.y)
     meta = {"y": args.y}
     if args.stat == "values":
-        x = args.x if args.x is not None else float(args.y)
         R, Rt = r_values(x, acc)
         emit_json({"x": x, "R": R, "R_tilde": Rt}, args, meta)
     elif args.stat == "moments":
@@ -402,9 +462,19 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_primes(args) -> int:
+    if args.x < 2:
+        args.usage_error("need --x >= 2")
+    residues = args.report_pattern
+    if residues is not None:
+        _check_residues(args, residues)
+        if len(residues) != args.r:
+            args.usage_error(f"need --r {len(residues)}, the --report-pattern length")
+        if len(residues) >= 2 and args.q == 2:
+            args.usage_error("a --report-pattern of length >= 2 needs an odd --q")
+    _format(args, "csv" if residues is None else "json")
     census = pattern_census(args.x, args.q, args.r)
-    if args.report_pattern is not None:
-        pattern = Pattern(args.q, args.report_pattern)
+    if residues is not None:
+        pattern = Pattern(args.q, residues)
         table = build_table(args.q) if pattern.r >= 2 else None
         report = conjecture_report(args.x, args.q, pattern, table, census)
         emit_json(report, args, {"x": args.x})
@@ -418,84 +488,10 @@ def _cmd_primes(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "dedekind": _cmd_dedekind,
-    "spectrum": _cmd_spectrum,
-    "ck": _cmd_ck,
-    "c2": _cmd_c2,
-    "bcorr": _cmd_bcorr,
-    "moments": _cmd_moments,
-    "dist": _cmd_dist,
-    "phi": _cmd_phi,
-    "primes": _cmd_primes,
-}
-
-
-def _flag_combination_error(args) -> str | None:
-    """What is wrong with the flags that argparse cannot check alone: a
-    missing combination or a value outside the command's domain."""
-    if args.command == "c2":
-        if args.pattern is None and (args.a is None or args.b is None):
-            return "need --pattern or both --a and --b"
-        if args.pattern is not None and len(args.pattern) < 2:
-            return "need a --pattern of length >= 2"
-    if args.command == "bcorr" and args.method == "discrete" and args.q is None:
-        return "the discrete route needs --q"
-    if args.command == "dist":
-        flag = "y" if args.source == "rtilde" else "q"
-        if getattr(args, flag) is None:
-            return f"--source {args.source} needs --{flag}"
-    if args.command in ("spectrum", "ck", "c2") or (
-        args.command == "dist" and args.source != "rtilde"
-    ):
-        if args.q < 3 or not is_prime(args.q):
-            return f"need --q an odd prime, got {args.q}"
-    if args.command == "primes" and not is_prime(args.q):
-        return f"need --q a prime, got {args.q}"
-    residues = ()
-    if args.command == "dedekind":
-        residues = (args.a,)
-    elif args.command == "c2":
-        residues = args.pattern if args.pattern is not None else (args.a, args.b)
-    elif args.command == "primes" and args.report_pattern is not None:
-        residues = args.report_pattern
-    for r in residues:
-        # r % q catches q = 1, where gcd(r, 1) = 1 for every r
-        if r % args.q == 0 or math.gcd(r, args.q) != 1:
-            return f"need residues coprime to --q {args.q} and nonzero mod it, got {r}"
-    if args.command == "phi" or (args.command == "dist" and args.source == "rtilde"):
-        if args.y < 2:
-            return "need --y >= 2"
-    if args.command == "phi" and args.stat == "moments":
-        if args.ell > MAX_MOMENT_ORDER:
-            return f"need --ell in [1, {MAX_MOMENT_ORDER}] for --stat moments"
-    only = _single_format(args)
-    if args.format is not None and only not in (None, args.format):
-        return f"--format {args.format} is not available here; this output is {only}"
-    return None
-
-
-def _single_format(args) -> str | None:
-    """The one format a command (or its --stat) emits, None where --format
-    chooses."""
-    if args.command == "bcorr":
-        return "json"
-    if args.command == "dist":
-        return "json" if args.stat in ("summary", "almost-period") else "csv"
-    if args.command == "phi":
-        return "json" if args.stat == "values" else "csv"
-    if args.command == "primes":
-        return "json" if args.report_pattern is not None else "csv"
-    return None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _flag_combination_error(args)
-    if problem is not None:
-        args.usage_error(problem)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except ResourceLimitError as exc:
         print(f"sawspec: resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -80,32 +80,19 @@ def _integrate_reduced(moduli: tuple[int, ...], period: int) -> Fraction:
     for n in moduli:
         denom *= 2 * n
 
-    if _poly_int_bound(moduli, ell, period) < 2**62:
-        m = np.arange(period, dtype=np.int64)
-        coeffs = [np.ones(period, dtype=np.int64)]
-        for n in moduli:
-            e = 2 * (m % n) - n
-            nxt = [np.zeros(period, dtype=np.int64) for _ in range(len(coeffs) + 1)]
-            for i, c in enumerate(coeffs):
-                nxt[i] += c * e
-                nxt[i + 1] += 2 * c
-            coeffs = nxt
-        num = sum(int(np.sum(c)) * w for c, w in zip(coeffs, weights))
-        return Fraction(num, denom)
-
-    # big-coefficient fallback in plain Python integers
-    total = 0
-    for m in range(period):
-        coeffs = [1]
-        for n in moduli:
-            e = 2 * (m % n) - n
-            nxt = [0] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i] += c * e
-                nxt[i + 1] += 2 * c
-            coeffs = nxt
-        total += sum(c * w for c, w in zip(coeffs, weights))
-    return Fraction(total, denom)
+    # Python integers where the polynomial coefficients could overflow int64
+    dtype = np.int64 if _poly_int_bound(moduli, ell, period) < 2**62 else object
+    m = np.arange(period, dtype=dtype)
+    coeffs = [np.ones(period, dtype=dtype)]
+    for n in moduli:
+        e = 2 * (m % n) - n
+        nxt = [np.zeros(period, dtype=dtype) for _ in range(len(coeffs) + 1)]
+        for i, c in enumerate(coeffs):
+            nxt[i] += c * e
+            nxt[i + 1] += 2 * c
+        coeffs = nxt
+    num = sum(int(np.sum(c)) * w for c, w in zip(coeffs, weights))
+    return Fraction(num, denom)
 
 
 _B_CACHE: dict[tuple[int, ...], Fraction] = {}
@@ -211,18 +198,3 @@ def discrete_correlation(q: int, moduli) -> float:
         inv = mod_inverse(n, q)
         acc *= ((k * inv) % q) / q - 0.5
     return float(np.sum(acc)) / q
-
-
-def prop_bound_parts(moduli) -> tuple[int, int]:
-    """Split prod n_j = r * s with r squarefree, s squarefull, gcd(r,s) = 1."""
-    total: dict[int, int] = {}
-    for n in moduli:
-        for p, e in factorize(int(n)):
-            total[p] = total.get(p, 0) + e
-    r = s = 1
-    for p, e in total.items():
-        if e == 1:
-            r *= p
-        else:
-            s *= p**e
-    return r, s

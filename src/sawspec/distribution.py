@@ -8,7 +8,8 @@ the totient error) is applied at query time, never baked into samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +46,7 @@ class EmpiricalDistribution:
 
     label: str
     samples: np.ndarray
-    scale: float
     index: np.ndarray | None = None
-    _sorted: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.label not in DEFAULT_SCALES:
@@ -56,7 +55,14 @@ class EmpiricalDistribution:
         if samples.size == 0:
             raise ValueError("empty sample set")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "_sorted", np.sort(samples))
+
+    @property
+    def scale(self) -> float:
+        return DEFAULT_SCALES[self.label]
+
+    @cached_property
+    def _sorted(self) -> np.ndarray:
+        return np.sort(self.samples)
 
     @property
     def n(self) -> int:
@@ -65,9 +71,7 @@ class EmpiricalDistribution:
 
 def make_distribution(label, samples, index=None) -> EmpiricalDistribution:
     """Dataset with the label's scale from ``DEFAULT_SCALES``."""
-    if label not in DEFAULT_SCALES:
-        raise ValueError(f"label must be one of {tuple(DEFAULT_SCALES)}")
-    return EmpiricalDistribution(label, samples, DEFAULT_SCALES[label], index)
+    return EmpiricalDistribution(label, samples, index)
 
 
 def from_ck_vector(vec) -> EmpiricalDistribution:

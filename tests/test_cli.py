@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sawspec.cli import main
 
@@ -38,21 +38,201 @@ class TestDedekind:
         assert code == 0 and out.strip() == "-5/14"
 
 
-def exit_code(*argv):
-    """main's exit code, SystemExit included, with its output discarded."""
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+def run_quiet(*argv):
+    """main's exit code, SystemExit included, and its stdout; stderr is
+    discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return main(list(argv))
+            code = main(list(argv))
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _is_odd_prime(n):
+    return n != 2 and _is_prime(n)
+
+
+def _coprime(residues, q):
+    return all(r % q != 0 and math.gcd(r, q) == 1 for r in residues)
+
+
+def _at_least_1(value):
+    return value is None or value >= 1
+
+
+def _bounded_moments(flags):
+    # ell = 6 and 8 enumerate many multisets: keep their support small
+    if flags["ell"] > 4:
+        flags["B"] = min(flags["B"], 6)
+    return flags
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+_Q = st.integers(2, 199).filter(_is_prime) | st.integers(-2, 199)
+_RESIDUE = st.integers(-400, 400)
+_LIST = st.lists(_RESIDUE, min_size=1, max_size=3).map(tuple)
+_FORMAT = {"format": _maybe(st.sampled_from(("csv", "json")))}
+
+# every flag of every command, over small sizes; None leaves a flag out
+FLAGS = {
+    "dedekind": {
+        "q": _Q,
+        "a": st.integers(-1000, 1000),
+        "method": st.sampled_from(("direct", "reciprocity")),
+    },
+    "spectrum": {"q": _Q, "algorithm": st.sampled_from(("naive", "chirp-z"))},
+    "ck": {
+        "q": _Q,
+        "method": st.sampled_from(("characters", "truncated")),
+        "N": _maybe(st.integers(-1, 10_000)),
+        "scale-egamma": st.booleans(),
+    },
+    "c2": {
+        "q": _Q,
+        "a": _maybe(_RESIDUE),
+        "b": _maybe(_RESIDUE),
+        "pattern": _maybe(_LIST),
+    },
+    "bcorr": {
+        "moduli": st.lists(st.integers(-1, 12), min_size=1, max_size=4).map(tuple),
+        "method": st.sampled_from(("exact", "lattice", "discrete")),
+        "K": st.integers(-1, 30),
+        "q": _maybe(_Q),
+        "lcm-cap": _maybe(st.integers(-1, 300)),
+    },
+    "moments": {
+        "kind": st.sampled_from(("C", "s", "R")),
+        "ell": st.integers(-1, 12),
+        "B": st.integers(-1, 30),
+    },
+    "dist": {
+        "source": st.sampled_from(("ck", "spectrum", "rtilde")),
+        "q": _maybe(_Q),
+        "y": st.integers(-1, 10_000),
+        "stat": st.sampled_from(("summary", "ecdf", "hist", "tails", "almost-period")),
+        "m": st.integers(-300, 300),
+        "grid": _maybe(st.integers(-1, 100)),
+    },
+    "phi": {
+        "y": st.integers(-1, 10_000),
+        "stat": st.sampled_from(("moments", "hist", "values")),
+        "ell": _maybe(st.integers(-1, 12)),
+        "x": _maybe(st.floats(-10.0, 20_000.0)),
+    },
+    "primes": {
+        "x": st.integers(-1, 10_000),
+        "q": _Q,
+        "r": _maybe(st.integers(-1, 3)),
+        "report-pattern": _maybe(_LIST),
+    },
+}
+
+
+def argv_of(command, flags):
+    argv = [command]
+    for name, value in flags.items():
+        if value is True:
+            argv.append(f"--{name}")
+        elif value is not None and value is not False:
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            argv.append(f"--{name}={value}")
+    return argv
+
+
+def allowed_codes(command, f):
+    """The exit codes the flags may give: {2} where a flag lies outside the
+    command's domain, else 0 or the documented 1 or 3."""
+    offered, codes = ("csv", "json"), {0}
+    if command == "dedekind":
+        valid = f["q"] >= 1 and _coprime((f["a"],), f["q"])
+    elif command == "spectrum":
+        valid = _is_odd_prime(f["q"])
+    elif command == "ck":
+        valid = _is_odd_prime(f["q"]) and _at_least_1(f["N"])
+    elif command == "c2":
+        residues = f["pattern"] if f["pattern"] is not None else (f["a"], f["b"])
+        valid = (
+            _is_odd_prime(f["q"])
+            and None not in residues
+            and len(residues) >= 2
+            and _coprime(residues, f["q"])
+        )
+    elif command == "bcorr":
+        mods, q, cap = f["moduli"], f["q"], f["lcm-cap"]
+        offered = ("json",)
+        valid = min(mods) >= 1 and f["K"] >= 1 and _at_least_1(q) and _at_least_1(cap)
+        if f["method"] == "lattice":
+            valid = valid and len(mods) % 2 == 0
+        elif f["method"] == "discrete":
+            valid = valid and q is not None and math.gcd(math.prod(mods), q) == 1
+            # the discrete route's precondition prod/min < q/ell
+            if valid and math.prod(mods) // min(mods) * len(mods) >= q:
+                codes = {1}
+        elif len(mods) >= 4 and len(mods) % 2 == 0 and math.lcm(*mods) > (cap or 10**6):
+            codes = {0, 3}  # lcm_cap bounds the reduced period, which divides the lcm
+    elif command == "moments":
+        valid = f["ell"] >= 1 and f["B"] >= 1
+        offered = ("json", "csv")
+        if f["ell"] % 2 == 0 and f["ell"] > 8:
+            codes = {3}  # the multiset budget or the degree cap
+    elif command == "dist":
+        q, y = f["q"], f["y"]
+        valid = (q is None or _is_odd_prime(q)) and y >= 1 and _at_least_1(f["grid"])
+        if f["source"] == "rtilde":
+            valid = valid and y >= 2 and f["stat"] != "almost-period"
+        else:
+            valid = valid and q is not None
+        offered = ("json",) if f["stat"] in ("summary", "almost-period") else ("csv",)
+    elif command == "phi":
+        y, ell = f["y"], f["ell"]
+        x = f["x"] if f["x"] is not None else y
+        valid = y >= 2 and _at_least_1(ell)
+        if f["stat"] == "values":
+            valid = valid and 0 < x <= y
+        elif f["stat"] == "moments":
+            valid = valid and (ell or 2) <= 8
+        offered = ("json",) if f["stat"] == "values" else ("csv",)
+    else:
+        q, pattern = f["q"], f["report-pattern"]
+        r = f["r"] if f["r"] is not None else 2
+        valid = f["x"] >= 2 and _is_prime(q) and r >= 1
+        if pattern is not None:
+            valid = valid and _coprime(pattern, q) and len(pattern) == r
+            valid = valid and (len(pattern) == 1 or q != 2)
+        offered = ("csv",) if pattern is None else ("json",)
+    if valid and f["format"] in (None, *offered):
+        return codes
+    return {2}
 
 
 class TestExitCodes:
     @given(st.integers(1, 500), st.integers(-1000, 1000))
     def test_dedekind_residue_is_0_or_2(self, q, a):
         ok = a % q != 0 and math.gcd(a, q) == 1
-        assert exit_code("dedekind", "--q", str(q), "--a", str(a)) == (0 if ok else 2)
+        assert run_quiet("dedekind", "--q", str(q), "--a", str(a))[0] == (0 if ok else 2)
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_exit_code_follows_the_flags(self, command, data):
+        strategy = st.fixed_dictionaries({**FLAGS[command], **_FORMAT})
+        if command == "moments":
+            strategy = strategy.map(_bounded_moments)
+        flags = data.draw(strategy)
+        code, out = run_quiet(*argv_of(command, flags))
+        assert code in allowed_codes(command, flags)
+        if code == 2:
+            assert out == ""
 
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -91,6 +271,15 @@ class TestExitCodes:
             ("dist", "--source", "rtilde", "--y", "1"),
             ("phi", "--y", "1000", "--stat", "moments", "--ell", "9"),
             ("c2", "--q", "101", "--pattern", "1"),
+            ("phi", "--y", "100", "--stat", "values", "--x", "500"),
+            ("phi", "--y", "100", "--stat", "values", "--x", "-1"),
+            ("bcorr", "--moduli", "0,3"),
+            ("bcorr", "--moduli", "2,3", "--method", "discrete", "--q", "4"),
+            ("bcorr", "--moduli", "3", "--method", "lattice"),
+            ("dist", "--source", "rtilde", "--y", "100", "--stat", "almost-period"),
+            ("primes", "--x", "1", "--q", "3"),
+            ("primes", "--x", "100", "--q", "3", "--report-pattern", "1"),
+            ("primes", "--x", "100", "--q", "2", "--report-pattern", "1,1"),
         ],
     )
     def test_flag_outside_domain_is_2(self, capsys, argv):
@@ -211,6 +400,7 @@ class TestExitCodes:
             ("c2", "--q", "100", "--a", "1", "--b", "2"),
             ("dist", "--source", "ck", "--q", "2"),
             ("primes", "--x", "100", "--q", "4"),
+            ("dist", "--source", "rtilde", "--y", "100", "--q", "4"),
         ],
     )
     def test_composite_modulus_is_2(self, capsys, argv):
@@ -222,13 +412,13 @@ class TestExitCodes:
         assert f"usage: sawspec {argv[0]}" in out.err
         assert "prime" in out.err
 
-    def test_discrete_moduli_not_coprime_to_q_is_1(self, capsys):
-        code, out, err = run_cli(
-            capsys, "bcorr", "--moduli", "2,3", "--method", "discrete", "--q", "100"
-        )
-        assert code == 1
-        assert out == ""
-        assert "coprime" in err
+    def test_discrete_moduli_not_coprime_to_q_is_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bcorr", "--moduli", "2,3", "--method", "discrete", "--q", "100"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "coprime" in out.err
 
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sawspec as sw
-from sawspec.correlations import prop_bound_parts, reduce_correlation
+from sawspec.correlations import _integrate_reduced, _poly_int_bound, reduce_correlation
 from sawspec.errors import ResourceLimitError
+from sawspec.foundations import factorize
+
+
+def _integrate_by_interval(moduli, period):
+    """The mean of prod psi(x/n_j) over [0, period), one unit interval at a
+    time in plain Python integers: the oracle for the array route."""
+    ell = len(moduli)
+    weight_lcm = math.lcm(*range(1, ell + 2))
+    weights = [weight_lcm // (i + 1) for i in range(ell + 1)]
+    denom = weight_lcm * period
+    for n in moduli:
+        denom *= 2 * n
+    total = 0
+    for m in range(period):
+        coeffs = [1]
+        for n in moduli:
+            e = 2 * (m % n) - n
+            nxt = [0] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i] += c * e
+                nxt[i + 1] += 2 * c
+            coeffs = nxt
+        total += sum(c * w for c, w in zip(coeffs, weights))
+    return Fraction(total, denom)
 
 
 class TestExact:
@@ -29,8 +53,6 @@ class TestExact:
         assert sw.b_exact((3, 1, 1, 1)) == Fraction(1, 240)
 
     def test_reduction_matches_direct_integration(self):
-        from sawspec.correlations import _integrate_reduced
-
         # integrate (3,1,1,1) without reduction over its true period 3
         direct = _integrate_reduced((1, 1, 1, 3), 3)
         assert direct == sw.b_exact((3, 1, 1, 1)) == Fraction(1, 240)
@@ -66,8 +88,20 @@ class TestExact:
         for _ in range(40):
             mods = tuple(int(v) for v in rng.integers(1, 9, 4))
             val = sw.b_exact(mods)
-            r, s = prop_bound_parts(mods)
+            # r: the product of the primes that occur once in prod n_j
+            exponents: dict[int, int] = {}
+            for n in mods:
+                for p, e in factorize(n):
+                    exponents[p] = exponents.get(p, 0) + e
+            r = math.prod(p for p, e in exponents.items() if e == 1)
             assert abs(val) <= Fraction(1, 2 ** len(mods) * r)
+
+    def test_big_coefficient_route_matches_integer_loop(self):
+        # the coefficient bound passes 2**62 here, so the integration runs on
+        # Python integers in object arrays
+        mods, period = (5, 5, 11, 11, 25, 25, 121, 121), 3025
+        assert _poly_int_bound(mods, len(mods), period) >= 2**62
+        assert _integrate_reduced(mods, period) == _integrate_by_interval(mods, period)
 
     def test_lcm_cap(self):
         with pytest.raises(ResourceLimitError):
