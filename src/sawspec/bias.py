@@ -18,6 +18,7 @@ from .characters import (
     CharacterTable,
     PrimeContext,
     _group_correlation,
+    _odd_over_group,
     build_context,
     require_below_cap,
     require_odd_prime,
@@ -142,7 +143,7 @@ def ck_point(
 
 
 # tracemalloc peak per residue of ck_all: the truncated route at the default
-# cutoff N = q (the characters route peaks at 20, reading a built table)
+# cutoff N = q (the characters route peaks at 8, reading a built table)
 _CK_BYTES_PER_RESIDUE = 67
 
 
@@ -152,44 +153,37 @@ def ck_all(
     table: CharacterTable | None = None,
     cutoff: int | None = None,
 ) -> CkVector:
-    """The full vector of bias values C(k), k = 1..q-1.
+    """The full vector of bias values C(k), k = 1..q-1, exactly odd.
 
-    Both routes work over the cyclic group, k = g^i, fill i < H = (q-1)/2
-    and write C(g^(i+H)) = -C(g^i), so the vector is exactly odd.  The
-    character route reads the table's character sums:
-    C(g^i) = bias_sums[i]/(q-1).  The truncated route bins the weights b(n)
-    by e = ind(inv(2n)) into W, so that C(g^i) = -C_q sum_e W_e psi(g^(i+e)/q);
-    psi(g^(e+H)/q) = -psi(g^e/q) folds that to Rader's form
+    The character route scales the table's character sums,
+    C(k) = S(k)/(q-1), computed as S(k) * (1/(q-1)).  The truncated route
+    works over the cyclic group, k = g^i: it bins the weights b(n) by
+    e = ind(inv(2n)) into W, so that C(g^i) = -C_q sum_e W_e psi(g^(i+e)/q);
+    psi(g^(e+H)/q) = -psi(g^e/q), H = (q-1)/2, folds that to Rader's form
 
-        C(g^i) = -C_q sum_{e<H} (W_e - W_{e+H}) psi(g^(i+e)/q),
+        C(g^i) = -C_q sum_{e<H} (W_e - W_{e+H}) psi(g^(i+e)/q),  i < H,
 
-    one real correlation by FFT at the smallest 5-smooth length >= q - 2.
+    one real correlation by FFT at the smallest 5-smooth length >= q - 2,
+    and C(g^(i+H)) = -C(g^i) fills the rest.
     """
     require_odd_prime(q)
     require_below_cap(q, "C(k) vector", _CK_BYTES_PER_RESIDUE)
-    H = (q - 1) // 2
     if method == "characters":
         if table is None or table.q != q:
             raise ValueError("characters route needs a table built for q")
-        ctx = table.context
-        half = table.bias_sums / (q - 1)
-        max_im = float(np.max(np.abs(half.imag)))
-        if max_im > 1e-10 * max(1.0, float(np.max(np.abs(half.real)))):
-            raise ArithmeticError("C(k) character average not real enough")
-        half = half.real
+        values = table.bias_sums * (1.0 / (q - 1))
+        values[0] = np.nan
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         ctx = build_context(q)
         N, c_q, weights, e = _truncated_terms(ctx, cutoff)
         W = np.bincount(e, weights=weights, minlength=q - 1)
+        H = (q - 1) // 2
         half = -c_q * _group_correlation(W[:H] - W[H:], ctx.powers / q - 0.5)
+        values = _odd_over_group(ctx, half, np.nan)
         meta = {"series_cutoff": N}
     else:
         raise ValueError(f"unknown method {method!r}")
-    values = np.empty(q)
-    values[0] = np.nan
-    values[ctx.powers[:H]] = half
-    values[ctx.powers[H:]] = -half  # g^(i+H) = -g^i
     return CkVector(q, values, method, meta)
 
 
@@ -214,10 +208,7 @@ def c2_pair(q: int, a: int, b: int, table: CharacterTable) -> float:
         return (q - 2) / 2.0 * math.log(q / (2.0 * math.pi))
     M = q - 1
     total = table.bias_sum(b - a) + (table.bias_sum(b) - table.bias_sum(a)) / M
-    val = 0.5 * math.log(2.0 * math.pi / q) + (q / M) * total
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise ArithmeticError("c2 character sum not real enough")
-    return float(val.real)
+    return 0.5 * math.log(2.0 * math.pi / q) + (q / M) * total
 
 
 def c2_pattern(pattern: Pattern, table: CharacterTable) -> float:

@@ -22,7 +22,10 @@ mod q and n < H,
 a linear correlation of f(g^m), m < H, against h(g^k), k < 2H - 1, which a
 real FFT zero-padded to the smallest 5-smooth length >= 2H - 1 computes
 with no wrap-around.  The Dedekind spectrum and the truncated C(k) vector
-both take that form (``_group_correlation``).
+both take that form (``_group_correlation``).  Those two and the table's
+character sums S(a), real once their largest imaginary part ``max_im`` is
+checked, are odd in a, and each is stored as one exactly odd real vector
+over a = 0..q-1 that ``_odd_over_group`` writes.
 """
 
 from __future__ import annotations
@@ -77,19 +80,8 @@ def require_odd_prime(q: int) -> None:
         raise ValueError(f"{q} is not an odd prime")
 
 
-def require_int64_modulus(q: int, nbytes: int) -> None:
-    """Raise ResourceLimitError for q >= 2^31, where the vectorized residue
-    kernels would overflow int64 (they form h^2 + k^2 + 1 with k <= q, and
-    products below q^2).  ``nbytes`` is what their arrays would have needed."""
-    if q >= 1 << 31:
-        raise ResourceLimitError(
-            f"q = {q} >= 2^31 overflows the int64 residue kernels "
-            f"(their arrays would need {nbytes} bytes)"
-        )
-
-
-# the largest modulus the O(q) routes (spectrum, character table, C(k)
-# vector) accept
+# the largest modulus every O(q) route accepts; MAX_Q < 2^31 also keeps their
+# int64 kernels exact (they form h^2 + k^2 + 1 with k <= q, products below q^2)
 MAX_Q = 2_000_000
 
 
@@ -131,8 +123,9 @@ class PrimeContext:
 
 def build_context(q: int) -> PrimeContext:
     require_odd_prime(q)
+    # tracemalloc peak per residue: powers, index and the arange inverting powers
+    require_below_cap(q, "prime context", 24)
     M = q - 1
-    require_int64_modulus(q, 8 * (M + q))
     g = primitive_root(q)
     # powers by doubling: powers[n:2n] = powers[:n] * g^n, products below q^2
     powers = np.empty(M, dtype=np.int64)
@@ -156,9 +149,10 @@ class CharacterTable:
     so they never contribute to the bias sums.  The conjugate of row i is
     row H-1-i.
 
-    ``bias_sums`` is indexed by the group, not by characters:
-    bias_sums[n] = sum_j conj(chi_j(g^n)) L(0,chi_j) L(1,chi_j) A_{q,chi_j}
-    for n < H, and the sum at g^(n+H) = -g^n is -bias_sums[n].
+    ``bias_sums`` is indexed by the residue a = 0..q-1, not by characters:
+    S(a) = sum_j conj(chi_j(a)) L(0,chi_j) L(1,chi_j) A_{q,chi_j}, real and
+    exactly odd, with S(0) = 0.  ``max_im`` = max |Im S|/(q-1) is the part
+    dropped, at most 1e-10 max(1, max |S|/(q-1)).
     """
 
     context: PrimeContext
@@ -169,29 +163,37 @@ class CharacterTable:
     a_chi: np.ndarray
     bias_sums: np.ndarray
     a_tail_bound: float
-    constant: float
+    max_im: float
 
     @property
     def q(self) -> int:
         return self.context.q
 
-    def _ind(self, a: int) -> int:
-        """ind(a), the n with g^n = a mod q; ValueError for a = 0 mod q."""
+    def _residue(self, a: int) -> int:
+        """a mod q; ValueError for a = 0 mod q."""
         if a % self.q == 0:
             raise ValueError(f"a = {a} must be nonzero mod q = {self.q}")
-        return int(self.context.index[a % self.q])
+        return a % self.q
 
     def chi_bar(self, a: int) -> np.ndarray:
         """conj(chi_j(a)) for every row, a coprime to q."""
         M = self.q - 1
         j = np.arange(1, M, 2)
-        return np.exp((-2j * math.pi / M) * (j * self._ind(a) % M))
+        ind = int(self.context.index[self._residue(a)])
+        return np.exp((-2j * math.pi / M) * (j * ind % M))
 
-    def bias_sum(self, a: int) -> complex:
-        """sum_j conj(chi_j(a)) L(0,chi_j) L(1,chi_j) A_{q,chi_j}, a coprime to q."""
-        n = self._ind(a)
-        H = len(self.bias_sums)
-        return complex(self.bias_sums[n] if n < H else -self.bias_sums[n - H])
+    def bias_sum(self, a: int) -> float:
+        """S(a), read from ``bias_sums``, for a coprime to q."""
+        return float(self.bias_sums[self._residue(a)])
+
+
+def _odd_over_group(ctx: PrimeContext, half: np.ndarray, zero: float) -> np.ndarray:
+    """f(a), a = 0..q-1: f(0) = zero, f(g^n) = half[n], f(g^(n+H)) = -half[n]."""
+    H = len(half)
+    values = np.full(ctx.q, zero)
+    values[ctx.powers[:H]] = half
+    values[ctx.powers[H:]] = -half
+    return values
 
 
 def _odd_dft(folded: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
@@ -230,8 +232,8 @@ def _group_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # tracemalloc peak per residue of build_table at q ~ 1e6 with the default
-# a-series cutoff: the context (16), the five length-H complex rows (40), the
-# twiddle and the FFT inputs and outputs
+# a-series cutoff: the context (16), the four length-H complex rows (32), the
+# character sums (8), the twiddle and the FFT inputs and outputs
 _TABLE_BYTES_PER_RESIDUE = 78
 
 
@@ -241,8 +243,9 @@ def build_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     L(0,chi_j) comes from the finite sum -sum_a chi(a) psi(a/q); L(1,chi_j)
     from L(1,chi) = -tau(chi) pi i / q * L(0, chi_bar); A_{q,chi_j} from the
     a(n)-series through 2n, truncated at ``a_series_cutoff`` with a recorded
-    tail bound.  ``bias_sums`` is one more length-H FFT, of the products
-    P_i = L(0) L(1) A: sum_i P_i e(-(2i+1)n/(q-1)) = e(-n/(q-1)) FFT(P)[n].
+    tail bound.  S(g^n), n < H, is one more length-H FFT, of the products
+    P_i = L(0) L(1) A: sum_i P_i e(-(2i+1)n/(q-1)) = e(-n/(q-1)) FFT(P)[n],
+    real up to rounding (ArithmeticError past the ``max_im`` bound).
     """
     require_below_cap(q, "character table", _TABLE_BYTES_PER_RESIDUE)
     ctx = build_context(q)
@@ -281,8 +284,13 @@ def build_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     del w
     tail_bound = 2.0 * a_series_cutoff ** (-0.45)
 
-    bias_sums = np.fft.fft(l_zero * l_one * a_chi)
-    bias_sums *= np.conjugate(twiddle, out=twiddle)  # e(-n/(q-1))
+    sums = np.fft.fft(l_zero * l_one * a_chi)
+    sums *= np.conjugate(twiddle, out=twiddle)  # e(-n/(q-1))
+    del twiddle
+    max_im = float(np.max(np.abs(sums.imag))) / (q - 1)
+    if max_im > 1e-10 * max(1.0, float(np.max(np.abs(sums.real))) / (q - 1)):
+        raise ArithmeticError("character sums S(a) not real enough")
+    bias_sums = _odd_over_group(ctx, sums.real, 0.0)
     return CharacterTable(
-        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, bias_sums, tail_bound, c_q
+        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, bias_sums, tail_bound, max_im
     )

@@ -17,6 +17,7 @@ from itertools import product
 
 import numpy as np
 
+from .characters import require_below_cap
 from .errors import ResourceLimitError
 from .foundations import factorize, mod_inverse
 
@@ -192,6 +193,8 @@ def discrete_correlation(q: int, moduli) -> float:
     K //= min(mods)
     if K >= q / ell:
         raise ValueError(f"requires prod/min = {K} < q/ell = {q / ell:g}")
+    # tracemalloc peak per residue: k, the accumulator and one factor's terms
+    require_below_cap(q, "discrete correlation", 33)
     k = np.arange(1, q, dtype=np.int64)
     acc = np.ones(q - 1)
     for n in mods:

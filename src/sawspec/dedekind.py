@@ -19,9 +19,9 @@ import numpy as np
 
 from .characters import (
     _group_correlation,
+    _odd_over_group,
     build_context,
     require_below_cap,
-    require_int64_modulus,
     require_odd_prime,
 )
 
@@ -97,8 +97,9 @@ def dedekind_values(q: int) -> np.ndarray:
     float operations of a scalar descent in the same order.
     """
     require_odd_prime(q)
+    # tracemalloc peak per residue: the values, the lanes idx, h, k and a step
+    require_below_cap(q, "Dedekind values", 37)
     half = (q - 1) // 2
-    require_int64_modulus(q, 8 * q + 3 * 8 * half)
     vals = np.zeros(q)
     idx = np.arange(1, half + 1, dtype=np.int64)
     h = idx.copy()
@@ -127,9 +128,6 @@ class Spectrum:
     q: int
     values: np.ndarray
     method: str
-
-    def point(self, t: int) -> complex:
-        return complex(0.0, self.values[t % self.q])
 
 
 _NAIVE_BLOCK = 256  # rows of t per outer product in _dft_positive_naive
@@ -186,10 +184,7 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
     residual = abs(2.0 * float(np.dot(half, half)) - energy)
     if residual > 1e-12 * math.log(q) * energy:
         raise ArithmeticError(f"spectrum Parseval residual {residual:g} above budget")
-    values = np.zeros(q)
-    values[low] = half
-    values[ctx.powers[H:]] = -half
-    return Spectrum(q, values, algorithm)
+    return Spectrum(q, _odd_over_group(ctx, half, 0.0), algorithm)
 
 
 _TRUNCATED_CHUNK = 1 << 22  # terms n per array step in spectrum_point_truncated
@@ -198,10 +193,12 @@ _TRUNCATED_CHUNK = 1 << 22  # terms n per array step in spectrum_point_truncated
 def spectrum_point_truncated(q: int, t: int, x: float) -> complex:
     """Truncated series (1/(pi i)) sum_{n<=x, (n,q)=1} psi(t inv(n)/q)/n.
 
-    Error contract: |result - s_hat_q(t)| = O(q/x).
+    Error contract: |result - s_hat_q(t)| = O(q/x).  t is reduced mod q,
+    so t * inv(n) < q^2 cannot wrap around int64.
     """
     require_odd_prime(q)
-    if t % q == 0:
+    t %= q
+    if t == 0:
         raise ValueError("t must be coprime to q")
     if x < 1:
         raise ValueError("x must be >= 1")

@@ -41,7 +41,7 @@ __all__ = [
 KINDS = ("C", "s", "R")
 _PRUNE = 1e-12  # tuples whose contribution bound falls below this are skipped
 _MULTISET_BUDGET = 300_000  # support multisets theoretical_moment enumerates
-_MODEL_LCM_CAP = 100_000  # span L = lcm(1..B) of the exact model moment
+_MODEL_LCM_CAP = 100_000  # period L of the exact model moment
 
 
 @dataclass(frozen=True)
@@ -173,20 +173,20 @@ def continuous_model_eval(x: float, B: int) -> float:
 
 
 def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
-    """Exact (1/L) integral of (sum_{n<=B} b(n) psi(x/n))^ell over one span
-    L = lcm(1..B) <= 100 000, in rational arithmetic.  The model is linear
-    on every unit interval, so each piece integrates in closed form.  The
-    constant prefactor C^ell is factored out of the returned value.
+    """Exact (1/L) integral of (sum_{n<=B} b(n) psi(x/n))^ell over one period
+    L <= 100 000, the product of the odd primes <= B (b lives on odd
+    squarefree n), in rational arithmetic.  The model is linear on every unit
+    interval, so each piece integrates in closed form; C^ell is factored out.
     """
     if ell < 1 or ell > 6:
         raise ValueError("exact model moments support 1 <= ell <= 6")
     if B < 1:
         raise ValueError("B must be >= 1")
-    L = math.lcm(*range(1, B + 1))
-    if L > _MODEL_LCM_CAP:
-        raise ResourceLimitError(f"lcm(1..{B}) = {L} exceeds cap {_MODEL_LCM_CAP}")
     b = coeff_b_fractions(B)
     support = [n for n in range(1, B + 1) if b[n]]
+    L = math.lcm(*support)
+    if L > _MODEL_LCM_CAP:
+        raise ResourceLimitError(f"model period {L} exceeds cap {_MODEL_LCM_CAP}")
     slope = sum(b[n] / n for n in support)  # Fraction, > 0 (b(1) = 1)
     half = Fraction(1, 2)
     total = Fraction(0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -97,6 +98,18 @@ class TestCkPoint:
     def test_truncated_route_rejects_composite_q(self):
         with pytest.raises(ValueError, match="prime"):
             sw.ck_point(25, 3, "truncated")
+
+    def test_truncated_route_cap_raises_before_allocating(self):
+        # 2^31 - 1 is prime and past the cap; unchecked, its prime context
+        # would ask for 16 GiB at once
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="bytes"):
+                sw.ck_point(2_147_483_647, 1, "truncated")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_truncated_point_matches_truncated_vector(self):
         # both routes evaluate the same series terms: the point route sums

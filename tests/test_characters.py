@@ -23,8 +23,10 @@ def _group_dft(values: np.ndarray) -> np.ndarray:
 def _full_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     """All q-1 characters by three full-length DFTs (L(0), Gauss sums,
     A_{q,chi}); row j is character j, and even rows of L(0), L(1) are 0.
-    ``bias_sums`` has all q-1 group entries n, by a fourth full-length DFT:
-    sum_j P_j e(-jn/(q-1))."""
+    ``bias_sums`` is the complex residue vector S(a), a = 0..q-1, with every
+    group entry a = g^n taken from a fourth full-length DFT,
+    S(g^n) = sum_j P_j e(-jn/(q-1)), so neither oddness nor realness is
+    imposed; ``max_im`` is max |Im S|/(q-1)."""
     ctx = build_context(q)
     M = q - 1
     powers = ctx.powers
@@ -43,9 +45,11 @@ def _full_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     c_q, _ = constant_C(excluded_prime=q)
     a_chi = c_q * _group_dft(w)
     tail_bound = 2.0 * a_series_cutoff ** (-0.45)
-    bias_sums = np.fft.fft(l_zero * l_one * a_chi)
+    bias_sums = np.zeros(q, dtype=complex)
+    bias_sums[powers] = np.fft.fft(l_zero * l_one * a_chi)
+    max_im = float(np.max(np.abs(bias_sums.imag))) / M
     return CharacterTable(
-        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, bias_sums, tail_bound, c_q
+        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, bias_sums, tail_bound, max_im
     )
 
 
@@ -175,26 +179,26 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("q", [3, 5, 7, 101, 10007])
     def test_bias_sums_match_full_table(self, q):
-        # the sums are (q-1) C(g^n), so they are compared on the C scale,
-        # where the values are O(1) like L(1) and A
+        # the sums are (q-1) C(a), so they are compared on the C scale, where
+        # the values are O(1) like L(1) and A.  The oracle's sums are complex
+        # and not made odd, so the gap also bounds their imaginary parts and
+        # their oddness defect
         half, full = sw.build_table(q), _full_table(q)
-        H = (q - 1) // 2
-        assert half.bias_sums.shape == (H,)
-        gap = np.max(np.abs(half.bias_sums - full.bias_sums[:H])) / (q - 1)
-        assert gap <= 1e-13
-        # the sum at g^(n+H) = -g^n is the negated one
-        gap = np.max(np.abs(full.bias_sums[H:] + full.bias_sums[:H])) / (q - 1)
-        assert gap <= 1e-13
-        for n in (0, H - 1, H, q - 2):
-            a = int(half.context.powers[n])
-            assert half.bias_sum(a) == (
-                half.bias_sums[n] if n < H else -half.bias_sums[n - H]
-            )
+        S = half.bias_sums
+        assert S.shape == (q,) and S.dtype == np.float64
+        assert np.max(np.abs(S - full.bias_sums)) / (q - 1) <= 1e-13
+        assert S[0] == 0.0
+        assert np.array_equal(S[q - np.arange(1, q)], -S[1:])
+        for a in (1, 2, q - 1, q + 2, -2, 5 * q - 1):
+            assert half.bias_sum(a) == S[a % q]
+        assert 0.0 <= half.max_im <= 1e-10 * max(1.0, np.max(np.abs(S)) / (q - 1))
+        ck = sw.ck_all(q, "characters", half)
+        assert np.array_equal(ck.values[1:], S[1:] * (1.0 / (q - 1)))
 
     @pytest.mark.parametrize("a", [0, 101, -202])
     def test_zero_residue_is_refused(self, table_101, a):
-        # index[0] is the sentinel -1, which read as a group index would give
-        # bias_sums[-1] and chi_j(g^-1)
+        # unchecked, the residue 0 would read S(0) = 0 and, through the
+        # sentinel index[0] = -1, chi_j(g^-1)
         with pytest.raises(ValueError):
             table_101.bias_sum(a)
         with pytest.raises(ValueError):

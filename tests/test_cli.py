@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -445,6 +446,22 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "122000183 bytes" in err
+
+    def test_discrete_correlation_cap_is_3(self, capsys):
+        # refused before its O(q) arrays, with the bytes they would need
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "bcorr", "--moduli", "2,3", "--method", "discrete",
+                "--q", "1000000007",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert "33000000231 bytes" in err
+        assert peak < 1 << 20
 
     def test_resource_error_is_3(self, capsys):
         code, _, err = run_cli(

@@ -215,6 +215,25 @@ class TestTruncatedRoute:
         with pytest.raises(ValueError):
             sw.spectrum_point_truncated(101, 0, 100)
 
+    def test_t_is_reduced_mod_q(self):
+        # unreduced, t * inv(n) wraps around int64 without an error
+        q, x = 101, 10**4
+        value = sw.spectrum_point_truncated(q, 5, x)
+        for shift in (2**50, 2**56):
+            assert sw.spectrum_point_truncated(q, 5 + q * shift, x) == value
+
+    def test_resource_cap_raises_before_allocating(self):
+        # 2^31 - 1 is prime and past the cap; unchecked, its prime context
+        # would ask for 16 GiB at once
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="bytes"):
+                sw.spectrum_point_truncated(2_147_483_647, 1, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_rejects_composite_q(self):
         # the inverses come from a primitive root, which needs a prime
         with pytest.raises(ValueError, match="prime"):

@@ -6,6 +6,7 @@ import pytest
 
 import sawspec as sw
 from sawspec.errors import ResourceLimitError
+from sawspec.foundations import coeff_b_fractions
 from sawspec.moments import _multisets, theoretical_moment
 
 HALF_INV_PI2 = 1.0 / (2.0 * math.pi**2)
@@ -115,6 +116,21 @@ class TestEmpirical:
             sw.empirical_moments([], 2)
 
 
+def _model_moment_over_lcm(ell: int, B: int) -> Fraction:
+    """The exact model moment averaged over lcm(1..B), a multiple of the
+    model's period, one unit interval at a time."""
+    L = math.lcm(*range(1, B + 1))
+    b = coeff_b_fractions(B)
+    support = [n for n in range(1, B + 1) if b[n]]
+    slope = sum(b[n] / n for n in support)
+    half = Fraction(1, 2)
+    total = Fraction(0)
+    for m in range(L):
+        base = sum(b[n] * (Fraction(m % n, n) - half) for n in support)
+        total += ((base + slope) ** (ell + 1) - base ** (ell + 1)) / (ell + 1)
+    return total / slope / L
+
+
 class TestContinuousModel:
     def test_point_values(self):
         assert sw.continuous_model_eval(0.5, 1) == 0.0
@@ -132,6 +148,14 @@ class TestContinuousModel:
             lhs = sw.continuous_model_moment_exact(ell, B)
             rhs = sw.moment_tuple_sum_exact(ell, B)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("B", range(1, 11))
+    @pytest.mark.parametrize("ell", [2, 4])
+    def test_period_matches_lcm_span(self, ell, B):
+        # b lives on odd squarefree n, so the model's period is the product
+        # of the odd primes <= B; lcm(1..B) is a multiple of it
+        expected = _model_moment_over_lcm(ell, B)
+        assert sw.continuous_model_moment_exact(ell, B) == expected
 
     def test_known_small_case(self):
         # B(1,1) + 2 B(1,3) + B(3,3) = 1/12 + 2/36 + 1/12 = 2/9
