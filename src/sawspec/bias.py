@@ -3,8 +3,9 @@
 The first-order constant penalizes immediate repetitions and is elementary.
 The second-order pair constant has an explicit diagonal closed form and a
 character-sum expression off the diagonal; its large-q behaviour is carried
-by the odd-character average C(k), computed here by two independent routes
-(character products, truncated sawtooth series).
+by the odd-character average C(k), computed here by independent routes: the
+table's character sums (from the Dedekind spectrum), the per-character
+products (``ck_point``), and the truncated sawtooth series.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .characters import (
     PrimeContext,
     _group_correlation,
     _odd_over_group,
+    _weights_by_inverse_2n,
     build_context,
     require_below_cap,
     require_odd_prime,
@@ -100,14 +102,9 @@ def _ck_char_raw(table: CharacterTable, k: int) -> float:
 def _truncated_terms(ctx: PrimeContext, cutoff: int | None):
     """Terms of -C_q sum_{n <= N, (n,q)=1} b(n) psi(k inv(2n)/q):
     (N, C_q, the nonzero weights b(n), e with inv(2n) = g^e mod q)."""
-    q = ctx.q
-    N = cutoff if cutoff is not None else max(1000, q)
-    b = coeff_b_floats(N)
-    c_q, _ = constant_C(excluded_prime=q)
-    ns = np.nonzero(b)[0]
-    ns = ns[ns % q != 0]
-    e = -ctx.index[(2 * ns) % q] % (q - 1)  # inv(g^m) = g^(-m)
-    return N, c_q, b[ns], e
+    N = cutoff if cutoff is not None else max(1000, ctx.q)
+    c_q, _ = constant_C(excluded_prime=ctx.q)
+    return (N, c_q) + _weights_by_inverse_2n(ctx, coeff_b_floats(N))
 
 
 def ck_point(
@@ -155,8 +152,9 @@ def ck_all(
 ) -> CkVector:
     """The full vector of bias values C(k), k = 1..q-1, exactly odd.
 
-    The character route scales the table's character sums,
-    C(k) = S(k)/(q-1), computed as S(k) * (1/(q-1)).  The truncated route
+    The character route scales the table's character sums, which
+    ``build_table`` computes from the Dedekind spectrum, C(k) = S(k)/(q-1),
+    computed as S(k) * (1/(q-1)).  The truncated route
     works over the cyclic group, k = g^i: it bins the weights b(n) by
     e = ind(inv(2n)) into W, so that C(g^i) = -C_q sum_e W_e psi(g^(i+e)/q);
     psi(g^(e+H)/q) = -psi(g^e/q), H = (q-1)/2, folds that to Rader's form

@@ -1,17 +1,19 @@
 """Dirichlet character group mod a prime, Gauss sums and the attached L-data.
 
 A ``PrimeContext`` fixes a primitive root g and the discrete-log table, so
-character j acts by chi_j(a) = e(j * ind(a) / (q-1)).  Only the odd
-characters (odd j) enter the bias sums, so the table holds those alone, one
-row per odd character: L(0,chi) (finite sum), L(1,chi) (functional
-equation), the Gauss sum, and the Euler-correction factor A_{q,chi} as a
-truncated series.  Each is a sum over the cyclic group, evaluated for all
-odd characters at once by one half-length FFT: with H = (q-1)/2 and
-j = 2i + 1,
+character j acts by chi_j(a) = e(j * ind(a) / (q-1)); ``build_context``
+memoises the last modulus's one.  Only the odd characters (odd j) enter the
+bias sums, so the table's rows hold those alone, one row per odd character:
+L(0,chi) (finite sum), L(1,chi) (functional equation), the Gauss sum, and
+the Euler-correction factor A_{q,chi} as a truncated series.  Each is a sum
+over the cyclic group, evaluated for all odd characters at once by one
+half-length FFT: with H = (q-1)/2 and j = 2i + 1,
 
     sum_{m<q-1} x_m e(jm/(q-1)) = sum_{m<H} (x_m - x_{m+H}) e(m/(q-1)) e(im/H),
 
-and g^H = -1 mod q makes the folded inputs x_m - x_{m+H} explicit.
+and g^H = -1 mod q makes the folded inputs x_m - x_{m+H} explicit.  The
+rows are built on first use: only the per-character oracle routes
+(``spectrum_point_characters``, ``ck_point(..., "characters")``) read them.
 
 The same reindexing over the group (Rader's, for a transform of prime
 length) turns sums over the residues into correlations: for f and h odd
@@ -21,15 +23,22 @@ mod q and n < H,
 
 a linear correlation of f(g^m), m < H, against h(g^k), k < 2H - 1, which a
 real FFT zero-padded to the smallest 5-smooth length >= 2H - 1 computes
-with no wrap-around.  The Dedekind spectrum and the truncated C(k) vector
-both take that form (``_group_correlation``).  Those two and the table's
-character sums S(a), real once their largest imaginary part ``max_im`` is
-checked, are odd in a, and each is stored as one exactly odd real vector
-over a = 0..q-1 that ``_odd_over_group`` writes.
+with no wrap-around.  The Dedekind spectrum, the truncated C(k) vector and
+the table's character sums S(a) all take that form (``_group_correlation``):
+summing the A-series over characters gives
+
+    S(k) = pi C_q (q-1) sum_{n <= N, (n,q)=1} a(n) Im s_hat_q(k inv(2n)),
+
+the truncated C(k) route with psi replaced by Im s_hat_q and b(n) by a(n).
+A direct sum of S(1) over the a-weights checks that correlation
+(``CharacterTable.residual``).  The three vectors are odd in a, and each is
+stored as one exactly odd real vector over a = 0..q-1 that
+``_odd_over_group`` writes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,9 +131,22 @@ class PrimeContext:
 
 
 def build_context(q: int) -> PrimeContext:
+    """The prime context of q, memoised for the last modulus.
+
+    The memo (``functools.lru_cache(maxsize=1)`` on the builder) keeps that
+    modulus's ``powers`` and ``index`` alive, 16 bytes per residue, until
+    another q evicts them; both arrays are read-only.
+    """
     require_odd_prime(q)
     # tracemalloc peak per residue: powers, index and the arange inverting powers
     require_below_cap(q, "prime context", 24)
+    # a plain function in front of the memo, so tracers that wrap the
+    # package's public functions (perfbench's spans) still see every call
+    return _context(q)
+
+
+@functools.lru_cache(maxsize=1)
+def _context(q: int) -> PrimeContext:
     M = q - 1
     g = primitive_root(q)
     # powers by doubling: powers[n:2n] = powers[:n] * g^n, products below q^2
@@ -137,37 +159,91 @@ def build_context(q: int) -> PrimeContext:
         n += m
     index = np.full(q, -1, dtype=np.int64)
     index[powers] = np.arange(M, dtype=np.int64)
+    powers.flags.writeable = False
+    index.flags.writeable = False
     return PrimeContext(q, g, powers, index)
 
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Per-character data for the (q-1)/2 odd characters mod q.
-
-    Every row array has length H = (q-1)/2, and row i holds character
-    j = 2i + 1.  Even characters are not stored: L(0,chi) vanishes for them,
-    so they never contribute to the bias sums.  The conjugate of row i is
-    row H-1-i.
+    """The character sums S(a) mod q and, built on first use, the per-character
+    rows of the (q-1)/2 odd characters.
 
     ``bias_sums`` is indexed by the residue a = 0..q-1, not by characters:
     S(a) = sum_j conj(chi_j(a)) L(0,chi_j) L(1,chi_j) A_{q,chi_j}, real and
-    exactly odd, with S(0) = 0.  ``max_im`` = max |Im S|/(q-1) is the part
-    dropped, at most 1e-10 max(1, max |S|/(q-1)).
+    exactly odd, with S(0) = 0.  ``build_table`` computes it from the
+    Dedekind spectrum, not from the rows; ``residual`` is the gap between
+    the FFT value of S(1) and its direct sum over the a-weights, on the
+    C(k) = S(k)/(q-1) scale, at most 1e-12 max(1, |S(1)|/(q-1)).
+
+    The rows ``l_zero``, ``l_one``, ``gauss`` and ``a_chi`` are computed on
+    first access (only the per-character oracle routes read them), each of
+    length H = (q-1)/2, row i holding character j = 2i + 1.  Even characters
+    are not stored: L(0,chi) vanishes for them, so they never contribute to
+    the bias sums.  The conjugate of row i is row H-1-i.  At q ~ 1e6 the
+    first access takes two length-H transforms, a tracemalloc peak of about
+    61 bytes per residue, and keeps 32.
     """
 
     context: PrimeContext
     cutoff: int
-    l_zero: np.ndarray
-    l_one: np.ndarray
-    gauss: np.ndarray
-    a_chi: np.ndarray
     bias_sums: np.ndarray
     a_tail_bound: float
-    max_im: float
+    residual: float
 
     @property
     def q(self) -> int:
         return self.context.q
+
+    @functools.cached_property
+    def _l_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(L(0,chi_j), L(1,chi_j), tau(chi_j)) by one half-length transform.
+
+        L(0, chi_j) = -sum_m psi(g^m/q) e(jm/M); psi(g^(m+H)/q) = -psi(g^m/q).
+        tau(chi_j) = sum_m e(g^m/q) e(jm/M); e(g^(m+H)/q) = conj(e(g^m/q)).
+        Both folded inputs are real up to the factor i of the second, and a
+        real input x gives rows with F[H-1-i] = conj(F[i]), so one transform
+        of x + iy carries both: F_x = (Z + Z*)/2, F_y = (Z - Z*)/2i with
+        Z* = conj(Z[::-1]).  L(1) follows from the functional equation
+        L(1,chi_j) = -tau(chi_j) pi i/q L(0, chi_bar_j).
+        """
+        q = self.q
+        low = self.context.powers[: (q - 1) // 2]  # g^(m+H) = q - g^m
+        z = _odd_dft(
+            2.0 * (low / q - 0.5) + 2j * np.sin((2.0 * math.pi / q) * low),
+            _twiddle(q),
+        )
+        z_rev = np.conj(z[::-1])
+        gauss = 0.5 * (z - z_rev)
+        # l_zero reuses z, and the del drops z_rev before l_one is made
+        l_zero = z
+        l_zero += z_rev
+        l_zero *= -0.5
+        del z_rev
+        l_one = -gauss * (1j * math.pi / q) * l_zero[::-1]
+        return l_zero, l_one, gauss
+
+    @property
+    def l_zero(self) -> np.ndarray:
+        return self._l_rows[0]
+
+    @property
+    def l_one(self) -> np.ndarray:
+        return self._l_rows[1]
+
+    @property
+    def gauss(self) -> np.ndarray:
+        return self._l_rows[2]
+
+    @functools.cached_property
+    def a_chi(self) -> np.ndarray:
+        """A_{q,chi_j} = C_q sum_{n <= cutoff, (n,q)=1} a(n) chi_j(2n), one
+        half-length transform of the a-weights binned by ind(2n)."""
+        ctx, M = self.context, self.q - 1
+        weights, e = _weights_by_inverse_2n(ctx, coeff_a_floats(self.cutoff))
+        w = np.bincount(-e % M, weights=weights, minlength=M)  # ind(2n) = -e
+        c_q, _ = constant_C(excluded_prime=self.q)
+        return c_q * _odd_dft(w[: M // 2] - w[M // 2 :], _twiddle(self.q))
 
     def _residue(self, a: int) -> int:
         """a mod q; ValueError for a = 0 mod q."""
@@ -187,6 +263,15 @@ class CharacterTable:
         return float(self.bias_sums[self._residue(a)])
 
 
+def _weights_by_inverse_2n(ctx: PrimeContext, coeffs: np.ndarray):
+    """The nonzero coeffs[n], n coprime to q, and e with inv(2n) = g^e mod q
+    for each (inv(g^m) = g^(-m))."""
+    q = ctx.q
+    ns = np.nonzero(coeffs)[0]
+    ns = ns[ns % q != 0]
+    return coeffs[ns], -ctx.index[(2 * ns) % q] % (q - 1)
+
+
 def _odd_over_group(ctx: PrimeContext, half: np.ndarray, zero: float) -> np.ndarray:
     """f(a), a = 0..q-1: f(0) = zero, f(g^n) = half[n], f(g^(n+H)) = -half[n]."""
     H = len(half)
@@ -194,6 +279,12 @@ def _odd_over_group(ctx: PrimeContext, half: np.ndarray, zero: float) -> np.ndar
     values[ctx.powers[:H]] = half
     values[ctx.powers[H:]] = -half
     return values
+
+
+def _twiddle(q: int) -> np.ndarray:
+    """e(m/(q-1)) for m < (q-1)/2."""
+    H = (q - 1) // 2
+    return np.exp((1j * math.pi / H) * np.arange(H))
 
 
 def _odd_dft(folded: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
@@ -232,65 +323,50 @@ def _group_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # tracemalloc peak per residue of build_table at q ~ 1e6 with the default
-# a-series cutoff: the context (16), the four length-H complex rows (32), the
-# character sums (8), the twiddle and the FFT inputs and outputs
-_TABLE_BYTES_PER_RESIDUE = 78
+# a-series cutoff and no spectrum memoised: that of the spectrum (61, which
+# leaves the context and the spectrum memoised, 20), then the character sums
+# (8), the binned weights and the correlation's inputs and real FFT buffers
+_TABLE_BYTES_PER_RESIDUE = 66
 
 
 def build_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
-    """Build the odd-character table for the prime q.
+    """Build the character table for the prime q.
 
-    L(0,chi_j) comes from the finite sum -sum_a chi(a) psi(a/q); L(1,chi_j)
-    from L(1,chi) = -tau(chi) pi i / q * L(0, chi_bar); A_{q,chi_j} from the
-    a(n)-series through 2n, truncated at ``a_series_cutoff`` with a recorded
-    tail bound.  S(g^n), n < H, is one more length-H FFT, of the products
-    P_i = L(0) L(1) A: sum_i P_i e(-(2i+1)n/(q-1)) = e(-n/(q-1)) FFT(P)[n],
-    real up to rounding (ArithmeticError past the ``max_im`` bound).
+    The character sums come from the Dedekind spectrum: with
+    A_{q,chi} = C_q sum_{n <= N, (n,q)=1} a(n) chi(2n), N = ``a_series_cutoff``,
+    and sum_{chi odd} chi_bar(t) L(0,chi) L(1,chi) = pi (q-1) Im s_hat_q(t)
+    (``spectrum_point_characters``),
+
+        S(k) = pi C_q (q-1) sum_{n <= N, (n,q)=1} a(n) Im s_hat_q(k inv(2n)).
+
+    Over the group, k = g^i, the weights a(n) binned by e = ind(inv(2n))
+    into W and Im s_hat_q(g^(e+H)) = -Im s_hat_q(g^e) fold that to
+
+        S(g^i) = pi C_q (q-1) sum_{e<H} (W_e - W_{e+H}) Im s_hat_q(g^(i+e)),
+
+    one real correlation by FFT at the smallest 5-smooth length >= q - 2, the
+    same form as the truncated C(k) route.  S(1) is also summed directly over
+    the a-weights, and a gap past the ``residual`` bound raises
+    ArithmeticError.  The a-series tail bound is recorded.  The spectrum and
+    the context are the memoised ones ``spectrum_all`` reads.
     """
     require_below_cap(q, "character table", _TABLE_BYTES_PER_RESIDUE)
-    ctx = build_context(q)
+    from .dedekind import _spectrum_half  # dedekind imports this module
+
+    ctx, spectrum = _spectrum_half(q)
     H = (q - 1) // 2
-    low = ctx.powers[:H]  # g^(m+H) = q - g^m
-    twiddle = np.exp((1j * math.pi / H) * np.arange(H))  # e(m/(q-1))
-
-    # L(0, chi_j) = -sum_m psi(g^m/q) e(jm/M); psi(g^(m+H)/q) = -psi(g^m/q).
-    # tau(chi_j) = sum_m e(g^m/q) e(jm/M); e(g^(m+H)/q) = conj(e(g^m/q)).
-    # Both folded inputs are real up to the factor i of the second, and a
-    # real input x gives rows with F[H-1-i] = conj(F[i]), so one transform
-    # of x + iy carries both: F_x = (Z + Z*)/2, F_y = (Z - Z*)/2i with
-    # Z* = conj(Z[::-1]).
-    z = _odd_dft(
-        2.0 * (low / q - 0.5) + 2j * np.sin((2.0 * math.pi / q) * low), twiddle
-    )
-    z_rev = np.conj(z[::-1])
-    gauss = 0.5 * (z - z_rev)
-    # l_zero reuses z, and the dels drop temporaries before the next
-    # length-H arrays are made: that bounds the peak memory
-    l_zero = z
-    l_zero += z_rev
-    l_zero *= -0.5
-    del z_rev
-
-    # functional equation: L(1,chi_j) = -tau(chi_j) pi i/q L(0, chi_bar_j)
-    l_one = -gauss * (1j * math.pi / q) * l_zero[::-1]
-
-    # A_{q,chi_j} = C_q * sum_{n <= N, (n,q)=1} a(n) chi_j(2n)
-    a_vals = coeff_a_floats(a_series_cutoff)
-    n = np.nonzero(a_vals)[0]
-    n = n[n % q != 0]
-    w = np.bincount(ctx.index[(2 * n) % q], weights=a_vals[n], minlength=q - 1)
+    weights, e = _weights_by_inverse_2n(ctx, coeff_a_floats(a_series_cutoff))
+    W = np.bincount(e, weights=weights, minlength=q - 1)
     c_q, _ = constant_C(excluded_prime=q)
-    a_chi = c_q * _odd_dft(w[:H] - w[H:], twiddle)
-    del w
+    scale = math.pi * c_q * (q - 1)
+    group = np.concatenate((spectrum, -spectrum))  # Im s_hat_q(g^k), k < q - 1
+    half = scale * _group_correlation(W[:H] - W[H:], group)
+    del W
+    direct = scale * float(np.dot(weights, group[e]))
+    residual = abs(direct - half[0]) / (q - 1)
+    if residual > 1e-12 * max(1.0, abs(half[0]) / (q - 1)):
+        raise ArithmeticError(f"character sum S(1) residual {residual:g} above budget")
     tail_bound = 2.0 * a_series_cutoff ** (-0.45)
-
-    sums = np.fft.fft(l_zero * l_one * a_chi)
-    sums *= np.conjugate(twiddle, out=twiddle)  # e(-n/(q-1))
-    del twiddle
-    max_im = float(np.max(np.abs(sums.imag))) / (q - 1)
-    if max_im > 1e-10 * max(1.0, float(np.max(np.abs(sums.real))) / (q - 1)):
-        raise ArithmeticError("character sums S(a) not real enough")
-    bias_sums = _odd_over_group(ctx, sums.real, 0.0)
     return CharacterTable(
-        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, bias_sums, tail_bound, max_im
+        ctx, a_series_cutoff, _odd_over_group(ctx, half, 0.0), tail_bound, residual
     )

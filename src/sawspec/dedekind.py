@@ -7,10 +7,16 @@ which makes it one real correlation of length-(q-1)/2 sequences by an FFT
 zero-padded to a 5-smooth length >= q - 2, with no Bluestein step), a
 Dirichlet-character identity over the odd characters, and a truncated
 sawtooth series with an O(q/x) error contract.
+
+The Rader route's half of the spectrum is memoised for the last modulus
+(``_spectrum_half``): ``spectrum_all`` and ``characters.build_table``, which
+computes the character sums S(k) from it, share one Dedekind descent and
+one prime context per modulus.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,8 +152,38 @@ def _dft_positive_naive(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-# tracemalloc peak per residue of spectrum_all (chirp-z): the context (16),
-# dedekind_values (8), and the correlation's inputs and real FFT buffers
+def _check_parseval(q: int, s: np.ndarray, half: np.ndarray) -> None:
+    """With E = (1/q) sum_a s_q(a)^2, require
+    |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E (ArithmeticError)."""
+    energy = float(np.dot(s, s)) / q
+    residual = abs(2.0 * float(np.dot(half, half)) - energy)
+    if residual > 1e-12 * math.log(q) * energy:
+        raise ArithmeticError(f"spectrum Parseval residual {residual:g} above budget")
+
+
+@functools.lru_cache(maxsize=1)
+def _spectrum_half(q: int):
+    """(the context of q, Im s_hat_q(g^n) for n < H = (q-1)/2) by Rader's
+    route, Parseval-checked, read-only.
+
+    Memoised for the last modulus, so ``spectrum_all`` and ``build_table``
+    share one Dedekind descent and one context; the memo keeps the context
+    and the spectrum alive (about 20 bytes per residue) until another q
+    evicts them.
+    """
+    s = dedekind_values(q)
+    ctx = build_context(q)
+    H = (q - 1) // 2
+    sines = np.sin((2.0 * math.pi / q) * ctx.powers)
+    half = (2.0 / q) * _group_correlation(s[ctx.powers[:H]], sines)
+    _check_parseval(q, s, half)
+    half.flags.writeable = False
+    return ctx, half
+
+
+# tracemalloc peak per residue of spectrum_all (chirp-z) at q ~ 1e6 with
+# nothing memoised: the context (16), dedekind_values (8), and the
+# correlation's inputs and real FFT buffers; the memo keeps 20 of them
 _SPECTRUM_BYTES_PER_RESIDUE = 61
 
 
@@ -163,27 +199,22 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
 
         s_hat_q(g^n) = (2i/q) sum_{m<H} s_q(g^m) sin(2 pi g^(m+n)/q),
 
-    one real correlation by FFT at the smallest 5-smooth length >= q - 2.
+    one real correlation by FFT at the smallest 5-smooth length >= q - 2,
+    memoised for the last modulus (``build_table`` reads the same one).
     Both routes must pass Parseval: with E = (1/q) sum_a s_q(a)^2,
     |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E.
     """
     require_odd_prime(q)
     require_below_cap(q, "spectrum", _SPECTRUM_BYTES_PER_RESIDUE)
-    s = dedekind_values(q)
-    ctx = build_context(q)
-    H = (q - 1) // 2
-    low = ctx.powers[:H]
-    if algorithm == "naive":
-        half = _dft_positive_naive(s, low).imag / q
-    elif algorithm == "chirp-z":
-        sines = np.sin((2.0 * math.pi / q) * ctx.powers)
-        half = (2.0 / q) * _group_correlation(s[low], sines)
+    if algorithm == "chirp-z":
+        ctx, half = _spectrum_half(q)
+    elif algorithm == "naive":
+        s = dedekind_values(q)
+        ctx = build_context(q)
+        half = _dft_positive_naive(s, ctx.powers[: (q - 1) // 2]).imag / q
+        _check_parseval(q, s, half)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    energy = float(np.dot(s, s)) / q
-    residual = abs(2.0 * float(np.dot(half, half)) - energy)
-    if residual > 1e-12 * math.log(q) * energy:
-        raise ArithmeticError(f"spectrum Parseval residual {residual:g} above budget")
     return Spectrum(q, _odd_over_group(ctx, half, 0.0), algorithm)
 
 

@@ -24,6 +24,7 @@ from .foundations import (
     coeff_b_floats,
     coeff_b_fractions,
     constant_C,
+    factorize,
     jordan_table,
     mobius_table,
     psi,
@@ -182,11 +183,17 @@ def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
         raise ValueError("exact model moments support 1 <= ell <= 6")
     if B < 1:
         raise ValueError("B must be >= 1")
+    L = 1  # the product of the odd primes <= B, checked against the cap as it grows
+    for p in range(3, B + 1, 2):
+        if factorize(p) == [(p, 1)]:
+            L *= p
+            if L > _MODEL_LCM_CAP:
+                raise ResourceLimitError(
+                    f"model period (the product of the odd primes <= {B}) exceeds "
+                    f"cap {_MODEL_LCM_CAP} from the prime {p} on"
+                )
     b = coeff_b_fractions(B)
     support = [n for n in range(1, B + 1) if b[n]]
-    L = math.lcm(*support)
-    if L > _MODEL_LCM_CAP:
-        raise ResourceLimitError(f"model period {L} exceeds cap {_MODEL_LCM_CAP}")
     slope = sum(b[n] / n for n in support)  # Fraction, > 0 (b(1) = 1)
     half = Fraction(1, 2)
     total = Fraction(0)

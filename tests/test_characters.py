@@ -1,13 +1,15 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import sawspec as sw
+from sawspec import characters, dedekind
 from sawspec.characters import CharacterTable, _smooth_length, build_context
 from sawspec.errors import ResourceLimitError
-from sawspec.foundations import coeff_a_floats, constant_C
+from sawspec.foundations import coeff_a, coeff_a_floats, constant_C
 
 
 # ---------------------------------------------------------------------------
@@ -20,13 +22,13 @@ def _group_dft(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(values) * len(values)
 
 
-def _full_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
+def _full_table(q: int, a_series_cutoff: int = 100_000) -> SimpleNamespace:
     """All q-1 characters by three full-length DFTs (L(0), Gauss sums,
     A_{q,chi}); row j is character j, and even rows of L(0), L(1) are 0.
     ``bias_sums`` is the complex residue vector S(a), a = 0..q-1, with every
-    group entry a = g^n taken from a fourth full-length DFT,
+    group entry a = g^n taken from a fourth full-length DFT of the products,
     S(g^n) = sum_j P_j e(-jn/(q-1)), so neither oddness nor realness is
-    imposed; ``max_im`` is max |Im S|/(q-1)."""
+    imposed."""
     ctx = build_context(q)
     M = q - 1
     powers = ctx.powers
@@ -44,13 +46,54 @@ def _full_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     np.add.at(w, ctx.index[(2 * n) % q], a_vals[n])
     c_q, _ = constant_C(excluded_prime=q)
     a_chi = c_q * _group_dft(w)
-    tail_bound = 2.0 * a_series_cutoff ** (-0.45)
     bias_sums = np.zeros(q, dtype=complex)
     bias_sums[powers] = np.fft.fft(l_zero * l_one * a_chi)
-    max_im = float(np.max(np.abs(bias_sums.imag))) / M
-    return CharacterTable(
-        ctx, a_series_cutoff, l_zero, l_one, gauss, a_chi, bias_sums, tail_bound, max_im
+    return SimpleNamespace(
+        q=q,
+        context=ctx,
+        l_zero=l_zero,
+        l_one=l_one,
+        gauss=gauss,
+        a_chi=a_chi,
+        bias_sums=bias_sums,
+        a_tail_bound=2.0 * a_series_cutoff ** (-0.45),
     )
+
+
+def _character_sums_mp(q: int, a_series_cutoff: int, residues, dps: int = 30):
+    """S(a) for each a in ``residues`` from the character definition at
+    ``dps`` digits: sum over odd j of conj(chi_j(a)) L(0,chi_j) L(1,chi_j)
+    A_{q,chi_j}, with L(0,chi) = -sum_b chi(b) psi(b/q), L(1,chi) from
+    -tau(chi) pi i/q L(0,chi_bar), and A_{q,chi} = C_q sum a(n) chi(2n) over
+    n <= a_series_cutoff coprime to q, the exact a(n) binned by ind(2n).
+    C_q is the float the library uses, so only the sums are checked."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = build_context(q)
+    M = q - 1
+    powers = ctx.powers.tolist()
+    with mpmath.workdps(dps):
+        root = [mpmath.expjpi(mpmath.mpf(2 * k) / M) for k in range(M)]  # e(k/M)
+        w = [mpmath.mpf(0)] * M
+        for n in range(1, a_series_cutoff + 1):
+            a_n = coeff_a(n)
+            if a_n and n % q:
+                w[int(ctx.index[2 * n % q])] += mpmath.mpf(a_n.numerator) / a_n.denominator
+        saw = [mpmath.mpf(2 * b - q) / (2 * q) for b in powers]  # psi(g^m/q)
+        add = [mpmath.expjpi(mpmath.mpf(2 * b) / q) for b in powers]  # e(g^m/q)
+        c_q = mpmath.mpf(constant_C(excluded_prime=q)[0])
+        odd = range(1, M, 2)
+        l_zero = {j: -mpmath.fsum(saw[m] * root[j * m % M] for m in range(M)) for j in odd}
+        products = {}
+        for j in odd:
+            gauss = mpmath.fsum(add[m] * root[j * m % M] for m in range(M))
+            l_one = -gauss * mpmath.mpc(0, mpmath.pi) / q * l_zero[M - j]
+            a_chi = c_q * mpmath.fsum(w[m] * root[j * m % M] for m in range(M))
+            products[j] = l_zero[j] * l_one * a_chi
+        sums = []
+        for a in residues:
+            ind = int(ctx.index[a % q])
+            sums.append(mpmath.fsum(root[-j * ind % M] * products[j] for j in odd))
+        return sums
 
 
 def char_value(table: CharacterTable, j: int, a: int) -> complex:
@@ -62,7 +105,7 @@ def char_value(table: CharacterTable, j: int, a: int) -> complex:
     return complex(np.exp(2j * math.pi * j * int(ctx.index[a]) / (ctx.q - 1)))
 
 
-def gauss_sum(full: CharacterTable, j: int) -> complex:
+def gauss_sum(full: SimpleNamespace, j: int) -> complex:
     """tau(chi_j) = sum_m chi_j(m) e(m/q), read from a ``_full_table``."""
     return complex(full.gauss[j % (full.q - 1)])
 
@@ -130,6 +173,51 @@ class TestContext:
         assert peak < 1 << 20
 
 
+class TestMemo:
+    def test_spectrum_and_table_share_one_descent_and_context(self, monkeypatch):
+        q = 10009
+        dedekind._spectrum_half.cache_clear()
+        characters._context.cache_clear()
+        calls = {"dedekind_values": 0, "build_context": 0, "primitive_root": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(dedekind, "dedekind_values")
+        count(dedekind, "build_context")
+        count(characters, "build_context")
+        count(characters, "primitive_root")
+        for _ in range(2):
+            spectrum = sw.spectrum_all(q)
+            table = sw.build_table(q)
+        assert calls == {"dedekind_values": 1, "build_context": 1, "primitive_root": 1}
+        assert table.context is build_context(q)
+        ctx, half = dedekind._spectrum_half(q)
+        assert np.array_equal(spectrum.values[ctx.powers[: len(half)]], half)
+
+    def test_memo_is_read_only_and_a_new_modulus_evicts_it(self):
+        q = 1009
+        ctx, half = dedekind._spectrum_half(q)
+        for arr in (half, ctx.powers, ctx.index):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1] = 0
+        assert build_context(q) is ctx
+        dedekind._spectrum_half(101)
+        assert dedekind._spectrum_half.cache_info().currsize == 1
+        assert characters._context.cache_info().currsize == 1
+        assert build_context(q) is not ctx
+        misses = dedekind._spectrum_half.cache_info().misses
+        assert np.array_equal(dedekind._spectrum_half(q)[1], half)
+        assert dedekind._spectrum_half.cache_info().misses == misses + 1
+
+
 def test_smooth_length_is_least_5_smooth_bound():
     def smooth(m):
         for p in (2, 3, 5):
@@ -146,8 +234,8 @@ def test_smooth_length_is_least_5_smooth_bound():
 
 class TestBuildTable:
     def test_resource_cap(self):
-        # 78 bytes per residue, past the cap at q = 2000003
-        with pytest.raises(ResourceLimitError, match="156000234 bytes"):
+        # 66 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="132000198 bytes"):
             sw.build_table(2_000_003)
 
     def test_q3_l_values(self):
@@ -166,16 +254,25 @@ class TestBuildTable:
         assert np.all(full_101.l_zero[0::2] == 0)
 
     @pytest.mark.parametrize("q", [3, 5, 7, 101, 10007])
-    def test_odd_rows_match_full_table(self, q):
+    def test_odd_rows_match_full_table(self, q, monkeypatch):
         # row i is character j = 2i + 1.  The L(0) and tau rows grow with q
         # (to ~130 at q = 10007) and both sides carry ~1e-15 relative FFT
         # noise; L(1) and A are O(1).  At q = 10007 the gaps are 2.3e-13
-        # (tau) and 6.0e-15 (L(1))
+        # (tau) and 6.0e-15 (L(1)).  build_table leaves the rows to their
+        # first use, which takes two half-length transforms, once
         half, full = sw.build_table(q), _full_table(q)
+        assert "_l_rows" not in vars(half) and "a_chi" not in vars(half)
+        transforms = []
+        odd_dft = characters._odd_dft
+        monkeypatch.setattr(
+            characters, "_odd_dft", lambda *args: transforms.append(1) or odd_dft(*args)
+        )
         bounds = {"l_zero": 1e-11, "gauss": 1e-11, "l_one": 1e-13, "a_chi": 1e-13}
-        for name, bound in bounds.items():
-            gap = np.max(np.abs(getattr(half, name) - getattr(full, name)[1::2]))
-            assert gap <= bound, name
+        for _ in range(2):
+            for name, bound in bounds.items():
+                gap = np.max(np.abs(getattr(half, name) - getattr(full, name)[1::2]))
+                assert gap <= bound, name
+        assert len(transforms) == 2
 
     @pytest.mark.parametrize("q", [3, 5, 7, 101, 10007])
     def test_bias_sums_match_full_table(self, q):
@@ -191,9 +288,29 @@ class TestBuildTable:
         assert np.array_equal(S[q - np.arange(1, q)], -S[1:])
         for a in (1, 2, q - 1, q + 2, -2, 5 * q - 1):
             assert half.bias_sum(a) == S[a % q]
-        assert 0.0 <= half.max_im <= 1e-10 * max(1.0, np.max(np.abs(S)) / (q - 1))
+        assert 0.0 <= half.residual <= 1e-12 * max(1.0, abs(S[1]) / (q - 1))
         ck = sw.ck_all(q, "characters", half)
         assert np.array_equal(ck.values[1:], S[1:] * (1.0 / (q - 1)))
+
+    def test_bias_sums_match_character_definition_mp(self):
+        # the 30-digit oracle from the character definition, at q = 101 with
+        # a(n) to 1000, every residue; on the C scale the gap is ~1e-15
+        q, cutoff = 101, 1000
+        table = sw.build_table(q, a_series_cutoff=cutoff)
+        exact = _character_sums_mp(q, cutoff, range(1, q))
+        for a, value in zip(range(1, q), exact):
+            assert abs(value.imag) / (q - 1) <= 1e-25
+            assert abs(table.bias_sums[a] - float(value.real)) / (q - 1) <= 1e-14
+
+    def test_perturbed_correlation_fails_the_residual(self, monkeypatch):
+        # a shift of 1e-9 in the correlation is ~4e-9 on the C scale, far
+        # past the 1e-12 budget of the direct S(1)
+        correlation = characters._group_correlation
+        monkeypatch.setattr(
+            characters, "_group_correlation", lambda u, v: correlation(u, v) + 1e-9
+        )
+        with pytest.raises(ArithmeticError, match="residual"):
+            sw.build_table(101)
 
     @pytest.mark.parametrize("a", [0, 101, -202])
     def test_zero_residue_is_refused(self, table_101, a):

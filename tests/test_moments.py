@@ -167,3 +167,14 @@ class TestContinuousModel:
     def test_lcm_cap(self):
         with pytest.raises(ResourceLimitError):
             sw.continuous_model_moment_exact(2, 60)
+
+    @pytest.mark.parametrize("B", [17, 20_000, 100_000])
+    def test_period_cap_raises_before_the_coefficients(self, B, monkeypatch):
+        # 3*5*7*11*13*17 = 255255 passes the cap at p = 17; the message names
+        # no period, which for large B has more digits than int -> str allows
+        def refuse(limit):
+            raise AssertionError("coeff_b_fractions called before the cap")
+
+        monkeypatch.setattr(sw.moments, "coeff_b_fractions", refuse)
+        with pytest.raises(ResourceLimitError, match="from the prime 17 on"):
+            sw.continuous_model_moment_exact(4, B)
