@@ -274,10 +274,11 @@ def _weights_by_inverse_2n(ctx: PrimeContext, coeffs: np.ndarray):
 
 def _odd_over_group(ctx: PrimeContext, half: np.ndarray, zero: float) -> np.ndarray:
     """f(a), a = 0..q-1: f(0) = zero, f(g^n) = half[n], f(g^(n+H)) = -half[n]."""
-    H = len(half)
-    values = np.full(ctx.q, zero)
-    values[ctx.powers[:H]] = half
-    values[ctx.powers[H:]] = -half
+    values = np.empty(ctx.q)
+    values[0] = zero
+    # one gather through the discrete log: g^m takes half[m] for m < H and
+    # -half[m - H] above
+    values[1:] = np.concatenate((half, -half))[ctx.index[1:]]
     return values
 
 

@@ -67,6 +67,9 @@ def _fmt(v) -> str:
 
 
 def _round12(obj):
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        # a float vector: one format map over its Python floats
+        return list(map(float, map("{:.12g}".format, obj.tolist())))
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, Fraction):
@@ -102,20 +105,33 @@ def emit_json(payload: dict, args, truncation: dict) -> None:
     _write(json.dumps(record, indent=2) + "\n", args.output)
 
 
-def emit_csv(columns, rows, args, meta: dict) -> None:
+def _column(values) -> tuple[str, list]:
+    """A CSV column as its %-format code and its cells: a float or integer
+    vector is printed by C as %.12g (the digits of _fmt) or %d, any other
+    column cell by cell by _fmt."""
+    if isinstance(values, np.ndarray):
+        return ("%.12g" if values.dtype.kind == "f" else "%d"), values.tolist()
+    return "%s", [_fmt(v) for v in values]
+
+
+def emit_csv(header, columns, args, meta: dict) -> None:
+    """``#`` metadata lines, the header row, then one row per entry of the
+    columns (all of one length), formatted column by column: one row
+    template fills every row in one %-format."""
+    codes, cells = zip(*map(_column, columns))
+    rows = len(cells[0])
+    flat = [None] * (rows * len(cells))
+    for j, column in enumerate(cells):
+        flat[j :: len(cells)] = column
     lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write("\n".join(lines) + "\n", args.output)
+    lines.append(",".join(header))
+    body = (",".join(codes) + "\n") * rows % tuple(flat)
+    _write("\n".join(lines) + "\n" + body, args.output)
 
 
 def _emit_histogram(dist, args, meta: dict) -> None:
     counts, edges = histogram(dist)
-    rows = [
-        (float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)
-    ]
-    emit_csv(("bin_lo", "bin_hi", "count"), rows, args, meta)
+    emit_csv(("bin_lo", "bin_hi", "count"), (edges[:-1], edges[1:], counts), args, meta)
 
 
 def _positive_int(text: str) -> int:
@@ -274,7 +290,7 @@ def _cmd_dedekind(args) -> int:
     elif fmt == "csv":
         emit_csv(
             ("q", "a", "method", "s_q_a"),
-            [(args.q, args.a, args.method, value)],
+            [(args.q,), (args.a,), (args.method,), (value,)],
             args,
             {"command": "dedekind"},
         )
@@ -288,13 +304,13 @@ def _cmd_spectrum(args) -> int:
     spec = spectrum_all(args.q, args.algorithm)
     if fmt == "json":
         emit_json(
-            {"q": args.q, "im_s_hat": list(spec.values)},
+            {"q": args.q, "im_s_hat": spec.values},
             args,
             {"algorithm": args.algorithm},
         )
     else:
-        rows = [(t, float(v)) for t, v in enumerate(spec.values)]
-        emit_csv(("t", "im_s_hat"), rows, args, {"q": args.q, "algorithm": args.algorithm})
+        meta = {"q": args.q, "algorithm": args.algorithm}
+        emit_csv(("t", "im_s_hat"), (np.arange(args.q), spec.values), args, meta)
     return EXIT_OK
 
 
@@ -313,10 +329,9 @@ def _cmd_ck(args) -> int:
     meta = {"q": args.q, "method": vec.method, "scale": scale_note}
     meta.update(vec.truncation)
     if fmt == "json":
-        emit_json({"q": args.q, "c_k": list(values)}, args, meta)
+        emit_json({"q": args.q, "c_k": values}, args, meta)
     else:
-        rows = [(k + 1, float(v)) for k, v in enumerate(values)]
-        emit_csv(("k", "c_k"), rows, args, meta)
+        emit_csv(("k", "c_k"), (np.arange(1, args.q), values), args, meta)
     return EXIT_OK
 
 
@@ -341,7 +356,8 @@ def _cmd_c2(args) -> int:
         value = c2_pair(args.q, args.a, args.b, table)
         payload = {"q": args.q, "a": args.a, "b": args.b, "c2": value}
     if fmt == "csv":
-        emit_csv(tuple(payload), [tuple(payload.values())], args, {"command": "c2"})
+        columns = [(v,) for v in payload.values()]
+        emit_csv(tuple(payload), columns, args, {"command": "c2"})
     else:
         emit_json(payload, args, {"a_series_cutoff": table.cutoff})
     return EXIT_OK
@@ -391,7 +407,8 @@ def _cmd_moments(args) -> int:
         "tail_note": est.tail_note,
     }
     if fmt == "csv":
-        emit_csv(tuple(payload), [tuple(payload.values())], args, {"command": "moments"})
+        columns = [(v,) for v in payload.values()]
+        emit_csv(tuple(payload), columns, args, {"command": "moments"})
     else:
         emit_json(payload, args, {"B": args.B})
     return EXIT_OK
@@ -421,17 +438,15 @@ def _cmd_dist(args) -> int:
         emit_json(summary(dist), args, meta)
     elif args.stat == "ecdf":
         xs = np.linspace(-4.0, 4.0, args.grid)
-        rows = [(float(x), ecdf_scaled(dist, float(x))) for x in xs]
-        emit_csv(("x", "F"), rows, args, meta)
+        F = [ecdf_scaled(dist, x) for x in xs.tolist()]
+        emit_csv(("x", "F"), (xs, F), args, meta)
     elif args.stat == "hist":
         _emit_histogram(dist, args, meta)
     elif args.stat == "tails":
         xs = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        rows = [
-            (x, tail_frequency(dist, x, "upper"), tail_frequency(dist, x, "lower"))
-            for x in xs
-        ]
-        emit_csv(("x", "upper", "lower"), rows, args, meta)
+        upper = [tail_frequency(dist, x, "upper") for x in xs]
+        lower = [tail_frequency(dist, x, "lower") for x in xs]
+        emit_csv(("x", "upper", "lower"), (xs, upper, lower), args, meta)
     else:
         value = almost_period_stat(dist, args.m)
         emit_json({"m": args.m, "statistic": value}, args, meta)
@@ -454,8 +469,7 @@ def _cmd_phi(args) -> int:
         emit_json({"x": x, "R": R, "R_tilde": Rt}, args, meta)
     elif args.stat == "moments":
         moments = rtilde_moments_exact(args.y, args.ell, acc)
-        rows = list(enumerate(moments, start=1))
-        emit_csv(("ell", "moment"), rows, args, meta)
+        emit_csv(("ell", "moment"), (range(1, len(moments) + 1), moments), args, meta)
     else:
         _emit_histogram(make_distribution("R", rtilde_samples(acc)), args, meta)
     return EXIT_OK
@@ -480,11 +494,10 @@ def _cmd_primes(args) -> int:
         emit_json(report, args, {"x": args.x})
         return EXIT_OK
     meta = {"x": args.x, "q": args.q, "r": args.r, "windows": census.total_windows}
-    rows = [
-        (":".join(str(v) for v in key), count)
-        for key, count in sorted(census.counts.items())
-    ]
-    emit_csv(("pattern", "count"), rows, args, meta)
+    keys = sorted(census.counts)
+    patterns = [":".join(str(v) for v in key) for key in keys]
+    counts = [census.counts[key] for key in keys]
+    emit_csv(("pattern", "count"), (patterns, counts), args, meta)
     return EXIT_OK
 
 

@@ -93,30 +93,42 @@ def dedekind_sum(q: int, a: int, method: str = "reciprocity") -> Fraction:
     return dedekind_sum_pair(a % q, q, method)
 
 
+_DESCENT_BLOCK = 1 << 15  # lanes a per block of the descent in dedekind_values
+
+
 def dedekind_values(q: int) -> np.ndarray:
     """s_q(a) for a = 0..q-1 as float64 (a = 0 entry is 0), q an odd prime.
 
-    The float reciprocity descent runs in lockstep over every a < q/2: each
-    step adds sign * ((h^2 + k^2 + 1)/(12hk) - 1/4) to the live lanes, maps
-    (h, k) -> (k mod h, h) and drops the lanes that reached h = 0.  All lanes
-    are at the same step, so the sign is shared, and each lane sees the
-    float operations of a scalar descent in the same order.
+    The float reciprocity descent runs in lockstep over blocks of
+    ``_DESCENT_BLOCK`` lanes a < q/2, each lane an int64 pair (h, k) with its
+    own running sum: each step adds sign * ((h^2 + k^2 + 1)/(12hk) - 1/4) to
+    the sums and maps (h, k) -> (k mod h, h).  Only on a step where some lane
+    reached h = 0 are the lanes compacted, and a finished lane's sum is
+    written to the values once.  All lanes of a block are at the same step,
+    so the sign is shared.  Each lane sees the float operations of a scalar
+    descent in the same order (0.0 + t_1, then +- t_i), so its value is the
+    scalar descent's bit for bit.
     """
     require_odd_prime(q)
-    # tracemalloc peak per residue: the values, the lanes idx, h, k and a step
-    require_below_cap(q, "Dedekind values", 37)
+    # tracemalloc peak per residue: the values, and one block's lanes
+    require_below_cap(q, "Dedekind values", 12)
     half = (q - 1) // 2
     vals = np.zeros(q)
-    idx = np.arange(1, half + 1, dtype=np.int64)
-    h = idx.copy()
-    k = np.full(half, q, dtype=np.int64)
-    sign = 1.0
-    while len(idx):
-        vals[idx] += sign * ((h * h + k * k + 1) / (12.0 * h * k) - 0.25)
-        h, k = k % h, h
-        live = h != 0
-        idx, h, k = idx[live], h[live], k[live]
-        sign = -sign
+    for lo in range(1, half + 1, _DESCENT_BLOCK):
+        idx = np.arange(lo, min(lo + _DESCENT_BLOCK, half + 1), dtype=np.int64)
+        h = idx.copy()
+        k = np.full(len(idx), q, dtype=np.int64)
+        acc = np.zeros(len(idx))
+        sign = 1.0
+        while len(idx):
+            acc += sign * ((h * h + k * k + 1) / (12.0 * h * k) - 0.25)
+            h, k = k % h, h
+            if not h.all():
+                done = np.flatnonzero(h == 0)
+                vals[idx[done]] = acc[done]
+                live = np.flatnonzero(h)
+                idx, acc, h, k = idx[live], acc[live], h[live], k[live]
+            sign = -sign
     # oddness s_q(q - a) = -s_q(a) fills the upper half exactly
     vals[half + 1 :] = -vals[half:0:-1]
     return vals

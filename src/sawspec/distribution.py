@@ -133,17 +133,21 @@ def almost_period_stat(dist: EmpiricalDistribution, m: int) -> float:
 
     Requires a residue-indexed dataset (samples in k-order 1..q-1); pairs
     whose shifted index lands on the missing residue 0 are skipped and the
-    average renormalized over the remaining pairs.
+    average renormalized over the remaining pairs.  With m' = m mod q != 0
+    those are the q - 2 differences v[:q-1-m'] - v[m':] (k + m' < q) followed
+    by v[q-m':] - v[:m'-1] (k + m' > q), two slices in k order; m' = 0 gives
+    0.0.
     """
     if dist.index is None:
         raise ValueError("shift statistic needs a residue-indexed dataset")
     v = dist.samples
     q = dist.n + 1
-    k = np.arange(1, q)
-    shifted = (k + m) % q
-    keep = shifted != 0
-    diffs = v[k[keep] - 1] - v[shifted[keep] - 1]
-    return float(np.sum(diffs * diffs)) / int(np.sum(keep))
+    m %= q
+    if m == 0:
+        return 0.0
+    diffs = np.concatenate((v[: q - 1 - m] - v[m:], v[q - m :] - v[: m - 1]))
+    diffs *= diffs
+    return float(np.sum(diffs)) / (q - 2)
 
 
 def symmetry_statistic(dist: EmpiricalDistribution, xs) -> float:

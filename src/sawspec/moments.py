@@ -153,9 +153,10 @@ def empirical_moments(values, ell_max: int) -> list[float]:
     if v.size == 0:
         raise ValueError("empty sample set")
     out = []
-    p = np.ones_like(v)
-    for _ in range(ell_max):
-        p = p * v
+    p = v.copy()
+    for ell in range(1, ell_max + 1):
+        if ell > 1:
+            p *= v
         out.append(float(np.sum(p)) / v.size)
     return out
 

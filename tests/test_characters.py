@@ -173,6 +173,27 @@ class TestContext:
         assert peak < 1 << 20
 
 
+def _odd_over_group_scatter(ctx, half, zero):
+    """The odd vector by two scatters through the powers: the reference for
+    _odd_over_group's one gather through the discrete log."""
+    H = len(half)
+    values = np.full(ctx.q, zero)
+    values[ctx.powers[:H]] = half
+    values[ctx.powers[H:]] = -half
+    return values
+
+
+@pytest.mark.parametrize("zero", [0.0, np.nan])
+def test_odd_over_group_gather_matches_scatter_bitwise(zero):
+    q = 10007
+    ctx = build_context(q)
+    half = np.random.default_rng(q).standard_normal((q - 1) // 2)
+    half[:2] = 0.0, -0.0
+    got = characters._odd_over_group(ctx, half, zero)
+    expected = _odd_over_group_scatter(ctx, half, zero)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestMemo:
     def test_spectrum_and_table_share_one_descent_and_context(self, monkeypatch):
         q = 10009

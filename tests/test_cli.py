@@ -3,11 +3,16 @@ import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sawspec as sw
+from sawspec import __version__
 from sawspec.cli import main
+from sawspec.distribution import ecdf_scaled, from_ck_vector, from_spectrum, histogram
 
 
 def run_cli(capsys, *argv):
@@ -602,3 +607,113 @@ class TestOther:
         )
         assert code == 0 and out == ""
         assert path.read_text().splitlines()[2] == "t,im_s_hat"
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row formatter: the reference for the column-by-column CSV and
+# the vector fast path of the JSON rounding
+
+
+def _cell(v) -> str:
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
+def _csv_by_rows(header, rows, meta: dict) -> str:
+    lines = [f"# {k}={_cell(v)}" for k, v in meta.items()]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _round12_by_cells(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round12_by_cells(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12_by_cells(v) for v in obj]
+    return obj
+
+
+def _json_by_cells(command: str, payload: dict, truncation: dict) -> str:
+    record = {
+        "meta": {
+            "command": command,
+            "version": __version__,
+            "truncation_params": _round12_by_cells(truncation),
+        }
+    }
+    record.update(_round12_by_cells(payload))
+    return json.dumps(record, indent=2) + "\n"
+
+
+OUTPUT_QS = [101, 1009, 10007, 1_000_003]
+
+
+class TestOutputMatchesRowFormatter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("q", OUTPUT_QS)
+    def test_spectrum(self, capsys, q, fmt):
+        code, out, _ = run_cli(capsys, "spectrum", "--q", str(q), "--format", fmt)
+        values = sw.spectrum_all(q).values
+        if fmt == "csv":
+            rows = [(t, float(v)) for t, v in enumerate(values)]
+            meta = {"q": q, "algorithm": "chirp-z"}
+            expected = _csv_by_rows(("t", "im_s_hat"), rows, meta)
+        else:
+            payload = {"q": q, "im_s_hat": list(values)}
+            expected = _json_by_cells("spectrum", payload, {"algorithm": "chirp-z"})
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", ["characters", "truncated"])
+    @pytest.mark.parametrize("q", OUTPUT_QS)
+    def test_ck(self, capsys, q, method, fmt):
+        code, out, _ = run_cli(
+            capsys, "ck", "--q", str(q), "--method", method, "--format", fmt
+        )
+        if method == "characters":
+            vec = sw.ck_all(q, method, table=sw.build_table(q))
+        else:
+            vec = sw.ck_all(q, method)
+        meta = {"q": q, "method": method, "scale": "none", **vec.truncation}
+        if fmt == "csv":
+            rows = [(k + 1, float(v)) for k, v in enumerate(vec.samples)]
+            expected = _csv_by_rows(("k", "c_k"), rows, meta)
+        else:
+            payload = {"q": q, "c_k": list(vec.samples)}
+            expected = _json_by_cells("ck", payload, meta)
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("source", ["spectrum", "ck"])
+    @pytest.mark.parametrize("q", OUTPUT_QS)
+    def test_dist_ecdf(self, capsys, q, source):
+        code, out, _ = run_cli(
+            capsys, "dist", "--source", source, "--q", str(q), "--stat", "ecdf"
+        )
+        if source == "ck":
+            d = from_ck_vector(sw.ck_all(q, "characters", table=sw.build_table(q)))
+        else:
+            d = from_spectrum(sw.spectrum_all(q))
+        rows = [(float(x), ecdf_scaled(d, float(x))) for x in np.linspace(-4, 4, 61)]
+        meta = {"source": source, "scale": d.scale, "q": q}
+        assert code == 0
+        assert out == _csv_by_rows(("x", "F"), rows, meta)
+
+    @pytest.mark.parametrize("y", [1000, 100_000, 1_000_000])
+    def test_phi_hist(self, capsys, y):
+        code, out, _ = run_cli(capsys, "phi", "--y", str(y), "--stat", "hist")
+        acc = sw.build_phi_accumulator(y)
+        counts, edges = histogram(sw.make_distribution("R", sw.rtilde_samples(acc)))
+        rows = [
+            (float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)
+        ]
+        assert code == 0
+        assert out == _csv_by_rows(("bin_lo", "bin_hi", "count"), rows, {"y": y})

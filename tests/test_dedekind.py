@@ -87,12 +87,26 @@ class TestDedekindSum:
                 )
 
 
+def _scalar_values(q: int) -> np.ndarray:
+    """s_q(a), a = 0..q-1, by the scalar descent and oddness."""
+    half = [_dedekind_float(a, q) for a in range(1, (q + 1) // 2)]
+    return np.array([0.0] + half + [-v for v in reversed(half)])
+
+
 class TestDedekindValues:
-    @pytest.mark.parametrize("q", [3, 5, 101, 1009, 10007])
+    # 65537: H = 2^15 lanes, exactly one descent block; 100003: a partial
+    # last block
+    @pytest.mark.parametrize("q", [3, 5, 101, 1009, 10007, 65537, 100003])
     def test_bit_identical_to_scalar_descent(self, q):
-        half = [_dedekind_float(a, q) for a in range(1, (q + 1) // 2)]
-        expected = np.array([0.0] + half + [-v for v in reversed(half)])
+        expected = _scalar_values(q)
         assert np.array_equal(dedekind_values(q), expected)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("q", [101, 1009])
+    def test_block_size_keeps_every_bit(self, monkeypatch, q, block):
+        monkeypatch.setattr(dedekind, "_DESCENT_BLOCK", block)
+        values = dedekind_values(q)
+        assert np.array_equal(values.view(np.int64), _scalar_values(q).view(np.int64))
 
     def test_bit_identical_sampled_near_1e6(self):
         q = 1_000_003

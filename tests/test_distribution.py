@@ -102,7 +102,29 @@ class TestExtremes:
         assert 0.0 < rep["max_over_loglog_scale"] <= 1.2
 
 
+def _almost_period_fancy(d, m: int) -> float:
+    """The shift statistic by fancy indexing over k = 1..q-1: the reference
+    for almost_period_stat's two slices."""
+    v = d.samples
+    q = d.n + 1
+    k = np.arange(1, q)
+    shifted = (k + m) % q
+    keep = shifted != 0
+    diffs = v[k[keep] - 1] - v[shifted[keep] - 1]
+    return float(np.sum(diffs * diffs)) / int(np.sum(keep))
+
+
 class TestAlmostPeriod:
+    @pytest.mark.parametrize("q", [3, 5, 101, 10007])
+    def test_slices_match_fancy_index_bitwise(self, q):
+        spec = dist.from_spectrum(sw.spectrum_all(q))
+        ck = dist.from_ck_vector(sw.ck_all(q, "characters", table=sw.build_table(q)))
+        for d in (spec, ck):
+            for m in (0, 1, 2, 60, q - 2, q - 1, q, -5, 3 * q + 7):
+                got = np.float64(dist.almost_period_stat(d, m))
+                expected = np.float64(_almost_period_fancy(d, m))
+                assert got.view(np.int64) == expected.view(np.int64), (q, m)
+
     def test_zero_shift(self, dist_ck):
         assert dist.almost_period_stat(dist_ck, 0) == 0.0
 

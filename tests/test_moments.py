@@ -94,7 +94,25 @@ class TestMultisets:
             assert mult == orderings
 
 
+def _empirical_moments_from_ones(values, ell_max: int) -> list[float]:
+    """Power means from p = 1, p = p * v: the reference for the in-place
+    powers of empirical_moments."""
+    v = np.asarray(values, dtype=float)
+    out = []
+    p = np.ones_like(v)
+    for _ in range(ell_max):
+        p = p * v
+        out.append(float(np.sum(p)) / v.size)
+    return out
+
+
 class TestEmpirical:
+    def test_in_place_powers_match_reference_bitwise(self, ck_10007, spec_10007):
+        for v in (ck_10007.samples, -math.pi * spec_10007.values[1:]):
+            got = np.array(sw.empirical_moments(v, 6))
+            expected = np.array(_empirical_moments_from_ones(v, 6))
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_plus_minus_one(self):
         assert sw.empirical_moments([1.0, -1.0], 2) == [0.0, 1.0]
 
