@@ -18,9 +18,8 @@ import numpy as np
 from .characters import (
     CharacterTable,
     PrimeContext,
-    _group_correlation,
-    _odd_over_group,
-    _weights_by_inverse_2n,
+    _coprime_terms,
+    _odd_correlation,
     build_context,
     require_below_cap,
     require_odd_prime,
@@ -101,10 +100,11 @@ def _ck_char_raw(table: CharacterTable, k: int) -> float:
 
 def _truncated_terms(ctx: PrimeContext, cutoff: int | None):
     """Terms of -C_q sum_{n <= N, (n,q)=1} b(n) psi(k inv(2n)/q):
-    (N, C_q, the nonzero weights b(n), e with inv(2n) = g^e mod q)."""
+    (N, C_q, the nonzero weights b(n), inv(2n) mod q for each)."""
     N = cutoff if cutoff is not None else max(1000, ctx.q)
     c_q, _ = constant_C(excluded_prime=ctx.q)
-    return (N, c_q) + _weights_by_inverse_2n(ctx, coeff_b_floats(N))
+    weights, two_n = _coprime_terms(ctx.q, coeff_b_floats(N))
+    return N, c_q, weights, ctx.inverse(two_n)
 
 
 def ck_point(
@@ -129,8 +129,7 @@ def ck_point(
         return 0.5 * (_ck_char_raw(table, k) - _ck_char_raw(table, q - k))
     if method == "truncated":
         ctx = build_context(q)
-        _, c_q, weights, e = _truncated_terms(ctx, None)
-        inv2n = ctx.powers[e]
+        _, c_q, weights, inv2n = _truncated_terms(ctx, None)
 
         def raw(kk: int) -> float:
             return -c_q * float(np.sum(weights * ((kk * inv2n) % q / q - 0.5)))
@@ -141,7 +140,7 @@ def ck_point(
 
 # tracemalloc peak per residue of ck_all: the truncated route at the default
 # cutoff N = q (the characters route peaks at 8, reading a built table)
-_CK_BYTES_PER_RESIDUE = 67
+_CK_BYTES_PER_RESIDUE = 51
 
 
 def ck_all(
@@ -154,15 +153,14 @@ def ck_all(
 
     The character route scales the table's character sums, which
     ``build_table`` computes from the Dedekind spectrum, C(k) = S(k)/(q-1),
-    computed as S(k) * (1/(q-1)).  The truncated route
-    works over the cyclic group, k = g^i: it bins the weights b(n) by
-    e = ind(inv(2n)) into W, so that C(g^i) = -C_q sum_e W_e psi(g^(i+e)/q);
-    psi(g^(e+H)/q) = -psi(g^e/q), H = (q-1)/2, folds that to Rader's form
+    computed as S(k) * (1/(q-1)).  The truncated route bins the weights
+    b(n) at x = inv(2n) mod q into W, so that
 
-        C(g^i) = -C_q sum_{e<H} (W_e - W_{e+H}) psi(g^(i+e)/q),  i < H,
+        C(k) = -C_q sum_x W(x) psi(kx/q),
 
-    one real correlation by FFT at the smallest 5-smooth length >= q - 2,
-    and C(g^(i+H)) = -C(g^i) fills the rest.
+    a correlation with the odd psi, which Rader's reindexing over the group
+    computes by one real FFT at the smallest 5-smooth length >= q - 2
+    (``characters._odd_correlation``).
     """
     require_odd_prime(q)
     require_below_cap(q, "C(k) vector", _CK_BYTES_PER_RESIDUE)
@@ -174,11 +172,11 @@ def ck_all(
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         ctx = build_context(q)
-        N, c_q, weights, e = _truncated_terms(ctx, cutoff)
-        W = np.bincount(e, weights=weights, minlength=q - 1)
-        H = (q - 1) // 2
-        half = -c_q * _group_correlation(W[:H] - W[H:], ctx.powers / q - 0.5)
-        values = _odd_over_group(ctx, half, np.nan)
+        N, c_q, weights, inv_2n = _truncated_terms(ctx, cutoff)
+        values = _odd_correlation(
+            ctx, np.bincount(inv_2n, weights, minlength=q), lambda a: a / q - 0.5,
+            -c_q, np.nan,
+        )
         meta = {"series_cutoff": N}
     else:
         raise ValueError(f"unknown method {method!r}")

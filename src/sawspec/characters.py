@@ -1,13 +1,14 @@
 """Dirichlet character group mod a prime, Gauss sums and the attached L-data.
 
 A ``PrimeContext`` fixes a primitive root g and the discrete-log table, so
-character j acts by chi_j(a) = e(j * ind(a) / (q-1)); ``build_context``
-memoises the last modulus's one.  Only the odd characters (odd j) enter the
-bias sums, so the table's rows hold those alone, one row per odd character:
-L(0,chi) (finite sum), L(1,chi) (functional equation), the Gauss sum, and
-the Euler-correction factor A_{q,chi} as a truncated series.  Each is a sum
-over the cyclic group, evaluated for all odd characters at once by one
-half-length FFT: with H = (q-1)/2 and j = 2i + 1,
+character j acts by chi_j(a) = e(j * ind(a) / (q-1)) and inv(g^m) = g^(-m)
+(``PrimeContext.inverse``); ``build_context`` memoises the last modulus's
+one.  Only the odd characters (odd j) enter the bias sums, so the table's
+rows hold those alone, one row per odd character: L(0,chi) (finite sum),
+L(1,chi) (functional equation), the Gauss sum, and the Euler-correction
+factor A_{q,chi} as a truncated series.  Each is a sum over the cyclic
+group, evaluated for all odd characters at once by one half-length FFT:
+with H = (q-1)/2 and j = 2i + 1,
 
     sum_{m<q-1} x_m e(jm/(q-1)) = sum_{m<H} (x_m - x_{m+H}) e(m/(q-1)) e(im/H),
 
@@ -16,24 +17,16 @@ rows are built on first use: only the per-character oracle routes
 (``spectrum_point_characters``, ``ck_point(..., "characters")``) read them.
 
 The same reindexing over the group (Rader's, for a transform of prime
-length) turns sums over the residues into correlations: for f and h odd
-mod q and n < H,
+length) makes a multiplicative correlation T(k) = sum_a f(a) h(ka), h odd
+mod q, a linear one: with k = g^n, n < H,
 
-    sum_{a mod q} f(a) h(g^n a) = 2 sum_{m<H} f(g^m) h(g^(m+n)),
+    T(g^n) = sum_{m<H} (f(g^m) - f(g^(m+H))) h(g^(m+n)),
 
-a linear correlation of f(g^m), m < H, against h(g^k), k < 2H - 1, which a
-real FFT zero-padded to the smallest 5-smooth length >= 2H - 1 computes
-with no wrap-around.  The Dedekind spectrum, the truncated C(k) vector and
-the table's character sums S(a) all take that form (``_group_correlation``):
-summing the A-series over characters gives
-
-    S(k) = pi C_q (q-1) sum_{n <= N, (n,q)=1} a(n) Im s_hat_q(k inv(2n)),
-
-the truncated C(k) route with psi replaced by Im s_hat_q and b(n) by a(n).
-A direct sum of S(1) over the a-weights checks that correlation
-(``CharacterTable.residual``).  The three vectors are odd in a, and each is
-stored as one exactly odd real vector over a = 0..q-1 that
-``_odd_over_group`` writes.
+one real FFT zero-padded to a 5-smooth length >= 2H - 1, and T(-k) = -T(k).
+``_odd_correlation`` computes it as one exactly odd vector over the residues
+for the Dedekind spectrum (f = s_q, h = sin), the truncated C(k) (f the
+b-weights binned at inv(2n), h = psi) and the table's character sums S(k)
+(f the a-weights binned at inv(2n), h = Im s_hat_q; ``build_table``).
 """
 
 from __future__ import annotations
@@ -128,6 +121,10 @@ class PrimeContext:
     primitive_root: int
     powers: np.ndarray
     index: np.ndarray
+
+    def inverse(self, a):
+        """inv(a) mod q for residues a (int or int64 array) coprime to q."""
+        return self.powers[-self.index[a] % (self.q - 1)]
 
 
 def build_context(q: int) -> PrimeContext:
@@ -239,9 +236,9 @@ class CharacterTable:
     def a_chi(self) -> np.ndarray:
         """A_{q,chi_j} = C_q sum_{n <= cutoff, (n,q)=1} a(n) chi_j(2n), one
         half-length transform of the a-weights binned by ind(2n)."""
-        ctx, M = self.context, self.q - 1
-        weights, e = _weights_by_inverse_2n(ctx, coeff_a_floats(self.cutoff))
-        w = np.bincount(-e % M, weights=weights, minlength=M)  # ind(2n) = -e
+        M = self.q - 1
+        weights, two_n = _coprime_terms(self.q, coeff_a_floats(self.cutoff))
+        w = np.bincount(self.context.index[two_n], weights=weights, minlength=M)
         c_q, _ = constant_C(excluded_prime=self.q)
         return c_q * _odd_dft(w[: M // 2] - w[M // 2 :], _twiddle(self.q))
 
@@ -263,13 +260,11 @@ class CharacterTable:
         return float(self.bias_sums[self._residue(a)])
 
 
-def _weights_by_inverse_2n(ctx: PrimeContext, coeffs: np.ndarray):
-    """The nonzero coeffs[n], n coprime to q, and e with inv(2n) = g^e mod q
-    for each (inv(g^m) = g^(-m))."""
-    q = ctx.q
+def _coprime_terms(q: int, coeffs: np.ndarray):
+    """The nonzero coeffs[n] with n coprime to q, and 2n mod q for each."""
     ns = np.nonzero(coeffs)[0]
     ns = ns[ns % q != 0]
-    return coeffs[ns], -ctx.index[(2 * ns) % q] % (q - 1)
+    return coeffs[ns], 2 * ns % q
 
 
 def _odd_over_group(ctx: PrimeContext, half: np.ndarray, zero: float) -> np.ndarray:
@@ -310,24 +305,35 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _group_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """c_n = sum_{m<H} u_m v_{m+n} for n < H = len(u), v of length >= 2H - 1.
+def _odd_correlation(ctx: PrimeContext, f: np.ndarray, h, scale: float, zero: float):
+    """scale * T(k), T(k) = sum_a f(a) h(ka), k = 0..q-1, as an exactly odd
+    vector with entry 0 set to ``zero``; f is indexed by residue, and h maps
+    residue arrays to values and is odd mod q.
 
-    One real cyclic correlation at the 5-smooth length L >= 2H - 1: the
-    indices m + n <= 2H - 2 stay below L, so the zero padding leaves no
-    wrap-around term.
+    The fold u_m = f(g^m) - f(g^(m+H)) gives T(g^n) = sum_{m<H} u_m h(g^(m+n))
+    for n < H = (q-1)/2, one real correlation at the 5-smooth length
+    L >= 2H - 1; m + n <= 2H - 2 < L leaves no wrap-around term.  An f passed
+    as a temporary is freed after the fold, before h's FFT buffers are made.
     """
-    H = len(u)
+    p, H = ctx.powers, (ctx.q - 1) // 2
+    u = f[p[:H]] - f[p[H:]]
+    del f
     L = _smooth_length(2 * H - 1)
-    spectrum = np.fft.rfft(v[: 2 * H - 1], L) * np.conj(np.fft.rfft(u, L))
-    return np.fft.irfft(spectrum, L)[:H]
+    u_hat = np.conj(np.fft.rfft(u, L))
+    del u
+    product = np.fft.rfft(h(p[: 2 * H - 1]), L)
+    product *= u_hat
+    del u_hat
+    half = scale * np.fft.irfft(product, L)[:H]
+    del product
+    return _odd_over_group(ctx, half, zero)
 
 
 # tracemalloc peak per residue of build_table at q ~ 1e6 with the default
-# a-series cutoff and no spectrum memoised: that of the spectrum (61, which
-# leaves the context and the spectrum memoised, 20), then the character sums
-# (8), the binned weights and the correlation's inputs and real FFT buffers
-_TABLE_BYTES_PER_RESIDUE = 66
+# a-series cutoff and nothing memoised: the context and spectrum it memoises
+# (24), then the binned weights and their fold, h's values and the real FFT
+# buffers of the correlation
+_TABLE_BYTES_PER_RESIDUE = 54
 
 
 def build_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
@@ -338,36 +344,28 @@ def build_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     and sum_{chi odd} chi_bar(t) L(0,chi) L(1,chi) = pi (q-1) Im s_hat_q(t)
     (``spectrum_point_characters``),
 
-        S(k) = pi C_q (q-1) sum_{n <= N, (n,q)=1} a(n) Im s_hat_q(k inv(2n)).
+        S(k) = pi C_q (q-1) sum_{n <= N, (n,q)=1} a(n) Im s_hat_q(k inv(2n)),
 
-    Over the group, k = g^i, the weights a(n) binned by e = ind(inv(2n))
-    into W and Im s_hat_q(g^(e+H)) = -Im s_hat_q(g^e) fold that to
-
-        S(g^i) = pi C_q (q-1) sum_{e<H} (W_e - W_{e+H}) Im s_hat_q(g^(i+e)),
-
-    one real correlation by FFT at the smallest 5-smooth length >= q - 2, the
-    same form as the truncated C(k) route.  S(1) is also summed directly over
-    the a-weights, and a gap past the ``residual`` bound raises
-    ArithmeticError.  The a-series tail bound is recorded.  The spectrum and
-    the context are the memoised ones ``spectrum_all`` reads.
+    one ``_odd_correlation`` of the a-weights binned at inv(2n) mod q with
+    the memoised spectrum that ``spectrum_all`` returns.  S(1) is also summed
+    directly over the a-weights, and a gap past the ``residual`` bound
+    raises ArithmeticError.  The a-series tail bound is recorded.
     """
     require_below_cap(q, "character table", _TABLE_BYTES_PER_RESIDUE)
-    from .dedekind import _spectrum_half  # dedekind imports this module
+    from .dedekind import spectrum_all  # dedekind imports this module
 
-    ctx, spectrum = _spectrum_half(q)
-    H = (q - 1) // 2
-    weights, e = _weights_by_inverse_2n(ctx, coeff_a_floats(a_series_cutoff))
-    W = np.bincount(e, weights=weights, minlength=q - 1)
+    spectrum = spectrum_all(q).values
+    ctx = build_context(q)
+    weights, two_n = _coprime_terms(q, coeff_a_floats(a_series_cutoff))
+    inv_2n = ctx.inverse(two_n)
     c_q, _ = constant_C(excluded_prime=q)
     scale = math.pi * c_q * (q - 1)
-    group = np.concatenate((spectrum, -spectrum))  # Im s_hat_q(g^k), k < q - 1
-    half = scale * _group_correlation(W[:H] - W[H:], group)
-    del W
-    direct = scale * float(np.dot(weights, group[e]))
-    residual = abs(direct - half[0]) / (q - 1)
-    if residual > 1e-12 * max(1.0, abs(half[0]) / (q - 1)):
+    sums = _odd_correlation(
+        ctx, np.bincount(inv_2n, weights, minlength=q), spectrum.__getitem__, scale, 0.0
+    )
+    direct = scale * float(np.dot(weights, spectrum[inv_2n]))
+    residual = abs(direct - sums[1]) / (q - 1)
+    if residual > 1e-12 * max(1.0, abs(sums[1]) / (q - 1)):
         raise ArithmeticError(f"character sum S(1) residual {residual:g} above budget")
     tail_bound = 2.0 * a_series_cutoff ** (-0.45)
-    return CharacterTable(
-        ctx, a_series_cutoff, _odd_over_group(ctx, half, 0.0), tail_bound, residual
-    )
+    return CharacterTable(ctx, a_series_cutoff, sums, tail_bound, residual)

@@ -8,10 +8,10 @@ zero-padded to a 5-smooth length >= q - 2, with no Bluestein step), a
 Dirichlet-character identity over the odd characters, and a truncated
 sawtooth series with an O(q/x) error contract.
 
-The Rader route's half of the spectrum is memoised for the last modulus
-(``_spectrum_half``): ``spectrum_all`` and ``characters.build_table``, which
-computes the character sums S(k) from it, share one Dedekind descent and
-one prime context per modulus.
+The fast route's spectrum is memoised for the last modulus as one
+read-only vector, which ``spectrum_all`` returns as is: it and
+``characters.build_table``, which computes the character sums S(k) from
+it, share one Dedekind descent and one prime context per modulus.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import (
-    _group_correlation,
+    _odd_correlation,
     _odd_over_group,
     build_context,
     require_below_cap,
@@ -141,7 +141,9 @@ def dedekind_values(q: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Spectrum:
     """Imaginary parts of s_hat_q(t) for t = 0..q-1 (the transform is purely
-    imaginary).  ``values`` is exactly odd: values[(q-t) % q] == -values[t]."""
+    imaginary).  ``values`` is exactly odd: values[(q-t) % q] == -values[t].
+    The chirp-z route's ``values`` is the read-only memo of the last modulus;
+    the naive route's is a fresh, writable array."""
 
     q: int
     values: np.ndarray
@@ -164,39 +166,35 @@ def _dft_positive_naive(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_parseval(q: int, s: np.ndarray, half: np.ndarray) -> None:
+def _check_parseval(q: int, s: np.ndarray, values: np.ndarray) -> None:
     """With E = (1/q) sum_a s_q(a)^2, require
     |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E (ArithmeticError)."""
     energy = float(np.dot(s, s)) / q
-    residual = abs(2.0 * float(np.dot(half, half)) - energy)
+    residual = abs(float(np.dot(values, values)) - energy)
     if residual > 1e-12 * math.log(q) * energy:
         raise ArithmeticError(f"spectrum Parseval residual {residual:g} above budget")
 
 
 @functools.lru_cache(maxsize=1)
-def _spectrum_half(q: int):
-    """(the context of q, Im s_hat_q(g^n) for n < H = (q-1)/2) by Rader's
-    route, Parseval-checked, read-only.
-
-    Memoised for the last modulus, so ``spectrum_all`` and ``build_table``
-    share one Dedekind descent and one context; the memo keeps the context
-    and the spectrum alive (about 20 bytes per residue) until another q
-    evicts them.
-    """
+def _spectrum_values(q: int) -> np.ndarray:
+    """Im s_hat_q(t), t = 0..q-1, by Rader's route, Parseval-checked and
+    read-only; memoised for the last modulus, so ``spectrum_all`` and
+    ``build_table`` share one Dedekind descent and one context.  The memo
+    keeps both (24 bytes per residue) until another q evicts them."""
     s = dedekind_values(q)
-    ctx = build_context(q)
-    H = (q - 1) // 2
-    sines = np.sin((2.0 * math.pi / q) * ctx.powers)
-    half = (2.0 / q) * _group_correlation(s[ctx.powers[:H]], sines)
-    _check_parseval(q, s, half)
-    half.flags.writeable = False
-    return ctx, half
+    values = _odd_correlation(
+        build_context(q), s, lambda a: np.sin((2.0 * math.pi / q) * a), 1.0 / q, 0.0
+    )
+    _check_parseval(q, s, values)
+    values.flags.writeable = False
+    return values
 
 
 # tracemalloc peak per residue of spectrum_all (chirp-z) at q ~ 1e6 with
 # nothing memoised: the context (16), dedekind_values (8), and the
-# correlation's inputs and real FFT buffers; the memo keeps 20 of them
-_SPECTRUM_BYTES_PER_RESIDUE = 61
+# correlation's fold, sines and real FFT buffers; the memo keeps the context
+# and the spectrum (24)
+_SPECTRUM_BYTES_PER_RESIDUE = 52
 
 
 def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
@@ -206,28 +204,30 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
     imaginary and odd in t, and only t = g^n, n < H = (q-1)/2, is computed;
     t = g^(n+H) = -g^n takes the negated value and t = 0 the value 0, so
     ``values`` is exactly odd.  ``naive`` evaluates the definitional DFT at
-    those t in O(q^2).  ``chirp-z`` (the name of the fast route) uses Rader's
-    reindexing over the group, a = g^m:
+    those t in O(q^2) and returns a fresh array.  ``chirp-z`` (the name of
+    the fast route) uses Rader's reindexing over the group, a = g^m:
 
-        s_hat_q(g^n) = (2i/q) sum_{m<H} s_q(g^m) sin(2 pi g^(m+n)/q),
+        s_hat_q(g^n) = (i/q) sum_{m<H} (s_q(g^m) - s_q(g^(m+H))) sin(2 pi g^(m+n)/q),
 
-    one real correlation by FFT at the smallest 5-smooth length >= q - 2,
-    memoised for the last modulus (``build_table`` reads the same one).
-    Both routes must pass Parseval: with E = (1/q) sum_a s_q(a)^2,
+    one real correlation by FFT at the smallest 5-smooth length >= q - 2
+    (``characters._odd_correlation``); its ``values`` are the read-only
+    memo of the last modulus, which ``build_table`` reads too.  Both routes
+    must pass Parseval: with E = (1/q) sum_a s_q(a)^2,
     |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E.
     """
     require_odd_prime(q)
     require_below_cap(q, "spectrum", _SPECTRUM_BYTES_PER_RESIDUE)
     if algorithm == "chirp-z":
-        ctx, half = _spectrum_half(q)
+        values = _spectrum_values(q)
     elif algorithm == "naive":
         s = dedekind_values(q)
         ctx = build_context(q)
         half = _dft_positive_naive(s, ctx.powers[: (q - 1) // 2]).imag / q
-        _check_parseval(q, s, half)
+        values = _odd_over_group(ctx, half, 0.0)
+        _check_parseval(q, s, values)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return Spectrum(q, _odd_over_group(ctx, half, 0.0), algorithm)
+    return Spectrum(q, values, algorithm)
 
 
 _TRUNCATED_CHUNK = 1 << 22  # terms n per array step in spectrum_point_truncated
@@ -253,8 +253,7 @@ def spectrum_point_truncated(q: int, t: int, x: float) -> complex:
         nm = n % q
         keep = nm != 0
         n = n[keep]
-        inv = ctx.powers[-ctx.index[nm[keep]] % (q - 1)]  # inv(g^m) = g^(-m)
-        r = (t * inv) % q
+        r = (t * ctx.inverse(nm[keep])) % q
         total += float(np.sum((r / q - 0.5) / n))
     # 1/(pi i) = -i/pi, so the value is purely imaginary by construction
     return complex(0.0, -total / math.pi)

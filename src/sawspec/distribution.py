@@ -161,16 +161,20 @@ def histogram(dist: EmpiricalDistribution):
 
 
 def summary(dist: EmpiricalDistribution) -> dict:
-    """Extremes, moments 1..6 and the symmetry statistic on x = 0.1..3.0."""
+    """Extremes, moments 1..6 and the symmetry statistic on x = 0.1..3.0;
+    exactly odd samples (v == -v[::-1]) have odd moments exactly 0."""
     from .moments import empirical_moments
 
     mn, amn, mx, amx = extremes(dist)
+    moments = empirical_moments(dist.samples, 6)
+    if np.array_equal(dist.samples, -dist.samples[::-1]):
+        moments[0::2] = [0.0, 0.0, 0.0]
     return {
         "label": dist.label,
         "count": dist.n,
         "scale": dist.scale,
         "min": mn,
         "max": mx,
-        "moments": empirical_moments(dist.samples, 6),
+        "moments": moments,
         "symmetry_stat": symmetry_statistic(dist, np.linspace(0.1, 3.0, 30)),
     }

@@ -137,8 +137,8 @@ class TestCkVector:
         assert np.max(np.abs(values[1:] - direct)) <= 1e-12
 
     def test_resource_cap(self):
-        # 67 bytes per residue, past the cap at q = 2000003
-        with pytest.raises(ResourceLimitError, match="134000201 bytes"):
+        # 51 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="102000153 bytes"):
             sw.ck_all(2_000_003, "truncated")
 
     @pytest.mark.parametrize("q", [9, 25, 100])

@@ -9,7 +9,7 @@ import sawspec as sw
 from sawspec import characters, dedekind
 from sawspec.characters import CharacterTable, _smooth_length, build_context
 from sawspec.errors import ResourceLimitError
-from sawspec.foundations import coeff_a, coeff_a_floats, constant_C
+from sawspec.foundations import coeff_a, coeff_a_floats, coeff_b_floats, constant_C
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,9 @@ def test_odd_over_group_gather_matches_scatter_bitwise(zero):
 class TestMemo:
     def test_spectrum_and_table_share_one_descent_and_context(self, monkeypatch):
         q = 10009
-        dedekind._spectrum_half.cache_clear()
+        dedekind._spectrum_values.cache_clear()
         characters._context.cache_clear()
-        calls = {"dedekind_values": 0, "build_context": 0, "primitive_root": 0}
+        calls = {"dedekind_values": 0, "primitive_root": 0}
 
         def count(module, name):
             fn = getattr(module, name)
@@ -211,32 +211,137 @@ class TestMemo:
             monkeypatch.setattr(module, name, counted)
 
         count(dedekind, "dedekind_values")
-        count(dedekind, "build_context")
-        count(characters, "build_context")
         count(characters, "primitive_root")
         for _ in range(2):
             spectrum = sw.spectrum_all(q)
             table = sw.build_table(q)
-        assert calls == {"dedekind_values": 1, "build_context": 1, "primitive_root": 1}
+        assert calls == {"dedekind_values": 1, "primitive_root": 1}
         assert table.context is build_context(q)
-        ctx, half = dedekind._spectrum_half(q)
-        assert np.array_equal(spectrum.values[ctx.powers[: len(half)]], half)
+        assert spectrum.values is dedekind._spectrum_values(q)
 
     def test_memo_is_read_only_and_a_new_modulus_evicts_it(self):
         q = 1009
-        ctx, half = dedekind._spectrum_half(q)
-        for arr in (half, ctx.powers, ctx.index):
+        values = sw.spectrum_all(q).values
+        ctx = build_context(q)
+        for arr in (values, ctx.powers, ctx.index):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[1] = 0
-        assert build_context(q) is ctx
-        dedekind._spectrum_half(101)
-        assert dedekind._spectrum_half.cache_info().currsize == 1
+        sw.spectrum_all(101)
+        assert dedekind._spectrum_values.cache_info().currsize == 1
         assert characters._context.cache_info().currsize == 1
         assert build_context(q) is not ctx
-        misses = dedekind._spectrum_half.cache_info().misses
-        assert np.array_equal(dedekind._spectrum_half(q)[1], half)
-        assert dedekind._spectrum_half.cache_info().misses == misses + 1
+        misses = dedekind._spectrum_values.cache_info().misses
+        again = sw.spectrum_all(q).values
+        assert again is not values and np.array_equal(again, values)
+        assert dedekind._spectrum_values.cache_info().misses == misses + 1
+
+    def test_spectrum_values_are_the_memo(self):
+        q = 1009
+        values = sw.spectrum_all(q).values
+        assert sw.spectrum_all(q).values is values
+        assert sw.build_table(q).context is build_context(q)
+        assert sw.spectrum_all(q).values is values
+        with pytest.raises(ValueError):
+            values[1] = 0.0
+        naive = sw.spectrum_all(q, "naive").values
+        assert naive is not values and naive.flags.writeable
+        naive[1] = 0.0
+        assert sw.spectrum_all(q, "naive").values[1] != 0.0
+
+
+@pytest.mark.parametrize("q", [3, 101, 1_000_003])
+def test_inverse_matches_pow(q):
+    ctx = build_context(q)
+    a = np.random.default_rng(q).integers(1, q, 500)
+    expected = [pow(int(x), -1, q) for x in a]
+    assert ctx.inverse(a).tolist() == expected
+    assert [int(ctx.inverse(int(x))) for x in a[:20]] == expected[:20]
+    assert int(ctx.inverse(1)) == 1 and int(ctx.inverse(q - 1)) == q - 1
+
+
+# ---------------------------------------------------------------------------
+# oracles for _odd_correlation: the exponent-bin forms it replaced, each a
+# correlation over the discrete-log exponents written out by hand
+
+
+def _group_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c_n = sum_{m<H} u_m v_{m+n} for n < H = len(u), by one real FFT at the
+    5-smooth length >= 2H - 1."""
+    H = len(u)
+    L = _smooth_length(2 * H - 1)
+    spectrum = np.fft.rfft(v[: 2 * H - 1], L) * np.conj(np.fft.rfft(u, L))
+    return np.fft.irfft(spectrum, L)[:H]
+
+
+def _weights_by_exponent(ctx, coeffs: np.ndarray):
+    """The nonzero coeffs[n], n coprime to q, their e = ind(inv(2n)), and
+    the weights binned by e."""
+    q = ctx.q
+    ns = np.nonzero(coeffs)[0]
+    ns = ns[ns % q != 0]
+    weights, e = coeffs[ns], -ctx.index[(2 * ns) % q] % (q - 1)
+    return weights, e, np.bincount(e, weights=weights, minlength=q - 1)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return values.view(np.int64)
+
+
+ODD_CORRELATION_QS = [3, 5, 7, 101, 1009, 10007, 100003]
+
+
+class TestOddCorrelation:
+    @pytest.mark.parametrize("q", ODD_CORRELATION_QS)
+    def test_spectrum_matches_exponent_form_bitwise(self, q):
+        # s_hat_q(g^n) = (2i/q) sum_{m<H} s_q(g^m) sin(2 pi g^(m+n)/q)
+        ctx, H = build_context(q), (q - 1) // 2
+        s = dedekind.dedekind_values(q)
+        sines = np.sin((2.0 * math.pi / q) * ctx.powers)
+        half = (2.0 / q) * _group_correlation(s[ctx.powers[:H]], sines)
+        expected = _odd_over_group_scatter(ctx, half, 0.0)
+        assert np.array_equal(_bits(sw.spectrum_all(q).values), _bits(expected))
+
+    @pytest.mark.parametrize("q", ODD_CORRELATION_QS)
+    def test_truncated_ck_matches_exponent_form_bitwise(self, q):
+        # C(g^i) = -C_q sum_{e<H} (W_e - W_{e+H}) psi(g^(i+e)/q)
+        ctx, H = build_context(q), (q - 1) // 2
+        _, _, W = _weights_by_exponent(ctx, coeff_b_floats(max(1000, q)))
+        c_q, _ = constant_C(excluded_prime=q)
+        half = -c_q * _group_correlation(W[:H] - W[H:], ctx.powers / q - 0.5)
+        expected = _odd_over_group_scatter(ctx, half, np.nan)
+        assert np.array_equal(_bits(sw.ck_all(q, "truncated").values), _bits(expected))
+
+    @pytest.mark.parametrize("q", ODD_CORRELATION_QS)
+    def test_table_matches_exponent_form_bitwise(self, q):
+        # S(g^i) = pi C_q (q-1) sum_{e<H} (W_e - W_{e+H}) Im s_hat_q(g^(i+e)),
+        # the spectrum over the group as concatenate((half, -half))
+        ctx, H = build_context(q), (q - 1) // 2
+        spectrum_half = sw.spectrum_all(q).values[ctx.powers[:H]]
+        weights, e, W = _weights_by_exponent(ctx, coeff_a_floats(100_000))
+        c_q, _ = constant_C(excluded_prime=q)
+        scale = math.pi * c_q * (q - 1)
+        group = np.concatenate((spectrum_half, -spectrum_half))
+        half = scale * _group_correlation(W[:H] - W[H:], group)
+        direct = scale * float(np.dot(weights, group[e]))
+        table = sw.build_table(q)
+        expected = _odd_over_group_scatter(ctx, half, 0.0)
+        assert np.array_equal(_bits(table.bias_sums), _bits(expected))
+        assert table.residual == abs(direct - half[0]) / (q - 1)
+
+    def test_f_passed_as_a_temporary_is_freed_after_the_fold(self):
+        # the traced window holds f (8 bytes per residue); dropped after the
+        # fold, the peak is about 29 bytes per residue, and kept alive next
+        # to the fold, h's values and the real FFT buffers, about 37
+        q = 100003
+        ctx = build_context(q)
+        tracemalloc.start()
+        try:
+            characters._odd_correlation(ctx, np.ones(q), lambda a: a / q - 0.5, 1.0, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 33 * q
 
 
 def test_smooth_length_is_least_5_smooth_bound():
@@ -255,8 +360,8 @@ def test_smooth_length_is_least_5_smooth_bound():
 
 class TestBuildTable:
     def test_resource_cap(self):
-        # 66 bytes per residue, past the cap at q = 2000003
-        with pytest.raises(ResourceLimitError, match="132000198 bytes"):
+        # 54 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="108000162 bytes"):
             sw.build_table(2_000_003)
 
     def test_q3_l_values(self):
@@ -324,11 +429,14 @@ class TestBuildTable:
             assert abs(table.bias_sums[a] - float(value.real)) / (q - 1) <= 1e-14
 
     def test_perturbed_correlation_fails_the_residual(self, monkeypatch):
-        # a shift of 1e-9 in the correlation is ~4e-9 on the C scale, far
-        # past the 1e-12 budget of the direct S(1)
-        correlation = characters._group_correlation
+        # a shift of 1e-9 in the table's correlation is ~4e-9 on the C scale,
+        # far past the 1e-12 budget of the direct S(1); the spectrum's
+        # correlation (dedekind's binding) is left exact
+        correlation = characters._odd_correlation
         monkeypatch.setattr(
-            characters, "_group_correlation", lambda u, v: correlation(u, v) + 1e-9
+            characters,
+            "_odd_correlation",
+            lambda ctx, f, h, scale, zero: correlation(ctx, f, h, scale, zero) + scale * 1e-9,
         )
         with pytest.raises(ArithmeticError, match="residual"):
             sw.build_table(101)

@@ -450,7 +450,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")
         assert code == 3
         assert out == ""
-        assert "122000183 bytes" in err
+        assert "104000156 bytes" in err
 
     def test_discrete_correlation_cap_is_3(self, capsys):
         # refused before its O(q) arrays, with the bytes they would need

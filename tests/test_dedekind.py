@@ -163,8 +163,8 @@ class TestSpectrum:
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_resource_cap(self):
-        # 61 bytes per residue, past the cap at q = 2000003
-        with pytest.raises(ResourceLimitError, match="122000183 bytes"):
+        # 52 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="104000156 bytes"):
             sw.spectrum_all(2_000_003)
 
     @pytest.mark.parametrize("q", [3, 5, 7, 101, 1009, 100003, 1_000_003])
@@ -182,14 +182,15 @@ class TestSpectrum:
         assert np.array_equal(values[1:], -values[1:][::-1])
 
     def test_perturbed_correlation_fails_parseval(self, monkeypatch):
-        exact = dedekind._group_correlation
+        exact = dedekind._odd_correlation
 
-        def perturbed(u, v):
-            c = exact(u, v)
+        def perturbed(*args):
+            c = exact(*args)
             c[3] += 1e-6
             return c
 
-        monkeypatch.setattr(dedekind, "_group_correlation", perturbed)
+        dedekind._spectrum_values.cache_clear()
+        monkeypatch.setattr(dedekind, "_odd_correlation", perturbed)
         with pytest.raises(ArithmeticError, match="Parseval"):
             sw.spectrum_all(1009)
 

@@ -164,6 +164,32 @@ class TestSummary:
         assert len(s["moments"]) == 6
         assert s["symmetry_stat"] <= 3.0 / math.sqrt(10007)
 
+    @pytest.mark.parametrize("q", [1009, 10007])
+    @pytest.mark.parametrize("source", ["ck", "spectrum"])
+    def test_odd_moments_of_exactly_odd_data_are_zero(self, request, source, q):
+        # an exactly odd vector has a symmetric sample multiset, so its odd
+        # moments are 0, not the rounding of their sums; even orders are the
+        # plain power means, bit for bit
+        if source == "ck":
+            d = dist.from_ck_vector(request.getfixturevalue(f"ck_{q}"))
+        else:
+            d = dist.from_spectrum(request.getfixturevalue(f"spec_{q}"))
+        assert np.array_equal(d.samples, -d.samples[::-1])
+        moments = dist.summary(d)["moments"]
+        assert moments[0::2] == [0.0, 0.0, 0.0]
+        assert moments[1::2] == sw.empirical_moments(d.samples, 6)[1::2]
+
+    def test_moments_of_other_data_are_the_power_means(self):
+        rtilde = dist.make_distribution(
+            "R", sw.rtilde_samples(sw.build_phi_accumulator(20_000))
+        )
+        # odd but for one sample: the odd moments are not set to 0
+        near_odd = dist.make_distribution("C", [-2.0, -1.0, 1.0, 2.5])
+        for d in (rtilde, near_odd):
+            moments = dist.summary(d)["moments"]
+            assert moments == sw.empirical_moments(d.samples, 6)
+            assert moments[2] != 0.0
+
     def test_histogram(self, dist_ck):
         counts, edges = dist.histogram(dist_ck)
         assert counts.sum() == dist_ck.n
