@@ -33,7 +33,6 @@ from .distribution import (
     EmpiricalDistribution,
     almost_period_stat,
     ecdf_scaled,
-    extreme_report,
     extremes,
     from_ck_vector,
     from_spectrum,
@@ -45,10 +44,7 @@ from .errors import ResourceLimitError, SawspecError
 from .foundations import (
     SieveTables,
     build_sieves,
-    coeff_a,
-    coeff_b,
     constant_C,
-    mod_inverse,
     prime_array,
     psi,
 )
@@ -63,7 +59,6 @@ from .moments import (
 from .phi_error import (
     PhiAccumulator,
     build_phi_accumulator,
-    pair_correlation_stat,
     r_values,
     rtilde_moment_exact,
     rtilde_moments_exact,

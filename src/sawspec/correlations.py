@@ -19,7 +19,7 @@ import numpy as np
 
 from .characters import require_below_cap
 from .errors import ResourceLimitError
-from .foundations import factorize, mod_inverse
+from .foundations import factorize
 
 __all__ = [
     "CorrelationKey",
@@ -198,6 +198,5 @@ def discrete_correlation(q: int, moduli) -> float:
     k = np.arange(1, q, dtype=np.int64)
     acc = np.ones(q - 1)
     for n in mods:
-        inv = mod_inverse(n, q)
-        acc *= ((k * inv) % q) / q - 0.5
+        acc *= ((k * pow(n, -1, q)) % q) / q - 0.5
     return float(np.sum(acc)) / q

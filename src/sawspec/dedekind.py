@@ -30,6 +30,7 @@ from .characters import (
     require_below_cap,
     require_odd_prime,
 )
+from .errors import ResourceLimitError
 
 __all__ = [
     "dedekind_sum",
@@ -151,6 +152,7 @@ class Spectrum:
 
 
 _NAIVE_BLOCK = 256  # rows of t per outer product in _dft_positive_naive
+_NAIVE_BUDGET = 100_000_000  # phase terms (q - 1)/2 * q the naive spectrum evaluates
 
 
 def _dft_positive_naive(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -204,8 +206,9 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
     imaginary and odd in t, and only t = g^n, n < H = (q-1)/2, is computed;
     t = g^(n+H) = -g^n takes the negated value and t = 0 the value 0, so
     ``values`` is exactly odd.  ``naive`` evaluates the definitional DFT at
-    those t in O(q^2) and returns a fresh array.  ``chirp-z`` (the name of
-    the fast route) uses Rader's reindexing over the group, a = g^m:
+    those t in O(q^2), refuses more than 1e8 phase terms H q (q above about
+    14 000) before it allocates, and returns a fresh array.  ``chirp-z`` (the
+    name of the fast route) uses Rader's reindexing over the group, a = g^m:
 
         s_hat_q(g^n) = (i/q) sum_{m<H} (s_q(g^m) - s_q(g^(m+H))) sin(2 pi g^(m+n)/q),
 
@@ -220,6 +223,15 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
     if algorithm == "chirp-z":
         values = _spectrum_values(q)
     elif algorithm == "naive":
+        terms = (q - 1) // 2 * q
+        if terms > _NAIVE_BUDGET:
+            # a block peaks at the int64 products and residues, or at the
+            # complex phases and their exponentials: 32 bytes per term
+            raise ResourceLimitError(
+                f"the naive spectrum at q = {q} evaluates {terms} phase terms, "
+                f"above budget {_NAIVE_BUDGET} (each block of {_NAIVE_BLOCK} rows "
+                f"holds {32 * _NAIVE_BLOCK * q} bytes)"
+            )
         s = dedekind_values(q)
         ctx = build_context(q)
         half = _dft_positive_naive(s, ctx.powers[: (q - 1) // 2]).imag / q

@@ -2,7 +2,9 @@
 
 One sample container serves the three label conventions; the scaling
 constant (e^gamma/2 for the bias and spectrum datasets, 3 e^gamma/pi^2 for
-the totient error) is applied at query time, never baked into samples.
+the totient error) is applied at query time, never baked into samples.  A
+residue-indexed dataset (C(k) or the spectrum) holds the value at residue k
+in position k - 1, so its residue labels are positions, not a stored array.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "ecdf_scaled",
     "tail_frequency",
     "extremes",
-    "extreme_report",
     "almost_period_stat",
     "symmetry_statistic",
     "histogram",
@@ -39,14 +40,14 @@ DEFAULT_SCALES = {"C": _EG / 2.0, "s": _EG / 2.0, "R": 3.0 * _EG / math.pi**2}
 class EmpiricalDistribution:
     """Labeled sample set with a query-time scale.
 
-    ``index`` carries the residue labels when the samples come from a
-    residue-indexed table (k = 1..q-1 in that order), which the shift
-    statistic requires.
+    ``residue_indexed`` marks samples that come from a residue-indexed table,
+    the value at k = 1..q-1 in position k - 1, which the shift statistic
+    requires.
     """
 
     label: str
     samples: np.ndarray
-    index: np.ndarray | None = None
+    residue_indexed: bool
 
     def __post_init__(self):
         if self.label not in DEFAULT_SCALES:
@@ -69,20 +70,20 @@ class EmpiricalDistribution:
         return self.samples.size
 
 
-def make_distribution(label, samples, index=None) -> EmpiricalDistribution:
-    """Dataset with the label's scale from ``DEFAULT_SCALES``."""
-    return EmpiricalDistribution(label, samples, index)
+def make_distribution(label, samples) -> EmpiricalDistribution:
+    """Dataset, not residue-indexed, with the label's scale from
+    ``DEFAULT_SCALES``."""
+    return EmpiricalDistribution(label, samples, False)
 
 
 def from_ck_vector(vec) -> EmpiricalDistribution:
-    """Dataset of the bias values C(k), k = 1..q-1."""
-    return make_distribution("C", vec.samples, index=np.arange(1, vec.q))
+    """Residue-indexed dataset of the bias values C(k), k = 1..q-1."""
+    return EmpiricalDistribution("C", vec.samples, True)
 
 
 def from_spectrum(spec) -> EmpiricalDistribution:
-    """Dataset of pi*i*s_hat_q(t) (real numbers), t = 1..q-1."""
-    samples = -math.pi * spec.values[1:]
-    return make_distribution("s", samples, index=np.arange(1, spec.q))
+    """Residue-indexed dataset of pi*i*s_hat_q(t) (real numbers), t = 1..q-1."""
+    return EmpiricalDistribution("s", -math.pi * spec.values[1:], True)
 
 
 def ecdf_scaled(dist: EmpiricalDistribution, x: float) -> float:
@@ -103,29 +104,17 @@ def tail_frequency(dist: EmpiricalDistribution, x: float, side: str = "upper") -
 
 
 def extremes(dist: EmpiricalDistribution) -> tuple[float, int, float, int]:
-    """(min, argmin, max, argmax); arg labels come from ``index`` when set."""
+    """(min, argmin, max, argmax); the args are residues k for a
+    residue-indexed dataset, else positions."""
     i_min = int(np.argmin(dist.samples))
     i_max = int(np.argmax(dist.samples))
-    lab = dist.index if dist.index is not None else np.arange(dist.n)
+    offset = int(dist.residue_indexed)  # residue k sits in position k - 1
     return (
         float(dist.samples[i_min]),
-        int(lab[i_min]),
+        i_min + offset,
         float(dist.samples[i_max]),
-        int(lab[i_max]),
+        i_max + offset,
     )
-
-
-def extreme_report(dist: EmpiricalDistribution, q: int) -> dict:
-    """Extremes plus the ratio max / ((e^gamma/2) log log q), report only."""
-    mn, amn, mx, amx = extremes(dist)
-    denom = (_EG / 2.0) * math.log(math.log(q))
-    return {
-        "min": mn,
-        "argmin": amn,
-        "max": mx,
-        "argmax": amx,
-        "max_over_loglog_scale": mx / denom,
-    }
 
 
 def almost_period_stat(dist: EmpiricalDistribution, m: int) -> float:
@@ -138,7 +127,7 @@ def almost_period_stat(dist: EmpiricalDistribution, m: int) -> float:
     by v[q-m':] - v[:m'-1] (k + m' > q), two slices in k order; m' = 0 gives
     0.0.
     """
-    if dist.index is None:
+    if not dist.residue_indexed:
         raise ValueError("shift statistic needs a residue-indexed dataset")
     v = dist.samples
     q = dist.n + 1

@@ -1,5 +1,6 @@
 """The sawtooth, factorization, the prime sieve, the multiplicative tables
-phi, J_2, mu, a(n), b(n) (one sieve fills each, alone), and C = 2 Pi_2.
+phi, J_2, mu, a(n), b(n) (one sieve fills each, alone; b(n) also exactly,
+from the same sieve's int64 denominators), and C = 2 Pi_2.
 
 Everything downstream (Dedekind spectra, bias constants, correlation
 integrals, totient error moments) consumes these primitives.  Exact
@@ -21,15 +22,13 @@ from .errors import ResourceLimitError
 __all__ = [
     "psi",
     "psi_array",
-    "mod_inverse",
     "factorize",
     "prime_array",
+    "require_sieve_limit",
     "jordan_table",
     "mobius_table",
     "SieveTables",
     "build_sieves",
-    "coeff_a",
-    "coeff_b",
     "coeff_a_floats",
     "coeff_b_floats",
     "coeff_b_fractions",
@@ -65,16 +64,7 @@ def psi_array(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# modular arithmetic and factorization
-
-
-def mod_inverse(a: int, q: int) -> int:
-    """Multiplicative inverse of a modulo q (q prime), in [1, q-1]."""
-    if q < 2:
-        raise ValueError("modulus must be >= 2")
-    if a % q == 0:
-        raise ValueError(f"{a} is not invertible mod {q}")
-    return pow(a, -1, q)
+# factorization
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -120,6 +110,17 @@ def prime_array(limit: int) -> np.ndarray:
 MAX_SIEVE_LIMIT = 200_000_000
 
 
+def require_sieve_limit(limit: int, dtype) -> None:
+    """Raise ResourceLimitError for limit > MAX_SIEVE_LIMIT, stating the
+    bytes below which a ``dtype`` table on [0, limit] would peak."""
+    if limit > MAX_SIEVE_LIMIT:
+        peak = (3 * np.dtype(dtype).itemsize + 2) * (limit + 1) // 2
+        raise ResourceLimitError(
+            f"sieve limit {limit} exceeds configured cap {MAX_SIEVE_LIMIT} (its "
+            f"{np.dtype(dtype)} table would peak below {peak} bytes)"
+        )
+
+
 def _sieve(limit: int, dtype, prime_power, large_prime) -> np.ndarray:
     """The multiplicative f on [0, limit] as an array of ``dtype``, f(0) = 0.
 
@@ -131,12 +132,7 @@ def _sieve(limit: int, dtype, prime_power, large_prime) -> np.ndarray:
     and the primes <= limit, which with the last products stay under a byte
     per entry for limit >= 1e6.
     """
-    if limit > MAX_SIEVE_LIMIT:
-        peak = (3 * np.dtype(dtype).itemsize + 2) * (limit + 1) // 2
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds configured cap {MAX_SIEVE_LIMIT} (its "
-            f"{np.dtype(dtype)} table would peak below {peak} bytes)"
-        )
+    require_sieve_limit(limit, dtype)
     primes = prime_array(limit)
     table = np.ones(limit + 1, dtype=dtype)
     table[:1] = 0
@@ -186,53 +182,10 @@ def build_sieves(limit: int) -> SieveTables:
 
 
 # ---------------------------------------------------------------------------
-# the multiplicative coefficients a(n) and b(n)
-
-_A_CACHE: dict[int, Fraction] = {}
-_B_CACHE: dict[int, Fraction] = {}
-
-
-def _a_prime_power(p: int, e: int) -> Fraction:
-    if p == 2:
-        return Fraction(-1, 2) if e == 1 else Fraction(0)
-    if e == 1:
-        return Fraction(2, p * (p - 2))
-    if e == 2:
-        return Fraction(-1, p * (p - 2))
-    return Fraction(0)
-
-
-def coeff_a(n: int) -> Fraction:
-    """Multiplicative coefficient a(n): a(2) = -1/2, a(p) = 2/(p(p-2)),
-    a(p^2) = -1/(p(p-2)), zero on higher prime powers (and on 2^v, v >= 2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n in _A_CACHE:
-        return _A_CACHE[n]
-    val = Fraction(1)
-    for p, e in factorize(n):
-        val *= _a_prime_power(p, e)
-        if not val:
-            break
-    _A_CACHE[n] = val
-    return val
-
-
-def coeff_b(n: int) -> Fraction:
-    """Dirichlet convolution b = a * (1/id): zero unless n is odd and
-    squarefree, with b(p) = 1/(p-2) on odd primes."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n in _B_CACHE:
-        return _B_CACHE[n]
-    val = Fraction(1)
-    for p, e in factorize(n):
-        if p == 2 or e > 1:
-            val = Fraction(0)
-            break
-        val *= Fraction(1, p - 2)
-    _B_CACHE[n] = val
-    return val
+# the multiplicative coefficients a(n) and b(n): a(2) = -1/2, a(p) = 2/(p(p-2))
+# and a(p^2) = -1/(p(p-2)) on odd p, zero on higher prime powers (and on 2^v,
+# v >= 2); b = a * (1/id) is zero unless n is odd and squarefree, with
+# b(p) = 1/(p-2) on odd primes
 
 
 def coeff_a_floats(limit: int) -> np.ndarray:
@@ -264,8 +217,16 @@ def coeff_b_floats(limit: int) -> np.ndarray:
 
 
 def coeff_b_fractions(limit: int) -> list[Fraction]:
-    """b(n) for n = 0..limit as exact rationals."""
-    return [Fraction(0)] + [coeff_b(n) for n in range(1, limit + 1)]
+    """b(n) for n = 0..limit as exact rationals: 1/prod_{p | n} (p - 2) from
+    one int64 sieve of the denominators, which is 0 off the odd squarefree
+    support (and at n = 0) and at most n, so exact."""
+    denominators = _sieve(
+        limit,
+        np.int64,
+        lambda v, p, e: v * (p - 2) if e == 1 and p > 2 else 0,
+        lambda x, P: x * (P - 2),
+    )
+    return [Fraction(1, d) if d else Fraction(0) for d in denominators.tolist()]
 
 
 # ---------------------------------------------------------------------------

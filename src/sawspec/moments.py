@@ -24,10 +24,11 @@ from .foundations import (
     coeff_b_floats,
     coeff_b_fractions,
     constant_C,
-    factorize,
     jordan_table,
     mobius_table,
+    prime_array,
     psi,
+    require_sieve_limit,
 )
 
 __all__ = [
@@ -70,7 +71,9 @@ def _multisets(support, ell: int):
 
 
 def _support_weights(kind: str, B: int) -> np.ndarray:
-    """w[n] for n = 0..B; the tuple weight is prod w(n_i)."""
+    """w[n] for n = 0..B; the tuple weight is prod w(n_i).  B is held to
+    the sieve cap before any array of length B + 1 exists."""
+    require_sieve_limit(B, np.float64)
     if kind == "C":
         return coeff_b_floats(B)
     n = np.arange(B + 1, dtype=float)
@@ -184,15 +187,16 @@ def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
         raise ValueError("exact model moments support 1 <= ell <= 6")
     if B < 1:
         raise ValueError("B must be >= 1")
-    L = 1  # the product of the odd primes <= B, checked against the cap as it grows
-    for p in range(3, B + 1, 2):
-        if factorize(p) == [(p, 1)]:
-            L *= p
-            if L > _MODEL_LCM_CAP:
-                raise ResourceLimitError(
-                    f"model period (the product of the odd primes <= {B}) exceeds "
-                    f"cap {_MODEL_LCM_CAP} from the prime {p} on"
-                )
+    # L, the product of the odd primes <= B, is checked against the cap as it
+    # grows; the odd primes <= the cap multiply past it, so none above is listed
+    L = 1
+    for p in prime_array(min(B, _MODEL_LCM_CAP))[1:].tolist():
+        L *= p
+        if L > _MODEL_LCM_CAP:
+            raise ResourceLimitError(
+                f"model period (the product of the odd primes <= {B}) exceeds "
+                f"cap {_MODEL_LCM_CAP} from the prime {p} on"
+            )
     b = coeff_b_fractions(B)
     support = [n for n in range(1, B + 1) if b[n]]
     slope = sum(b[n] / n for n in support)  # Fraction, > 0 (b(1) = 1)

@@ -1,4 +1,5 @@
-"""The error term in the totient summatory asymptotic and its moments.
+"""The error term in the totient summatory asymptotic, its moments and its
+truncated Mobius-sawtooth model.
 
 R(x) is the deviation of sum_{n<=x} phi(n) from 3x^2/pi^2 and
 Rt(u) = R(u)/u - phi(u)/(2u) its normalized form (the phi correction only
@@ -43,11 +44,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .correlations import b_exact
 from .errors import ResourceLimitError
 from .foundations import SieveTables, jordan_table, mobius_table, psi_array
 
@@ -59,7 +58,6 @@ __all__ = [
     "rtilde_moments_exact",
     "rtilde_samples",
     "rtilde_truncated_model",
-    "pair_correlation_stat",
 ]
 
 _P = 3.0 / math.pi**2
@@ -183,7 +181,7 @@ def rtilde_moment_exact(y: int, ell: int, acc: PhiAccumulator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# truncated sawtooth model and the short-interval pair statistic
+# truncated sawtooth model
 
 
 def rtilde_truncated_model(u, N: int):
@@ -198,35 +196,3 @@ def rtilde_truncated_model(u, N: int):
         if mn:
             total -= (mn / n) * psi_array(us / n)
     return float(total) if np.ndim(u) == 0 else total
-
-
-def _pair_integral_exact(n1: int, n2: int, y: int):
-    """Exact int_0^y psi(x/n1) psi(x/n2) dx as a Fraction: full periods
-    through the pair correlation plus an integer partial-period sum."""
-    T = math.lcm(n1, n2)
-    full, rem = divmod(y, T)
-    total = full * T * b_exact((n1, n2))
-    if rem:
-        m = np.arange(rem, dtype=np.int64)
-        e1 = 2 * (m % n1) - n1
-        e2 = 2 * (m % n2) - n2
-        num = int(np.sum(4 + 3 * e1 + 3 * e2 + 3 * e1 * e2))
-        total += Fraction(num, 12 * n1 * n2)
-    return total
-
-
-_PAIR_BUDGET = 4096  # pair integrals pair_correlation_stat evaluates
-
-
-def pair_correlation_stat(N: int, y: int) -> float:
-    """sum over N < n1, n2 <= 2N of |(1/y) int_0^y psi(x/n1) psi(x/n2) dx|,
-    every inner integral exact."""
-    if N < 1 or y < 2 * N:
-        raise ValueError("need N >= 1 and y >= 2N")
-    if N * N > _PAIR_BUDGET:
-        raise ResourceLimitError(f"{N * N} pair integrals exceed budget")
-    total = 0.0
-    for n1 in range(N + 1, 2 * N + 1):
-        for n2 in range(N + 1, 2 * N + 1):
-            total += abs(float(_pair_integral_exact(n1, n2, y))) / y
-    return total

@@ -142,18 +142,17 @@ def conjecture_report(
     x: int,
     q: int,
     pattern: Pattern,
-    table: CharacterTable | None = None,
-    census: PatternCensus | None = None,
+    table: CharacterTable | None,
+    census: PatternCensus,
 ) -> dict:
-    """Observed census count against the main term and its first- and
+    """Observed count in ``census`` against the main term and its first- and
     second-order corrections; residuals are normalized by li(x)/(phi^r log x).
+    ``table`` is needed for patterns of length r >= 2 only.
 
     This is a conjecture comparison, not a verification: the error term of
     the underlying asymptotic is reported, never certified.
     """
     r = pattern.r
-    if census is None:
-        census = pattern_census(x, q, r)
     if census.q != q or census.r != r or census.x != x:
         raise ValueError("census does not match the requested report")
     observed = census.count(pattern.residues)

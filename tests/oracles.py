@@ -1,0 +1,52 @@
+"""Reference forms that the tests compare the library against: the per-n
+exact coefficients a(n) and b(n), by factorization, and the extreme report.
+"""
+
+import math
+from fractions import Fraction
+
+from sawspec.distribution import DEFAULT_SCALES, extremes
+from sawspec.foundations import factorize
+
+
+def _a_prime_power(p: int, e: int) -> Fraction:
+    if p == 2:
+        return Fraction(-1, 2) if e == 1 else Fraction(0)
+    if e == 1:
+        return Fraction(2, p * (p - 2))
+    if e == 2:
+        return Fraction(-1, p * (p - 2))
+    return Fraction(0)
+
+
+def coeff_a(n: int) -> Fraction:
+    """Multiplicative coefficient a(n): a(2) = -1/2, a(p) = 2/(p(p-2)),
+    a(p^2) = -1/(p(p-2)), zero on higher prime powers (and on 2^v, v >= 2)."""
+    val = Fraction(1)
+    for p, e in factorize(n):
+        val *= _a_prime_power(p, e)
+    return val
+
+
+def coeff_b(n: int) -> Fraction:
+    """Dirichlet convolution b = a * (1/id): zero unless n is odd and
+    squarefree, with b(p) = 1/(p-2) on odd primes."""
+    val = Fraction(1)
+    for p, e in factorize(n):
+        if p == 2 or e > 1:
+            return Fraction(0)
+        val /= p - 2
+    return val
+
+
+def extreme_report(dist, q: int) -> dict:
+    """Extremes plus the ratio max / ((e^gamma/2) log log q), report only."""
+    mn, amn, mx, amx = extremes(dist)
+    denom = DEFAULT_SCALES["C"] * math.log(math.log(q))
+    return {
+        "min": mn,
+        "argmin": amn,
+        "max": mx,
+        "argmax": amx,
+        "max_over_loglog_scale": mx / denom,
+    }

@@ -9,7 +9,9 @@ import sawspec as sw
 from sawspec import characters, dedekind
 from sawspec.characters import CharacterTable, _smooth_length, build_context
 from sawspec.errors import ResourceLimitError
-from sawspec.foundations import coeff_a, coeff_a_floats, coeff_b_floats, constant_C
+from sawspec.foundations import coeff_a_floats, coeff_b_floats, constant_C
+
+from oracles import coeff_a
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,17 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_cli_traced(capsys, *argv):
+    """``run_cli`` plus the tracemalloc peak of the run, in bytes."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak
+
+
 class TestDedekind:
     def test_prints_rational(self, capsys):
         code, out, _ = run_cli(capsys, "dedekind", "--q", "101", "--a", "7")
@@ -452,17 +463,36 @@ class TestExitCodes:
         assert out == ""
         assert "104000156 bytes" in err
 
+    @pytest.mark.parametrize("ell", ["2", "4"])
+    @pytest.mark.parametrize("kind", ["C", "s", "R"])
+    def test_moment_sieve_cap_is_3(self, capsys, kind, ell):
+        # refused before any array of length B + 1, with the bytes of a
+        # float64 sieve table on [0, B]
+        code, out, err, peak = run_cli_traced(
+            capsys, "moments", "--kind", kind, "--ell", ell, "--B", "10000000000"
+        )
+        assert code == 3
+        assert out == ""
+        assert "130000000013 bytes" in err
+        assert peak < 1 << 20
+
+    def test_naive_spectrum_budget_is_3(self, capsys):
+        # refused before the O(q^2) phase terms, with the bytes of one block
+        code, out, err, peak = run_cli_traced(
+            capsys, "spectrum", "--q", "1000003", "--algorithm", "naive"
+        )
+        assert code == 3
+        assert out == ""
+        assert "500002500003 phase terms" in err
+        assert "8192024576 bytes" in err
+        assert peak < 1 << 20
+
     def test_discrete_correlation_cap_is_3(self, capsys):
         # refused before its O(q) arrays, with the bytes they would need
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(
-                capsys, "bcorr", "--moduli", "2,3", "--method", "discrete",
-                "--q", "1000000007",
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, out, err, peak = run_cli_traced(
+            capsys, "bcorr", "--moduli", "2,3", "--method", "discrete",
+            "--q", "1000000007",
+        )
         assert code == 3
         assert out == ""
         assert "33000000231 bytes" in err

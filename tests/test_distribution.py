@@ -6,6 +6,8 @@ import pytest
 import sawspec as sw
 from sawspec import distribution as dist
 
+from oracles import extreme_report
+
 EG_HALF = math.exp(0.5772156649015329) / 2.0
 
 
@@ -97,8 +99,23 @@ class TestExtremes:
         assert mx == -mn
         assert amn + amx == 10007
 
+    @pytest.mark.parametrize("q", [1009, 10007, 100003])
+    def test_residue_labels_match_a_label_array(self, q):
+        # the labels of a residue-indexed dataset are its positions + 1: the
+        # same ints as the label array np.arange(1, q) read at argmin, argmax
+        labels = np.arange(1, q)
+        spec = dist.from_spectrum(sw.spectrum_all(q))
+        ck = dist.from_ck_vector(sw.ck_all(q, "characters", table=sw.build_table(q)))
+        for d in (spec, ck):
+            s = d.samples
+            lo, hi = int(np.argmin(s)), int(np.argmax(s))
+            expected = (float(s[lo]), int(labels[lo]), float(s[hi]), int(labels[hi]))
+            assert dist.extremes(d) == expected
+        plain = dist.make_distribution("C", [2.0, -1.0, 3.0])
+        assert dist.extremes(plain) == (-1.0, 1, 3.0, 2)
+
     def test_report_ratio(self, dist_ck):
-        rep = dist.extreme_report(dist_ck, 10007)
+        rep = extreme_report(dist_ck, 10007)
         assert 0.0 < rep["max_over_loglog_scale"] <= 1.2
 
 
@@ -115,7 +132,7 @@ def _almost_period_fancy(d, m: int) -> float:
 
 
 class TestAlmostPeriod:
-    @pytest.mark.parametrize("q", [3, 5, 101, 10007])
+    @pytest.mark.parametrize("q", [3, 5, 101, 1009, 10007, 100003])
     def test_slices_match_fancy_index_bitwise(self, q):
         spec = dist.from_spectrum(sw.spectrum_all(q))
         ck = dist.from_ck_vector(sw.ck_all(q, "characters", table=sw.build_table(q)))

