@@ -69,12 +69,6 @@ class CkVector:
     def samples(self) -> np.ndarray:
         return self.values[1:]
 
-    def value(self, k: int) -> float:
-        k %= self.q
-        if k == 0:
-            raise ValueError("C(0) is outside the domain")
-        return float(self.values[k])
-
 
 def c1_pattern(pattern: Pattern) -> float:
     """First-order constant: (phi(q)/2)((r-1)/phi(q) - #immediate repeats)."""
@@ -140,7 +134,7 @@ def ck_point(
 
 # tracemalloc peak per residue of ck_all: the truncated route at the default
 # cutoff N = q (the characters route peaks at 8, reading a built table)
-_CK_BYTES_PER_RESIDUE = 51
+_CK_BYTES_PER_RESIDUE = 47
 
 
 def ck_all(
@@ -194,7 +188,8 @@ def c2_pair(q: int, a: int, b: int, table: CharacterTable) -> float:
     nonprincipal-character sum with the (chi_bar(b) - chi_bar(a))/phi
     correction term is read from the table's character sums: with
     S(x) = sum_chi chi_bar(x) L(0,chi) L(1,chi) A_{q,chi}, the sum is
-    S(b-a) + (S(b) - S(a))/phi(q).
+    S(b-a) + (S(b) - S(a))/phi(q), each S read from ``bias_sums`` at its
+    residue mod q.  a or b = 0 mod q raises ValueError.
     """
     if a % q == 0 or b % q == 0:
         raise ValueError("a, b must be coprime to q")
@@ -203,7 +198,8 @@ def c2_pair(q: int, a: int, b: int, table: CharacterTable) -> float:
     if (a - b) % q == 0:
         return (q - 2) / 2.0 * math.log(q / (2.0 * math.pi))
     M = q - 1
-    total = table.bias_sum(b - a) + (table.bias_sum(b) - table.bias_sum(a)) / M
+    S = table.bias_sums
+    total = float(S[(b - a) % q]) + (float(S[b % q]) - float(S[a % q])) / M
     return 0.5 * math.log(2.0 * math.pi / q) + (q / M) * total
 
 

@@ -1,14 +1,14 @@
 """Dirichlet character group mod a prime, Gauss sums and the attached L-data.
 
-A ``PrimeContext`` fixes a primitive root g and the discrete-log table, so
-character j acts by chi_j(a) = e(j * ind(a) / (q-1)) and inv(g^m) = g^(-m)
-(``PrimeContext.inverse``); ``build_context`` memoises the last modulus's
-one.  Only the odd characters (odd j) enter the bias sums, so the table's
-rows hold those alone, one row per odd character: L(0,chi) (finite sum),
-L(1,chi) (functional equation), the Gauss sum, and the Euler-correction
-factor A_{q,chi} as a truncated series.  Each is a sum over the cyclic
-group, evaluated for all odd characters at once by one half-length FFT:
-with H = (q-1)/2 and j = 2i + 1,
+A ``PrimeContext`` fixes a primitive root g = ``powers[1]`` and the
+discrete-log table, so character j acts by chi_j(a) = e(j * ind(a) / (q-1))
+and inv(g^m) = g^(-m) (``PrimeContext.inverse``); ``build_context`` memoises
+the last modulus's one.  Only the odd characters (odd j) enter the bias
+sums, so the table's rows hold those alone, one row per odd character:
+L(0,chi) (finite sum), L(1,chi) (functional equation), the Gauss sum, and
+the Euler-correction factor A_{q,chi} as its a-series over n <=
+``A_SERIES_CUTOFF``.  Each is a sum over the cyclic group, evaluated for all
+odd characters at once by one half-length FFT: with H = (q-1)/2, j = 2i + 1,
 
     sum_{m<q-1} x_m e(jm/(q-1)) = sum_{m<H} (x_m - x_{m+H}) e(m/(q-1)) e(im/H),
 
@@ -118,7 +118,6 @@ class PrimeContext:
     """
 
     q: int
-    primitive_root: int
     powers: np.ndarray
     index: np.ndarray
 
@@ -158,7 +157,7 @@ def _context(q: int) -> PrimeContext:
     index[powers] = np.arange(M, dtype=np.int64)
     powers.flags.writeable = False
     index.flags.writeable = False
-    return PrimeContext(q, g, powers, index)
+    return PrimeContext(q, powers, index)
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,8 @@ class CharacterTable:
 
     ``bias_sums`` is indexed by the residue a = 0..q-1, not by characters:
     S(a) = sum_j conj(chi_j(a)) L(0,chi_j) L(1,chi_j) A_{q,chi_j}, real and
-    exactly odd, with S(0) = 0.  ``build_table`` computes it from the
+    exactly odd, with S(0) = 0; ``c2_pair`` reads it at its residues.  Its
+    a-series runs to n <= ``cutoff``.  ``build_table`` computes it from the
     Dedekind spectrum, not from the rows; ``residual`` is the gap between
     the FFT value of S(1) and its direct sum over the a-weights, on the
     C(k) = S(k)/(q-1) scale, at most 1e-12 max(1, |S(1)|/(q-1)).
@@ -185,7 +185,6 @@ class CharacterTable:
     context: PrimeContext
     cutoff: int
     bias_sums: np.ndarray
-    a_tail_bound: float
     residual: float
 
     @property
@@ -242,22 +241,14 @@ class CharacterTable:
         c_q, _ = constant_C(excluded_prime=self.q)
         return c_q * _odd_dft(w[: M // 2] - w[M // 2 :], _twiddle(self.q))
 
-    def _residue(self, a: int) -> int:
-        """a mod q; ValueError for a = 0 mod q."""
+    def chi_bar(self, a: int) -> np.ndarray:
+        """conj(chi_j(a)) for every row; ValueError for a = 0 mod q."""
         if a % self.q == 0:
             raise ValueError(f"a = {a} must be nonzero mod q = {self.q}")
-        return a % self.q
-
-    def chi_bar(self, a: int) -> np.ndarray:
-        """conj(chi_j(a)) for every row, a coprime to q."""
         M = self.q - 1
         j = np.arange(1, M, 2)
-        ind = int(self.context.index[self._residue(a)])
+        ind = int(self.context.index[a % self.q])
         return np.exp((-2j * math.pi / M) * (j * ind % M))
-
-    def bias_sum(self, a: int) -> float:
-        """S(a), read from ``bias_sums``, for a coprime to q."""
-        return float(self.bias_sums[self._residue(a)])
 
 
 def _coprime_terms(q: int, coeffs: np.ndarray):
@@ -268,12 +259,14 @@ def _coprime_terms(q: int, coeffs: np.ndarray):
 
 
 def _odd_over_group(ctx: PrimeContext, half: np.ndarray, zero: float) -> np.ndarray:
-    """f(a), a = 0..q-1: f(0) = zero, f(g^n) = half[n], f(g^(n+H)) = -half[n]."""
+    """f(a), a = 0..q-1: f(0) = zero, f(g^n) = half[n], f(g^(n+H)) = -half[n],
+    by two scatters through ``powers``; ``half`` is left negated in place."""
+    H = len(half)
     values = np.empty(ctx.q)
     values[0] = zero
-    # one gather through the discrete log: g^m takes half[m] for m < H and
-    # -half[m - H] above
-    values[1:] = np.concatenate((half, -half))[ctx.index[1:]]
+    values[ctx.powers[:H]] = half
+    np.negative(half, out=half)
+    values[ctx.powers[H:]] = half
     return values
 
 
@@ -329,18 +322,21 @@ def _odd_correlation(ctx: PrimeContext, f: np.ndarray, h, scale: float, zero: fl
     return _odd_over_group(ctx, half, zero)
 
 
-# tracemalloc peak per residue of build_table at q ~ 1e6 with the default
-# a-series cutoff and nothing memoised: the context and spectrum it memoises
-# (24), then the binned weights and their fold, h's values and the real FFT
-# buffers of the correlation
-_TABLE_BYTES_PER_RESIDUE = 54
+# tracemalloc peak per residue of build_table at q ~ 1e6 with nothing
+# memoised: the context and spectrum it memoises (24), then the binned
+# weights and their fold, h's values and the real FFT buffers of the
+# correlation
+_TABLE_BYTES_PER_RESIDUE = 50
+
+# the a-series cutoff N of A_{q,chi}: the terms n <= N enter the table
+A_SERIES_CUTOFF = 100_000
 
 
-def build_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
+def build_table(q: int) -> CharacterTable:
     """Build the character table for the prime q.
 
     The character sums come from the Dedekind spectrum: with
-    A_{q,chi} = C_q sum_{n <= N, (n,q)=1} a(n) chi(2n), N = ``a_series_cutoff``,
+    A_{q,chi} = C_q sum_{n <= N, (n,q)=1} a(n) chi(2n), N = ``A_SERIES_CUTOFF``,
     and sum_{chi odd} chi_bar(t) L(0,chi) L(1,chi) = pi (q-1) Im s_hat_q(t)
     (``spectrum_point_characters``),
 
@@ -349,14 +345,14 @@ def build_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     one ``_odd_correlation`` of the a-weights binned at inv(2n) mod q with
     the memoised spectrum that ``spectrum_all`` returns.  S(1) is also summed
     directly over the a-weights, and a gap past the ``residual`` bound
-    raises ArithmeticError.  The a-series tail bound is recorded.
+    raises ArithmeticError.  The a-series tail n > N carries no bound yet.
     """
     require_below_cap(q, "character table", _TABLE_BYTES_PER_RESIDUE)
     from .dedekind import spectrum_all  # dedekind imports this module
 
     spectrum = spectrum_all(q).values
     ctx = build_context(q)
-    weights, two_n = _coprime_terms(q, coeff_a_floats(a_series_cutoff))
+    weights, two_n = _coprime_terms(q, coeff_a_floats(A_SERIES_CUTOFF))
     inv_2n = ctx.inverse(two_n)
     c_q, _ = constant_C(excluded_prime=q)
     scale = math.pi * c_q * (q - 1)
@@ -367,5 +363,4 @@ def build_table(q: int, a_series_cutoff: int = 100_000) -> CharacterTable:
     residual = abs(direct - sums[1]) / (q - 1)
     if residual > 1e-12 * max(1.0, abs(sums[1]) / (q - 1)):
         raise ArithmeticError(f"character sum S(1) residual {residual:g} above budget")
-    tail_bound = 2.0 * a_series_cutoff ** (-0.45)
-    return CharacterTable(ctx, a_series_cutoff, sums, tail_bound, residual)
+    return CharacterTable(ctx, A_SERIES_CUTOFF, sums, residual)

@@ -105,13 +105,21 @@ def emit_json(payload: dict, args, truncation: dict) -> None:
     _write(json.dumps(record, indent=2) + "\n", args.output)
 
 
+def _cell(v) -> str:
+    """_fmt(v), quoted as csv.QUOTE_MINIMAL quotes a field with , " or CR/LF."""
+    text = _fmt(v)
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _column(values) -> tuple[str, list]:
     """A CSV column as its %-format code and its cells: a float or integer
     vector is printed by C as %.12g (the digits of _fmt) or %d, any other
-    column cell by cell by _fmt."""
+    column cell by cell by _cell."""
     if isinstance(values, np.ndarray):
         return ("%.12g" if values.dtype.kind == "f" else "%d"), values.tolist()
-    return "%s", [_fmt(v) for v in values]
+    return "%s", [_cell(v) for v in values]
 
 
 def emit_csv(header, columns, args, meta: dict) -> None:

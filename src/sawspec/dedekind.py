@@ -196,7 +196,7 @@ def _spectrum_values(q: int) -> np.ndarray:
 # nothing memoised: the context (16), dedekind_values (8), and the
 # correlation's fold, sines and real FFT buffers; the memo keeps the context
 # and the spectrum (24)
-_SPECTRUM_BYTES_PER_RESIDUE = 52
+_SPECTRUM_BYTES_PER_RESIDUE = 48
 
 
 def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:

@@ -169,16 +169,16 @@ def mobius_table(limit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SieveTables:
-    """Totient and Mobius tables on [0, limit]."""
+    """Euler's totient on [0, limit], the table ``build_phi_accumulator``
+    sums."""
 
     limit: int
     euler_phi: np.ndarray
-    mobius: np.ndarray
 
 
 def build_sieves(limit: int) -> SieveTables:
-    """phi (int64) and mu (int8) up to ``limit``, mu sieved after phi."""
-    return SieveTables(limit, jordan_table(limit, 1), mobius_table(limit))
+    """phi (int64) up to ``limit``, ``jordan_table(limit, 1)``."""
+    return SieveTables(limit, jordan_table(limit, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,6 @@ def pattern_census(x: int, q: int, r: int) -> PatternCensus:
         raise ResourceLimitError(f"x = {x} exceeds configured cap {MAX_CENSUS_X}")
     ps, n_main = primes_with_successors(x, r - 1)
     res = (ps % q).astype(np.int64)
-    if n_main == 0:
-        return PatternCensus(x, q, r, {}, 0)
     windows = np.lib.stride_tricks.sliding_window_view(res, r)[:n_main]
     valid = (windows != 0).all(axis=1)
     windows = windows[valid]

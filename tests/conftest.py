@@ -1,11 +1,17 @@
 import pytest
 
 import sawspec as sw
+from sawspec.foundations import mobius_table
 
 
 @pytest.fixture(scope="session")
 def sieves_1m():
     return sw.build_sieves(10**6)
+
+
+@pytest.fixture(scope="session")
+def mobius_1m():
+    return mobius_table(10**6)
 
 
 @pytest.fixture(scope="session")

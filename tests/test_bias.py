@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sawspec as sw
+from sawspec import characters
 from sawspec.errors import ResourceLimitError
 from sawspec.bias import Pattern
 from sawspec.characters import build_context
@@ -87,7 +88,7 @@ class TestCkPoint:
         vec = sw.ck_all(101, "characters", table=table_101)
         for k in (1, 2, 64, 100):
             assert sw.ck_point(101, k, "characters", table=table_101) == pytest.approx(
-                vec.value(k), abs=1e-12
+                vec.values[k], abs=1e-12
             )
 
     def test_truncated_route_point(self):
@@ -119,7 +120,7 @@ class TestCkPoint:
             vec = sw.ck_all(q, "truncated")
             for k in ks:
                 point = sw.ck_point(q, k, "truncated")
-                assert point == pytest.approx(vec.value(k), abs=1e-12)
+                assert point == pytest.approx(vec.values[k], abs=1e-12)
 
 
 class TestCkVector:
@@ -137,8 +138,8 @@ class TestCkVector:
         assert np.max(np.abs(values[1:] - direct)) <= 1e-12
 
     def test_resource_cap(self):
-        # 51 bytes per residue, past the cap at q = 2000003
-        with pytest.raises(ResourceLimitError, match="102000153 bytes"):
+        # 47 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="94000141 bytes"):
             sw.ck_all(2_000_003, "truncated")
 
     @pytest.mark.parametrize("q", [9, 25, 100])
@@ -154,10 +155,10 @@ class TestCkVector:
         for k in (1, 17, 444):
             assert v[1009 - k] == -v[k]
 
-    def test_no_entry_at_zero(self, ck_1009):
+    def test_no_entry_at_zero(self, ck_1009, table_1009):
         assert np.isnan(ck_1009.values[0])
         with pytest.raises(ValueError):
-            ck_1009.value(0)
+            sw.ck_point(1009, 0, "characters", table=table_1009)
 
     def test_max_growth_report(self, ck_1009, ck_10007):
         # informational scan: max |C(k)| against the (log q)^(2/3)(loglog q)^2 shape
@@ -178,8 +179,9 @@ class TestCkVector:
 
 
 class TestC2:
-    def test_diagonal_closed_form(self, table_101):
-        t5 = sw.build_table(5, a_series_cutoff=1000)
+    def test_diagonal_closed_form(self, table_101, monkeypatch):
+        monkeypatch.setattr(characters, "A_SERIES_CUTOFF", 1000)
+        t5 = sw.build_table(5)
         expected = (5 - 2) / 2 * math.log(5 / (2 * math.pi))
         assert sw.c2_pair(5, 2, 2, t5) == pytest.approx(expected, abs=1e-13)
         assert sw.c2_pair(5, 2, 7, t5) == pytest.approx(expected, abs=1e-13)
@@ -200,7 +202,7 @@ class TestC2:
             if a == b:
                 continue
             c2 = sw.c2_pair(q, int(a), int(b), table_101)
-            assert abs(c2 / q - vec.value(int(b - a))) <= allowed
+            assert abs(c2 / q - vec.values[int(b - a) % q]) <= allowed
 
     @pytest.mark.parametrize("q", [3, 5, 101, 1009])
     def test_table_sums_match_chi_bar_sums(self, q):
@@ -225,8 +227,9 @@ class TestC2:
             q, 3, 7, table_101
         )
 
-    def test_pattern_length3_hand_composition(self):
-        t3 = sw.build_table(3, a_series_cutoff=1000)
+    def test_pattern_length3_hand_composition(self, monkeypatch):
+        monkeypatch.setattr(characters, "A_SERIES_CUTOFF", 1000)
+        t3 = sw.build_table(3)
         c12 = sw.c2_pair(3, 1, 2, t3)
         c21 = sw.c2_pair(3, 2, 1, t3)
         c22 = sw.c2_pair(3, 2, 2, t3)

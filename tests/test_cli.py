@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -461,7 +462,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")
         assert code == 3
         assert out == ""
-        assert "104000156 bytes" in err
+        assert "96000144 bytes" in err
 
     @pytest.mark.parametrize("ell", ["2", "4"])
     @pytest.mark.parametrize("kind", ["C", "s", "R"])
@@ -637,6 +638,38 @@ class TestOther:
         )
         assert code == 0 and out == ""
         assert path.read_text().splitlines()[2] == "t,im_s_hat"
+
+
+class TestCsvRecords:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("c2", "--q", "5", "--pattern", "1,2,1"),
+            ("c2", "--q", "101", "--pattern", "3,7,3,1"),
+            ("c2", "--q", "101", "--a", "1", "--b", "2"),
+            ("moments", "--kind", "C", "--ell", "1", "--B", "5"),
+            ("moments", "--kind", "C", "--ell", "2", "--B", "5"),
+            ("moments", "--kind", "C", "--ell", "4", "--B", "5"),
+            ("moments", "--kind", "s", "--ell", "4", "--B", "12"),
+            ("dedekind", "--q", "101", "--a", "7"),
+            ("dedekind", "--q", "101", "--a", "7", "--method", "direct"),
+        ],
+    )
+    def test_single_row_records_parse_to_the_header_width(self, capsys, argv):
+        # a cell holding a comma (a pattern list, a tail note) is quoted
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        rows = list(csv.reader(l for l in out.splitlines() if not l.startswith("#")))
+        assert code == 0 and len(rows) == 2
+        assert len(rows[1]) == len(rows[0]), rows
+
+    def test_quoted_cells(self, capsys):
+        _, out, _ = run_cli(capsys, "c2", "--q", "5", "--pattern", "1,2,1", "--format", "csv")
+        assert out.splitlines()[2] == '5,"[1, 2, 1]",1,-1.27156084602'
+        _, out, _ = run_cli(
+            capsys, "moments", "--kind", "C", "--ell", "4", "--B", "5", "--format", "csv"
+        )
+        rows = list(csv.reader(out.splitlines()[1:]))
+        assert rows[1][4] == "multiset sum, support 3 values <= 5; pruned mass bound 0"
 
 
 # ---------------------------------------------------------------------------

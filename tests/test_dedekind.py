@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sawspec as sw
-from sawspec import dedekind
+from sawspec import characters, dedekind
 from sawspec.dedekind import dedekind_values
 from sawspec.errors import ResourceLimitError
 
@@ -163,8 +163,8 @@ class TestSpectrum:
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_resource_cap(self):
-        # 52 bytes per residue, past the cap at q = 2000003
-        with pytest.raises(ResourceLimitError, match="104000156 bytes"):
+        # 48 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="96000144 bytes"):
             sw.spectrum_all(2_000_003)
 
     @pytest.mark.parametrize("q", [3, 5, 7, 101, 1009, 100003, 1_000_003])
@@ -256,8 +256,9 @@ class TestTruncatedRoute:
 
 
 class TestCharacterRoute:
-    def test_q3_closed_form(self):
-        table = sw.build_table(3, a_series_cutoff=100)
+    def test_q3_closed_form(self, monkeypatch):
+        monkeypatch.setattr(characters, "A_SERIES_CUTOFF", 100)
+        table = sw.build_table(3)
         v = sw.spectrum_point_characters(3, 1, table)
         assert v.imag == pytest.approx(1.0 / (18.0 * math.sqrt(3.0)), abs=1e-14)
         assert abs(v.real) <= 1e-14

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,19 @@ class TestAlmostPeriod:
                 got = np.float64(dist.almost_period_stat(d, m))
                 expected = np.float64(_almost_period_fancy(d, m))
                 assert got.view(np.int64) == expected.view(np.int64), (q, m)
+
+    def test_peak_is_one_difference_vector(self):
+        # the two slice differences are written into one vector (8 bytes per
+        # residue); two difference arrays and their concatenation would be 16
+        q = 100003
+        d = dist.from_ck_vector(sw.ck_all(q, "truncated"))
+        tracemalloc.start()
+        try:
+            dist.almost_period_stat(d, 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 8 * (q - 2) <= peak < 9 * q
 
     def test_zero_shift(self, dist_ck):
         assert dist.almost_period_stat(dist_ck, 0) == 0.0

@@ -120,24 +120,30 @@ def _totient_sum_recursive(N, cache):
 
 
 class TestSieves:
-    def test_examples(self, sieves_1m):
+    def test_examples(self, sieves_1m, mobius_1m):
         assert sieves_1m.euler_phi[10] == 4
-        assert sieves_1m.mobius[10] == 1
+        assert mobius_1m[10] == 1
         assert sieves_1m.euler_phi[9] == 6
-        assert sieves_1m.mobius[9] == 0
+        assert mobius_1m[9] == 0
 
-    def test_prime_rows(self, sieves_1m):
+    def test_prime_rows(self, sieves_1m, mobius_1m):
         for p in (2, 3, 101, 999983):
             assert sieves_1m.euler_phi[p] == p - 1
-            assert sieves_1m.mobius[p] == -1
+            assert mobius_1m[p] == -1
 
-    def test_against_trial_division(self, sieves_1m):
+    def test_against_trial_division(self, sieves_1m, mobius_1m):
         rng = np.random.default_rng(7)
         sample = list(range(2, 2000)) + list(rng.integers(2000, 10**6, 300))
         for n in sample:
             n = int(n)
             assert sieves_1m.euler_phi[n] == _phi_trial(n)
-            assert sieves_1m.mobius[n] == _mu_trial(n)
+            assert mobius_1m[n] == _mu_trial(n)
+
+    def test_build_sieves_is_phi_alone(self, sieves_1m):
+        # the totient workload reads .limit and .euler_phi; no mu is kept
+        assert sieves_1m.limit == 10**6
+        assert np.array_equal(sieves_1m.euler_phi, jordan_table(10**6, 1))
+        assert not hasattr(sieves_1m, "mobius")
 
     def test_totient_prefix_against_recursive_identity(self, sieves_1m):
         total = int(np.sum(sieves_1m.euler_phi[: 10**6 + 1]))
@@ -156,10 +162,11 @@ class TestSieves:
                 assert mu[n] == _mu_trial(n), (limit, n)
                 assert j2[n] == _jordan2_trial(n), (limit, n)
             s = build_sieves(limit)
-            assert np.array_equal(s.euler_phi, phi) and np.array_equal(s.mobius, mu)
+            assert s.limit == limit and np.array_equal(s.euler_phi, phi)
 
     def test_callers_sieve_only_the_table_they_read(self, monkeypatch):
-        # the totient path fills phi alone (int64), the mu readers mu alone (int8)
+        # the totient path and build_sieves fill phi alone (int64), the mu
+        # readers mu alone (int8)
         import sawspec as sw
         import sawspec.foundations as fnd
 
@@ -172,6 +179,7 @@ class TestSieves:
         monkeypatch.setattr(fnd, "_sieve", spy)
         for call, want in [
             (lambda: sw.build_phi_accumulator(1000), np.int64),
+            (lambda: sw.build_sieves(1000), np.int64),
             (lambda: sw.theoretical_moment("R", 4, 30), np.int8),
             (lambda: sw.rtilde_truncated_model(0.5, 30), np.int8),
         ]:

@@ -40,7 +40,7 @@ class TestTheoretical:
         est = theoretical_moment("s", 2, 10**4)
         assert est.value == pytest.approx(SPECTRUM_SECOND, rel=5e-3)
 
-    def test_grouped_pair_sum_equals_brute_force(self, sieves_1m):
+    def test_grouped_pair_sum_equals_brute_force(self, mobius_1m):
         # the J_2 regrouping must match the raw double loop exactly
         B = 300
         n = np.arange(B + 1, dtype=float)
@@ -48,7 +48,7 @@ class TestTheoretical:
         g2 = np.gcd.outer(np.arange(B + 1), np.arange(B + 1)).astype(float) ** 2
         for kind, wfun in (
             ("s", 1.0 / n),
-            ("R", sieves_1m.mobius[: B + 1].astype(float) / n),
+            ("R", mobius_1m[: B + 1].astype(float) / n),
         ):
             w = wfun / n  # w(n)/n
             w[0] = 0.0
