@@ -46,14 +46,14 @@ from .foundations import (
     build_sieves,
     constant_C,
     prime_array,
-    psi,
+    psi_array,
 )
 from .moments import (
     MomentEstimate,
-    continuous_model_eval,
     continuous_model_moment_exact,
     empirical_moments,
     moment_tuple_sum_exact,
+    sawtooth_model,
     theoretical_moment,
 )
 from .phi_error import (
@@ -63,7 +63,6 @@ from .phi_error import (
     rtilde_moment_exact,
     rtilde_moments_exact,
     rtilde_samples,
-    rtilde_truncated_model,
 )
 from .primes import (
     PatternCensus,

@@ -46,6 +46,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # exact Dedekind sums
 
+# terms a definitional route evaluates: k - 1 for the direct Dedekind sum,
+# (q - 1)/2 * q phase terms for the naive spectrum
+_NAIVE_BUDGET = 100_000_000
+
 
 def _dedekind_direct(h: int, k: int) -> Fraction:
     # sum_{x mod k} psi(x/k) psi(hx/k), folded to one integer accumulation:
@@ -71,12 +75,18 @@ def _dedekind_reciprocity(h: int, k: int) -> Fraction:
 
 
 def dedekind_sum_pair(h: int, k: int, method: str = "reciprocity") -> Fraction:
-    """Classical Dedekind sum s(h, k) for any modulus k >= 1, gcd(h, k) = 1."""
+    """Classical Dedekind sum s(h, k) for any modulus k >= 1, gcd(h, k) = 1.
+    ``direct`` refuses more than 1e8 terms k - 1 before its loop."""
     if k < 1:
         raise ValueError("modulus must be >= 1")
     if math.gcd(h, k) != 1:
         raise ValueError(f"gcd({h}, {k}) != 1")
     if method == "direct":
+        if k - 1 > _NAIVE_BUDGET:
+            raise ResourceLimitError(
+                f"the direct Dedekind sum mod {k} evaluates {k - 1} terms, "
+                f"above budget {_NAIVE_BUDGET}"
+            )
         return _dedekind_direct(h % k, k)
     if method == "reciprocity":
         return _dedekind_reciprocity(h, k)
@@ -148,11 +158,9 @@ class Spectrum:
 
     q: int
     values: np.ndarray
-    method: str
 
 
 _NAIVE_BLOCK = 256  # rows of t per outer product in _dft_positive_naive
-_NAIVE_BUDGET = 100_000_000  # phase terms (q - 1)/2 * q the naive spectrum evaluates
 
 
 def _dft_positive_naive(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -239,7 +247,7 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
         _check_parseval(q, s, values)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return Spectrum(q, values, algorithm)
+    return Spectrum(q, values)
 
 
 _TRUNCATED_CHUNK = 1 << 22  # terms n per array step in spectrum_point_truncated

@@ -1,6 +1,7 @@
-"""The sawtooth, factorization, the prime sieve, the multiplicative tables
-phi, J_2, mu, a(n), b(n) (one sieve fills each, alone; b(n) also exactly,
-from the same sieve's int64 denominators), and C = 2 Pi_2.
+"""The sawtooth psi_array, factorization, the prime sieve, the
+multiplicative tables phi, J_2, mu, a(n), b(n) (one sieve fills each,
+alone; b(n) also exactly, from the same sieve's int64 denominators), and
+C = 2 Pi_2.
 
 Everything downstream (Dedekind spectra, bias constants, correlation
 integrals, totient error moments) consumes these primitives.  Exact
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import ResourceLimitError
 
 __all__ = [
-    "psi",
     "psi_array",
     "factorize",
     "prime_array",
@@ -40,24 +40,13 @@ __all__ = [
 # the sawtooth
 
 
-def psi(x: float) -> float:
-    """Centered sawtooth: {x} - 1/2 off integers, 0 at integers.
+def psi_array(x) -> np.ndarray:
+    """Centered sawtooth, elementwise: {x} - 1/2 off integers, 0 at integers.
 
     The value is computed from |x| with the sign restored afterwards, so
     the oddness psi(-x) == -psi(x) is exact in floating point, not just up
     to rounding.
     """
-    if x == math.floor(x):
-        return 0.0
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        sign = -1.0
-    return sign * (x - math.floor(x) - 0.5)
-
-
-def psi_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`psi` (0 at integers, exact oddness)."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     return np.where(x == np.floor(x), 0.0, np.sign(x) * ((ax - np.floor(ax)) - 0.5))

@@ -5,8 +5,12 @@ tuples: weights b(n_i) (bias constants, scaled by the Euler constant to
 the ell-th power), 1/n_i (Dedekind spectra), mu(n_i)/n_i (totient error).
 The second moment collapses through gcd^2 = sum_{d | gcd} J_2(d) to a
 one-dimensional sum; higher even moments enumerate multisets against the
-exact integral with weight pruning.  The continuous sawtooth model and its
-exact pre-limit moment identity live here as well.
+exact integral with weight pruning.
+
+The same weights define the sawtooth model of each kind,
+scale * sum_{n <= B} w(n) psi(u/n): C(k) (scale C), pi i s_hat_q (scale 1)
+and Rt (scale -1).  The exact pre-limit moment identity of the C model
+lives here as well.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .foundations import (
     jordan_table,
     mobius_table,
     prime_array,
-    psi,
+    psi_array,
     require_sieve_limit,
 )
 
@@ -35,7 +39,7 @@ __all__ = [
     "MomentEstimate",
     "theoretical_moment",
     "empirical_moments",
-    "continuous_model_eval",
+    "sawtooth_model",
     "continuous_model_moment_exact",
     "moment_tuple_sum_exact",
 ]
@@ -58,7 +62,13 @@ class MomentEstimate:
 def _multisets(support, ell: int):
     """Yield (combo, multiplicity) over the size-ell multisets of ``support``
     in ``combinations_with_replacement`` order; the multiplicity is the
-    number of distinct orderings of combo."""
+    number of distinct orderings of combo.  More than 300 000 multisets
+    raise ResourceLimitError before the first is yielded."""
+    count = math.comb(len(support) + ell - 1, ell)
+    if count > _MULTISET_BUDGET:
+        raise ResourceLimitError(
+            f"{count} support multisets exceed budget {_MULTISET_BUDGET}"
+        )
     fact = math.factorial(ell)
     for combo in combinations_with_replacement(support, ell):
         mult = fact
@@ -68,6 +78,11 @@ def _multisets(support, ell: int):
             if run > 1:
                 mult //= run
         yield combo, mult
+
+
+def _model_scale(kind: str) -> float:
+    """The factor before the weighted sawtooth sum of each kind."""
+    return {"C": constant_C()[0], "s": 1.0, "R": -1.0}[kind]
 
 
 def _support_weights(kind: str, B: int) -> np.ndarray:
@@ -118,7 +133,7 @@ def theoretical_moment(kind: str, ell: int, B: int) -> MomentEstimate:
         raise ValueError("ell and B must be >= 1")
     if ell % 2 == 1:
         return MomentEstimate(kind, ell, B, 0.0, "odd moment vanishes identically")
-    scale = constant_C()[0] ** ell if kind == "C" else 1.0
+    scale = _model_scale(kind) ** ell
 
     if ell == 2:
         value = scale * _second_moment(kind, B)
@@ -126,11 +141,6 @@ def theoretical_moment(kind: str, ell: int, B: int) -> MomentEstimate:
 
     w = _support_weights(kind, B)
     ns = np.nonzero(w)[0]
-    count = math.comb(len(ns) + ell - 1, ell)
-    if count > _MULTISET_BUDGET:
-        raise ResourceLimitError(
-            f"{count} support multisets exceed budget {_MULTISET_BUDGET}"
-        )
     total = 0.0
     pruned_mass = 0.0
     floor = 2.0**-ell  # |correlation| <= 2^-ell on any tuple
@@ -165,16 +175,25 @@ def empirical_moments(values, ell_max: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# continuous sawtooth model
+# the sawtooth models
 
 
-def continuous_model_eval(x: float, B: int) -> float:
-    """C * sum_{n <= B} b(n) psi(x/n) with the limiting constant."""
+def sawtooth_model(kind: str, u, B: int):
+    """scale * sum_{n <= B, w(n) != 0} w(n) psi(u/n), the truncated sawtooth
+    model of each dataset label of ``distribution.DEFAULT_SCALES``, with the
+    weights of :func:`theoretical_moment`: scale C and b(n) for ``"C"``
+    (C(k)), 1 and 1/n for ``"s"`` (pi i s_hat_q), -1 and mu(n)/n for ``"R"``
+    (Rt).  The terms are added in increasing n; a float for scalar u, else
+    an array of u's shape."""
     if B < 1:
         raise ValueError("B must be >= 1")
-    b = coeff_b_floats(B)
-    total = sum(b[n] * psi(x / n) for n in np.nonzero(b)[0].tolist())
-    return constant_C()[0] * total
+    w = _support_weights(kind, B)
+    us = np.asarray(u, dtype=float)
+    total = np.zeros_like(us)
+    for n in np.nonzero(w)[0].tolist():
+        total += w[n] * psi_array(us / n)
+    total = _model_scale(kind) * total
+    return float(total) if np.ndim(u) == 0 else total
 
 
 def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
@@ -210,7 +229,8 @@ def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
 
 def moment_tuple_sum_exact(ell: int, B: int) -> Fraction:
     """sum over tuples (n_1..n_ell), n_i <= B, of prod b(n_i) * the exact
-    correlation integral; the tuple-sum side of the pre-limit identity."""
+    correlation integral; the tuple-sum side of the pre-limit identity.
+    Like :func:`theoretical_moment`, at most 300 000 support multisets."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     b = coeff_b_fractions(B)

@@ -1,5 +1,5 @@
-"""The error term in the totient summatory asymptotic, its moments and its
-truncated Mobius-sawtooth model.
+"""The error term in the totient summatory asymptotic and its moments
+(its truncated Mobius-sawtooth model is ``moments.sawtooth_model("R", ...)``).
 
 R(x) is the deviation of sum_{n<=x} phi(n) from 3x^2/pi^2 and
 Rt(u) = R(u)/u - phi(u)/(2u) its normalized form (the phi correction only
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .foundations import SieveTables, jordan_table, mobius_table, psi_array
+from .foundations import SieveTables, jordan_table
 
 __all__ = [
     "PhiAccumulator",
@@ -57,7 +57,6 @@ __all__ = [
     "rtilde_moment_exact",
     "rtilde_moments_exact",
     "rtilde_samples",
-    "rtilde_truncated_model",
 ]
 
 _P = 3.0 / math.pi**2
@@ -178,21 +177,3 @@ def rtilde_moment_exact(y: int, ell: int, acc: PhiAccumulator) -> float:
     """(1/y) int_0^y Rt(u)^ell du: the last entry of
     :func:`rtilde_moments_exact`."""
     return rtilde_moments_exact(y, ell, acc)[-1]
-
-
-# ---------------------------------------------------------------------------
-# truncated sawtooth model
-
-
-def rtilde_truncated_model(u, N: int):
-    """-sum_{n <= N} (mu(n)/n) psi(u/n): the truncated sawtooth model."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    mu = mobius_table(N)
-    us = np.asarray(u, dtype=float)
-    total = np.zeros_like(us)
-    for n in range(1, N + 1):
-        mn = int(mu[n])
-        if mn:
-            total -= (mn / n) * psi_array(us / n)
-    return float(total) if np.ndim(u) == 0 else total

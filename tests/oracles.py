@@ -1,5 +1,6 @@
-"""Reference forms that the tests compare the library against: the per-n
-exact coefficients a(n) and b(n), by factorization, and the extreme report.
+"""Reference forms that the tests compare the library against: the scalar
+sawtooth, the per-n exact coefficients a(n) and b(n), by factorization, and
+the extreme report.
 """
 
 import math
@@ -7,6 +8,18 @@ from fractions import Fraction
 
 from sawspec.distribution import DEFAULT_SCALES, extremes
 from sawspec.foundations import factorize
+
+
+def psi(x: float) -> float:
+    """Centered sawtooth of one float: {x} - 1/2 off integers, 0 at
+    integers, from |x| with the sign restored afterwards."""
+    if x == math.floor(x):
+        return 0.0
+    sign = 1.0
+    if x < 0.0:
+        x = -x
+        sign = -1.0
+    return sign * (x - math.floor(x) - 0.5)
 
 
 def _a_prime_power(p: int, e: int) -> Fraction:

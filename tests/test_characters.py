@@ -11,7 +11,7 @@ from sawspec.characters import CharacterTable, _smooth_length, build_context
 from sawspec.errors import ResourceLimitError
 from sawspec.foundations import coeff_a_floats, coeff_b_floats, constant_C
 
-from oracles import coeff_a
+from oracles import coeff_a, psi
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +489,7 @@ class TestBuildTable:
     def test_principal_sawtooth_sum_is_zero(self):
         # sum_a psi(a/q) = 0, so the principal row vanishes before zeroing too
         q = 101
-        raw = -sum(sw.psi(a / q) for a in range(1, q))
+        raw = -sum(psi(a / q) for a in range(1, q))
         assert raw == pytest.approx(0.0, abs=1e-12)
 
     def test_even_l_zero_direct_small_q(self):
@@ -499,7 +499,7 @@ class TestBuildTable:
         chi = np.zeros(q, dtype=complex)
         for a in range(1, q):
             chi[a] = np.exp(2j * math.pi * 2 * ctx.index[a] / (q - 1))  # j = 2, even
-        val = -sum(chi[a] * sw.psi(a / q) for a in range(1, q))
+        val = -sum(chi[a] * psi(a / q) for a in range(1, q))
         assert abs(val) <= 1e-14
 
 

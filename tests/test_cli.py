@@ -488,6 +488,17 @@ class TestExitCodes:
         assert "8192024576 bytes" in err
         assert peak < 1 << 20
 
+    def test_direct_dedekind_budget_is_3(self, capsys):
+        # refused before the loop over q - 1 terms; reciprocity still runs
+        argv = ("dedekind", "--q", "1000000007", "--a", "7")
+        code, out, err = run_cli(capsys, *argv, "--method", "direct")
+        assert code == 3
+        assert out == ""
+        assert "1000000006 terms" in err
+        code, out, _ = run_cli(capsys, *argv, "--method", "reciprocity")
+        assert code == 0
+        assert out.strip() == "23809524357142861/2000000014"
+
     def test_discrete_correlation_cap_is_3(self, capsys):
         # refused before its O(q) arrays, with the bytes they would need
         code, out, err, peak = run_cli_traced(

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -61,6 +62,16 @@ class TestDedekindSum:
             sw.dedekind_sum(7, 0)
         with pytest.raises(ValueError):
             sw.dedekind_sum(7, 14)
+
+    def test_direct_budget(self):
+        # 1e9 + 6 terms, about four minutes of the loop, refused before it;
+        # the reciprocity descent at the same modulus is exact and quick
+        q = 1_000_000_007
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="1000000006 terms"):
+            sw.dedekind_sum(q, 7, "direct")
+        assert time.perf_counter() - start < 1.0
+        assert sw.dedekind_sum(q, 7) == Fraction(23809524357142861, 2000000014)
 
     def test_methods_agree_exactly_small(self):
         for q in (3, 5, 7, 11, 13):

@@ -15,45 +15,44 @@ from sawspec.foundations import (
     jordan_table,
     mobius_table,
     prime_array,
-    psi,
     psi_array,
 )
 
-from oracles import coeff_a, coeff_b
+from oracles import coeff_a, coeff_b, psi
 
 TWIN_DOUBLED = 1.3203236316937392  # 2 * prod_{p>=3} (1 - (p-1)^-2)
 
 
 class TestPsi:
     def test_integer_values(self):
-        assert psi(0.0) == 0.0
-        assert psi(7.0) == 0.0
-        assert psi(-3.0) == 0.0
+        assert psi_array(0.0) == 0.0
+        assert psi_array(7.0) == 0.0
+        assert psi_array(-3.0) == 0.0
 
     def test_quarter_points(self):
-        assert psi(0.25) == -0.25
-        assert psi(-0.25) == 0.25
-        assert psi(0.75) == 0.25
+        assert psi_array(0.25) == -0.25
+        assert psi_array(-0.25) == 0.25
+        assert psi_array(0.75) == 0.25
 
     def test_half_integers_vanish(self):
-        assert psi(0.5) == 0.0
-        assert psi(2.5) == 0.0
-        assert psi(-1.5) == 0.0
+        assert psi_array(0.5) == 0.0
+        assert psi_array(2.5) == 0.0
+        assert psi_array(-1.5) == 0.0
 
     @given(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False))
     def test_oddness_exact(self, x):
-        assert psi(x) + psi(-x) == 0.0
+        assert psi_array(x) + psi_array(-x) == 0.0
 
     @given(st.floats(min_value=-1e3, max_value=1e3))
     def test_periodicity(self, x):
         # stay away from the jump at integers, where x + 1.0 can round
         # across the discontinuity
         assume(abs(x - round(x)) > 1e-9)
-        assert psi(x + 1.0) == pytest.approx(psi(x), abs=5e-13)
+        assert psi_array(x + 1.0) == pytest.approx(psi_array(x), abs=5e-13)
 
     @given(st.floats(min_value=-1e6, max_value=1e6))
     def test_range(self, x):
-        assert -0.5 <= psi(x) <= 0.5
+        assert -0.5 <= psi_array(x) <= 0.5
 
     def test_array_agrees_with_scalar(self):
         xs = np.array([-2.5, -0.3, 0.0, 0.125, 1.0, 3.7])
@@ -166,7 +165,7 @@ class TestSieves:
 
     def test_callers_sieve_only_the_table_they_read(self, monkeypatch):
         # the totient path and build_sieves fill phi alone (int64), the mu
-        # readers mu alone (int8)
+        # readers mu alone (int8), the C model b alone (float64)
         import sawspec as sw
         import sawspec.foundations as fnd
 
@@ -181,7 +180,8 @@ class TestSieves:
             (lambda: sw.build_phi_accumulator(1000), np.int64),
             (lambda: sw.build_sieves(1000), np.int64),
             (lambda: sw.theoretical_moment("R", 4, 30), np.int8),
-            (lambda: sw.rtilde_truncated_model(0.5, 30), np.int8),
+            (lambda: sw.sawtooth_model("R", 0.5, 30), np.int8),
+            (lambda: sw.sawtooth_model("C", 0.5, 30), np.float64),
         ]:
             dtypes.clear()
             call()

@@ -72,8 +72,15 @@ class TestTheoretical:
             assert 0.3 <= ratio <= 1.6
 
     def test_budget_cap(self):
-        with pytest.raises(ResourceLimitError):
-            theoretical_moment("s", 4, 60)
+        # 595 665, 1.1e9 and 9.4e6 support multisets, each above the budget
+        # of 300 000, refused before the first is enumerated
+        for moment in (
+            lambda: theoretical_moment("s", 4, 60),
+            lambda: sw.moment_tuple_sum_exact(4, 1000),
+            lambda: sw.moment_tuple_sum_exact(6, 100),
+        ):
+            with pytest.raises(ResourceLimitError, match="multisets exceed budget"):
+                moment()
 
     @pytest.mark.parametrize("ell", [2, 4])
     @pytest.mark.parametrize("kind", ["C", "s", "R"])
@@ -167,15 +174,30 @@ def _model_moment_over_lcm(ell: int, B: int) -> Fraction:
 
 class TestContinuousModel:
     def test_point_values(self):
-        assert sw.continuous_model_eval(0.5, 1) == 0.0
+        assert sw.sawtooth_model("C", 0.5, 1) == 0.0
         c = sw.constant_C()[0]
-        assert sw.continuous_model_eval(0.25, 1) == pytest.approx(-c / 4, abs=1e-12)
-        assert sw.continuous_model_eval(0.25, 1) == pytest.approx(-0.330081, abs=1e-6)
+        assert sw.sawtooth_model("C", 0.25, 1) == pytest.approx(-c / 4, abs=1e-12)
+        assert sw.sawtooth_model("C", 0.25, 1) == pytest.approx(-0.330081, abs=1e-6)
         # b(2) = 0, b(3) = 1, psi(1/12) = -5/12
-        assert sw.continuous_model_eval(0.25, 3) == pytest.approx(
+        assert sw.sawtooth_model("C", 0.25, 3) == pytest.approx(
             c * (-0.25 - 5.0 / 12.0), abs=1e-12
         )
-        assert sw.continuous_model_eval(0.25, 3) == pytest.approx(-0.880216, abs=1e-6)
+        assert sw.sawtooth_model("C", 0.25, 3) == pytest.approx(-0.880216, abs=1e-6)
+
+    def test_rejects_bad_kind_or_B(self):
+        for kind, B in (("C", 0), ("R", 0), ("x", 5)):
+            with pytest.raises(ValueError):
+                sw.sawtooth_model(kind, 0.5, B)
+
+    @pytest.mark.parametrize(
+        "kind, B, period", [("C", 5, 15), ("s", 4, 12), ("R", 5, 30)]
+    )
+    def test_mean_square_is_the_second_moment(self, kind, B, period):
+        # the midpoint rule, 20 000 points per unit, over one period of the
+        # model: psi(u/n) jumps only at integers, which are cell edges
+        u = (np.arange(20_000 * period) + 0.5) / 20_000
+        mean_square = float(np.mean(sw.sawtooth_model(kind, u, B) ** 2))
+        assert abs(mean_square - theoretical_moment(kind, 2, B).value) <= 1e-8
 
     def test_exact_prelimit_identity(self):
         for ell, B in ((2, 3), (2, 5), (4, 3)):

@@ -8,6 +8,8 @@ from scipy.integrate import quad
 import sawspec as sw
 from sawspec.errors import ResourceLimitError
 
+from oracles import psi
+
 P = 3.0 / math.pi**2
 
 
@@ -219,11 +221,11 @@ class TestMomentExact:
 
 class TestTruncatedModel:
     def test_single_term(self):
-        assert sw.rtilde_truncated_model(10.5, 1) == 0.0
+        assert sw.sawtooth_model("R", 10.5, 1) == 0.0
 
     def test_two_terms(self):
         # mu(2) = -1, psi(5.25) = -1/4
-        assert sw.rtilde_truncated_model(10.5, 2) == pytest.approx(
+        assert sw.sawtooth_model("R", 10.5, 2) == pytest.approx(
             -0.125, abs=1e-15
         )
 
@@ -232,7 +234,7 @@ class TestTruncatedModel:
         u = np.arange(N, 10**5, 7, dtype=float) + 0.5
         S = acc_1m.prefix[np.floor(u).astype(np.int64)].astype(float)
         truth = S / u - P * u
-        model = sw.rtilde_truncated_model(u, N)
+        model = sw.sawtooth_model("R", u, N)
         assert float(np.mean(np.abs(model - truth))) <= 0.05
 
 
@@ -288,7 +290,7 @@ class TestPairCorrelation:
         assert val == Fraction(24, 144) == 24 * Fraction(1, 144)
         # against quadrature on an incomplete period, one smooth cell at a time
         ref = sum(
-            quad(lambda x: sw.psi(x / 3) * sw.psi(x / 4), m, m + 1, epsabs=1e-13)[0]
+            quad(lambda x: psi(x / 3) * psi(x / 4), m, m + 1, epsabs=1e-13)[0]
             for m in range(17)
         )
         assert float(_pair_integral_exact(3, 4, 17)) == pytest.approx(ref, abs=1e-10)

@@ -64,16 +64,17 @@ class TestCensus:
             assert 0 not in key
 
     def test_independent_recount(self):
-        x, q, r = 20000, 3, 2
-        c = sw.pattern_census(x, q, r)
-        ps = prime_array(x + 1000)
-        n_main = int(np.searchsorted(ps, x, side="right"))
-        counter = Counter()
-        for i in range(n_main):
-            window = tuple(int(p % q) for p in ps[i : i + r])
-            if 0 not in window:
-                counter[window] += 1
-        assert counter == Counter(c.counts)
+        # 1009^7 > 2^62: the second census counts by tuples, not int64 codes
+        for x, q, r in ((20000, 3, 2), (10**4, 1009, 7)):
+            c = sw.pattern_census(x, q, r)
+            ps = prime_array(x + 1000)
+            n_main = int(np.searchsorted(ps, x, side="right"))
+            counter = Counter()
+            for i in range(n_main):
+                window = tuple(int(p % q) for p in ps[i : i + r])
+                if 0 not in window:
+                    counter[window] += 1
+            assert counter == Counter(c.counts)
 
     def test_telescoping(self):
         # sharp form: left-minus-right occurrences of a telescope down to the

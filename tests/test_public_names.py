@@ -13,10 +13,9 @@ PACKAGE = ROOT / "src" / "sawspec"
 
 # public names with no caller yet, each with the reason it stays
 NO_CALLER_YET = {
-    "continuous_model_eval": "the C sawtooth model, whose distribution the "
-    "C(k) data is to be compared against",
-    "rtilde_truncated_model": "the Mobius sawtooth model, whose distribution "
-    "the totient error data is to be compared against",
+    "sawtooth_model": "the sawtooth model of each dataset kind, whose "
+    "distribution the C(k), spectrum and totient error data are to be "
+    "compared against",
     "spectrum_point_truncated": "the independent truncated route of the "
     "three-way spectrum agreement",
 }
