@@ -14,7 +14,6 @@ from .characters import (
     is_prime,
 )
 from .correlations import (
-    CorrelationKey,
     b_exact,
     b_lattice_estimate,
     discrete_correlation,
@@ -22,7 +21,6 @@ from .correlations import (
 )
 from .dedekind import (
     Spectrum,
-    dedekind_sum,
     dedekind_sum_pair,
     dedekind_values,
     spectrum_all,
@@ -42,7 +40,6 @@ from .distribution import (
 )
 from .errors import ResourceLimitError, SawspecError
 from .foundations import (
-    SieveTables,
     build_sieves,
     constant_C,
     prime_array,

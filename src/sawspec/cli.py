@@ -29,7 +29,7 @@ from . import __version__
 from .bias import Pattern, c1_pattern, c2_pair, c2_pattern, ck_all
 from .characters import build_table, is_prime
 from .correlations import b_exact, b_lattice_estimate, discrete_correlation
-from .dedekind import dedekind_sum, spectrum_all
+from .dedekind import dedekind_sum_pair, spectrum_all
 from .distribution import (
     EULER_GAMMA,
     almost_period_stat,
@@ -288,7 +288,7 @@ def _check_residues(args, residues) -> None:
 def _cmd_dedekind(args) -> int:
     _check_residues(args, (args.a,))
     fmt = _format(args, "text", "csv", "json")
-    value = dedekind_sum(args.q, args.a, args.method)
+    value = dedekind_sum_pair(args.a, args.q, args.method)
     if fmt == "json":
         emit_json(
             {"q": args.q, "a": args.a, "method": args.method, "value": value},

@@ -3,15 +3,16 @@
 The central object is the correlation integral over one common period,
 an exactly rational quantity.  It vanishes for an odd number of factors,
 has a gcd closed form for pairs, and admits a single-prime reduction that
-shrinks the period before the exact piecewise-polynomial integration.
+shrinks the period before the exact piecewise-polynomial integration,
+which is memoised per reduced tuple for the life of the process.
 A lattice-sum estimator and the discrete mod-q correlation provide
 independent numerical routes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +23,6 @@ from .errors import ResourceLimitError
 from .foundations import factorize
 
 __all__ = [
-    "CorrelationKey",
     "reduce_correlation",
     "b_exact",
     "b_lattice_estimate",
@@ -33,19 +33,11 @@ __all__ = [
 MAX_FACTORS = 8
 
 
-@dataclass(frozen=True)
-class CorrelationKey:
-    """Canonical memo key: sorted reduced moduli, the scalar extracted by
-    single-prime reductions, and the period (lcm) of the reduced tuple."""
-
-    moduli: tuple[int, ...]
-    extracted_scalar: Fraction
-    period: int
-
-
-def reduce_correlation(moduli) -> CorrelationKey:
-    """Apply the single-prime reduction until every prime dividing one
-    modulus divides at least two of them; track the extracted 1/p factors."""
+def reduce_correlation(moduli) -> tuple[tuple[int, ...], Fraction]:
+    """(sorted reduced moduli, extracted scalar): the single-prime reduction
+    divides p^e out of the one modulus a prime p divides, for every such p,
+    and the correlation integral is the scalar prod 1/p^e times the reduced
+    tuple's."""
     mods = [int(n) for n in moduli]
     if not mods or any(n < 1 for n in mods):
         raise ValueError("moduli must be positive integers")
@@ -60,8 +52,7 @@ def reduce_correlation(moduli) -> CorrelationKey:
             if counts[p] == 1:
                 mods[i] //= p**e
                 scalar *= Fraction(1, p**e)
-    reduced = tuple(sorted(mods))
-    return CorrelationKey(reduced, scalar, math.lcm(*reduced))
+    return tuple(sorted(mods)), scalar
 
 
 def _poly_int_bound(moduli, ell: int, period: int) -> int:
@@ -71,9 +62,11 @@ def _poly_int_bound(moduli, ell: int, period: int) -> int:
     return bound * (ell + 1) * 2520 * max(period, 1)
 
 
+@functools.cache
 def _integrate_reduced(moduli: tuple[int, ...], period: int) -> Fraction:
     """Exact mean of prod psi(x/n_j) over [0, period): on each unit interval
-    the integrand is one degree-ell polynomial, integrated in integers."""
+    the integrand is one degree-ell polynomial, integrated in integers.
+    Memoised per (moduli, period) for the process."""
     ell = len(moduli)
     weight_lcm = math.lcm(*range(1, ell + 2))
     weights = [weight_lcm // (i + 1) for i in range(ell + 1)]
@@ -96,9 +89,6 @@ def _integrate_reduced(moduli: tuple[int, ...], period: int) -> Fraction:
     return Fraction(num, denom)
 
 
-_B_CACHE: dict[tuple[int, ...], Fraction] = {}
-
-
 def b_exact(moduli, lcm_cap: int = 1_000_000) -> Fraction:
     """Exact correlation integral of the sawtooths psi(x/n_j).
 
@@ -118,16 +108,11 @@ def b_exact(moduli, lcm_cap: int = 1_000_000) -> Fraction:
         return Fraction(g * g, 12 * mods[0] * mods[1])
     if ell > MAX_FACTORS:
         raise ResourceLimitError(f"integration degree capped at {MAX_FACTORS}")
-    key = reduce_correlation(mods)
-    if key.period > lcm_cap:
-        raise ResourceLimitError(
-            f"reduced period {key.period} exceeds cap {lcm_cap}"
-        )
-    cached = _B_CACHE.get(key.moduli)
-    if cached is None:
-        cached = _integrate_reduced(key.moduli, key.period)
-        _B_CACHE[key.moduli] = cached
-    return key.extracted_scalar * cached
+    reduced, scalar = reduce_correlation(mods)
+    period = math.lcm(*reduced)
+    if period > lcm_cap:
+        raise ResourceLimitError(f"reduced period {period} exceeds cap {lcm_cap}")
+    return scalar * _integrate_reduced(reduced, period)
 
 
 _LATTICE_BUDGET = 20_000_000  # lattice points b_lattice_estimate enumerates

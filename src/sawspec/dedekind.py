@@ -33,7 +33,6 @@ from .characters import (
 from .errors import ResourceLimitError
 
 __all__ = [
-    "dedekind_sum",
     "dedekind_sum_pair",
     "dedekind_values",
     "Spectrum",
@@ -75,8 +74,10 @@ def _dedekind_reciprocity(h: int, k: int) -> Fraction:
 
 
 def dedekind_sum_pair(h: int, k: int, method: str = "reciprocity") -> Fraction:
-    """Classical Dedekind sum s(h, k) for any modulus k >= 1, gcd(h, k) = 1.
-    ``direct`` refuses more than 1e8 terms k - 1 before its loop."""
+    """Classical Dedekind sum s(h, k) = s_k(h) for any modulus k >= 1,
+    gcd(h, k) = 1.  ``direct`` is the O(k) definitional sum and refuses more
+    than 1e8 terms k - 1 before its loop; ``reciprocity`` is the O(log k)
+    descent.  They agree exactly."""
     if k < 1:
         raise ValueError("modulus must be >= 1")
     if math.gcd(h, k) != 1:
@@ -91,17 +92,6 @@ def dedekind_sum_pair(h: int, k: int, method: str = "reciprocity") -> Fraction:
     if method == "reciprocity":
         return _dedekind_reciprocity(h, k)
     raise ValueError(f"unknown method {method!r}")
-
-
-def dedekind_sum(q: int, a: int, method: str = "reciprocity") -> Fraction:
-    """Exact s_q(a) for prime q and a coprime to q.
-
-    ``method='direct'`` is the O(q) definitional sum, ``'reciprocity'``
-    the O(log q) descent; they agree exactly.
-    """
-    if a % q == 0:
-        raise ValueError(f"a = {a} is not a reduced residue mod {q}")
-    return dedekind_sum_pair(a % q, q, method)
 
 
 _DESCENT_BLOCK = 1 << 15  # lanes a per block of the descent in dedekind_values

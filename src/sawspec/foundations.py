@@ -1,11 +1,12 @@
 """The sawtooth psi_array, factorization, the prime sieve, the
 multiplicative tables phi, J_2, mu, a(n), b(n) (one sieve fills each,
-alone; b(n) also exactly, from the same sieve's int64 denominators), and
+alone; b(n) also exactly, as the int64 denominators d(n) of b = 1/d), and
 C = 2 Pi_2.
 
 Everything downstream (Dedekind spectra, bias constants, correlation
 integrals, totient error moments) consumes these primitives.  Exact
-identities are carried by ``fractions.Fraction``; float paths exist for
+values are integers here (b(n) as its denominator), which the exact
+routes downstream carry in ``fractions.Fraction``; float paths exist for
 the bulk/vectorized consumers.
 """
 
@@ -13,8 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,11 +26,10 @@ __all__ = [
     "require_sieve_limit",
     "jordan_table",
     "mobius_table",
-    "SieveTables",
     "build_sieves",
     "coeff_a_floats",
     "coeff_b_floats",
-    "coeff_b_fractions",
+    "coeff_b_denominators",
     "constant_C",
 ]
 
@@ -156,18 +154,10 @@ def mobius_table(limit: int) -> np.ndarray:
     return _sieve(limit, np.int8, lambda v, p, e: -v if e == 1 else 0, lambda x, P: -x)
 
 
-@dataclass(frozen=True)
-class SieveTables:
-    """Euler's totient on [0, limit], the table ``build_phi_accumulator``
-    sums."""
-
-    limit: int
-    euler_phi: np.ndarray
-
-
-def build_sieves(limit: int) -> SieveTables:
-    """phi (int64) up to ``limit``, ``jordan_table(limit, 1)``."""
-    return SieveTables(limit, jordan_table(limit, 1))
+def build_sieves(limit: int) -> np.ndarray:
+    """Euler's phi (int64) on [0, limit], ``jordan_table(limit, 1)``: the
+    table ``build_phi_accumulator`` sums."""
+    return jordan_table(limit, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +195,16 @@ def coeff_b_floats(limit: int) -> np.ndarray:
     )
 
 
-def coeff_b_fractions(limit: int) -> list[Fraction]:
-    """b(n) for n = 0..limit as exact rationals: 1/prod_{p | n} (p - 2) from
-    one int64 sieve of the denominators, which is 0 off the odd squarefree
-    support (and at n = 0) and at most n, so exact."""
-    denominators = _sieve(
+def coeff_b_denominators(limit: int) -> np.ndarray:
+    """d(n) = prod_{p | n} (p - 2) on the odd squarefree support of b, so
+    b(n) = 1/d(n) exactly, and 0 off it (and at n = 0), for n = 0..limit:
+    int64 from one sieve, exact since d(n) <= n."""
+    return _sieve(
         limit,
         np.int64,
         lambda v, p, e: v * (p - 2) if e == 1 and p > 2 else 0,
         lambda x, P: x * (P - 2),
     )
-    return [Fraction(1, d) if d else Fraction(0) for d in denominators.tolist()]
 
 
 # ---------------------------------------------------------------------------

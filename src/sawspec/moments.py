@@ -4,13 +4,13 @@ The limiting moments are weighted sums of the correlation integral over
 tuples: weights b(n_i) (bias constants, scaled by the Euler constant to
 the ell-th power), 1/n_i (Dedekind spectra), mu(n_i)/n_i (totient error).
 The second moment collapses through gcd^2 = sum_{d | gcd} J_2(d) to a
-one-dimensional sum; higher even moments enumerate multisets against the
-exact integral with weight pruning.
+one-dimensional sum, in O(sqrt B) array steps; higher even moments
+enumerate multisets against the exact integral with weight pruning.
 
 The same weights define the sawtooth model of each kind,
 scale * sum_{n <= B} w(n) psi(u/n): C(k) (scale C), pi i s_hat_q (scale 1)
 and Rt (scale -1).  The exact pre-limit moment identity of the C model
-lives here as well.
+lives here as well; both sides read b(n) = 1/d(n) from the int64 d(n).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from .correlations import b_exact
 from .errors import ResourceLimitError
 from .foundations import (
+    coeff_b_denominators,
     coeff_b_floats,
-    coeff_b_fractions,
     constant_C,
     jordan_table,
     mobius_table,
@@ -104,18 +104,22 @@ def _support_weights(kind: str, B: int) -> np.ndarray:
 
 
 def _second_moment(kind: str, B: int) -> float:
-    # sum_{n1,n2<=B} w(n1) w(n2) gcd^2 / (12 n1 n2), regrouped through J_2
-    w = _support_weights(kind, B)
-    n = np.arange(B + 1, dtype=float)
-    n[0] = 1.0
-    f = w / n
-    J = jordan_table(B, 2).astype(float)
-    total = 0.0
-    for dd in range(1, B + 1):
-        t = float(np.sum(f[dd::dd]))
-        if t:
-            total += J[dd] * t * t
-    return total / 12.0
+    """sum_{n1,n2<=B} w(n1) w(n2) gcd^2 / (12 n1 n2) = sum_{d<=B} J_2(d)
+    t(d)^2 / 12, t(d) = sum_k f(dk), f(n) = w(n)/n.  With r = isqrt(B), t(d)
+    is one np.sum of f[d::d] for d <= r, and for d > r adds f(dk) for k = 1,
+    2, ... in turn to zero, one strided slice over those d per k; the total
+    is one np.dot of J_2 with t^2."""
+    f = _support_weights(kind, B)
+    f[1:] /= np.arange(1, B + 1)
+    r = math.isqrt(B)
+    t = np.zeros(B + 1)
+    for d in range(1, r + 1):
+        t[d] = np.sum(f[d::d])
+    for k in range(1, B // (r + 1) + 1):
+        t[r + 1 : B // k + 1] += f[(r + 1) * k :: k][: B // k - r]
+    del f
+    np.square(t, out=t)
+    return float(np.dot(jordan_table(B, 2).astype(float), t)) / 12.0
 
 
 def theoretical_moment(kind: str, ell: int, B: int) -> MomentEstimate:
@@ -216,13 +220,13 @@ def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
                 f"model period (the product of the odd primes <= {B}) exceeds "
                 f"cap {_MODEL_LCM_CAP} from the prime {p} on"
             )
-    b = coeff_b_fractions(B)
-    support = [n for n in range(1, B + 1) if b[n]]
-    slope = sum(b[n] / n for n in support)  # Fraction, > 0 (b(1) = 1)
+    d = coeff_b_denominators(B)
+    b = [(n, Fraction(1, int(d[n]))) for n in np.flatnonzero(d).tolist()]
+    slope = sum(bn / n for n, bn in b)  # Fraction, > 0 (b(1) = 1)
     half = Fraction(1, 2)
     total = Fraction(0)
     for m in range(L):
-        base = sum(b[n] * (Fraction(m % n, n) - half) for n in support)
+        base = sum(bn * (Fraction(m % n, n) - half) for n, bn in b)
         total += ((base + slope) ** (ell + 1) - base ** (ell + 1)) / (ell + 1)
     return total / slope / L
 
@@ -230,16 +234,13 @@ def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
 def moment_tuple_sum_exact(ell: int, B: int) -> Fraction:
     """sum over tuples (n_1..n_ell), n_i <= B, of prod b(n_i) * the exact
     correlation integral; the tuple-sum side of the pre-limit identity.
-    Like :func:`theoretical_moment`, at most 300 000 support multisets."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    b = coeff_b_fractions(B)
-    support = [n for n in range(1, B + 1) if b[n]]
-    total = Fraction(0)
-    for combo, mult in _multisets(support, ell):
-        weight = Fraction(1)
-        for n in combo:
-            weight *= b[n]
-        total += weight * mult * b_exact(combo)
-    return total
-
+    Like :func:`theoretical_moment`, at most 300 000 support multisets,
+    checked before any Fraction exists: b(n) = 1/d(n) is read from the int64
+    denominators, and a multiset's weight is mult / prod d(n_i)."""
+    if ell < 1 or B < 1:
+        raise ValueError("ell and B must be >= 1")
+    d = coeff_b_denominators(B)
+    return sum(
+        Fraction(mult, math.prod(int(d[n]) for n in combo)) * b_exact(combo)
+        for combo, mult in _multisets(np.flatnonzero(d).tolist(), ell)
+    )

@@ -3,9 +3,10 @@
 
 R(x) is the deviation of sum_{n<=x} phi(n) from 3x^2/pi^2 and
 Rt(u) = R(u)/u - phi(u)/(2u) its normalized form (the phi correction only
-at integers).  Between consecutive integers Rt is a rational function, so
-the moment integrals over [0, y] split into one smooth integral per unit
-interval.
+at integers).  The prefix sums of phi come from one int64 table, sieved by
+``jordan_table(y, 1)`` or passed in as ``build_sieves``' table.  Between
+consecutive integers Rt is a rational function, so the moment integrals
+over [0, y] split into one smooth integral per unit interval.
 
 Numerical note.  Expanding those integrals in powers of u cancels
 catastrophically for large m (terms of size (0.3 m)^ell against O(1)
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .foundations import SieveTables, jordan_table
+from .foundations import jordan_table
 
 __all__ = [
     "PhiAccumulator",
@@ -75,7 +76,9 @@ class PhiAccumulator:
         return int(self.prefix[m] - self.prefix[m - 1])
 
 
-def build_phi_accumulator(y: int, sieves: SieveTables | None = None) -> PhiAccumulator:
+def build_phi_accumulator(y: int, phi: np.ndarray | None = None) -> PhiAccumulator:
+    """S_m of ``phi`` (a ``build_sieves`` table of length > y), else of
+    ``jordan_table(y, 1)``."""
     if y < 2:
         raise ValueError("y must be >= 2")
     if y > 100_000_000:
@@ -85,7 +88,7 @@ def build_phi_accumulator(y: int, sieves: SieveTables | None = None) -> PhiAccum
             f"sums stay exact in a float64 view (~1.7e8); the phi table and "
             f"prefix would peak at {16 * (y + 1)} bytes"
         )
-    phi = jordan_table(y, 1) if sieves is None or sieves.limit < y else sieves.euler_phi
+    phi = jordan_table(y, 1) if phi is None or len(phi) <= y else phi
     prefix = np.zeros(y + 1, dtype=np.int64)
     np.cumsum(phi[: y + 1], out=prefix)
     return PhiAccumulator(y, prefix)

@@ -1,13 +1,15 @@
 """Reference forms that the tests compare the library against: the scalar
-sawtooth, the per-n exact coefficients a(n) and b(n), by factorization, and
-the extreme report.
+sawtooth, the per-n exact coefficients a(n) and b(n), by factorization, the
+second-moment pair sum one divisor at a time, and the extreme report.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from sawspec.distribution import DEFAULT_SCALES, extremes
-from sawspec.foundations import factorize
+from sawspec.foundations import factorize, jordan_table
 
 
 def psi(x: float) -> float:
@@ -50,6 +52,22 @@ def coeff_b(n: int) -> Fraction:
             return Fraction(0)
         val /= p - 2
     return val
+
+
+def second_moment_loop(w: np.ndarray) -> float:
+    """sum_{d <= B} J_2(d) t(d)^2 / 12, t(d) = sum_k w(dk)/(dk), for the
+    weights w[0..B]: one np.sum per divisor d, in increasing d."""
+    B = len(w) - 1
+    n = np.arange(B + 1, dtype=float)
+    n[0] = 1.0
+    f = w / n
+    J = jordan_table(B, 2).astype(float)
+    total = 0.0
+    for d in range(1, B + 1):
+        t = float(np.sum(f[d::d]))
+        if t:
+            total += J[d] * t * t
+    return total / 12.0
 
 
 def extreme_report(dist, q: int) -> dict:

@@ -120,23 +120,23 @@ class TestExact:
 
 class TestReductionKey:
     def test_key_fields(self):
-        key = reduce_correlation((3, 1, 1, 1))
-        assert key.moduli == (1, 1, 1, 1)
-        assert key.extracted_scalar == Fraction(1, 3)
-        assert key.period == 1
+        moduli, scalar = reduce_correlation((3, 1, 1, 1))
+        assert moduli == (1, 1, 1, 1)
+        assert scalar == Fraction(1, 3)
+        assert math.lcm(*moduli) == 1
 
     def test_prime_power_extraction(self):
-        key = reduce_correlation((9, 6, 2))
+        _, scalar = reduce_correlation((9, 6, 2))
         # 3 divides 9 and 6: kept; 2 divides 6 and 2: kept
-        assert key.extracted_scalar == 1
-        key = reduce_correlation((25, 2, 2))
-        assert key.extracted_scalar == Fraction(1, 25)
-        assert key.moduli == (1, 2, 2)
+        assert scalar == 1
+        moduli, scalar = reduce_correlation((25, 2, 2))
+        assert scalar == Fraction(1, 25)
+        assert moduli == (1, 2, 2)
 
     def test_every_prime_shared_after_reduction(self):
-        key = reduce_correlation((4, 6, 35, 10, 9))
+        moduli, _ = reduce_correlation((4, 6, 35, 10, 9))
         for p in (2, 3, 5, 7):
-            dividing = sum(1 for n in key.moduli if n % p == 0)
+            dividing = sum(1 for n in moduli if n % p == 0)
             assert dividing != 1
 
 

@@ -45,23 +45,23 @@ def _spectrum_naive(q: int) -> np.ndarray:
 class TestDedekindSum:
     def test_known_values(self):
         # s_q(1) = (q-1)(q-2)/(12q); s_5(2) = 0 by the direct hand sum
-        assert sw.dedekind_sum(5, 1) == Fraction(1, 5)
-        assert sw.dedekind_sum(5, 1, "direct") == Fraction(1, 5)
-        assert sw.dedekind_sum(5, 2) == 0
-        assert sw.dedekind_sum(5, 2, "direct") == 0
-        assert sw.dedekind_sum(7, 1) == Fraction(5, 14)
+        assert sw.dedekind_sum_pair(1, 5) == Fraction(1, 5)
+        assert sw.dedekind_sum_pair(1, 5, "direct") == Fraction(1, 5)
+        assert sw.dedekind_sum_pair(2, 5) == 0
+        assert sw.dedekind_sum_pair(2, 5, "direct") == 0
+        assert sw.dedekind_sum_pair(1, 7) == Fraction(5, 14)
 
     def test_oddness(self):
-        assert sw.dedekind_sum(7, 6) == -sw.dedekind_sum(7, 1)
+        assert sw.dedekind_sum_pair(6, 7) == -sw.dedekind_sum_pair(1, 7)
         for q in (11, 13, 101):
             for a in (1, 2, 5):
-                assert sw.dedekind_sum(q, q - a) == -sw.dedekind_sum(q, a)
+                assert sw.dedekind_sum_pair(q - a, q) == -sw.dedekind_sum_pair(a, q)
 
     def test_rejects_zero_class(self):
         with pytest.raises(ValueError):
-            sw.dedekind_sum(7, 0)
+            sw.dedekind_sum_pair(0, 7)
         with pytest.raises(ValueError):
-            sw.dedekind_sum(7, 14)
+            sw.dedekind_sum_pair(14, 7)
 
     def test_direct_budget(self):
         # 1e9 + 6 terms, about four minutes of the loop, refused before it;
@@ -69,14 +69,14 @@ class TestDedekindSum:
         q = 1_000_000_007
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="1000000006 terms"):
-            sw.dedekind_sum(q, 7, "direct")
+            sw.dedekind_sum_pair(7, q, "direct")
         assert time.perf_counter() - start < 1.0
-        assert sw.dedekind_sum(q, 7) == Fraction(23809524357142861, 2000000014)
+        assert sw.dedekind_sum_pair(7, q) == Fraction(23809524357142861, 2000000014)
 
     def test_methods_agree_exactly_small(self):
         for q in (3, 5, 7, 11, 13):
             for a in range(1, q):
-                assert sw.dedekind_sum(q, a, "direct") == sw.dedekind_sum(q, a)
+                assert sw.dedekind_sum_pair(a, q, "direct") == sw.dedekind_sum_pair(a, q)
 
     @given(st.integers(min_value=2, max_value=400))
     @settings(max_examples=60, deadline=None)
@@ -94,7 +94,7 @@ class TestDedekindSum:
         for q in (101, 1009, 10007):
             for a in (1, 7, q // 2, q - 3):
                 assert _dedekind_float(a, q) == pytest.approx(
-                    float(sw.dedekind_sum(q, a)), abs=1e-10
+                    float(sw.dedekind_sum_pair(a, q)), abs=1e-10
                 )
 
 

@@ -8,8 +8,8 @@ from hypothesis import assume, given, strategies as st
 from sawspec.foundations import (
     build_sieves,
     coeff_a_floats,
+    coeff_b_denominators,
     coeff_b_floats,
-    coeff_b_fractions,
     constant_C,
     factorize,
     jordan_table,
@@ -120,14 +120,14 @@ def _totient_sum_recursive(N, cache):
 
 class TestSieves:
     def test_examples(self, sieves_1m, mobius_1m):
-        assert sieves_1m.euler_phi[10] == 4
+        assert sieves_1m[10] == 4
         assert mobius_1m[10] == 1
-        assert sieves_1m.euler_phi[9] == 6
+        assert sieves_1m[9] == 6
         assert mobius_1m[9] == 0
 
     def test_prime_rows(self, sieves_1m, mobius_1m):
         for p in (2, 3, 101, 999983):
-            assert sieves_1m.euler_phi[p] == p - 1
+            assert sieves_1m[p] == p - 1
             assert mobius_1m[p] == -1
 
     def test_against_trial_division(self, sieves_1m, mobius_1m):
@@ -135,17 +135,17 @@ class TestSieves:
         sample = list(range(2, 2000)) + list(rng.integers(2000, 10**6, 300))
         for n in sample:
             n = int(n)
-            assert sieves_1m.euler_phi[n] == _phi_trial(n)
+            assert sieves_1m[n] == _phi_trial(n)
             assert mobius_1m[n] == _mu_trial(n)
 
     def test_build_sieves_is_phi_alone(self, sieves_1m):
-        # the totient workload reads .limit and .euler_phi; no mu is kept
-        assert sieves_1m.limit == 10**6
-        assert np.array_equal(sieves_1m.euler_phi, jordan_table(10**6, 1))
+        # the totient workload passes the phi table on [0, limit]; no mu is kept
+        assert len(sieves_1m) == 10**6 + 1
+        assert np.array_equal(sieves_1m, jordan_table(10**6, 1))
         assert not hasattr(sieves_1m, "mobius")
 
     def test_totient_prefix_against_recursive_identity(self, sieves_1m):
-        total = int(np.sum(sieves_1m.euler_phi[: 10**6 + 1]))
+        total = int(np.sum(sieves_1m[: 10**6 + 1]))
         assert total == _totient_sum_recursive(10**6, {})
 
     def test_small_limits_against_trial_division(self):
@@ -161,7 +161,7 @@ class TestSieves:
                 assert mu[n] == _mu_trial(n), (limit, n)
                 assert j2[n] == _jordan2_trial(n), (limit, n)
             s = build_sieves(limit)
-            assert s.limit == limit and np.array_equal(s.euler_phi, phi)
+            assert len(s) == limit + 1 and np.array_equal(s, phi)
 
     def test_callers_sieve_only_the_table_they_read(self, monkeypatch):
         # the totient path and build_sieves fill phi alone (int64), the mu
@@ -286,9 +286,10 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 30, 1000, 10_000])
     def test_b_fractions_match_per_n_oracle(self, limit):
-        b = coeff_b_fractions(limit)
+        d = coeff_b_denominators(limit)
+        b = [Fraction(1, v) if v else Fraction(0) for v in d.tolist()]
         assert b == [Fraction(0)] + [coeff_b(n) for n in range(1, limit + 1)]
-        assert all(type(v) is Fraction for v in b)
+        assert d.dtype == np.int64
 
     def test_float_tables_within_error_contract(self):
         # every limit up to 200: sqrt(limit) changes, and 2 or 3 is the

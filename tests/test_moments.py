@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 import sawspec as sw
+from oracles import coeff_b, second_moment_loop
+from sawspec.correlations import _integrate_reduced, reduce_correlation
 from sawspec.errors import ResourceLimitError
-from sawspec.foundations import coeff_b_fractions
-from sawspec.moments import _multisets, theoretical_moment
+from sawspec.moments import _multisets, _second_moment, _support_weights, theoretical_moment
 
 HALF_INV_PI2 = 1.0 / (2.0 * math.pi**2)
 SPECTRUM_SECOND = 5.0 * math.pi**2 / 144.0  # gcd-sum identity zeta(2)^3/zeta(4)/144
@@ -97,6 +99,45 @@ class TestTheoretical:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_multiset_budget_comes_before_any_fraction(self, monkeypatch):
+        # (4, 1e6): 405 286 support values, 1.1e21 multisets, refused from the
+        # int64 denominators alone, with no b(n) or weight built as a Fraction
+        built = []
+        new = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="multisets exceed budget"):
+            sw.moment_tuple_sum_exact(4, 10**6)
+        assert time.perf_counter() - start < 1.0
+        assert built == []
+
+    @pytest.mark.parametrize("kind", ["C", "s", "R"])
+    @pytest.mark.parametrize("B", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 1000, 10_000])
+    def test_second_moment_slices_match_the_divisor_loop(self, kind, B):
+        # B = r^2 - 1, r^2 and r^2 + 1 move sqrt(B) between the two parts
+        got = _second_moment(kind, B)
+        want = second_moment_loop(_support_weights(kind, B))
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_reduced_integrals_are_memoised(self):
+        # no tuple of 1/n weights, n <= 12, is pruned, so every multiset
+        # reaches the memo: one integration per distinct reduced tuple, and a
+        # repeat call hits the memo every time
+        combos = [combo for combo, _ in _multisets(range(1, 13), 4)]
+        reduced = {reduce_correlation(combo)[0] for combo in combos}
+        _integrate_reduced.cache_clear()
+        first = theoretical_moment("s", 4, 12).value
+        info = _integrate_reduced.cache_info()
+        assert (info.misses, info.hits) == (len(reduced), len(combos) - len(reduced))
+        assert theoretical_moment("s", 4, 12).value == first
+        info = _integrate_reduced.cache_info()
+        assert (info.misses, info.hits) == (len(reduced), 2 * len(combos) - len(reduced))
+
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             theoretical_moment("x", 2, 10)
@@ -161,7 +202,7 @@ def _model_moment_over_lcm(ell: int, B: int) -> Fraction:
     """The exact model moment averaged over lcm(1..B), a multiple of the
     model's period, one unit interval at a time."""
     L = math.lcm(*range(1, B + 1))
-    b = coeff_b_fractions(B)
+    b = [Fraction(0)] + [coeff_b(n) for n in range(1, B + 1)]
     support = [n for n in range(1, B + 1) if b[n]]
     slope = sum(b[n] / n for n in support)
     half = Fraction(1, 2)
@@ -200,7 +241,7 @@ class TestContinuousModel:
         assert abs(mean_square - theoretical_moment(kind, 2, B).value) <= 1e-8
 
     def test_exact_prelimit_identity(self):
-        for ell, B in ((2, 3), (2, 5), (4, 3)):
+        for ell, B in ((2, 3), (2, 5), (4, 3), (2, 15), (4, 7), (6, 5)):
             lhs = sw.continuous_model_moment_exact(ell, B)
             rhs = sw.moment_tuple_sum_exact(ell, B)
             assert lhs == rhs
@@ -229,8 +270,8 @@ class TestContinuousModel:
         # 3*5*7*11*13*17 = 255255 passes the cap at p = 17; the message names
         # no period, which for large B has more digits than int -> str allows
         def refuse(limit):
-            raise AssertionError("coeff_b_fractions called before the cap")
+            raise AssertionError("coeff_b_denominators called before the cap")
 
-        monkeypatch.setattr(sw.moments, "coeff_b_fractions", refuse)
+        monkeypatch.setattr(sw.moments, "coeff_b_denominators", refuse)
         with pytest.raises(ResourceLimitError, match="from the prime 17 on"):
             sw.continuous_model_moment_exact(4, B)

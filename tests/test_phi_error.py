@@ -55,7 +55,7 @@ class TestRValues:
         finally:
             tracemalloc.stop()
         assert 16 * (y + 1) <= peak < 16.01 * (y + 1)
-        assert np.array_equal(acc.prefix, np.cumsum(sw.build_sieves(y).euler_phi))
+        assert np.array_equal(acc.prefix, np.cumsum(sw.build_sieves(y)))
 
     def test_sign_changes(self, acc_1m):
         vals = np.array([sw.r_values(x, acc_1m)[0] for x in range(1, 10_001)])
