@@ -78,10 +78,6 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 

@@ -2,9 +2,10 @@
 
 The central object is the correlation integral over one common period,
 an exactly rational quantity.  It vanishes for an odd number of factors,
-has a gcd closed form for pairs, and admits a single-prime reduction that
-shrinks the period before the exact piecewise-polynomial integration,
-which is memoised per reduced tuple for the life of the process.
+has a gcd closed form for pairs, and admits a single-prime reduction, by
+gcds alone with no factorization, that shrinks the period before the exact
+piecewise-polynomial integration, which is memoised per reduced tuple for
+the life of the process.
 A lattice-sum estimator and the discrete mod-q correlation provide
 independent numerical routes.
 """
@@ -20,7 +21,6 @@ import numpy as np
 
 from .characters import require_below_cap
 from .errors import ResourceLimitError
-from .foundations import factorize
 
 __all__ = [
     "reduce_correlation",
@@ -35,24 +35,22 @@ MAX_FACTORS = 8
 
 def reduce_correlation(moduli) -> tuple[tuple[int, ...], Fraction]:
     """(sorted reduced moduli, extracted scalar): the single-prime reduction
-    divides p^e out of the one modulus a prime p divides, for every such p,
-    and the correlation integral is the scalar prod 1/p^e times the reduced
-    tuple's."""
+    divides out of each n_i its part c_i coprime to the lcm of the others
+    (what repeated gcds with that lcm leave of n_i), and the correlation
+    integral is the scalar 1/prod c_i times the reduced tuple's."""
     mods = [int(n) for n in moduli]
     if not mods or any(n < 1 for n in mods):
         raise ValueError("moduli must be positive integers")
-    factored = [dict(factorize(n)) for n in mods]
-    counts: dict[int, int] = {}
-    for f in factored:
-        for p in f:
-            counts[p] = counts.get(p, 0) + 1
-    scalar = Fraction(1)
-    for i, f in enumerate(factored):
-        for p, e in f.items():
-            if counts[p] == 1:
-                mods[i] //= p**e
-                scalar *= Fraction(1, p**e)
-    return tuple(sorted(mods)), scalar
+    reduced, extracted = [], 1
+    for i, n in enumerate(mods):
+        c = n
+        g = math.gcd(c, math.lcm(*mods[:i], *mods[i + 1 :]))
+        while g > 1:
+            c //= g
+            g = math.gcd(c, g)
+        reduced.append(n // c)
+        extracted *= c
+    return tuple(sorted(reduced)), Fraction(1, extracted)
 
 
 def _poly_int_bound(moduli, ell: int, period: int) -> int:

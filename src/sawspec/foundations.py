@@ -97,14 +97,14 @@ def prime_array(limit: int) -> np.ndarray:
 MAX_SIEVE_LIMIT = 200_000_000
 
 
-def require_sieve_limit(limit: int, dtype) -> None:
-    """Raise ResourceLimitError for limit > MAX_SIEVE_LIMIT, stating the
-    bytes below which a ``dtype`` table on [0, limit] would peak."""
+def require_sieve_limit(limit: int, per_entry: float) -> None:
+    """Raise ResourceLimitError for limit > MAX_SIEVE_LIMIT, stating the peak
+    bytes at ``per_entry`` (a multiple of 1/2) bytes per entry of [0, limit]."""
     if limit > MAX_SIEVE_LIMIT:
-        peak = (3 * np.dtype(dtype).itemsize + 2) * (limit + 1) // 2
+        peak = int(2 * per_entry) * (limit + 1) // 2
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds configured cap {MAX_SIEVE_LIMIT} (its "
-            f"{np.dtype(dtype)} table would peak below {peak} bytes)"
+            f"sieve limit {limit} exceeds configured cap {MAX_SIEVE_LIMIT} (it "
+            f"would peak below {peak} bytes)"
         )
 
 
@@ -119,7 +119,7 @@ def _sieve(limit: int, dtype, prime_power, large_prime) -> np.ndarray:
     and the primes <= limit, which with the last products stay under a byte
     per entry for limit >= 1e6.
     """
-    require_sieve_limit(limit, dtype)
+    require_sieve_limit(limit, (3 * np.dtype(dtype).itemsize + 2) / 2)
     primes = prime_array(limit)
     table = np.ones(limit + 1, dtype=dtype)
     table[:1] = 0

@@ -10,7 +10,8 @@ enumerate multisets against the exact integral with weight pruning.
 The same weights define the sawtooth model of each kind,
 scale * sum_{n <= B} w(n) psi(u/n): C(k) (scale C), pi i s_hat_q (scale 1)
 and Rt (scale -1).  The exact pre-limit moment identity of the C model
-lives here as well; both sides read b(n) = 1/d(n) from the int64 d(n).
+lives here too: both sides read b(n) = 1/d(n) from the int64 d(n), and the
+model's side is one integer power sum over its period.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _model_scale(kind: str) -> float:
 def _support_weights(kind: str, B: int) -> np.ndarray:
     """w[n] for n = 0..B; the tuple weight is prod w(n_i).  B is held to
     the sieve cap before any array of length B + 1 exists."""
-    require_sieve_limit(B, np.float64)
+    require_sieve_limit(B, 13)  # bytes per entry of the float64 sieve
     if kind == "C":
         return coeff_b_floats(B)
     n = np.arange(B + 1, dtype=float)
@@ -108,7 +109,9 @@ def _second_moment(kind: str, B: int) -> float:
     t(d)^2 / 12, t(d) = sum_k f(dk), f(n) = w(n)/n.  With r = isqrt(B), t(d)
     is one np.sum of f[d::d] for d <= r, and for d > r adds f(dk) for k = 1,
     2, ... in turn to zero, one strided slice over those d per k; the total
-    is one np.dot of J_2 with t^2."""
+    is one np.dot of J_2 with t^2.  The peak, t beside J_2 and its float
+    copy, is 24 bytes per entry; the cap is checked at 25 first."""
+    require_sieve_limit(B, 25)
     f = _support_weights(kind, B)
     f[1:] /= np.arange(1, B + 1)
     r = math.isqrt(B)
@@ -202,10 +205,11 @@ def sawtooth_model(kind: str, u, B: int):
 
 def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
     """Exact (1/L) integral of (sum_{n<=B} b(n) psi(x/n))^ell over one period
-    L <= 100 000, the product of the odd primes <= B (b lives on odd
-    squarefree n), in rational arithmetic.  The model is linear on every unit
-    interval, so each piece integrates in closed form; C^ell is factored out.
-    """
+    L <= 100 000, the product of the odd primes <= B (so B <= 16; b lives on
+    odd squarefree n); C^ell is factored out.  On [m, m + 1) the model is
+    base_m + slope t.  With b = 1/d and D = lcm n d(n) (at most 45 045),
+    X_m = 2D base_m (int64) and S = 2D slope are integers, and the moment is
+    sum_m ((X_m + S)^(ell+1) - X_m^(ell+1)) / ((ell+1) S (2D)^ell L)."""
     if ell < 1 or ell > 6:
         raise ValueError("exact model moments support 1 <= ell <= 6")
     if B < 1:
@@ -221,14 +225,13 @@ def continuous_model_moment_exact(ell: int, B: int) -> Fraction:
                 f"cap {_MODEL_LCM_CAP} from the prime {p} on"
             )
     d = coeff_b_denominators(B)
-    b = [(n, Fraction(1, int(d[n]))) for n in np.flatnonzero(d).tolist()]
-    slope = sum(bn / n for n, bn in b)  # Fraction, > 0 (b(1) = 1)
-    half = Fraction(1, 2)
-    total = Fraction(0)
-    for m in range(L):
-        base = sum(bn * (Fraction(m % n, n) - half) for n, bn in b)
-        total += ((base + slope) ** (ell + 1) - base ** (ell + 1)) / (ell + 1)
-    return total / slope / L
+    nd = {n: n * int(d[n]) for n in np.flatnonzero(d).tolist()}
+    D = math.lcm(*nd.values())
+    m = np.arange(L, dtype=np.int64)
+    X = sum(D // v * (2 * (m % n) - n) for n, v in nd.items()).astype(object)
+    S = sum(2 * D // v for v in nd.values())  # > 0 (b(1) = 1)
+    total = int(np.sum((X + S) ** (ell + 1) - X ** (ell + 1)))
+    return Fraction(total, (ell + 1) * S * (2 * D) ** ell * L)
 
 
 def moment_tuple_sum_exact(ell: int, B: int) -> Fraction:

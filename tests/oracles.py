@@ -1,6 +1,8 @@
 """Reference forms that the tests compare the library against: the scalar
 sawtooth, the per-n exact coefficients a(n) and b(n), by factorization, the
-second-moment pair sum one divisor at a time, and the extreme report.
+second-moment pair sum one divisor at a time, the extreme report, the
+single-prime reduction by factorization and the C model's moment one
+Fraction per unit interval and modulus.
 """
 
 import math
@@ -9,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from sawspec.distribution import DEFAULT_SCALES, extremes
-from sawspec.foundations import factorize, jordan_table
+from sawspec.foundations import coeff_b_denominators, factorize, jordan_table, prime_array
 
 
 def psi(x: float) -> float:
@@ -81,3 +83,38 @@ def extreme_report(dist, q: int) -> dict:
         "argmax": amx,
         "max_over_loglog_scale": mx / denom,
     }
+
+
+def reduce_correlation_by_factors(moduli) -> tuple[tuple[int, ...], Fraction]:
+    """(sorted reduced moduli, extracted scalar) by factorization: divide
+    p^e out of the one modulus a prime p divides, for every such p, with
+    one Fraction(1, p^e) per prime."""
+    mods = [int(n) for n in moduli]
+    factored = [dict(factorize(n)) for n in mods]
+    counts: dict[int, int] = {}
+    for f in factored:
+        for p in f:
+            counts[p] = counts.get(p, 0) + 1
+    scalar = Fraction(1)
+    for i, f in enumerate(factored):
+        for p, e in f.items():
+            if counts[p] == 1:
+                mods[i] //= p**e
+                scalar *= Fraction(1, p**e)
+    return tuple(sorted(mods)), scalar
+
+
+def model_moment_loop(ell: int, B: int) -> Fraction:
+    """(1/L) integral of (sum_{n<=B} b(n) psi(x/n))^ell over the period L,
+    the product of the odd primes <= B: one Fraction per (m, n) and unit
+    interval [m, m + 1), on which the model is base + slope t."""
+    L = math.prod(prime_array(B)[1:].tolist())
+    d = coeff_b_denominators(B)
+    b = [(n, Fraction(1, int(d[n]))) for n in np.flatnonzero(d).tolist()]
+    slope = sum(bn / n for n, bn in b)
+    half = Fraction(1, 2)
+    total = Fraction(0)
+    for m in range(L):
+        base = sum(bn * (Fraction(m % n, n) - half) for n, bn in b)
+        total += ((base + slope) ** (ell + 1) - base ** (ell + 1)) / (ell + 1)
+    return total / slope / L

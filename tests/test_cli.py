@@ -468,13 +468,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("kind", ["C", "s", "R"])
     def test_moment_sieve_cap_is_3(self, capsys, kind, ell):
         # refused before any array of length B + 1, with the bytes of a
-        # float64 sieve table on [0, B]
+        # float64 sieve table on [0, B] (13 per entry), or for ell = 2 of the
+        # second moment's peak (25 per entry)
         code, out, err, peak = run_cli_traced(
             capsys, "moments", "--kind", kind, "--ell", ell, "--B", "10000000000"
         )
         assert code == 3
         assert out == ""
-        assert "130000000013 bytes" in err
+        want = "250000000025 bytes" if ell == "2" else "130000000013 bytes"
+        assert want in err
         assert peak < 1 << 20
 
     def test_naive_spectrum_budget_is_3(self, capsys):

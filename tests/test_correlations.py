@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,11 @@ import sawspec as sw
 from sawspec.correlations import _integrate_reduced, _poly_int_bound, reduce_correlation
 from sawspec.errors import ResourceLimitError
 from sawspec.foundations import factorize
+from oracles import reduce_correlation_by_factors
+
+# four primes near 1e14: each divides one modulus only, so the whole tuple
+# reduces to (1, 1, 1, 1)
+_BIG_PRIMES = (100000000000031, 100000000000067, 100000000000097, 100000000000099)
 
 
 def _integrate_by_interval(moduli, period):
@@ -132,6 +138,44 @@ class TestReductionKey:
         moduli, scalar = reduce_correlation((25, 2, 2))
         assert scalar == Fraction(1, 25)
         assert moduli == (1, 2, 2)
+
+    def test_gcds_match_the_factorization(self):
+        rng = np.random.default_rng(20)
+        for _ in range(5000):
+            ell = int(rng.integers(1, 9))
+            mods = tuple(int(n) for n in rng.integers(1, 401, ell))
+            assert reduce_correlation(mods) == reduce_correlation_by_factors(mods), mods
+
+    def test_gcds_match_the_factorization_with_large_primes(self):
+        # primes near 1e12, alone, times a small modulus or shared by two
+        # moduli, mixed with small moduli
+        p, r = 999999999989, 1000000000039
+        for mods in [
+            (p, 3, 5, 15),
+            (p, p, 2, 4),
+            (3 * p, 5 * p, 9, 25),
+            (p, r, 6, 10),
+            (2 * p, 3 * r, p, 6),
+            (7 * r, 7, 7, 1, 12, 18),
+        ]:
+            assert reduce_correlation(mods) == reduce_correlation_by_factors(mods), mods
+
+    def test_no_factorization(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("factorize called")
+
+        monkeypatch.setattr(sw.foundations, "factorize", refuse)
+        monkeypatch.setattr(sw.correlations, "factorize", refuse, raising=False)
+        assert reduce_correlation((25, 2, 2)) == ((1, 2, 2), Fraction(1, 25))
+        assert sw.b_exact((3, 1, 1, 1)) == Fraction(1, 240)
+        assert sw.b_exact(_BIG_PRIMES) == Fraction(1, 80 * math.prod(_BIG_PRIMES))
+
+    def test_large_primes_in_no_time(self):
+        # reduced by gcds alone: trial division to sqrt(1e14) takes seconds
+        start = time.perf_counter()
+        value = sw.b_exact(_BIG_PRIMES)
+        assert time.perf_counter() - start < 0.1
+        assert value == Fraction(1, 80 * math.prod(_BIG_PRIMES))
 
     def test_every_prime_shared_after_reduction(self):
         moduli, _ = reduce_correlation((4, 6, 35, 10, 9))

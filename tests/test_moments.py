@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sawspec as sw
-from oracles import coeff_b, second_moment_loop
+from oracles import coeff_b, model_moment_loop, second_moment_loop
 from sawspec.correlations import _integrate_reduced, reduce_correlation
 from sawspec.errors import ResourceLimitError
 from sawspec.moments import _multisets, _second_moment, _support_weights, theoretical_moment
@@ -115,6 +115,24 @@ class TestTheoretical:
             sw.moment_tuple_sum_exact(4, 10**6)
         assert time.perf_counter() - start < 1.0
         assert built == []
+
+    def test_second_moment_cap_states_its_own_peak(self):
+        # t beside J_2 and its float copy: 25 bytes per entry, not the 13 of
+        # the float64 sieve the weights come from
+        for kind in ("C", "s", "R"):
+            with pytest.raises(ResourceLimitError, match=r"5000000050 bytes"):
+                theoretical_moment(kind, 2, 200_000_001)
+
+    @pytest.mark.parametrize("kind", ["C", "s", "R"])
+    def test_second_moment_peak_below_the_cap_figure(self, kind):
+        B = 10**5
+        tracemalloc.start()
+        try:
+            _second_moment(kind, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * (B + 1)
 
     @pytest.mark.parametrize("kind", ["C", "s", "R"])
     @pytest.mark.parametrize("B", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 1000, 10_000])
@@ -260,6 +278,19 @@ class TestContinuousModel:
 
     def test_odd_power_exactly_zero(self):
         assert sw.continuous_model_moment_exact(3, 4) == 0
+
+    @pytest.mark.parametrize(
+        "ell, B",
+        [(ell, B) for ell in range(1, 7) for B in (1, 2, 3, 5, 7, 11)] + [(2, 13)],
+    )
+    def test_power_sum_matches_the_fraction_loop(self, ell, B):
+        assert sw.continuous_model_moment_exact(ell, B) == model_moment_loop(ell, B)
+
+    def test_power_sum_in_no_time(self):
+        # L = 15 015, the largest period the cap admits
+        start = time.perf_counter()
+        sw.continuous_model_moment_exact(2, 15)
+        assert time.perf_counter() - start < 0.1
 
     def test_lcm_cap(self):
         with pytest.raises(ResourceLimitError):
