@@ -17,8 +17,8 @@ import numpy as np
 
 from .characters import (
     CharacterTable,
-    PrimeContext,
     _coprime_terms,
+    _fold_by_exponent,
     _odd_correlation,
     build_context,
     require_below_cap,
@@ -92,15 +92,6 @@ def _ck_char_raw(table: CharacterTable, k: int) -> float:
     return float(val.real)
 
 
-def _truncated_terms(ctx: PrimeContext, cutoff: int | None):
-    """Terms of -C_q sum_{n <= N, (n,q)=1} b(n) psi(k inv(2n)/q):
-    (N, C_q, the nonzero weights b(n), inv(2n) mod q for each)."""
-    N = cutoff if cutoff is not None else max(1000, ctx.q)
-    c_q, _ = constant_C(excluded_prime=ctx.q)
-    weights, two_n = _coprime_terms(ctx.q, coeff_b_floats(N))
-    return N, c_q, weights, ctx.inverse(two_n)
-
-
 def ck_point(
     q: int,
     k: int,
@@ -122,8 +113,10 @@ def ck_point(
             raise ValueError("characters route needs a table built for q")
         return 0.5 * (_ck_char_raw(table, k) - _ck_char_raw(table, q - k))
     if method == "truncated":
-        ctx = build_context(q)
-        _, c_q, weights, inv2n = _truncated_terms(ctx, None)
+        ctx = build_context(q)  # the cap, before any length-q array
+        c_q, _ = constant_C(excluded_prime=q)
+        weights, two_n = _coprime_terms(q, coeff_b_floats(max(1000, q)))
+        inv2n = ctx.inverse(two_n)
 
         def raw(kk: int) -> float:
             return -c_q * float(np.sum(weights * ((kk * inv2n) % q / q - 0.5)))
@@ -133,8 +126,9 @@ def ck_point(
 
 
 # tracemalloc peak per residue of ck_all: the truncated route at the default
-# cutoff N = q (the characters route peaks at 8, reading a built table)
-_CK_BYTES_PER_RESIDUE = 47
+# cutoff N = q (29.0 at q ~ 1e6, binning or correlating beside the context);
+# the characters route peaks at 8, reading a built table
+_CK_BYTES_PER_RESIDUE = 29
 
 
 def ck_all(
@@ -166,9 +160,13 @@ def ck_all(
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         ctx = build_context(q)
-        N, c_q, weights, inv_2n = _truncated_terms(ctx, cutoff)
+        N = cutoff if cutoff is not None else max(1000, q)
+        c_q, _ = constant_C(excluded_prime=q)
+        weights, two_n = _coprime_terms(q, coeff_b_floats(N))
+        u = _fold_by_exponent(ctx, two_n, weights)
+        del weights, two_n  # at N = q they outweigh their fold
         values = _odd_correlation(
-            ctx, np.bincount(inv_2n, weights, minlength=q), lambda a: a / q - 0.5,
+            ctx, u, lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out),
             -c_q, np.nan,
         )
         meta = {"series_cutoff": N}

@@ -1,6 +1,6 @@
 """Dirichlet character group mod a prime, Gauss sums and the attached L-data.
 
-A ``PrimeContext`` fixes a primitive root g = ``powers[1]`` and the
+A ``PrimeContext`` fixes a primitive root g = ``powers[1]`` and the int32
 discrete-log table, so character j acts by chi_j(a) = e(j * ind(a) / (q-1))
 and inv(g^m) = g^(-m) (``PrimeContext.inverse``); ``build_context`` memoises
 the last modulus's one.  Only the odd characters (odd j) enter the bias
@@ -23,10 +23,10 @@ mod q, a linear one: with k = g^n, n < H,
     T(g^n) = sum_{m<H} (f(g^m) - f(g^(m+H))) h(g^(m+n)),
 
 one real FFT zero-padded to a 5-smooth length >= 2H - 1, and T(-k) = -T(k).
-``_odd_correlation`` computes it as one exactly odd vector over the residues
-for the Dedekind spectrum (f = s_q, h = sin), the truncated C(k) (f the
-b-weights binned at inv(2n), h = psi) and the table's character sums S(k)
-(f the a-weights binned at inv(2n), h = Im s_hat_q; ``build_table``).
+``_odd_correlation`` computes it from the fold of f as one exactly odd vector
+over the residues for the Dedekind spectrum (f = s_q, h = sin), the truncated
+C(k) (f the b-weights binned at inv(2n), h = psi) and the table's character
+sums S(k) (f the a-weights binned at inv(2n), h = Im s_hat_q; ``build_table``).
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def require_odd_prime(q: int) -> None:
         raise ValueError(f"{q} is not an odd prime")
 
 
-# the largest modulus every O(q) route accepts; MAX_Q < 2^31 also keeps their
-# int64 kernels exact (they form h^2 + k^2 + 1 with k <= q, products below q^2)
+# the largest modulus every O(q) route accepts; MAX_Q < 2^31 also keeps the int32
+# tables and int64 kernels exact (they form h^2 + k^2 + 1 with k <= q, products below q^2)
 MAX_Q = 2_000_000
 
 
@@ -113,8 +113,8 @@ class PrimeContext:
     """Prime modulus with power and discrete-log tables.
 
     ``powers[m] = g^m mod q`` for m in [0, q-2] and ``index`` is its inverse
-    permutation (index[0] = -1 as a sentinel).  The inverse of g^m is
-    g^(-m mod q-1), so the two tables also give every inverse.
+    permutation (index[0] = -1 as a sentinel), both int32.  The inverse of g^m
+    is g^(-m mod q-1), so the two tables also give every inverse.
     """
 
     q: int
@@ -122,39 +122,51 @@ class PrimeContext:
     index: np.ndarray
 
     def inverse(self, a):
-        """inv(a) mod q for residues a (int or int64 array) coprime to q."""
-        return self.powers[-self.index[a] % (self.q - 1)]
+        """inv(a) mod q as int64 for residues a (int or int array) coprime to q."""
+        return self.powers[-self.index[a] % (self.q - 1)].astype(np.int64)
+
+
+def _memo_last(build):
+    """``build`` memoised for the last modulus, dropped before the next is built."""
+    memo = {}
+
+    def memoised(q: int):
+        if q not in memo:
+            memo.clear()
+            memo[q] = build(q)
+        return memo[q]
+
+    return memoised
 
 
 def build_context(q: int) -> PrimeContext:
     """The prime context of q, memoised for the last modulus.
 
-    The memo (``functools.lru_cache(maxsize=1)`` on the builder) keeps that
-    modulus's ``powers`` and ``index`` alive, 16 bytes per residue, until
-    another q evicts them; both arrays are read-only.
+    The memo keeps that modulus's int32 ``powers`` and ``index`` (8 bytes per
+    residue) until the next modulus is built; both arrays are read-only.
     """
     require_odd_prime(q)
-    # tracemalloc peak per residue: powers, index and the arange inverting powers
-    require_below_cap(q, "prime context", 24)
+    # tracemalloc peak per residue: powers, index and the arange inverting powers (12.1)
+    require_below_cap(q, "prime context", 13)
     # a plain function in front of the memo, so tracers that wrap the
     # package's public functions (perfbench's spans) still see every call
     return _context(q)
 
 
-@functools.lru_cache(maxsize=1)
+@_memo_last
 def _context(q: int) -> PrimeContext:
     M = q - 1
     g = primitive_root(q)
-    # powers by doubling: powers[n:2n] = powers[:n] * g^n, products below q^2
-    powers = np.empty(M, dtype=np.int64)
+    # powers by doubling: powers[n:2n] = powers[:n] * g^n, products below q^2 in int64
+    powers = np.empty(M, dtype=np.int32)
     powers[0] = 1
     n = 1
     while n < M:
         m = min(n, M - n)
-        powers[n : n + m] = powers[:m] * pow(g, n, q) % q
+        powers[n : n + m] = np.multiply(powers[:m], pow(g, n, q), dtype=np.int64) % q
         n += m
-    index = np.full(q, -1, dtype=np.int64)
-    index[powers] = np.arange(M, dtype=np.int64)
+    index = np.full(q, -1, dtype=np.int32)
+    index[powers] = np.arange(M, dtype=np.int32)
     powers.flags.writeable = False
     index.flags.writeable = False
     return PrimeContext(q, powers, index)
@@ -298,35 +310,44 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _odd_correlation(ctx: PrimeContext, f: np.ndarray, h, scale: float, zero: float):
-    """scale * T(k), T(k) = sum_a f(a) h(ka), k = 0..q-1, as an exactly odd
-    vector with entry 0 set to ``zero``; f is indexed by residue, and h maps
-    residue arrays to values and is odd mod q.
+def _fold_by_exponent(ctx: PrimeContext, two_n: np.ndarray, weights: np.ndarray):
+    """The fold u_e = W_e - W_(e+H), e < H = (q-1)/2, of the weights binned
+    by the exponent e = -ind(2n) mod (q-1) of inv(2n) = g^e."""
+    W = np.bincount(-ctx.index[two_n] % (ctx.q - 1), weights, minlength=ctx.q - 1)
+    return W[: len(W) // 2] - W[len(W) // 2 :]
 
-    The fold u_m = f(g^m) - f(g^(m+H)) gives T(g^n) = sum_{m<H} u_m h(g^(m+n))
-    for n < H = (q-1)/2, one real correlation at the 5-smooth length
-    L >= 2H - 1; m + n <= 2H - 2 < L leaves no wrap-around term.  An f passed
-    as a temporary is freed after the fold, before h's FFT buffers are made.
+
+def _odd_correlation(ctx: PrimeContext, u: np.ndarray, h, scale: float, zero: float):
+    """scale * T(k), T(k) = sum_a f(a) h(ka), k = 0..q-1, as an exactly odd
+    vector with entry 0 set to ``zero``; u is the fold u_m = f(g^m) - f(g^(m+H)),
+    m < H = (q-1)/2, and h(a, out) writes h (odd mod q) at residues a into out.
+
+    T(g^n) = sum_{m<H} u_m h(g^(m+n)) for n < H, one real correlation at the
+    5-smooth length L >= 2H - 1; m + n <= 2H - 2 < L leaves no wrap-around
+    term.  h fills the zero-padded buffer, transformed before u; a u passed
+    as a temporary is freed after its transform.
     """
-    p, H = ctx.powers, (ctx.q - 1) // 2
-    u = f[p[:H]] - f[p[H:]]
-    del f
+    p, H = ctx.powers, len(u)
     L = _smooth_length(2 * H - 1)
-    u_hat = np.conj(np.fft.rfft(u, L))
+    padded = np.zeros(L)
+    h(p[: 2 * H - 1], padded[: 2 * H - 1])
+    product = np.fft.rfft(padded)
+    del padded
+    u_hat = np.fft.rfft(u, L)
     del u
-    product = np.fft.rfft(h(p[: 2 * H - 1]), L)
-    product *= u_hat
+    product *= np.conjugate(u_hat, out=u_hat)
     del u_hat
-    half = scale * np.fft.irfft(product, L)[:H]
+    full = np.fft.irfft(product, L)
     del product
+    half = scale * full[:H]
+    del full
     return _odd_over_group(ctx, half, zero)
 
 
-# tracemalloc peak per residue of build_table at q ~ 1e6 with nothing
-# memoised: the context and spectrum it memoises (24), then the binned
-# weights and their fold, h's values and the real FFT buffers of the
-# correlation
-_TABLE_BYTES_PER_RESIDUE = 50
+# tracemalloc peak per residue of build_table at q ~ 1e6 with nothing memoised
+# (37.4): the context and spectrum it memoises (16), h's transform beside the
+# fold and its transform (20), and the a-series terms (1.1)
+_TABLE_BYTES_PER_RESIDUE = 38
 
 # the a-series cutoff N of A_{q,chi}: the terms n <= N enter the table
 A_SERIES_CUTOFF = 100_000
@@ -342,10 +363,11 @@ def build_table(q: int) -> CharacterTable:
 
         S(k) = pi C_q (q-1) sum_{n <= N, (n,q)=1} a(n) Im s_hat_q(k inv(2n)),
 
-    one ``_odd_correlation`` of the a-weights binned at inv(2n) mod q with
-    the memoised spectrum that ``spectrum_all`` returns.  S(1) is also summed
-    directly over the a-weights, and a gap past the ``residual`` bound
-    raises ArithmeticError.  The a-series tail n > N carries no bound yet.
+    one ``_odd_correlation`` of the a-weights binned by the exponent of
+    inv(2n) with the memoised spectrum that ``spectrum_all`` returns.  S(1)
+    is also summed directly over the a-weights, and a gap past the
+    ``residual`` bound raises ArithmeticError.  The a-series tail n > N
+    carries no bound yet.
     """
     require_below_cap(q, "character table", _TABLE_BYTES_PER_RESIDUE)
     from .dedekind import spectrum_all  # dedekind imports this module
@@ -353,13 +375,14 @@ def build_table(q: int) -> CharacterTable:
     spectrum = spectrum_all(q).values
     ctx = build_context(q)
     weights, two_n = _coprime_terms(q, coeff_a_floats(A_SERIES_CUTOFF))
-    inv_2n = ctx.inverse(two_n)
     c_q, _ = constant_C(excluded_prime=q)
     scale = math.pi * c_q * (q - 1)
+    # every index is a residue below q: mode "clip" spares take's buffer
     sums = _odd_correlation(
-        ctx, np.bincount(inv_2n, weights, minlength=q), spectrum.__getitem__, scale, 0.0
+        ctx, _fold_by_exponent(ctx, two_n, weights),
+        lambda a, out: spectrum.take(a, out=out, mode="clip"), scale, 0.0,
     )
-    direct = scale * float(np.dot(weights, spectrum[inv_2n]))
+    direct = scale * float(np.dot(weights, spectrum[ctx.inverse(two_n)]))
     residual = abs(direct - sums[1]) / (q - 1)
     if residual > 1e-12 * max(1.0, abs(sums[1]) / (q - 1)):
         raise ArithmeticError(f"character sum S(1) residual {residual:g} above budget")

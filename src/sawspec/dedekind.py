@@ -16,7 +16,6 @@ it, share one Dedekind descent and one prime context per modulus.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import (
+    _memo_last,
     _odd_correlation,
     _odd_over_group,
     build_context,
@@ -166,35 +166,38 @@ def _dft_positive_naive(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_parseval(q: int, s: np.ndarray, values: np.ndarray) -> None:
-    """With E = (1/q) sum_a s_q(a)^2, require
+def _check_parseval(q: int, energy: float, values: np.ndarray) -> None:
+    """Given the energy E = (1/q) sum_a s_q(a)^2, require
     |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E (ArithmeticError)."""
-    energy = float(np.dot(s, s)) / q
     residual = abs(float(np.dot(values, values)) - energy)
     if residual > 1e-12 * math.log(q) * energy:
         raise ArithmeticError(f"spectrum Parseval residual {residual:g} above budget")
 
 
-@functools.lru_cache(maxsize=1)
+@_memo_last
 def _spectrum_values(q: int) -> np.ndarray:
     """Im s_hat_q(t), t = 0..q-1, by Rader's route, Parseval-checked and
     read-only; memoised for the last modulus, so ``spectrum_all`` and
-    ``build_table`` share one Dedekind descent and one context.  The memo
-    keeps both (24 bytes per residue) until another q evicts them."""
+    ``build_table`` share one Dedekind descent and one context (16 bytes per
+    residue).  s_q is exactly odd, so its fold over the group is 2 s_q(g^m)."""
     s = dedekind_values(q)
+    energy = float(np.dot(s, s)) / q
+    ctx = build_context(q)
+    u = 2.0 * s[ctx.powers[: (q - 1) // 2]]
+    del s
     values = _odd_correlation(
-        build_context(q), s, lambda a: np.sin((2.0 * math.pi / q) * a), 1.0 / q, 0.0
+        ctx, u, lambda a, out: np.sin(np.multiply(a, 2.0 * math.pi / q, out=out), out=out),
+        1.0 / q, 0.0,
     )
-    _check_parseval(q, s, values)
+    _check_parseval(q, energy, values)
     values.flags.writeable = False
     return values
 
 
 # tracemalloc peak per residue of spectrum_all (chirp-z) at q ~ 1e6 with
-# nothing memoised: the context (16), dedekind_values (8), and the
-# correlation's fold, sines and real FFT buffers; the memo keeps the context
-# and the spectrum (24)
-_SPECTRUM_BYTES_PER_RESIDUE = 48
+# nothing memoised (28.2): the context and the fold (12) beside the real FFT
+# buffers of the correlation (16); the memo keeps the context and the spectrum
+_SPECTRUM_BYTES_PER_RESIDUE = 29
 
 
 def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
@@ -234,7 +237,7 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
         ctx = build_context(q)
         half = _dft_positive_naive(s, ctx.powers[: (q - 1) // 2]).imag / q
         values = _odd_over_group(ctx, half, 0.0)
-        _check_parseval(q, s, values)
+        _check_parseval(q, float(np.dot(s, s)) / q, values)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return Spectrum(q, values)

@@ -60,16 +60,20 @@ class MomentEstimate:
     tail_note: str
 
 
-def _multisets(support, ell: int):
-    """Yield (combo, multiplicity) over the size-ell multisets of ``support``
-    in ``combinations_with_replacement`` order; the multiplicity is the
-    number of distinct orderings of combo.  More than 300 000 multisets
-    raise ResourceLimitError before the first is yielded."""
-    count = math.comb(len(support) + ell - 1, ell)
+def _require_multiset_budget(size: int, ell: int) -> None:
+    """ResourceLimitError past 300 000 size-ell multisets of ``size`` values."""
+    count = math.comb(size + ell - 1, ell)
     if count > _MULTISET_BUDGET:
         raise ResourceLimitError(
             f"{count} support multisets exceed budget {_MULTISET_BUDGET}"
         )
+
+
+def _multisets(support, ell: int):
+    """Yield (combo, multiplicity) over the size-ell multisets of ``support``
+    in ``combinations_with_replacement`` order; the multiplicity is the
+    number of distinct orderings of combo.  Callers hold the count to the
+    budget first (``_require_multiset_budget``)."""
     fact = math.factorial(ell)
     for combo in combinations_with_replacement(support, ell):
         mult = fact
@@ -87,20 +91,19 @@ def _model_scale(kind: str) -> float:
 
 
 def _support_weights(kind: str, B: int) -> np.ndarray:
-    """w[n] for n = 0..B; the tuple weight is prod w(n_i).  B is held to
-    the sieve cap before any array of length B + 1 exists."""
+    """w[n] for n = 0..B (kinds s and R in place in one float64 array); the
+    tuple weight is prod w(n_i).  B is held to the sieve cap before any array
+    of length B + 1 exists."""
     require_sieve_limit(B, 13)  # bytes per entry of the float64 sieve
     if kind == "C":
         return coeff_b_floats(B)
-    n = np.arange(B + 1, dtype=float)
-    n[0] = np.nan
+    w = np.arange(B + 1, dtype=float)
     if kind == "s":
-        w = 1.0 / n
+        np.reciprocal(w[1:], out=w[1:])
     elif kind == "R":
-        w = mobius_table(B) / n
+        np.divide(mobius_table(B)[1:], w[1:], out=w[1:])
     else:
         raise ValueError(f"unknown moment kind {kind!r}")
-    w[0] = 0.0
     return w
 
 
@@ -147,6 +150,7 @@ def theoretical_moment(kind: str, ell: int, B: int) -> MomentEstimate:
         return MomentEstimate(kind, ell, B, value, f"pair sum over all n <= {B}")
 
     w = _support_weights(kind, B)
+    _require_multiset_budget(np.count_nonzero(w), ell)
     ns = np.nonzero(w)[0]
     total = 0.0
     pruned_mass = 0.0
@@ -238,11 +242,12 @@ def moment_tuple_sum_exact(ell: int, B: int) -> Fraction:
     """sum over tuples (n_1..n_ell), n_i <= B, of prod b(n_i) * the exact
     correlation integral; the tuple-sum side of the pre-limit identity.
     Like :func:`theoretical_moment`, at most 300 000 support multisets,
-    checked before any Fraction exists: b(n) = 1/d(n) is read from the int64
-    denominators, and a multiset's weight is mult / prod d(n_i)."""
+    checked before any Fraction or list exists: b(n) = 1/d(n) is read from
+    the int64 denominators, and a multiset's weight is mult / prod d(n_i)."""
     if ell < 1 or B < 1:
         raise ValueError("ell and B must be >= 1")
     d = coeff_b_denominators(B)
+    _require_multiset_budget(np.count_nonzero(d), ell)
     return sum(
         Fraction(mult, math.prod(int(d[n]) for n in combo)) * b_exact(combo)
         for combo, mult in _multisets(np.flatnonzero(d).tolist(), ell)

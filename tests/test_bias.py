@@ -112,6 +112,24 @@ class TestCkPoint:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_truncated_point_near_the_cap_matches_python_ints(self):
+        # k inv(2n) reaches 4e12 at q = 1999993: the int32 group tables give
+        # inverses as int64, so the products do not wrap around
+        q, k = 1_999_993, 1_999_990
+        b = sw.foundations.coeff_b_floats(q)
+        ns = np.nonzero(b)[0]
+        ns = ns[ns % q != 0]
+        weights, inverses = b[ns].tolist(), [pow(2 * n, -1, q) for n in ns.tolist()]
+        c_q, _ = sw.constant_C(excluded_prime=q)
+
+        def raw(kk):
+            return -c_q * math.fsum(
+                w * ((kk * inv) % q / q - 0.5) for w, inv in zip(weights, inverses)
+            )
+
+        expected = 0.5 * (raw(k) - raw(q - k))
+        assert sw.ck_point(q, k, "truncated") == pytest.approx(expected, abs=1e-10)
+
     def test_truncated_point_matches_truncated_vector(self):
         # both routes evaluate the same series terms: the point route sums
         # them directly, the vector route as one cyclic correlation by FFT
@@ -138,8 +156,8 @@ class TestCkVector:
         assert np.max(np.abs(values[1:] - direct)) <= 1e-12
 
     def test_resource_cap(self):
-        # 47 bytes per residue, past the cap at q = 2000003
-        with pytest.raises(ResourceLimitError, match="94000141 bytes"):
+        # 29 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="58000087 bytes"):
             sw.ck_all(2_000_003, "truncated")
 
     @pytest.mark.parametrize("q", [9, 25, 100])

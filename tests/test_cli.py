@@ -462,7 +462,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")
         assert code == 3
         assert out == ""
-        assert "96000144 bytes" in err
+        assert "58000087 bytes" in err
 
     @pytest.mark.parametrize("ell", ["2", "4"])
     @pytest.mark.parametrize("kind", ["C", "s", "R"])

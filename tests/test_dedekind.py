@@ -174,9 +174,22 @@ class TestSpectrum:
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_resource_cap(self):
-        # 48 bytes per residue, past the cap at q = 2000003
-        with pytest.raises(ResourceLimitError, match="96000144 bytes"):
+        # 29 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="58000087 bytes"):
             sw.spectrum_all(2_000_003)
+
+    def test_peak_within_the_stated_bytes_per_residue(self):
+        # at q ~ 1e6, where the figure is measured: at q ~ 1e5 the descent's
+        # block lanes (about 2.3 MB) add 3 bytes per residue
+        q = 1_000_003
+        sw.spectrum_all(101)  # the memos now hold another modulus
+        tracemalloc.start()
+        try:
+            sw.spectrum_all(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dedekind._SPECTRUM_BYTES_PER_RESIDUE * q
 
     @pytest.mark.parametrize("q", [3, 5, 7, 101, 1009, 100003, 1_000_003])
     def test_matches_full_length_fft(self, q):
@@ -200,7 +213,7 @@ class TestSpectrum:
             c[3] += 1e-6
             return c
 
-        dedekind._spectrum_values.cache_clear()
+        sw.spectrum_all(101)  # the memo now holds another modulus
         monkeypatch.setattr(dedekind, "_odd_correlation", perturbed)
         with pytest.raises(ArithmeticError, match="Parseval"):
             sw.spectrum_all(1009)
@@ -259,6 +272,18 @@ class TestTruncatedRoute:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("t", [1_999_992, 1_000_003, 7])
+    def test_products_near_the_cap_match_python_ints(self, t):
+        # t * inv(n) reaches 4e12 at q = 1999993: the int32 group tables give
+        # inverses as int64, so the products do not wrap around
+        q, x = 1_999_993, 5000
+        expected = -math.fsum(
+            ((t * pow(n, -1, q)) % q / q - 0.5) / n for n in range(1, x + 1)
+        ) / math.pi
+        assert sw.spectrum_point_truncated(q, t, x).imag == pytest.approx(
+            expected, rel=1e-13, abs=1e-13
+        )
 
     def test_rejects_composite_q(self):
         # the inverses come from a primitive root, which needs a prime

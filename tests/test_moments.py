@@ -116,6 +116,38 @@ class TestTheoretical:
         assert time.perf_counter() - start < 1.0
         assert built == []
 
+    @pytest.mark.parametrize("kind", ["C", "s", "R", "tuple sum"])
+    def test_multiset_budget_comes_before_any_support_list(self, kind):
+        # at B = 1e6 the support (405 286 to 1e6 values) is counted, not
+        # listed, so the refusal peaks at the weights or denominators, below
+        # the 13 bytes per entry of the sieve cap; a list of the support
+        # first took 27 to 56
+        B = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="multisets exceed budget"):
+                if kind == "tuple sum":
+                    sw.moment_tuple_sum_exact(4, B)
+                else:
+                    theoretical_moment(kind, 4, B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * (B + 1)
+
+    @pytest.mark.parametrize("kind", ["C", "s", "R"])
+    def test_support_weights_peak_within_the_sieve_figure(self, kind):
+        # the 13 bytes per entry the sieve cap states: kinds s and R divide
+        # into one float64 array in place (16 and 17 with a second one)
+        B = 10**6
+        tracemalloc.start()
+        try:
+            _support_weights(kind, B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * (B + 1)
+
     def test_second_moment_cap_states_its_own_peak(self):
         # t beside J_2 and its float copy: 25 bytes per entry, not the 13 of
         # the float64 sieve the weights come from
