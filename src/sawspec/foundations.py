@@ -1,7 +1,7 @@
-"""The sawtooth psi_array, factorization, the prime sieve, the
-multiplicative tables phi, J_2, mu, a(n), b(n) (one sieve fills each,
-alone; b(n) also exactly, as the int64 denominators d(n) of b = 1/d), and
-C = 2 Pi_2.
+"""The sawtooth psi_array, factorization, the segmented prime sieve (a
+stream of prime blocks, or all of them in one array), the multiplicative
+tables phi, J_2, mu, a(n), b(n) (one sieve fills each, alone; b(n) also
+exactly, as the int64 denominators d(n) of b = 1/d), and C = 2 Pi_2.
 
 Everything downstream (Dedekind spectra, bias constants, correlation
 integrals, totient error moments) consumes these primitives.  Exact
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import ResourceLimitError
 __all__ = [
     "psi_array",
     "factorize",
+    "prime_blocks",
     "prime_array",
     "require_sieve_limit",
     "jordan_table",
@@ -75,22 +77,29 @@ def factorize(n: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # the prime sieve and the multiplicative sieve
 
-_SEGMENT = 1 << 22  # the most flags prime_array holds at once
+_SEGMENT = 1 << 22  # the most flags the sieve holds at once
+
+
+def prime_blocks(limit: int) -> Iterator[np.ndarray]:
+    """All primes <= limit as increasing int64 blocks: the primes <= sqrt(limit),
+    by ``prime_array``, then those of each 2^22-entry segment of
+    (sqrt(limit), limit], whose composites they strike out."""
+    if limit < 4:
+        yield np.array([2, 3][: max(limit - 1, 0)], dtype=np.int64)
+        return
+    root = math.isqrt(limit)
+    small = prime_array(root)
+    yield small
+    for lo in range(root + 1, limit + 1, _SEGMENT):
+        flags = np.ones(min(_SEGMENT, limit + 1 - lo), dtype=bool)
+        for p in small.tolist():
+            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        yield np.nonzero(flags)[0].astype(np.int64) + lo
 
 
 def prime_array(limit: int) -> np.ndarray:
-    """All primes <= limit: the primes <= sqrt(limit), by recursion, strike
-    out the composites of (sqrt(limit), limit], 2^22 entries at a time."""
-    if limit < 4:
-        return np.array([2, 3][: max(limit - 1, 0)], dtype=np.int64)
-    root = math.isqrt(limit)
-    chunks = [prime_array(root)]
-    for lo in range(root + 1, limit + 1, _SEGMENT):
-        flags = np.ones(min(_SEGMENT, limit + 1 - lo), dtype=bool)
-        for p in chunks[0].tolist():
-            flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
-        chunks.append(np.nonzero(flags)[0].astype(np.int64) + lo)
-    return np.concatenate(chunks)
+    """All primes <= limit: the blocks of ``prime_blocks`` in one array."""
+    return np.concatenate(list(prime_blocks(limit)))
 
 
 # the largest sieve limit: 2.6 GB at the peak of an int64 table

@@ -1,11 +1,13 @@
-"""Consecutive-prime residue census (its primes from
-``foundations.prime_array``) and the observed-vs-predicted reports for the
-pattern frequency conjecture."""
+"""Consecutive-prime residue census, read from the segmented prime stream
+``foundations.prime_blocks`` one segment at a time in bounded memory, and
+the observed-vs-predicted reports for the pattern frequency conjecture."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -13,27 +15,14 @@ from .bias import Pattern, c1_pattern, c2_pattern
 from .characters import CharacterTable, is_prime
 from .distribution import EULER_GAMMA
 from .errors import ResourceLimitError
-from .foundations import prime_array
+from .foundations import prime_blocks
 
 __all__ = [
-    "primes_with_successors",
     "PatternCensus",
     "pattern_census",
     "log_integral",
     "conjecture_report",
 ]
-
-
-def primes_with_successors(x: int, extra: int) -> tuple[np.ndarray, int]:
-    """All primes <= x plus at least ``extra`` primes beyond; returns the
-    array and the count of primes <= x."""
-    margin = 200 * (extra + 1) + 2000
-    while True:
-        ps = prime_array(x + margin)
-        n_main = int(np.searchsorted(ps, x, side="right"))
-        if len(ps) - n_main >= extra:
-            return ps, n_main
-        margin *= 2
 
 
 @dataclass(frozen=True)
@@ -59,6 +48,10 @@ def pattern_census(x: int, q: int, r: int) -> PatternCensus:
 
     A window starts at every p_n <= x (successors may exceed x); windows
     containing the prime q itself (residue 0) are not counted anywhere.
+
+    The primes <= x stream from ``prime_blocks`` a segment at a time, the
+    r - 1 after x from ``is_prime``; each block's window codes sum_j res_j q^j
+    (Python integers once q^r >= 2^62) are counted by one ``np.unique``.
     """
     if r < 1:
         raise ValueError("pattern length must be >= 1")
@@ -67,29 +60,26 @@ def pattern_census(x: int, q: int, r: int) -> PatternCensus:
     if not is_prime(q):
         raise ValueError("q must be prime")
     if x > MAX_CENSUS_X:
-        raise ResourceLimitError(f"x = {x} exceeds configured cap {MAX_CENSUS_X}")
-    ps, n_main = primes_with_successors(x, r - 1)
-    res = (ps % q).astype(np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(res, r)[:n_main]
-    valid = (windows != 0).all(axis=1)
-    windows = windows[valid]
-    if q**r < 2**62:
-        weights = q ** np.arange(r, dtype=np.int64)
-        codes = windows @ weights
-        uniq, cnt = np.unique(codes, return_counts=True)
-        counts: dict[tuple[int, ...], int] = {}
-        for code, c in zip(uniq.tolist(), cnt.tolist()):
-            digits = []
-            for _ in range(r):
-                digits.append(code % q)
-                code //= q
-            counts[tuple(digits)] = int(c)
-    else:
-        counts = {}
-        for row in windows:
-            key = tuple(int(v) for v in row)
-            counts[key] = counts.get(key, 0) + 1
-    return PatternCensus(x, q, r, counts, int(valid.sum()))
+        raise ResourceLimitError(
+            f"x = {x} exceeds configured cap {MAX_CENSUS_X} on sieve work (x entries)"
+        )
+    after = np.fromiter(islice(filter(is_prime, count(x + 1)), r - 1), np.int64)
+    weights = q ** np.arange(r, dtype=np.int64 if q**r < 2**62 else object)
+    seen = Counter()
+    res = np.zeros(0, dtype=np.int64)  # the last r - 1 residues, behind each block
+    for block in chain(prime_blocks(x), [after]):
+        res = np.concatenate((res, block % q))
+        if len(res) >= r:
+            windows = np.lib.stride_tricks.sliding_window_view(res, r)
+            uniq, cnt = np.unique(windows @ weights, return_counts=True)
+            seen.update(dict(zip(uniq.tolist(), cnt.tolist())))
+            res = res[len(windows) :]
+    rest, digits = np.array(list(seen), dtype=weights.dtype), []
+    for _ in range(r):
+        digits.append((rest % q).tolist())
+        rest //= q
+    counts = {k: n for k, n in zip(zip(*digits), seen.values()) if 0 not in k}
+    return PatternCensus(x, q, r, counts, sum(counts.values()))
 
 
 # ---------------------------------------------------------------------------

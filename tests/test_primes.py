@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,9 +8,10 @@ from scipy.integrate import quad
 from scipy.special import expi
 
 import sawspec as sw
+from sawspec import foundations
 from sawspec.bias import Pattern
 from sawspec.errors import ResourceLimitError
-from sawspec.primes import prime_array, primes_with_successors
+from sawspec.foundations import prime_array
 
 
 class TestSieve:
@@ -33,10 +35,24 @@ class TestSieve:
             for n in range(end - 100, min(end + 100, 10**7) + 1):
                 assert (n in ps) == sw.is_prime(n), n
 
-    def test_successor_margin(self):
-        ps, n_main = primes_with_successors(100, 3)
-        assert ps[n_main - 1] <= 100 < ps[n_main]
-        assert len(ps) - n_main >= 3
+    def test_small_segments_give_the_same_primes(self, monkeypatch):
+        default = prime_array(20000)
+        monkeypatch.setattr(foundations, "_SEGMENT", 64)
+        assert len(list(foundations.prime_blocks(20000))) > 300
+        assert np.array_equal(prime_array(20000), default)
+
+
+def _brute_census(x, q, r):
+    """The windows of r consecutive primes starting at each p <= x, counted
+    one by one as residue tuples, those holding the prime q left out."""
+    ps = prime_array(x + 1000)
+    n_main = int(np.searchsorted(ps, x, side="right"))
+    counter = Counter()
+    for i in range(n_main):
+        window = tuple(int(p % q) for p in ps[i : i + r])
+        if 0 not in window:
+            counter[window] += 1
+    return counter
 
 
 class TestCensus:
@@ -64,24 +80,42 @@ class TestCensus:
             assert 0 not in key
 
     def test_independent_recount(self):
-        # 1009^7 > 2^62: the second census counts by tuples, not int64 codes
-        for x, q, r in ((20000, 3, 2), (10**4, 1009, 7)):
+        # 1009^7 > 2^62: those censuses' codes are Python integers, not int64;
+        # at x = 2 and 10 the first block is shorter than a window
+        for x, q, r in ((20000, 3, 2), (10**4, 1009, 7), (2, 3, 3), (10, 1009, 7)):
             c = sw.pattern_census(x, q, r)
-            ps = prime_array(x + 1000)
-            n_main = int(np.searchsorted(ps, x, side="right"))
-            counter = Counter()
-            for i in range(n_main):
-                window = tuple(int(p % q) for p in ps[i : i + r])
-                if 0 not in window:
-                    counter[window] += 1
-            assert counter == Counter(c.counts)
+            assert _brute_census(x, q, r) == Counter(c.counts)
+
+    @pytest.mark.parametrize("q", (3, 7, 1009))
+    @pytest.mark.parametrize("r", (1, 2, 3, 7))
+    def test_counts_across_small_segments(self, monkeypatch, q, r):
+        # about 310 segments of 64 entries, 6 to 13 primes each, so a window
+        # of 7 can span three blocks, and the last ones the r - 1 primes after x
+        expected = _brute_census(20000, q, r)
+        monkeypatch.setattr(foundations, "_SEGMENT", 64)
+        c = sw.pattern_census(20000, q, r)
+        assert Counter(c.counts) == expected
+        assert c.total_windows == sum(expected.values())
+
+    def test_peak_is_one_segment_not_every_prime(self):
+        # x = 1e7 is one 2^22-entry segment and a short one; the census peaks
+        # at about 3.4 bytes per segment entry, not 8 bytes for each of its
+        # 664 579 primes
+        tracemalloc.start()
+        try:
+            sw.pattern_census(10**7, 7, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * foundations._SEGMENT, peak
 
     def test_telescoping(self):
         # sharp form: left-minus-right occurrences of a telescope down to the
         # sequence endpoints plus the two windows dropped around the prime q
         x, q = 10**5, 5
         c = sw.pattern_census(x, q, 2)
-        ps, n_main = primes_with_successors(x, 1)
+        ps = prime_array(x + 1000)
+        n_main = int(np.searchsorted(ps, x, side="right"))
         r_first = int(ps[0]) % q
         r_after = int(ps[n_main]) % q
         iq = int(np.searchsorted(ps, q))
@@ -101,7 +135,7 @@ class TestCensus:
         assert c.count((2, 1)) > c.count((2, 2))
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="cap 1000000000 on sieve work"):
             sw.pattern_census(10**9 + 1, 3, 2)
 
     def test_rejects_composite_modulus(self):
