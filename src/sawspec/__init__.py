@@ -31,7 +31,6 @@ from .distribution import (
     EmpiricalDistribution,
     almost_period_stat,
     ecdf_scaled,
-    extremes,
     from_ck_vector,
     from_spectrum,
     make_distribution,

@@ -442,15 +442,12 @@ def _cmd_dist(args) -> int:
         emit_json(summary(dist), args, meta)
     elif args.stat == "ecdf":
         xs = np.linspace(-4.0, 4.0, args.grid)
-        F = [ecdf_scaled(dist, x) for x in xs.tolist()]
-        emit_csv(("x", "F"), (xs, F), args, meta)
+        emit_csv(("x", "F"), (xs, ecdf_scaled(dist, xs)), args, meta)
     elif args.stat == "hist":
         _emit_histogram(dist, args, meta)
     elif args.stat == "tails":
         xs = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        upper = [tail_frequency(dist, x, "upper") for x in xs]
-        lower = [tail_frequency(dist, x, "lower") for x in xs]
-        emit_csv(("x", "upper", "lower"), (xs, upper, lower), args, meta)
+        emit_csv(("x", "upper", "lower"), (xs, *tail_frequency(dist, xs)), args, meta)
     else:
         value = almost_period_stat(dist, args.m)
         emit_json({"m": args.m, "statistic": value}, args, meta)

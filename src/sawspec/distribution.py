@@ -5,15 +5,18 @@ constant (e^gamma/2 for the bias and spectrum datasets, 3 e^gamma/pi^2 for
 the totient error) is applied at query time, never baked into samples.  A
 residue-indexed dataset (C(k) or the spectrum) holds the value at residue k
 in position k - 1, so its residue labels are positions, not a stored array.
+Each statistic takes a number or an array of x and sorts at most once per
+call; nothing is cached on the dataset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
+
+from .moments import empirical_moments
 
 __all__ = [
     "EULER_GAMMA",
@@ -23,7 +26,6 @@ __all__ = [
     "from_spectrum",
     "ecdf_scaled",
     "tail_frequency",
-    "extremes",
     "almost_period_stat",
     "symmetry_statistic",
     "histogram",
@@ -61,10 +63,6 @@ class EmpiricalDistribution:
     def scale(self) -> float:
         return DEFAULT_SCALES[self.label]
 
-    @cached_property
-    def _sorted(self) -> np.ndarray:
-        return np.sort(self.samples)
-
     @property
     def n(self) -> int:
         return self.samples.size
@@ -86,35 +84,18 @@ def from_spectrum(spec) -> EmpiricalDistribution:
     return EmpiricalDistribution("s", -math.pi * spec.values[1:], True)
 
 
-def ecdf_scaled(dist: EmpiricalDistribution, x: float) -> float:
-    """Fraction of samples <= scale * x (right-continuous ECDF)."""
-    pos = np.searchsorted(dist._sorted, dist.scale * x, side="right")
-    return pos / dist.n
+def ecdf_scaled(dist: EmpiricalDistribution, x):
+    """Fraction of samples <= scale * x, for a number or an array of x."""
+    t = np.multiply(dist.scale, x)
+    return np.searchsorted(np.sort(dist.samples), t, side="right") / dist.n
 
 
-def tail_frequency(dist: EmpiricalDistribution, x: float, side: str = "upper") -> float:
-    """Fraction of samples >= scale*x (upper) or <= -scale*x (lower)."""
-    if side == "upper":
-        pos = np.searchsorted(dist._sorted, dist.scale * x, side="left")
-        return (dist.n - pos) / dist.n
-    if side == "lower":
-        pos = np.searchsorted(dist._sorted, -dist.scale * x, side="right")
-        return pos / dist.n
-    raise ValueError("side must be 'upper' or 'lower'")
-
-
-def extremes(dist: EmpiricalDistribution) -> tuple[float, int, float, int]:
-    """(min, argmin, max, argmax); the args are residues k for a
-    residue-indexed dataset, else positions."""
-    i_min = int(np.argmin(dist.samples))
-    i_max = int(np.argmax(dist.samples))
-    offset = int(dist.residue_indexed)  # residue k sits in position k - 1
-    return (
-        float(dist.samples[i_min]),
-        i_min + offset,
-        float(dist.samples[i_max]),
-        i_max + offset,
-    )
+def tail_frequency(dist: EmpiricalDistribution, x):
+    """(upper, lower): the fractions of samples >= scale * x and
+    <= -scale * x, for a number x or an array of x, from one sort."""
+    s, t = np.sort(dist.samples), np.multiply(dist.scale, x)
+    upper = (dist.n - np.searchsorted(s, t, side="left")) / dist.n
+    return upper, np.searchsorted(s, -t, side="right") / dist.n
 
 
 def almost_period_stat(dist: EmpiricalDistribution, m: int) -> float:
@@ -142,8 +123,10 @@ def almost_period_stat(dist: EmpiricalDistribution, m: int) -> float:
 
 
 def symmetry_statistic(dist: EmpiricalDistribution, xs) -> float:
-    """sup over the grid of |ecdf(x) + ecdf(-x) - 1|."""
-    return max(abs(ecdf_scaled(dist, x) + ecdf_scaled(dist, -x) - 1.0) for x in xs)
+    """sup over the grid of |ecdf(x) + ecdf(-x) - 1|, from one ECDF call."""
+    xs = np.asarray(xs, dtype=float)
+    F = ecdf_scaled(dist, np.concatenate((xs, -xs)))
+    return np.max(np.abs(F[: xs.size] + F[xs.size :] - 1.0))
 
 
 def histogram(dist: EmpiricalDistribution):
@@ -152,11 +135,8 @@ def histogram(dist: EmpiricalDistribution):
 
 
 def summary(dist: EmpiricalDistribution) -> dict:
-    """Extremes, moments 1..6 and the symmetry statistic on x = 0.1..3.0;
+    """Min, max, moments 1..6 and the symmetry statistic on x = 0.1..3.0;
     exactly odd samples (v == -v[::-1]) have odd moments exactly 0."""
-    from .moments import empirical_moments
-
-    mn, amn, mx, amx = extremes(dist)
     moments = empirical_moments(dist.samples, 6)
     if np.array_equal(dist.samples, -dist.samples[::-1]):
         moments[0::2] = [0.0, 0.0, 0.0]
@@ -164,8 +144,8 @@ def summary(dist: EmpiricalDistribution) -> dict:
         "label": dist.label,
         "count": dist.n,
         "scale": dist.scale,
-        "min": mn,
-        "max": mx,
+        "min": float(np.min(dist.samples)),
+        "max": float(np.max(dist.samples)),
         "moments": moments,
         "symmetry_stat": symmetry_statistic(dist, np.linspace(0.1, 3.0, 30)),
     }

@@ -77,8 +77,8 @@ class PhiAccumulator:
 
 
 def build_phi_accumulator(y: int, phi: np.ndarray | None = None) -> PhiAccumulator:
-    """S_m of ``phi`` (a ``build_sieves`` table of length > y), else of
-    ``jordan_table(y, 1)``."""
+    """S_m of ``phi`` (a ``build_sieves`` table of length > y; a shorter
+    one is a ValueError), else of ``jordan_table(y, 1)``."""
     if y < 2:
         raise ValueError("y must be >= 2")
     if y > 100_000_000:
@@ -88,7 +88,10 @@ def build_phi_accumulator(y: int, phi: np.ndarray | None = None) -> PhiAccumulat
             f"sums stay exact in a float64 view (~1.7e8); the phi table and "
             f"prefix would peak at {16 * (y + 1)} bytes"
         )
-    phi = jordan_table(y, 1) if phi is None or len(phi) <= y else phi
+    if phi is None:
+        phi = jordan_table(y, 1)
+    elif len(phi) <= y:
+        raise ValueError(f"phi table of length {len(phi)} < y + 1 = {y + 1}")
     prefix = np.zeros(y + 1, dtype=np.int64)
     np.cumsum(phi[: y + 1], out=prefix)
     return PhiAccumulator(y, prefix)

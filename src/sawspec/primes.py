@@ -1,6 +1,7 @@
 """Consecutive-prime residue census, read from the segmented prime stream
-``foundations.prime_blocks`` one segment at a time in bounded memory, and
-the observed-vs-predicted reports for the pattern frequency conjecture."""
+``foundations.prime_blocks`` one segment at a time under caps on x, on the
+pattern length and on the bytes of the distinct patterns, and the
+observed-vs-predicted reports for the pattern frequency conjecture."""
 
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ class PatternCensus:
 
 
 MAX_CENSUS_X = 1_000_000_000
+MAX_CENSUS_R = 32
+MAX_CENSUS_BYTES = 2**30
 
 
 def pattern_census(x: int, q: int, r: int) -> PatternCensus:
@@ -52,6 +55,9 @@ def pattern_census(x: int, q: int, r: int) -> PatternCensus:
     The primes <= x stream from ``prime_blocks`` a segment at a time, the
     r - 1 after x from ``is_prime``; each block's window codes sum_j res_j q^j
     (Python integers once q^r >= 2^62) are counted by one ``np.unique``.
+    The distinct patterns, Python objects, number at most q^r and pi(x) <
+    1.25506 x / log x (Rosser-Schoenfeld); their bytes are checked against
+    ``MAX_CENSUS_BYTES`` before any sieve work.
     """
     if r < 1:
         raise ValueError("pattern length must be >= 1")
@@ -62,6 +68,18 @@ def pattern_census(x: int, q: int, r: int) -> PatternCensus:
     if x > MAX_CENSUS_X:
         raise ResourceLimitError(
             f"x = {x} exceeds configured cap {MAX_CENSUS_X} on sieve work (x entries)"
+        )
+    if r > MAX_CENSUS_R:
+        raise ResourceLimitError(
+            f"r = {r} exceeds configured cap {MAX_CENSUS_R} on pattern length"
+        )
+    # 200 + 64 r bytes per pattern bounds the peaks measured at q ~ 1e6, r = 2..64
+    patterns = min(q**r, math.ceil(1.25506 * x / math.log(x)))
+    need = patterns * (200 + 64 * r)
+    if need > MAX_CENSUS_BYTES:
+        raise ResourceLimitError(
+            f"up to {patterns} distinct patterns of length {r} would hold about "
+            f"{need} bytes, above the configured cap {MAX_CENSUS_BYTES} bytes"
         )
     after = np.fromiter(islice(filter(is_prime, count(x + 1)), r - 1), np.int64)
     weights = q ** np.arange(r, dtype=np.int64 if q**r < 2**62 else object)

@@ -1,6 +1,7 @@
 """Reference forms that the tests compare the library against: the scalar
 sawtooth, the per-n exact coefficients a(n) and b(n), by factorization, the
-second-moment pair sum one divisor at a time, the extreme report, the
+second-moment pair sum one divisor at a time, the extremes and their
+report, the distribution statistics one scalar x at a time, the
 single-prime reduction by factorization and the C model's moment one
 Fraction per unit interval and modulus.
 """
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sawspec.distribution import DEFAULT_SCALES, extremes
+from sawspec.distribution import DEFAULT_SCALES
 from sawspec.foundations import coeff_b_denominators, factorize, jordan_table, prime_array
 
 
@@ -70,6 +71,42 @@ def second_moment_loop(w: np.ndarray) -> float:
         if t:
             total += J[d] * t * t
     return total / 12.0
+
+
+def extremes(dist) -> tuple[float, int, float, int]:
+    """(min, argmin, max, argmax); the args are residues k for a
+    residue-indexed dataset, else positions."""
+    i_min = int(np.argmin(dist.samples))
+    i_max = int(np.argmax(dist.samples))
+    offset = int(dist.residue_indexed)  # residue k sits in position k - 1
+    return (
+        float(dist.samples[i_min]),
+        i_min + offset,
+        float(dist.samples[i_max]),
+        i_max + offset,
+    )
+
+
+def ecdf_loop(dist, xs) -> list:
+    """The right-continuous ECDF at scale * x, one searchsorted per scalar
+    x of ``xs`` on one sorted copy of the samples."""
+    s = np.sort(dist.samples)
+    return [np.searchsorted(s, dist.scale * x, side="right") / dist.n for x in xs]
+
+
+def tail_loop(dist, xs) -> tuple[list, list]:
+    """(upper, lower) tail fractions, >= scale * x and <= -scale * x, one
+    searchsorted per scalar x and side."""
+    s, n = np.sort(dist.samples), dist.n
+    upper = [(n - np.searchsorted(s, dist.scale * x, side="left")) / n for x in xs]
+    lower = [np.searchsorted(s, -dist.scale * x, side="right") / n for x in xs]
+    return upper, lower
+
+
+def symmetry_loop(dist, xs) -> float:
+    """max over x of |ecdf(x) + ecdf(-x) - 1|, two scalar ECDFs per x."""
+    F = ecdf_loop(dist, [v for x in xs for v in (x, -x)])
+    return max(abs(F[i] + F[i + 1] - 1.0) for i in range(0, len(F), 2))
 
 
 def extreme_report(dist, q: int) -> dict:

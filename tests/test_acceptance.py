@@ -283,8 +283,7 @@ def test_criterion_12_prime_race_direction():
 def test_criterion_13_tail_and_extreme_reports(ck_10007):
     d = dist.from_ck_vector(ck_10007)
     xs = (0.5, 1.0, 1.5, 2.0, 2.5)
-    upper = [dist.tail_frequency(d, x, "upper") for x in xs]
-    lower = [dist.tail_frequency(d, x, "lower") for x in xs]
+    upper, lower = dist.tail_frequency(d, xs)
     mono = all(a >= b for a, b in zip(upper, upper[1:])) and all(
         a >= b for a, b in zip(lower, lower[1:])
     )

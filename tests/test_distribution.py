@@ -7,7 +7,7 @@ import pytest
 import sawspec as sw
 from sawspec import distribution as dist
 
-from oracles import extreme_report
+from oracles import ecdf_loop, extreme_report, extremes, symmetry_loop, tail_loop
 
 EG_HALF = math.exp(0.5772156649015329) / 2.0
 
@@ -76,27 +76,78 @@ class TestEcdf:
 
 class TestTails:
     def test_beyond_extremes(self, dist_ck):
-        assert dist.tail_frequency(dist_ck, 1e9, "upper") == 0.0
-        assert dist.tail_frequency(dist_ck, 1e9, "lower") == 0.0
+        up, lo = dist.tail_frequency(dist_ck, 1e9)
+        assert up == 0.0
+        assert lo == 0.0
 
     def test_two_sided_balance(self, dist_ck):
         q = 10007
-        up = dist.tail_frequency(dist_ck, 1.0, "upper")
-        lo = dist.tail_frequency(dist_ck, 1.0, "lower")
+        up, lo = dist.tail_frequency(dist_ck, 1.0)
         assert abs(up - lo) <= 2.0 / math.sqrt(q)
 
     def test_monotone_decay(self, dist_ck):
-        up = [dist.tail_frequency(dist_ck, x, "upper") for x in (0.5, 1.0, 2.0)]
+        up, _ = dist.tail_frequency(dist_ck, [0.5, 1.0, 2.0])
         assert up[0] >= up[1] >= up[2]
 
-    def test_bad_side(self, dist_ck):
-        with pytest.raises(ValueError):
-            dist.tail_frequency(dist_ck, 1.0, "sideways")
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestArrayStatistics:
+    """The array calls against the scalar loops of the oracles, bit for bit:
+    one sort per call changes no value."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self, dist_ck, dist_spec):
+        rtilde = dist.make_distribution(
+            "R", sw.rtilde_samples(sw.build_phi_accumulator(100_000))
+        )
+        return {"ck": dist_ck, "spectrum": dist_spec, "rtilde": rtilde}
+
+    @staticmethod
+    def grids(d):
+        rng = np.random.default_rng(23)
+        return [
+            np.linspace(-4.0, 4.0, 61),
+            np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+            np.linspace(0.1, 3.0, 30),
+            rng.uniform(-4.0, 4.0, 200),
+            # x at or within rounding of the samples, where the side decides ties
+            rng.choice(d.samples, 50) / d.scale,
+        ]
+
+    @pytest.mark.parametrize("source", ["ck", "spectrum", "rtilde"])
+    def test_ecdf_matches_scalar_loop(self, datasets, source):
+        d = datasets[source]
+        for xs in self.grids(d):
+            assert np.array_equal(_bits(dist.ecdf_scaled(d, xs)), _bits(ecdf_loop(d, xs)))
+
+    @pytest.mark.parametrize("source", ["ck", "spectrum", "rtilde"])
+    def test_tails_match_scalar_loop(self, datasets, source):
+        d = datasets[source]
+        for xs in self.grids(d):
+            up, lo = dist.tail_frequency(d, xs)
+            want_up, want_lo = tail_loop(d, xs)
+            assert np.array_equal(_bits(up), _bits(want_up))
+            assert np.array_equal(_bits(lo), _bits(want_lo))
+
+    @pytest.mark.parametrize("source", ["ck", "spectrum", "rtilde"])
+    def test_symmetry_matches_scalar_loop(self, datasets, source):
+        d = datasets[source]
+        for xs in self.grids(d):
+            got = dist.symmetry_statistic(d, xs)
+            assert _bits(got) == _bits(symmetry_loop(d, xs))
+            assert _bits(got) == _bits(dist.symmetry_statistic(d, xs.tolist()))
+
+    def test_a_number_gives_floats(self, dist_ck):
+        assert isinstance(dist.ecdf_scaled(dist_ck, 0.5), float)
+        assert all(isinstance(v, float) for v in dist.tail_frequency(dist_ck, 0.5))
 
 
 class TestExtremes:
     def test_odd_pairing(self, dist_ck):
-        mn, amn, mx, amx = dist.extremes(dist_ck)
+        mn, amn, mx, amx = extremes(dist_ck)
         assert mx == -mn
         assert amn + amx == 10007
 
@@ -111,9 +162,9 @@ class TestExtremes:
             s = d.samples
             lo, hi = int(np.argmin(s)), int(np.argmax(s))
             expected = (float(s[lo]), int(labels[lo]), float(s[hi]), int(labels[hi]))
-            assert dist.extremes(d) == expected
+            assert extremes(d) == expected
         plain = dist.make_distribution("C", [2.0, -1.0, 3.0])
-        assert dist.extremes(plain) == (-1.0, 1, 3.0, 2)
+        assert extremes(plain) == (-1.0, 1, 3.0, 2)
 
     def test_report_ratio(self, dist_ck):
         rep = extreme_report(dist_ck, 10007)
@@ -220,6 +271,27 @@ class TestSummary:
             moments = dist.summary(d)["moments"]
             assert moments == sw.empirical_moments(d.samples, 6)
             assert moments[2] != 0.0
+
+    def test_keeps_nothing_on_the_dataset(self, ck_10007):
+        d = dist.from_ck_vector(ck_10007)
+        dist.summary(d)
+        assert set(vars(d)) == {"label", "samples", "residue_indexed"}
+
+    def test_large_q_peak_and_nothing_left_live(self):
+        # the statistics' sorted copy and difference vector live only while
+        # they run: at most 10 bytes per residue above the live vectors,
+        # none of it left behind
+        q = 1_000_003
+        d = dist.from_ck_vector(sw.ck_all(q, "characters", table=sw.build_table(q)))
+        tracemalloc.start()
+        try:
+            dist.summary(d)
+            dist.almost_period_stat(d, 60)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * (q - 1), peak / (q - 1)
+        assert current < q - 1, current / (q - 1)
 
     def test_histogram(self, dist_ck):
         counts, edges = dist.histogram(dist_ck)

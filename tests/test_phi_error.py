@@ -57,6 +57,14 @@ class TestRValues:
         assert 16 * (y + 1) <= peak < 16.01 * (y + 1)
         assert np.array_equal(acc.prefix, np.cumsum(sw.build_sieves(y)))
 
+    def test_short_table_refused(self):
+        # a table shorter than y + 1 is an error, not a cue to sieve afresh
+        phi = sw.build_sieves(100)
+        with pytest.raises(ValueError, match="length 101 < y \\+ 1 = 201"):
+            sw.build_phi_accumulator(200, phi)
+        acc = sw.build_phi_accumulator(100, phi)
+        assert np.array_equal(acc.prefix, np.cumsum(phi))
+
     def test_sign_changes(self, acc_1m):
         vals = np.array([sw.r_values(x, acc_1m)[0] for x in range(1, 10_001)])
         assert np.any(vals > 0) and np.any(vals < 0)

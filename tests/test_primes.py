@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import expi
 
 import sawspec as sw
-from sawspec import foundations
+from sawspec import foundations, primes
 from sawspec.bias import Pattern
 from sawspec.errors import ResourceLimitError
 from sawspec.foundations import prime_array
@@ -137,6 +137,39 @@ class TestCensus:
     def test_cap(self):
         with pytest.raises(ResourceLimitError, match="cap 1000000000 on sieve work"):
             sw.pattern_census(10**9 + 1, 3, 2)
+
+    @pytest.fixture
+    def no_sieve(self, monkeypatch):
+        class SieveStarted(Exception):
+            pass
+
+        def prime_blocks(x):
+            raise SieveStarted(x)
+
+        monkeypatch.setattr(primes, "prime_blocks", prime_blocks)
+        return SieveStarted
+
+    def test_byte_cap_refuses_before_sieving(self, no_sieve):
+        # pi(1e9) < 60 562 849 patterns at 200 + 64 * 2 bytes each
+        with pytest.raises(ResourceLimitError, match="about 19864614472 bytes"):
+            sw.pattern_census(10**9, 1_000_003, 2)
+        # q^r bounds the patterns below pi(x): 211^3 of length 3
+        with pytest.raises(ResourceLimitError, match="up to 9393931 distinct"):
+            sw.pattern_census(10**9, 211, 3)
+
+    def test_length_cap_refuses_before_sieving(self, no_sieve):
+        with pytest.raises(ResourceLimitError, match="cap 32 on pattern length"):
+            sw.pattern_census(100, 3, 10**5)
+
+    @pytest.mark.parametrize(
+        "x, q, r",
+        [(10**9, 3, 2), (10**9, 7, 3), (10**8, 7, 3), (10**7, 1_000_003, 2),
+         (10**4, 1009, 7), (10**5, 101, 2), (10**6, 3, primes.MAX_CENSUS_R)],
+    )
+    def test_caps_admit_the_censuses_in_use(self, no_sieve, x, q, r):
+        # the README, test, CI and benchmark censuses reach the sieve
+        with pytest.raises(no_sieve):
+            sw.pattern_census(x, q, r)
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
