@@ -463,16 +463,18 @@ def _cmd_phi(args) -> int:
     if args.stat == "moments" and args.ell > MAX_MOMENT_ORDER:
         args.usage_error(f"need --ell in [1, {MAX_MOMENT_ORDER}] for --stat moments")
     _format(args, "json" if args.stat == "values" else "csv")
-    acc = build_phi_accumulator(args.y)
     meta = {"y": args.y}
+    # each branch passes the accumulator on without keeping it, so the
+    # histogram's samples do not sit beside the prefix sums
     if args.stat == "values":
-        R, Rt = r_values(x, acc)
+        R, Rt = r_values(x, build_phi_accumulator(args.y))
         emit_json({"x": x, "R": R, "R_tilde": Rt}, args, meta)
     elif args.stat == "moments":
-        moments = rtilde_moments_exact(args.y, args.ell, acc)
+        moments = rtilde_moments_exact(args.y, args.ell, build_phi_accumulator(args.y))
         emit_csv(("ell", "moment"), (range(1, len(moments) + 1), moments), args, meta)
     else:
-        _emit_histogram(make_distribution("R", rtilde_samples(acc)), args, meta)
+        samples = rtilde_samples(build_phi_accumulator(args.y))
+        _emit_histogram(make_distribution("R", samples), args, meta)
     return EXIT_OK
 
 

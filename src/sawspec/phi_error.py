@@ -3,8 +3,9 @@
 
 R(x) is the deviation of sum_{n<=x} phi(n) from 3x^2/pi^2 and
 Rt(u) = R(u)/u - phi(u)/(2u) its normalized form (the phi correction only
-at integers).  The prefix sums of phi come from one int64 table, sieved by
-``jordan_table(y, 1)`` or passed in as ``build_sieves``' table.  Between
+at integers).  The prefix sums of phi are one int64 table, sieved by
+``jordan_table(y, 1)`` (or copied from a ``build_sieves`` table passed in)
+and summed in place.  Between
 consecutive integers Rt is a rational function, so the moment integrals
 over [0, y] split into one smooth integral per unit interval.
 
@@ -20,6 +21,13 @@ whose numerator has the size of R(m), so Rt is accurate to float64
 resolution at every v.  Each interval's integral of Rt^ell is an n-point
 Gauss-Legendre sum, all orders ell from the same node values.
 
+Block grid.  The unit intervals are integrated in the fixed blocks
+[1, 128), [128, 2^15) and [k 2^15, (k + 1) 2^15), k >= 1, the last one cut
+at y; each block's per-order sum is one partial, and a moment is the fsum
+of the partials over y.  No temporary is longer than a block, and the
+values depend neither on ell_max nor on a cut of [0, y) at a multiple of
+2^15.
+
 Node counts.  If f is analytic with |f| <= M in the Bernstein ellipse
 E_rho of [-1, 1], the n-point rule errs by at most
 (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen, Approximation Theory and
@@ -31,18 +39,22 @@ with |v| <= V = (m + 1)/2 + 1/8,
     |Rt| <= 2 |Rt(m)| + 2 P V (2m + V) / m  ~  2 |Rt(m)| + 0.76 m.
 
 With the trivial |Rt(m)| <= P m + 1/2 (0 <= S_m <= m(m+1)/2) the bound
-falls like m^(ell - 2n - 2).  A moment is a mean of per-interval
-integrals, so its quadrature error is at most the worst per-interval bound.
-That should sit below half an ulp of a moment of size 1e-8
-(2^-53 * 1e-8 = 1.1e-24) for every ell <= 8:
-
-- m < 128: n = 64, bound below 2e-34;
-- m >= 128: n = 8, bound 1.9e-25 at m = 128, ell = 8 (n = 7 gives
-  1.2e-20).  With the measured |Rt(128)| = 0.327 it is 1.8e-27.
+M = (2 P m + 1 + 2 P V (2m + V) / m)^ell falls like m^(ell - 2n - 2).  A
+moment is a mean of per-interval integrals, so its quadrature error is at
+most the worst per-interval bound.  That should sit below half an ulp of a
+moment of size 1e-8 (2^-53 * 1e-8 = 1.1e-24) for every ell <= 8.  Below
+m = 128 every block takes n = 64 (bound below 2e-34).  From m = 128 a block
+starting at m takes the fewest n <= 8 whose bound at ell = 8 meets 1.1e-24
+there (``_node_count``); the bound falls in m, so it holds on the whole
+block.  The bound meets it from m = 407 at n = 7, 3 779 at n = 6 and
+328 214 at n = 5 (n = 4 would need m >= 2.2e11, past the 1e8 cap), so the
+grid takes n = 8 on [128, 2^15) (1.9e-25 at m = 128), 6 from 32 768 and
+5 from 360 448.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +73,7 @@ __all__ = [
 ]
 
 _P = 3.0 / math.pi**2
+_CHUNK = 1 << 15  # entries per block: 256 KB per float64 temporary
 
 
 @dataclass(frozen=True)
@@ -77,23 +90,25 @@ class PhiAccumulator:
 
 
 def build_phi_accumulator(y: int, phi: np.ndarray | None = None) -> PhiAccumulator:
-    """S_m of ``phi`` (a ``build_sieves`` table of length > y; a shorter
-    one is a ValueError), else of ``jordan_table(y, 1)``."""
+    """S_m of ``phi`` (a ``build_sieves`` table of length > y, copied, never
+    mutated; a shorter one is a ValueError), else of ``jordan_table(y, 1)``,
+    summed in place in the table the sieve returns, so the peak is the
+    sieve's own."""
     if y < 2:
         raise ValueError("y must be >= 2")
     if y > 100_000_000:
-        # phi and the prefix, int64 each, outweigh the sieve's own peak
         raise ResourceLimitError(
             f"y = {y} exceeds the accumulator cap 1e8, below which the prefix "
-            f"sums stay exact in a float64 view (~1.7e8); the phi table and "
-            f"prefix would peak at {16 * (y + 1)} bytes"
+            f"sums stay exact in a float64 view (~1.7e8); the phi sieve "
+            f"would peak at {13 * (y + 1)} bytes"
         )
     if phi is None:
-        phi = jordan_table(y, 1)
+        prefix = jordan_table(y, 1)
     elif len(phi) <= y:
         raise ValueError(f"phi table of length {len(phi)} < y + 1 = {y + 1}")
-    prefix = np.zeros(y + 1, dtype=np.int64)
-    np.cumsum(phi[: y + 1], out=prefix)
+    else:
+        prefix = phi[: y + 1].astype(np.int64)
+    np.cumsum(prefix, out=prefix)
     return PhiAccumulator(y, prefix)
 
 
@@ -112,18 +127,21 @@ def r_values(x: float, acc: PhiAccumulator) -> tuple[float, float]:
 
 def rtilde_samples(acc: PhiAccumulator) -> np.ndarray:
     """Rt at the half-integers m + 1/2, m = 0..y-1 (a measure-one sample
-    of the continuous statistic, away from the integer corrections)."""
+    of the continuous statistic, away from the integer corrections),
+    written into one array a block of ``_CHUNK`` entries at a time."""
     y = acc.y
-    u = np.arange(y, dtype=float) + 0.5
-    S = acc.prefix[:y].astype(float)
-    return S / u - _P * u
+    out = np.empty(y)
+    for lo in range(0, y, _CHUNK):
+        hi = min(lo + _CHUNK, y)
+        u = np.arange(lo, hi, dtype=float) + 0.5
+        out[lo:hi] = acc.prefix[lo:hi].astype(float) / u - _P * u
+    return out
 
 
 # ---------------------------------------------------------------------------
 # moment integrals
 
 MAX_MOMENT_ORDER = 8
-_CHUNK = 1 << 19  # intervals per array step: ~4 MB per float64 temporary
 
 
 @functools.cache
@@ -133,9 +151,21 @@ def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
+def _node_count(m: int) -> int:
+    """Gauss-Legendre nodes for a block of intervals starting at m: 64
+    below m = 128, else the fewest n <= 8 whose Bernstein-ellipse bound at
+    ell = 8 is at most 1.1e-24 at m (module note)."""
+    if m < 128:
+        return 64
+    rho, V = 2.0 * m, (m + 1) / 2 + 1 / 8
+    M = (2 * _P * m + 1 + 2 * _P * V * (2 * m + V) / m) ** MAX_MOMENT_ORDER
+    bounds = (64 / 15 * M * rho ** (-2 * n) / (rho**2 - 1) for n in range(1, 8))
+    return next((n for n, b in enumerate(bounds, 1) if b <= 1.1e-24), 8)
+
+
 def _interval_sum(acc: PhiAccumulator, lo: int, hi: int, ell_max: int) -> np.ndarray:
     """[sum over lo <= m < hi of int_m^{m+1} Rt(u)^ell du, ell = 1..ell_max]
-    by the 64-node rule if lo < 128, else the 8-node rule (module note)."""
+    by the ``_node_count(lo)``-node rule (module note)."""
     m_int = np.arange(lo, hi, dtype=np.int64)
     m = m_int.astype(float)
     # d0 = S - P m^2 exactly (80-bit intermediate; operands are exact there)
@@ -144,7 +174,7 @@ def _interval_sum(acc: PhiAccumulator, lo: int, hi: int, ell_max: int) -> np.nda
     d0 = np.asarray(S.astype(ld) - ld(_P) * m_int.astype(ld) ** 2, dtype=float)
     d1 = -2.0 * _P * m
     sums = np.zeros(ell_max)
-    for v, w in zip(*_gauss_legendre_01(64 if lo < 128 else 8)):
+    for v, w in zip(*_gauss_legendre_01(_node_count(lo))):
         r = (d0 + v * (d1 - _P * v)) / (m + v)  # Rt(m + v)
         power = np.ones_like(r)
         for k in range(ell_max):
@@ -158,9 +188,11 @@ def rtilde_moments_exact(y: int, ell_max: int, acc: PhiAccumulator) -> list[floa
     one pass over the unit intervals.
 
     Each interval's integral is a Gauss-Legendre sum with error far under
-    float64 resolution (the module note derives it); the sums are
-    accumulated in fixed chunk order, so entry ell - 1 does not depend on
-    ``ell_max``.
+    float64 resolution (the module note derives it).  The intervals are
+    summed per block of the fixed grid [1, 128), [128, 2^15),
+    [k 2^15, (k + 1) 2^15), and each moment is the fsum of its block sums,
+    so the values depend neither on ``ell_max`` nor on a cut of [0, y) at a
+    multiple of 2^15.
     """
     if not 1 <= ell_max <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must be in [1, {MAX_MOMENT_ORDER}]")
@@ -168,14 +200,10 @@ def rtilde_moments_exact(y: int, ell_max: int, acc: PhiAccumulator) -> list[floa
         raise ValueError(f"y={y} outside [2, {acc.y}]")
     # the [0,1) interval: S_0 = 0, so Rt(u) = -P u
     parts = [[(-_P) ** ell / (ell + 1.0)] for ell in range(1, ell_max + 1)]
-    lo = 1
-    while lo < y:
-        hi = min(lo + _CHUNK, y)
-        if lo < 128 < hi:  # keep the rule switch at a chunk boundary
-            hi = 128
+    edges = [e for e in (1, 128, *range(_CHUNK, y, _CHUNK)) if e < y] + [y]
+    for lo, hi in itertools.pairwise(edges):
         for part, s in zip(parts, _interval_sum(acc, lo, hi, ell_max).tolist()):
             part.append(s)
-        lo = hi
     return [math.fsum(part) / y for part in parts]
 
 

@@ -2,8 +2,10 @@
 sawtooth, the per-n exact coefficients a(n) and b(n), by factorization, the
 second-moment pair sum one divisor at a time, the extremes and their
 report, the distribution statistics one scalar x at a time, the
-single-prime reduction by factorization and the C model's moment one
-Fraction per unit interval and modulus.
+single-prime reduction by factorization, the C model's moment one
+Fraction per unit interval and modulus, and the totient error's samples as
+one whole-length expression and its moments in 2^19-interval chunks at
+8 nodes from m = 128.
 """
 
 import math
@@ -155,3 +157,48 @@ def model_moment_loop(ell: int, B: int) -> Fraction:
         base = sum(bn * (Fraction(m % n, n) - half) for n, bn in b)
         total += ((base + slope) ** (ell + 1) - base ** (ell + 1)) / (ell + 1)
     return total / slope / L
+
+
+_P = 3.0 / math.pi**2
+
+
+def rtilde_samples_whole(acc) -> np.ndarray:
+    """Rt at m + 1/2, m = 0..y-1, as one expression over whole-length
+    arrays."""
+    u = np.arange(acc.y, dtype=float) + 0.5
+    return acc.prefix[: acc.y].astype(float) / u - _P * u
+
+
+def _chunk_interval_sum(acc, lo: int, hi: int, ell_max: int) -> np.ndarray:
+    m_int = np.arange(lo, hi, dtype=np.int64)
+    m = m_int.astype(float)
+    ld = np.longdouble
+    d0 = np.asarray(
+        acc.prefix[lo:hi].astype(ld) - ld(_P) * m_int.astype(ld) ** 2, dtype=float
+    )
+    d1 = -2.0 * _P * m
+    nodes, weights = np.polynomial.legendre.leggauss(64 if lo < 128 else 8)
+    sums = np.zeros(ell_max)
+    for v, w in zip((nodes + 1.0) / 2.0, weights / 2.0):
+        r = (d0 + v * (d1 - _P * v)) / (m + v)
+        power = np.ones_like(r)
+        for k in range(ell_max):
+            power *= r
+            sums[k] += w * np.sum(power)
+    return sums
+
+
+def rtilde_moments_chunked(y: int, ell_max: int, acc) -> list[float]:
+    """(1/y) int_0^y Rt^ell, ell = 1..ell_max, from the v-form at 64
+    Gauss-Legendre nodes per interval below m = 128 and 8 from there, the
+    intervals summed in chunks of 2^19 and the chunk sums by fsum."""
+    parts = [[(-_P) ** ell / (ell + 1.0)] for ell in range(1, ell_max + 1)]
+    lo = 1
+    while lo < y:
+        hi = min(lo + (1 << 19), y)
+        if lo < 128 < hi:
+            hi = 128
+        for part, s in zip(parts, _chunk_interval_sum(acc, lo, hi, ell_max).tolist()):
+            part.append(s)
+        lo = hi
+    return [math.fsum(part) / y for part in parts]

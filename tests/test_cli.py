@@ -452,11 +452,11 @@ class TestExitCodes:
     )
     def test_accumulator_cap_is_3(self, capsys, argv):
         # rejected before the sieve is built, with the bytes its peak would
-        # need: phi and the prefix, int64 each
+        # need: 13 per entry, the phi table summed in place
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert "1600000032 bytes" in err
+        assert "1300000026 bytes" in err
 
     def test_spectrum_cap_is_3(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")

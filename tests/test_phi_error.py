@@ -8,7 +8,7 @@ from scipy.integrate import quad
 import sawspec as sw
 from sawspec.errors import ResourceLimitError
 
-from oracles import psi
+from oracles import psi, rtilde_moments_chunked, rtilde_samples_whole
 
 P = 3.0 / math.pi**2
 
@@ -43,8 +43,8 @@ class TestRValues:
         assert acc_1m.phi(10) == 4
 
     def test_peak_is_phi_and_prefix(self):
-        # the cap message states 16 bytes per entry: phi and the prefix,
-        # int64 each, above the sieve's own peak
+        # phi and its prefix are one table, summed in place, so the peak is
+        # the sieve's (the cap message states its 13 bytes per entry)
         import tracemalloc
 
         y = 10**6
@@ -54,7 +54,7 @@ class TestRValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 16 * (y + 1) <= peak < 16.01 * (y + 1)
+        assert 12.63 * (y + 1) <= peak < 12.64 * (y + 1)
         assert np.array_equal(acc.prefix, np.cumsum(sw.build_sieves(y)))
 
     def test_short_table_refused(self):
@@ -225,6 +225,80 @@ class TestMomentExact:
             sw.rtilde_moment_exact(10, 9, acc_1m)
         with pytest.raises(ValueError):
             sw.rtilde_moment_exact(10**7, 2, acc_1m)
+
+
+def _log_node_bound(m: int, n: int, ell: int = 8) -> float:
+    # the module note's Bernstein-ellipse bound (64/15) M rho^(-2n) / (rho^2 - 1)
+    # at rho = 2m, M = (2 |Rt(m)| + 2 P V (2m + V) / m)^ell with
+    # |Rt(m)| <= P m + 1/2 and V = (m + 1)/2 + 1/8, as a logarithm
+    rho = 2 * m
+    V = Fraction(m + 1, 2) + Fraction(1, 8)
+    base = 2 * (Fraction(P) * m + Fraction(1, 2)) + 2 * Fraction(P) * V * (2 * m + V) / m
+    return (
+        math.log(64 / 15)
+        + ell * math.log(base)
+        - 2 * n * math.log(rho)
+        - math.log(rho * rho - 1)
+    )
+
+
+class TestBlockedPipeline:
+    """The totient pipeline in blocks of 2^15: samples bit for bit as the
+    whole-array expression, moments against the 2^19-chunk pass, node counts
+    from the module note's bound, and no temporary of length y."""
+
+    @pytest.mark.parametrize("y", [2, 3, 2**15 - 1, 2**15, 2**15 + 1, 10**5, 10**6])
+    def test_samples_bit_identical_to_whole_array(self, sieves_1m, y):
+        acc = sw.build_phi_accumulator(y, sieves_1m)
+        got = sw.rtilde_samples(acc)
+        want = rtilde_samples_whole(acc)
+        assert got.shape == (y,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_samples_peak(self, acc_1m):
+        import tracemalloc
+
+        y = acc_1m.y
+        tracemalloc.start()
+        try:
+            sw.rtilde_samples(acc_1m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5 * y, peak / y
+
+    @pytest.mark.parametrize("y", [10**6, 4 * 10**6])
+    def test_moment_pass_transient(self, acc_1m, y):
+        import tracemalloc
+
+        acc = acc_1m if y == acc_1m.y else sw.build_phi_accumulator(y)
+        tracemalloc.start()
+        try:
+            sw.rtilde_moments_exact(y, 8, acc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+    def test_against_chunked_pass(self, acc_1m):
+        for y in (2, 3, 127, 128, 129, 1000, 2**15 - 1, 2**15):
+            assert sw.rtilde_moments_exact(y, 8, acc_1m) == rtilde_moments_chunked(y, 8, acc_1m), y
+        for y in (10**5, 2 * 10**5, 10**6):
+            got = sw.rtilde_moments_exact(y, 8, acc_1m)
+            want = rtilde_moments_chunked(y, 8, acc_1m)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15, y
+
+    def test_node_rule_from_the_bound(self):
+        from sawspec.phi_error import _CHUNK, _node_count
+
+        tol = math.log(1.1e-24)
+        for m in [128, *range(_CHUNK, 10**8 + 1, _CHUNK)]:
+            n = _node_count(m)
+            assert n <= 8 and _log_node_bound(m, n) <= tol, m
+            assert n == 1 or _log_node_bound(m, n - 1) > tol, m
+        assert [_node_count(m) for m in (1, 127, 128, 32768, 327680, 360448)] == [
+            64, 64, 8, 6, 6, 5
+        ]
 
 
 class TestTruncatedModel:
