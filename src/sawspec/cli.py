@@ -464,8 +464,8 @@ def _cmd_phi(args) -> int:
         args.usage_error(f"need --ell in [1, {MAX_MOMENT_ORDER}] for --stat moments")
     _format(args, "json" if args.stat == "values" else "csv")
     meta = {"y": args.y}
-    # each branch passes the accumulator on without keeping it, so the
-    # histogram's samples do not sit beside the prefix sums
+    # the accumulator holds no table: each branch sieves the phi segments
+    # it reads, the values only up to the one holding floor(x)
     if args.stat == "values":
         R, Rt = r_values(x, build_phi_accumulator(args.y))
         emit_json({"x": x, "R": R, "R_tilde": Rt}, args, meta)

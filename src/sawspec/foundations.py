@@ -1,7 +1,8 @@
 """The sawtooth psi_array, factorization, the segmented prime sieve (a
-stream of prime blocks, or all of them in one array), the multiplicative
-tables phi, J_2, mu, a(n), b(n) (one sieve fills each, alone; b(n) also
-exactly, as the int64 denominators d(n) of b = 1/d), and C = 2 Pi_2.
+stream of prime blocks, or all of them in one array), the segmented
+multiplicative sieve (phi segment by segment, or the tables phi, J_2, mu,
+a(n), b(n), each filled alone; b(n) also exactly, as the int64
+denominators d(n) of b = 1/d), and C = 2 Pi_2.
 
 Everything downstream (Dedekind spectra, bias constants, correlation
 integrals, totient error moments) consumes these primitives.  Exact
@@ -26,6 +27,7 @@ __all__ = [
     "prime_blocks",
     "prime_array",
     "require_sieve_limit",
+    "phi_segments",
     "jordan_table",
     "mobius_table",
     "build_sieves",
@@ -102,7 +104,7 @@ def prime_array(limit: int) -> np.ndarray:
     return np.concatenate(list(prime_blocks(limit)))
 
 
-# the largest sieve limit: 2.6 GB at the peak of an int64 table
+# the largest sieve limit: 1.6 GB at the peak of an int64 table
 MAX_SIEVE_LIMIT = 200_000_000
 
 
@@ -117,50 +119,110 @@ def require_sieve_limit(limit: int, per_entry: float) -> None:
         )
 
 
-def _sieve(limit: int, dtype, prime_power, large_prime) -> np.ndarray:
-    """The multiplicative f on [0, limit] as an array of ``dtype``, f(0) = 0.
+_SIEVE_UNIT = 1 << 15  # a sieve segment is a multiple of this many entries
+_TABLE_UNITS = 4  # a table's segments are at least this many units long
 
-    From table = 1, for p <= max(2, sqrt(limit)) then p^e <= limit, both
-    increasing: table[p^e::p^e] = prime_power(table[p^e::p^e], p, e).  Every
-    other n is s P with one prime P > sqrt(limit); s < sqrt(limit), so
-    table[s] is final, and table[s P] = large_prime(table[s], P) for all such
-    P at once.  The peak is the table, its product at p = 2 (half a table)
-    and the primes <= limit, which with the last products stay under a byte
-    per entry for limit >= 1e6.
+
+def _sieve(
+    limit: int, dtype, prime_power, large_prime, out=None, units: int = 1
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The multiplicative f on [0, limit], f(0) = 0, as (lo, f on [lo, hi))
+    for consecutive segments of ``dtype``, each _SIEVE_UNIT
+    max(units, ceil(sqrt(limit) / 2^9)) entries long (the last one cut at
+    limit + 1): about 64 sqrt(limit), so that a segment pays for its pass
+    over the prime powers, and a multiple of the totient pipeline's 2^15
+    blocks.  Given ``out`` (of ``dtype``, on [0, limit]), each segment is
+    its slice.
+
+    Per segment, from f = 1, for p <= max(2, sqrt(limit)) then p^e <= limit,
+    both increasing, ``prime_power(v, p, e)`` updates v, the f of the
+    multiples n of p^e, in place, and their smooth part (the product of
+    those p^e, int32) is multiplied by p.  What is left, n over its smooth
+    part, is 1 or the one prime P > sqrt(limit) of n, and there
+    f = large_prime(f, P), with P as int64, 2^12 entries at a time.  So
+    every entry gets the same operations in the same order at any segment
+    length.  Beside f, a segment holds its smooth parts (4 bytes per entry);
+    the large-prime step and the list of prime powers add 0.2 MB at limit
+    1e6 and 0.4 MB at 1e8.  Only the primes up to sqrt(limit) are listed.
+    The int32 smooth parts need limit < 2^31, which the callers check.
     """
-    require_sieve_limit(limit, (3 * np.dtype(dtype).itemsize + 2) / 2)
-    primes = prime_array(limit)
-    table = np.ones(limit + 1, dtype=dtype)
-    table[:1] = 0
     root = max(math.isqrt(limit), 2)
-    cut = int(np.searchsorted(primes, root, side="right"))
-    for p in primes[:cut].tolist():
+    powers = []
+    for p in prime_array(root).tolist():
         pk, e = p, 1
         while pk <= limit:
-            table[pk::pk] = prime_power(table[pk::pk], p, e)
+            powers.append((pk, p, e))
             pk, e = pk * p, e + 1
-    large = primes[cut:]
-    for s in range(1, limit // (root + 1) + 1):
-        if table[s]:
-            P = large[: np.searchsorted(large, limit // s, side="right")]
-            table[s * P] = large_prime(table[s], P)
+    moduli = np.array([pk for pk, _, _ in powers], dtype=np.int64)
+
+    def segment(lo: int, hi: int) -> np.ndarray:
+        f = np.empty(hi - lo, dtype=dtype) if out is None else out[lo:hi]
+        f[:] = 1
+        if lo == 0:
+            f[0] = 0
+        smooth = np.ones(hi - lo, dtype=np.int32)
+        starts = np.maximum(moduli, -(-lo // moduli) * moduli) - lo
+        for (pk, p, e), start in zip(powers, starts.tolist()):
+            if start < hi - lo:
+                prime_power(f[start::pk], p, e)
+                smooth[start::pk] *= p
+        for a in range(0, hi - lo, 1 << 12):
+            s, g = smooth[a : a + (1 << 12)], f[a : a + (1 << 12)]
+            rest = np.arange(lo + a, lo + a + s.size, dtype=np.int32) // s
+            big = np.flatnonzero(rest > 1)
+            g[big] = large_prime(g[big], rest[big].astype(np.int64))
+        return f
+
+    size = _SIEVE_UNIT * max(units, -(-root // 512))
+    for lo in range(0, limit + 1, size):
+        yield lo, segment(lo, min(lo + size, limit + 1))
+
+
+def _table(limit: int, dtype, prime_power, large_prime) -> np.ndarray:
+    """The multiplicative f on [0, limit] as one array of ``dtype``, each
+    segment of ``_sieve`` sieved in its slice, in segments of at least
+    _TABLE_UNITS units: one segment below 2^17 entries.  The cap is
+    checked first, at the peak: the table and one segment's work, below a
+    byte per entry from limit = 1e6 on (about 0.05 at the cap)."""
+    require_sieve_limit(limit, np.dtype(dtype).itemsize + 1)
+    table = np.empty(limit + 1, dtype=dtype)
+    for _ in _sieve(limit, dtype, prime_power, large_prime, table, _TABLE_UNITS):
+        pass
     return table
 
 
+def _jordan_steps(k: int):
+    """The ``_sieve`` steps of J_k: times J_k(p^e) / J_k(p^(e-1)), and J_k(P)."""
+
+    def prime_power(v, p, e):
+        v *= p**k - 1 if e == 1 else p**k
+
+    return prime_power, lambda x, P: x * (P**k - 1)
+
+
+def phi_segments(limit: int, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Euler's phi on [0, limit] as (lo, phi on [lo, hi)) per segment of
+    ``_sieve``: a new int32 array each, or, given ``out`` (float64, of
+    length > limit; exact, as phi(n) < 2^31), its slice.  A limit of 2^31
+    or more, where int32 wraps, is refused."""
+    if limit >= 1 << 31:
+        raise ResourceLimitError(f"phi stream limit {limit} is not below 2^31")
+    return _sieve(limit, np.int32 if out is None else out.dtype, *_jordan_steps(1), out)
+
+
 def jordan_table(limit: int, k: int) -> np.ndarray:
-    """Jordan's totient J_k(n) = n^k prod_{p | n} (1 - p^-k), n = 0..limit,
-    as int64 (exact while limit^k < 2^63); J_1 is Euler's phi."""
-    return _sieve(
-        limit,
-        np.int64,
-        lambda v, p, e: v * (p**k - 1 if e == 1 else p**k),
-        lambda x, P: x * (P**k - 1),
-    )
+    """J_k(n), n = 0..limit, as one int64 array (exact while
+    limit^k < 2^63); J_1 is Euler's phi."""
+    return _table(limit, np.int64, *_jordan_steps(k))
 
 
 def mobius_table(limit: int) -> np.ndarray:
     """The Mobius function mu(n), n = 0..limit, as int8."""
-    return _sieve(limit, np.int8, lambda v, p, e: -v if e == 1 else 0, lambda x, P: -x)
+
+    def prime_power(v, p, e):
+        v *= -1 if e == 1 else 0
+
+    return _table(limit, np.int8, prime_power, lambda x, P: -x)
 
 
 def build_sieves(limit: int) -> np.ndarray:
@@ -182,38 +244,40 @@ def coeff_a_floats(limit: int) -> np.ndarray:
     are exact), so |error| <= gamma_{2w} |a(n)|, w = #{odd p | n},
     gamma_m = m u/(1 - m u), u = 2^-53."""
 
-    def prime_power(v, p, e):  # a(p^e)/a(p^(e-1)), or 0 once a(p^e) is 0
+    def prime_power(v, p, e):  # times a(p^e)/a(p^(e-1)), or 0 once a(p^e) is 0
         if e == 1:
-            return v * (-0.5 if p == 2 else 2.0 / (p * (p - 2)))
-        return v * -0.5 if e == 2 and p > 2 else 0.0
+            v *= -0.5 if p == 2 else 2.0 / (p * (p - 2))
+        elif e == 2 and p > 2:
+            v *= -0.5
+        else:
+            v[:] = 0.0
 
-    return _sieve(
-        limit, np.float64, prime_power, lambda x, P: x * (2.0 / (P * (P - 2)))
-    )
+    return _table(limit, np.float64, prime_power, lambda x, P: x * (2.0 / (P * (P - 2))))
 
 
 def coeff_b_floats(limit: int) -> np.ndarray:
     """b(n) for n = 0..limit as float64 (zero off odd squarefree support):
     1 divided by p - 2 for each p | n, p increasing, one rounding each, so
     |error| <= gamma_w |b(n)|, w = #{p | n}, gamma_m = m u/(1 - m u)."""
-    return _sieve(
-        limit,
-        np.float64,
-        lambda v, p, e: v / (p - 2) if e == 1 and p > 2 else 0.0,
-        lambda x, P: x / (P - 2),
-    )
+
+    def prime_power(v, p, e):
+        if e == 1 and p > 2:
+            v /= p - 2
+        else:
+            v[:] = 0.0
+
+    return _table(limit, np.float64, prime_power, lambda x, P: x / (P - 2))
 
 
 def coeff_b_denominators(limit: int) -> np.ndarray:
     """d(n) = prod_{p | n} (p - 2) on the odd squarefree support of b, so
     b(n) = 1/d(n) exactly, and 0 off it (and at n = 0), for n = 0..limit:
     int64 from one sieve, exact since d(n) <= n."""
-    return _sieve(
-        limit,
-        np.int64,
-        lambda v, p, e: v * (p - 2) if e == 1 and p > 2 else 0,
-        lambda x, P: x * (P - 2),
-    )
+
+    def prime_power(v, p, e):
+        v *= p - 2 if e == 1 and p > 2 else 0
+
+    return _table(limit, np.int64, prime_power, lambda x, P: x * (P - 2))
 
 
 # ---------------------------------------------------------------------------

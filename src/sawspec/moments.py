@@ -94,7 +94,7 @@ def _support_weights(kind: str, B: int) -> np.ndarray:
     """w[n] for n = 0..B (kinds s and R in place in one float64 array); the
     tuple weight is prod w(n_i).  B is held to the sieve cap before any array
     of length B + 1 exists."""
-    require_sieve_limit(B, 13)  # bytes per entry of the float64 sieve
+    require_sieve_limit(B, 10)  # float64 weights, int8 mu and one sieve segment
     if kind == "C":
         return coeff_b_floats(B)
     w = np.arange(B + 1, dtype=float)

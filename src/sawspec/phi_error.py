@@ -3,11 +3,24 @@
 
 R(x) is the deviation of sum_{n<=x} phi(n) from 3x^2/pi^2 and
 Rt(u) = R(u)/u - phi(u)/(2u) its normalized form (the phi correction only
-at integers).  The prefix sums of phi are one int64 table, sieved by
-``jordan_table(y, 1)`` (or copied from a ``build_sieves`` table passed in)
-and summed in place.  Between
-consecutive integers Rt is a rational function, so the moment integrals
-over [0, y] split into one smooth integral per unit interval.
+at integers).  Between consecutive integers Rt is a rational function, so
+the moment integrals over [0, y] split into one smooth integral per unit
+interval.
+
+The phi stream.  The accumulator holds no table.  Each statistic sieves
+phi on [0, stop] itself, segment by segment, from the segmented
+multiplicative sieve of ``foundations`` (``phi_segments(stop)``): a
+segment is 2^15 ceil(sqrt(stop) / 2^9) entries, about 64 sqrt(stop), and
+so a multiple of the block grid below.  The prefix sums S_m are summed in
+place per segment with the running total carried.  What holds memory:
+the sieve's int32 smooth parts of one segment, and the segment's phi and
+S_m, either an int32 segment of phi copied into an int64 buffer reused
+across segments (1.1 MB at y = 1e6), or, for the samples, phi sieved as
+float64 straight into their own array (0.35 MB beside it).  Beyond that,
+the moments hold the pass's scratch rows (four float64 rows and one long
+double row of 2^15), the samples their 8 bytes per entry, and the values
+stop at the segment holding floor(x).  A ``build_sieves`` table passed in
+is summed whole into an int64 table instead, one segment.
 
 Numerical note.  Expanding those integrals in powers of u cancels
 catastrophically for large m (terms of size (0.3 m)^ell against O(1)
@@ -26,7 +39,7 @@ Block grid.  The unit intervals are integrated in the fixed blocks
 at y; each block's per-order sum is one partial, and a moment is the fsum
 of the partials over y.  No temporary is longer than a block, and the
 values depend neither on ell_max nor on a cut of [0, y) at a multiple of
-2^15.
+2^15, such as a segment end of the phi stream.
 
 Node counts.  If f is analytic with |f| <= M in the Bernstein ellipse
 E_rho of [-1, 1], the n-point rule errs by at most
@@ -61,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .foundations import jordan_table
+from .foundations import phi_segments
 
 __all__ = [
     "PhiAccumulator",
@@ -78,63 +91,98 @@ _CHUNK = 1 << 15  # entries per block: 256 KB per float64 temporary
 
 @dataclass(frozen=True)
 class PhiAccumulator:
-    """Exact prefix sums S_m = sum_{n <= m} phi(n), m = 0..y (int64)."""
+    """The prefix sums S_m = sum_{n <= m} phi(n), m = 0..y: streamed from
+    the segmented phi sieve (``prefix`` None), or one int64 table."""
 
     y: int
-    prefix: np.ndarray
+    prefix: np.ndarray | None
 
-    def phi(self, m: int) -> int:
-        if not 1 <= m <= self.y:
-            raise ValueError(f"m={m} outside [1, {self.y}]")
-        return int(self.prefix[m] - self.prefix[m - 1])
+    def prefix_segments(self, stop: int, out: np.ndarray | None = None):
+        """(lo, S_m for lo <= m < hi) over consecutive segments of [0, stop],
+        stop <= y: written into out[lo:hi] (float64) when ``out`` is given,
+        else into one int64 buffer that the next segment overwrites.
+
+        Streamed: phi from ``phi_segments(stop)``, as int32 copied into the
+        buffer, or as float64 straight into ``out``, summed in place with the
+        running total carried (exact in float64 too, as S_y < 2^53 under
+        the 1e8 cap), so every segment but the last is a multiple of 2^15
+        entries long.  The int64 table is one segment.
+        """
+        if self.prefix is not None:
+            S = self.prefix[: stop + 1]
+            if out is not None:
+                out[: stop + 1] = S
+                S = out[: stop + 1]
+            yield 0, S
+            return
+        total, buffer = 0, None
+        for lo, S in phi_segments(stop, out):
+            if out is None:
+                if buffer is None:
+                    buffer = np.empty(S.size, dtype=np.int64)
+                buffer[: S.size] = S
+                S = buffer[: S.size]  # the int32 segment goes before the consumer runs
+            S[0] += total
+            np.cumsum(S, out=S)
+            total = S[-1]
+            yield lo, S
 
 
 def build_phi_accumulator(y: int, phi: np.ndarray | None = None) -> PhiAccumulator:
-    """S_m of ``phi`` (a ``build_sieves`` table of length > y, copied, never
-    mutated; a shorter one is a ValueError), else of ``jordan_table(y, 1)``,
-    summed in place in the table the sieve returns, so the peak is the
-    sieve's own."""
+    """The accumulator of S_m, m <= y: streamed (no table; each consumer
+    sieves the segments it reads), or, given ``phi`` (a ``build_sieves``
+    table of length > y, copied, never mutated; a shorter one is a
+    ValueError), its int64 prefix table summed whole."""
     if y < 2:
         raise ValueError("y must be >= 2")
     if y > 100_000_000:
         raise ResourceLimitError(
             f"y = {y} exceeds the accumulator cap 1e8, below which the prefix "
-            f"sums stay exact in a float64 view (~1.7e8); the phi sieve "
-            f"would peak at {13 * (y + 1)} bytes"
+            f"sums stay exact in float64 (~1.7e8); its samples alone would "
+            f"take {8 * y} bytes"
         )
     if phi is None:
-        prefix = jordan_table(y, 1)
-    elif len(phi) <= y:
+        return PhiAccumulator(y, None)
+    if len(phi) <= y:
         raise ValueError(f"phi table of length {len(phi)} < y + 1 = {y + 1}")
-    else:
-        prefix = phi[: y + 1].astype(np.int64)
+    prefix = phi[: y + 1].astype(np.int64)
     np.cumsum(prefix, out=prefix)
     return PhiAccumulator(y, prefix)
 
 
 def r_values(x: float, acc: PhiAccumulator) -> tuple[float, float]:
     """(R(x), Rt(x)) for 0 < x <= y; the phi/2x correction applies only
-    when x is an integer."""
+    when x is an integer.  Only the segments up to the one holding
+    floor(x) are sieved."""
     if not 0 < x <= acc.y:
         raise ValueError(f"x={x} outside (0, {acc.y}]")
     fx = math.floor(x)
-    R = float(acc.prefix[fx]) - _P * x * x
+    before = last = 0
+    for _, S in acc.prefix_segments(fx):
+        before, last = (S[-2] if S.size > 1 else last), S[-1]
+    R = float(last) - _P * x * x
     Rt = R / x
     if x == fx:
-        Rt -= acc.phi(fx) / (2.0 * x)
+        Rt -= int(last - before) / (2.0 * x)
     return R, Rt
 
 
 def rtilde_samples(acc: PhiAccumulator) -> np.ndarray:
     """Rt at the half-integers m + 1/2, m = 0..y-1 (a measure-one sample
-    of the continuous statistic, away from the integer corrections),
-    written into one array a block of ``_CHUNK`` entries at a time."""
+    of the continuous statistic, away from the integer corrections): S_m
+    summed into one float64 array segment by segment and turned into
+    S_m/u - P u there, a block of ``_CHUNK`` entries at a time."""
     y = acc.y
     out = np.empty(y)
-    for lo in range(0, y, _CHUNK):
-        hi = min(lo + _CHUNK, y)
-        u = np.arange(lo, hi, dtype=float) + 0.5
-        out[lo:hi] = acc.prefix[lo:hi].astype(float) / u - _P * u
+    for lo, S in acc.prefix_segments(y - 1, out):
+        for a in range(0, S.size, _CHUNK):
+            block = S[a : a + _CHUNK]
+            u = np.arange(lo + a, lo + a + block.size, dtype=float)
+            u += 0.5
+            block /= u
+            u *= _P
+            block -= u
+            del u  # before the next block's, or the next segment's sieve
     return out
 
 
@@ -163,24 +211,41 @@ def _node_count(m: int) -> int:
     return next((n for n, b in enumerate(bounds, 1) if b <= 1.1e-24), 8)
 
 
-def _interval_sum(acc: PhiAccumulator, lo: int, hi: int, ell_max: int) -> np.ndarray:
-    """[sum over lo <= m < hi of int_m^{m+1} Rt(u)^ell du, ell = 1..ell_max]
-    by the ``_node_count(lo)``-node rule (module note)."""
-    m_int = np.arange(lo, hi, dtype=np.int64)
-    m = m_int.astype(float)
+def _interval_sum(S: np.ndarray, lo: int, ell_max: int, work, x) -> np.ndarray:
+    """[sum over lo <= m < lo + len(S) of int_m^{m+1} Rt(u)^ell du,
+    ell = 1..ell_max] from S = S_m there, by the ``_node_count(lo)``-node
+    rule (module note), in the rows of the scratch arrays ``work`` (four
+    float64 rows) and ``x`` (long double), len(S) long: a moment pass
+    allocates no block-sized array per block."""
+    m, d0, r, power = work
+    np.add(np.arange(S.size, dtype=float), lo, out=m)
     # d0 = S - P m^2 exactly (80-bit intermediate; operands are exact there)
-    ld = np.longdouble
-    S = acc.prefix[lo:hi]
-    d0 = np.asarray(S.astype(ld) - ld(_P) * m_int.astype(ld) ** 2, dtype=float)
-    d1 = -2.0 * _P * m
+    np.square(m, out=x, dtype=np.longdouble)
+    np.multiply(x, np.longdouble(_P), out=x)
+    np.subtract(S, x, out=x)
+    np.copyto(d0, x)
     sums = np.zeros(ell_max)
     for v, w in zip(*_gauss_legendre_01(_node_count(lo))):
-        r = (d0 + v * (d1 - _P * v)) / (m + v)  # Rt(m + v)
-        power = np.ones_like(r)
-        for k in range(ell_max):
+        # Rt(m + v) = (d0 + v (d1 - P v)) / (m + v), d1 = -2 P m
+        np.multiply(m, -2.0 * _P, out=r)
+        r -= _P * v
+        r *= v
+        r += d0
+        r /= np.add(m, v, out=power)
+        np.copyto(power, r)  # 1.0 * r, the first power
+        sums[0] += w * np.sum(power)
+        for k in range(1, ell_max):
             power *= r
             sums[k] += w * np.sum(power)
     return sums
+
+
+def _blocks(lo: int, hi: int):
+    """The blocks [a, b) of the fixed grid 1, 128, k 2^15 (k >= 1) inside
+    the segment [max(lo, 1), hi); one that the segment cuts is cut too."""
+    start = max(lo, 1)
+    grid = (128, *range((lo // _CHUNK + 1) * _CHUNK, hi, _CHUNK))
+    return itertools.pairwise([start, *(g for g in grid if start < g < hi), hi])
 
 
 def rtilde_moments_exact(y: int, ell_max: int, acc: PhiAccumulator) -> list[float]:
@@ -200,10 +265,13 @@ def rtilde_moments_exact(y: int, ell_max: int, acc: PhiAccumulator) -> list[floa
         raise ValueError(f"y={y} outside [2, {acc.y}]")
     # the [0,1) interval: S_0 = 0, so Rt(u) = -P u
     parts = [[(-_P) ** ell / (ell + 1.0)] for ell in range(1, ell_max + 1)]
-    edges = [e for e in (1, 128, *range(_CHUNK, y, _CHUNK)) if e < y] + [y]
-    for lo, hi in itertools.pairwise(edges):
-        for part, s in zip(parts, _interval_sum(acc, lo, hi, ell_max).tolist()):
-            part.append(s)
+    work, x = np.empty((4, _CHUNK)), np.empty(_CHUNK, dtype=np.longdouble)
+    for lo, S in acc.prefix_segments(y - 1):
+        for a, b in _blocks(lo, lo + S.size):
+            n = b - a
+            sums = _interval_sum(S[a - lo : b - lo], a, ell_max, work[:, :n], x[:n])
+            for part, s in zip(parts, sums.tolist()):
+                part.append(s)
     return [math.fsum(part) / y for part in parts]
 
 

@@ -3,11 +3,14 @@ sawtooth, the per-n exact coefficients a(n) and b(n), by factorization, the
 second-moment pair sum one divisor at a time, the extremes and their
 report, the distribution statistics one scalar x at a time, the
 single-prime reduction by factorization, the C model's moment one
-Fraction per unit interval and modulus, and the totient error's samples as
-one whole-length expression and its moments in 2^19-interval chunks at
-8 nodes from m = 128.
+Fraction per unit interval and modulus, the multiplicative tables from one
+whole-table sieve, the totient error's samples as one whole-length
+expression and its moments from a whole prefix table (on the fixed block
+grid, and in 2^19-interval chunks at 8 nodes from m = 128), and the
+Freedman-Diaconis histogram by ``np.histogram(bins="fd")``.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +18,7 @@ import numpy as np
 
 from sawspec.distribution import DEFAULT_SCALES
 from sawspec.foundations import coeff_b_denominators, factorize, jordan_table, prime_array
+from sawspec.phi_error import _gauss_legendre_01, _node_count
 
 
 def psi(x: float) -> float:
@@ -202,3 +206,91 @@ def rtilde_moments_chunked(y: int, ell_max: int, acc) -> list[float]:
             part.append(s)
         lo = hi
     return [math.fsum(part) / y for part in parts]
+
+
+def _sieve_whole(limit: int, dtype, prime_power, large_prime) -> np.ndarray:
+    """The multiplicative f on [0, limit] as one table: from table = 1, for
+    p <= max(2, sqrt(limit)) then p^e <= limit, table[p^e::p^e] =
+    prime_power(table[p^e::p^e], p, e); every other n is s P with one prime
+    P > sqrt(limit), s < sqrt(limit) final, table[s P] = large_prime(table[s], P)."""
+    primes = prime_array(limit)
+    table = np.ones(limit + 1, dtype=dtype)
+    table[:1] = 0
+    root = max(math.isqrt(limit), 2)
+    cut = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:cut].tolist():
+        pk, e = p, 1
+        while pk <= limit:
+            table[pk::pk] = prime_power(table[pk::pk], p, e)
+            pk, e = pk * p, e + 1
+    large = primes[cut:]
+    for s in range(1, limit // (root + 1) + 1):
+        if table[s]:
+            P = large[: np.searchsorted(large, limit // s, side="right")]
+            table[s * P] = large_prime(table[s], P)
+    return table
+
+
+def _a_step(v, p, e):
+    if e == 1:
+        return v * (-0.5 if p == 2 else 2.0 / (p * (p - 2)))
+    return v * -0.5 if e == 2 and p > 2 else 0.0
+
+
+# name -> (dtype, prime_power, large_prime) of each table, as the whole-table
+# sieve filled it
+WHOLE_TABLE_STEPS = {
+    "jordan_1": (np.int64, lambda v, p, e: v * (p - 1 if e == 1 else p), lambda x, P: x * (P - 1)),
+    "jordan_2": (
+        np.int64,
+        lambda v, p, e: v * (p**2 - 1 if e == 1 else p**2),
+        lambda x, P: x * (P**2 - 1),
+    ),
+    "mobius": (np.int8, lambda v, p, e: -v if e == 1 else 0, lambda x, P: -x),
+    "coeff_a": (np.float64, _a_step, lambda x, P: x * (2.0 / (P * (P - 2)))),
+    "coeff_b": (
+        np.float64,
+        lambda v, p, e: v / (p - 2) if e == 1 and p > 2 else 0.0,
+        lambda x, P: x / (P - 2),
+    ),
+    "coeff_d": (
+        np.int64,
+        lambda v, p, e: v * (p - 2) if e == 1 and p > 2 else 0,
+        lambda x, P: x * (P - 2),
+    ),
+}
+
+
+def whole_table(name: str, limit: int) -> np.ndarray:
+    """The table ``name`` of WHOLE_TABLE_STEPS on [0, limit] by the
+    whole-table sieve."""
+    return _sieve_whole(limit, *WHOLE_TABLE_STEPS[name])
+
+
+def rtilde_moments_whole(y: int, ell_max: int, prefix: np.ndarray) -> list[float]:
+    """(1/y) int_0^y Rt^ell, ell = 1..ell_max, from the whole int64 prefix
+    table: each block of the grid 1, 128, k 2^15 integrated by one
+    whole-block expression at ``_node_count`` nodes, the block sums by fsum."""
+    parts = [[(-_P) ** ell / (ell + 1.0)] for ell in range(1, ell_max + 1)]
+    edges = [e for e in (1, 128, *range(1 << 15, y, 1 << 15)) if e < y] + [y]
+    ld = np.longdouble
+    for lo, hi in itertools.pairwise(edges):
+        m_int = np.arange(lo, hi, dtype=np.int64)
+        m = m_int.astype(float)
+        d0 = np.asarray(prefix[lo:hi].astype(ld) - ld(_P) * m_int.astype(ld) ** 2, dtype=float)
+        d1 = -2.0 * _P * m
+        sums = np.zeros(ell_max)
+        for v, w in zip(*_gauss_legendre_01(_node_count(lo))):
+            r = (d0 + v * (d1 - _P * v)) / (m + v)
+            power = np.ones_like(r)
+            for k in range(ell_max):
+                power *= r
+                sums[k] += w * np.sum(power)
+        for part, s in zip(parts, sums.tolist()):
+            part.append(s)
+    return [math.fsum(part) / y for part in parts]
+
+
+def histogram_fd(samples: np.ndarray):
+    """Counts and edges of the Freedman-Diaconis histogram, by numpy."""
+    return np.histogram(samples, bins="fd")

@@ -451,12 +451,12 @@ class TestExitCodes:
         ],
     )
     def test_accumulator_cap_is_3(self, capsys, argv):
-        # rejected before the sieve is built, with the bytes its peak would
-        # need: 13 per entry, the phi table summed in place
+        # rejected before any sieve work, for the float64 exactness of the
+        # prefix sums, with the bytes the samples alone would need: 8 per entry
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert "1300000026 bytes" in err
+        assert "800000008 bytes" in err
 
     def test_spectrum_cap_is_3(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")
@@ -467,15 +467,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("ell", ["2", "4"])
     @pytest.mark.parametrize("kind", ["C", "s", "R"])
     def test_moment_sieve_cap_is_3(self, capsys, kind, ell):
-        # refused before any array of length B + 1, with the bytes of a
-        # float64 sieve table on [0, B] (13 per entry), or for ell = 2 of the
-        # second moment's peak (25 per entry)
+        # refused before any array of length B + 1, with the bytes of the
+        # float64 weights on [0, B] beside a sieve (10 per entry), or for
+        # ell = 2 of the second moment's peak (25 per entry)
         code, out, err, peak = run_cli_traced(
             capsys, "moments", "--kind", kind, "--ell", ell, "--B", "10000000000"
         )
         assert code == 3
         assert out == ""
-        want = "250000000025 bytes" if ell == "2" else "130000000013 bytes"
+        want = "250000000025 bytes" if ell == "2" else "100000000010 bytes"
         assert want in err
         assert peak < 1 << 20
 
@@ -782,6 +782,23 @@ class TestOutputMatchesRowFormatter:
         meta = {"source": source, "scale": d.scale, "q": q}
         assert code == 0
         assert out == _csv_by_rows(("x", "F"), rows, meta)
+
+    def test_phi_hist_leaves_numpy_ma_unimported(self):
+        # np.percentile, behind numpy's FD rule, imports numpy.ma
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import contextlib, io, sys\n"
+            "from sawspec.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['phi', '--y', '100000', '--stat', 'hist'])\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": src})
+        assert run.returncode == 0
 
     @pytest.mark.parametrize("y", [1000, 100_000, 1_000_000])
     def test_phi_hist(self, capsys, y):

@@ -7,7 +7,7 @@ import pytest
 import sawspec as sw
 from sawspec import distribution as dist
 
-from oracles import ecdf_loop, extreme_report, extremes, symmetry_loop, tail_loop
+from oracles import ecdf_loop, extreme_report, extremes, histogram_fd, symmetry_loop, tail_loop
 
 EG_HALF = math.exp(0.5772156649015329) / 2.0
 
@@ -297,3 +297,81 @@ class TestSummary:
         counts, edges = dist.histogram(dist_ck)
         assert counts.sum() == dist_ck.n
         assert len(edges) == len(counts) + 1
+
+
+def _same_histogram(samples) -> None:
+    got = dist.histogram(sw.make_distribution("R", samples))
+    want = histogram_fd(samples)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
+
+
+class TestCopyFreeHistogram:
+    """The Freedman-Diaconis histogram from four order statistics and block
+    passes: counts and edges bit for bit as ``np.histogram(bins="fd")``."""
+
+    def test_quartiles_are_numpys(self):
+        # ranks (n - 1) q fall on quarters: each of t = 0, 1/4, 1/2, 3/4
+        rng = np.random.default_rng(7)
+        for n in range(1, 60):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            got = dist._quartiles(x, x.min(), x.max())
+            assert np.array_equal(got.view(np.int64), np.percentile(x, [75, 25]).view(np.int64)), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_few_samples(self, n):
+        rng = np.random.default_rng(n)
+        _same_histogram(rng.standard_normal(n))
+        _same_histogram(np.arange(n, dtype=float) ** 2)
+
+    def test_all_equal(self):
+        # IQR 0 and min == max: one bin of width 1 about the value
+        _same_histogram(np.full(1000, 2.5))
+        _same_histogram(np.full(1, -0.0))
+
+    def test_ties_straddle_the_quartile_ranks(self):
+        # n = 1001: ranks 250 and 750 fall inside runs of equal values; n = 1002
+        # puts the 25th and 75th percentiles between ranks in different runs
+        for n in (1001, 1002, 1003, 1004):
+            x = np.repeat(np.arange(8, dtype=float), -(-n // 8))[:n]
+            _same_histogram(np.random.default_rng(n).permutation(x))
+
+    def test_spike_and_narrow_runs(self):
+        # a bin holding most samples (a spike of 900 000 zeros), and a range
+        # too narrow for 4096 bins (3000 values an ulp apart), counted in one
+        rng = np.random.default_rng(5)
+        _same_histogram(np.concatenate([np.zeros(900_000), rng.standard_normal(100_000)]))
+        for span in (3000, 7000):
+            _same_histogram(rng.permutation(1.0 + np.arange(200_000) % span * np.finfo(float).eps))
+
+    def test_heavy_tails(self):
+        # many bins: each pass reads as many samples as there are bins
+        _same_histogram(np.random.default_rng(6).standard_cauchy(20_000))
+
+    def test_read_only_samples(self, dist_spec):
+        # the memoised spectrum vector is read-only; its dataset is a copy,
+        # so a read-only array is made here
+        x = np.array(dist_spec.samples)
+        x.flags.writeable = False
+        _same_histogram(x)
+
+    def test_readme_datasets(self, acc_1m):
+        q = 100003
+        for d in (
+            sw.from_ck_vector(sw.ck_all(q, "characters", table=sw.build_table(q))),
+            sw.from_spectrum(sw.spectrum_all(10007)),
+            sw.make_distribution("R", sw.rtilde_samples(acc_1m)),
+        ):
+            _same_histogram(d.samples)
+
+    def test_transient_memory(self, acc_1m):
+        # numpy's FD rule copies the samples (8 MB at 1e6) to take percentiles
+        d = sw.make_distribution("R", sw.rtilde_samples(acc_1m))
+        tracemalloc.start()
+        try:
+            dist.histogram(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak

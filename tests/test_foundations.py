@@ -14,11 +14,12 @@ from sawspec.foundations import (
     factorize,
     jordan_table,
     mobius_table,
+    phi_segments,
     prime_array,
     psi_array,
 )
 
-from oracles import coeff_a, coeff_b, psi
+from oracles import coeff_a, coeff_b, psi, whole_table
 
 TWIN_DOUBLED = 1.3203236316937392  # 2 * prod_{p>=3} (1 - (p-1)^-2)
 
@@ -164,8 +165,9 @@ class TestSieves:
             assert len(s) == limit + 1 and np.array_equal(s, phi)
 
     def test_callers_sieve_only_the_table_they_read(self, monkeypatch):
-        # the totient path and build_sieves fill phi alone (int64), the mu
-        # readers mu alone (int8), the C model b alone (float64)
+        # the totient stream sieves phi alone (int32 segments for the
+        # moments, float64 into the samples), build_sieves phi alone (int64),
+        # the mu readers mu alone (int8), the C model b alone (float64)
         import sawspec as sw
         import sawspec.foundations as fnd
 
@@ -177,7 +179,8 @@ class TestSieves:
 
         monkeypatch.setattr(fnd, "_sieve", spy)
         for call, want in [
-            (lambda: sw.build_phi_accumulator(1000), np.int64),
+            (lambda: sw.rtilde_moments_exact(1000, 2, sw.build_phi_accumulator(1000)), np.int32),
+            (lambda: sw.rtilde_samples(sw.build_phi_accumulator(1000)), np.float64),
             (lambda: sw.build_sieves(1000), np.int64),
             (lambda: sw.theoretical_moment("R", 4, 30), np.int8),
             (lambda: sw.sawtooth_model("R", 0.5, 30), np.int8),
@@ -189,8 +192,9 @@ class TestSieves:
 
     @pytest.mark.parametrize("limit", [10**6, 10**7])
     def test_peak_below_the_cap_figure(self, limit):
-        # the cap message states (1.5 itemsize + 1) bytes per entry: the
-        # table, its product at p = 2 and under a byte of primes and products
+        # the cap message states (itemsize + 1) bytes per entry: the table
+        # and one segment's smooth parts and temporaries, under a byte per
+        # entry from 1e6 on
         import tracemalloc
 
         for build, dtype in [
@@ -207,17 +211,94 @@ class TestSieves:
             finally:
                 tracemalloc.stop()
             size = np.dtype(dtype).itemsize
-            assert size * (limit + 1) < peak < (1.5 * size + 1) * (limit + 1), dtype
+            assert size * (limit + 1) < peak < (size + 1) * (limit + 1), dtype
 
     def test_resource_cap(self):
         from sawspec.errors import ResourceLimitError
 
-        # below 13 bytes per entry: phi, its product at p = 2 and the primes
-        with pytest.raises(ResourceLimitError, match=r"2600000026 bytes"):
+        # below 9 bytes per entry: the phi table and one segment's work
+        with pytest.raises(ResourceLimitError, match=r"1800000018 bytes"):
             build_sieves(200_000_001)
-        # below 2.5 bytes per entry for mu alone
-        with pytest.raises(ResourceLimitError, match=r"500000005 bytes"):
+        # below 2 bytes per entry for mu alone
+        with pytest.raises(ResourceLimitError, match=r"400000004 bytes"):
             mobius_table(200_000_001)
+
+
+_TABLES = {
+    "jordan_1": lambda limit: jordan_table(limit, 1),
+    "jordan_2": lambda limit: jordan_table(limit, 2),
+    "mobius": mobius_table,
+    "coeff_a": coeff_a_floats,
+    "coeff_b": coeff_b_floats,
+    "coeff_d": coeff_b_denominators,
+}
+
+
+class TestSegmentedSieve:
+    """Every table of the segmented sieve is the whole-table sieve's, bit
+    for bit and of the same dtype, wherever the segments end."""
+
+    @staticmethod
+    def _check(limits):
+        for limit in limits:
+            for name, build in _TABLES.items():
+                got, want = build(limit), whole_table(name, limit)
+                assert got.dtype == want.dtype, (name, limit)
+                assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (name, limit)
+
+    def test_small_limits(self):
+        self._check(range(1, 301))
+
+    @pytest.mark.parametrize("limit", [10**5, 10**6])
+    def test_large_limits(self, limit):
+        self._check([limit])
+
+    def test_many_segment_ends(self, monkeypatch):
+        # segments of 64 entries (128 from limit 2^18 on) put segment ends
+        # between the multiples of every prime power
+        import sawspec.foundations as fnd
+
+        monkeypatch.setattr(fnd, "_SIEVE_UNIT", 64)
+        monkeypatch.setattr(fnd, "_TABLE_UNITS", 1)
+        self._check([*range(1, 301), 10**5])
+
+    @pytest.mark.parametrize("limit, size", [(10**5, 2**15), (10**6, 2**16), (10**7, 229_376)])
+    def test_segment_rule(self, limit, size):
+        # 2^15 ceil(sqrt(limit) / 2^9) entries, the last one cut at limit + 1
+        segments = phi_segments(limit)
+        lo0, first = next(segments)
+        lo1, _ = next(segments)
+        assert (lo0, first.size, lo1, first.dtype) == (0, size, size, np.int32)
+        # into a float64 array: the same segments, as its slices
+        out = np.empty(limit + 1)
+        lo0, first = next(phi_segments(limit, out))
+        assert first.size == size and np.shares_memory(first, out)
+
+    def test_table_segments(self, monkeypatch):
+        # a table is filled in segments of at least 2^17 entries: one below
+        # that, so the sieve loops over the prime powers once
+        import sawspec.foundations as fnd
+
+        sieve, sizes = fnd._sieve, []
+
+        def spy(*args):
+            for lo, f in sieve(*args):
+                sizes.append(f.size)
+                yield lo, f
+
+        monkeypatch.setattr(fnd, "_sieve", spy)
+        coeff_a_floats(10**5)
+        assert sizes == [10**5 + 1]
+        sizes.clear()
+        mobius_table(10**6)
+        assert sizes == [2**17] * 7 + [10**6 + 1 - 7 * 2**17]
+
+    def test_phi_stream_refuses_int32_overflow(self):
+        # refused when called, before any prime is listed
+        from sawspec.errors import ResourceLimitError
+
+        with pytest.raises(ResourceLimitError, match="2147483648 is not below 2"):
+            phi_segments(2**31)
 
 
 _IS_PRIME_1M = np.zeros(10**6 + 1, dtype=bool)

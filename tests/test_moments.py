@@ -120,7 +120,7 @@ class TestTheoretical:
     def test_multiset_budget_comes_before_any_support_list(self, kind):
         # at B = 1e6 the support (405 286 to 1e6 values) is counted, not
         # listed, so the refusal peaks at the weights or denominators, below
-        # the 13 bytes per entry of the sieve cap; a list of the support
+        # the 10 bytes per entry of the sieve cap; a list of the support
         # first took 27 to 56
         B = 10**6
         tracemalloc.start()
@@ -133,12 +133,13 @@ class TestTheoretical:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 13 * (B + 1)
+        assert peak < 10 * (B + 1)
 
     @pytest.mark.parametrize("kind", ["C", "s", "R"])
     def test_support_weights_peak_within_the_sieve_figure(self, kind):
-        # the 13 bytes per entry the sieve cap states: kinds s and R divide
-        # into one float64 array in place (16 and 17 with a second one)
+        # the 10 bytes per entry the sieve cap states: kinds s and R divide
+        # into one float64 array in place (16 and 17 with a second one), R
+        # beside the int8 mu table and one sieve segment
         B = 10**6
         tracemalloc.start()
         try:
@@ -146,10 +147,10 @@ class TestTheoretical:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 13 * (B + 1)
+        assert peak <= 10 * (B + 1)
 
     def test_second_moment_cap_states_its_own_peak(self):
-        # t beside J_2 and its float copy: 25 bytes per entry, not the 13 of
+        # t beside J_2 and its float copy: 25 bytes per entry, not the 10 of
         # the float64 sieve the weights come from
         for kind in ("C", "s", "R"):
             with pytest.raises(ResourceLimitError, match=r"5000000050 bytes"):

@@ -8,7 +8,13 @@ from scipy.integrate import quad
 import sawspec as sw
 from sawspec.errors import ResourceLimitError
 
-from oracles import psi, rtilde_moments_chunked, rtilde_samples_whole
+from oracles import (
+    psi,
+    rtilde_moments_chunked,
+    rtilde_moments_whole,
+    rtilde_samples_whole,
+    whole_table,
+)
 
 P = 3.0 / math.pi**2
 
@@ -40,22 +46,30 @@ class TestRValues:
         assert acc_1m.prefix[0] == 0
         diffs = np.diff(acc_1m.prefix)
         assert np.all(diffs > 0)
-        assert acc_1m.phi(10) == 4
+        assert diffs[9] == 4  # phi(10)
 
     def test_peak_is_phi_and_prefix(self):
-        # phi and its prefix are one table, summed in place, so the peak is
-        # the sieve's (the cap message states its 13 bytes per entry)
+        # the accumulator holds no table: its prefix sums are streamed, equal
+        # to the cumsum of the phi table, in one int64 buffer beside one
+        # int32 segment of phi and the sieve's work, 1.2 MB at y = 1e6 where
+        # the summed table peaked at 12.6 MB
         import tracemalloc
 
         y = 10**6
+        want = np.cumsum(sw.build_sieves(y))
+        acc = sw.build_phi_accumulator(y)
+        assert acc.prefix is None
+        ends = []
         tracemalloc.start()
         try:
-            acc = sw.build_phi_accumulator(y)
+            for lo, S in acc.prefix_segments(y):
+                assert np.array_equal(S, want[lo : lo + S.size]), lo
+                ends.append(lo + S.size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 12.63 * (y + 1) <= peak < 12.64 * (y + 1)
-        assert np.array_equal(acc.prefix, np.cumsum(sw.build_sieves(y)))
+        assert peak < 1.5 * 2**20, peak
+        assert ends[-1] == y + 1 and all(e % 2**15 == 0 for e in ends[:-1])
 
     def test_short_table_refused(self):
         # a table shorter than y + 1 is an error, not a cue to sieve afresh
@@ -193,7 +207,8 @@ class TestMomentExact:
                     epsabs=1e-13,
                     epsrel=1e-12,
                 )[0]
-                mine = _interval_sum(acc_1m, m, m + 1, ell)[-1]
+                work, x = np.empty((4, 1)), np.empty(1, dtype=np.longdouble)
+                mine = _interval_sum(acc_1m.prefix[m : m + 1], m, ell, work, x)[-1]
                 assert mine == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
     def test_against_series_route(self, acc_1m):
@@ -299,6 +314,82 @@ class TestBlockedPipeline:
         assert [_node_count(m) for m in (1, 127, 128, 32768, 327680, 360448)] == [
             64, 64, 8, 6, 6, 5
         ]
+
+
+class TestStream:
+    """The accumulator without a table: samples, moments and values from the
+    segmented phi sieve, bit for bit as the whole-table pipeline, in the
+    memory of a few segments."""
+
+    @pytest.mark.parametrize("y", [2, 3, 2**15 - 1, 2**15, 2**15 + 1, 10**5, 10**6])
+    def test_bit_identical_to_whole_table(self, y):
+        phi = whole_table("jordan_1", y)
+        table = sw.build_phi_accumulator(y, phi)
+        acc = sw.build_phi_accumulator(y)
+        assert acc.prefix is None
+        got, want = sw.rtilde_samples(acc), rtilde_samples_whole(table)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert sw.rtilde_moments_exact(y, 8, acc) == rtilde_moments_whole(y, 8, table.prefix)
+        assert sw.rtilde_moments_exact(y, 8, table) == rtilde_moments_whole(y, 8, table.prefix)
+        for x in {1, 1.5, 2, y // 2, y - 0.5, y, 2**15, 2**15 + 0.5, 2**15 + 1}:
+            if x <= y:
+                assert sw.r_values(x, acc) == sw.r_values(x, table), x
+
+    def test_cut_blocks(self, monkeypatch):
+        # segments of 64 entries cut the 2^15 blocks: the moments move only by
+        # rounding, the samples and values not at all
+        import sawspec.foundations as fnd
+
+        y = 10**5
+        table = sw.build_phi_accumulator(y, sw.build_sieves(y))
+        monkeypatch.setattr(fnd, "_SIEVE_UNIT", 64)
+        acc = sw.build_phi_accumulator(y)
+        assert np.array_equal(sw.rtilde_samples(acc), sw.rtilde_samples(table))
+        got, want = sw.rtilde_moments_exact(y, 8, acc), sw.rtilde_moments_exact(y, 8, table)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
+        assert sw.r_values(65536, acc) == sw.r_values(65536, table)
+
+    def test_moment_pass_memory(self):
+        # counting the sieve: one phi segment, the int64 buffer and the
+        # pass's scratch rows, under 4 MB where the table alone was 8 MB
+        import tracemalloc
+
+        y = 10**6
+        tracemalloc.start()
+        try:
+            sw.rtilde_moments_exact(y, 8, sw.build_phi_accumulator(y))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+    def test_samples_memory(self):
+        # counting the sieve: 8 bytes per sample and one segment's work (phi
+        # is sieved straight into the samples, beside its int32 smooth parts),
+        # at most 8.5 bytes per entry
+        import tracemalloc
+
+        y = 10**6
+        tracemalloc.start()
+        try:
+            sw.rtilde_samples(sw.build_phi_accumulator(y))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * y, peak / y
+
+    def test_values_stop_at_the_segment_of_x(self):
+        # r_values reads S and phi at floor(x) alone: at y = 1e7 it sieves [0, 10]
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            got = sw.r_values(10, sw.build_phi_accumulator(10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == sw.r_values(10, sw.build_phi_accumulator(100))
+        assert peak < 2**16, peak
 
 
 class TestTruncatedModel:
