@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .bias import Pattern, c1_pattern, c2_pair, c2_pattern, ck_all
 from .characters import build_table, is_prime
-from .correlations import b_exact, b_lattice_estimate, discrete_correlation
+from .correlations import MAX_PERIOD, b_exact, b_lattice_estimate, discrete_correlation
 from .dedekind import dedekind_sum_pair, spectrum_all
 from .distribution import (
     EULER_GAMMA,
@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "lattice", "discrete"), default="exact")
     p.add_argument("--K", type=_positive_int, default=100, help="lattice box size")
     p.add_argument("--q", type=_positive_int, default=None, help="discrete modulus")
-    p.add_argument("--lcm-cap", type=_positive_int, default=1_000_000)
 
     p = command("moments", _cmd_moments, "theoretical moments by tuple sums")
     p.add_argument("--kind", choices=("C", "s", "R"), required=True)
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="summary",
     )
     p.add_argument("--m", type=int, default=0, help="shift for almost-period")
-    p.add_argument("--grid", type=_positive_int, default=61, help="ecdf grid points")
 
     p = command("phi", _cmd_phi, "totient summatory error term")
     p.add_argument("--y", type=_positive_int, required=True)
@@ -381,7 +379,7 @@ def _cmd_bcorr(args) -> int:
     _format(args, "json")
     payload: dict = {"moduli": list(mods), "method": args.method}
     if args.method == "exact":
-        value = b_exact(mods, lcm_cap=args.lcm_cap)
+        value = b_exact(mods)
         payload["value_num"] = value.numerator
         payload["value_den"] = value.denominator
         payload["error_bound"] = 0.0
@@ -396,7 +394,7 @@ def _cmd_bcorr(args) -> int:
         payload["value"] = value
         payload["q"] = args.q
         payload["error_bound"] = ell * K / args.q * math.log(math.e * args.q / K)
-    emit_json(payload, args, {"lcm_cap": args.lcm_cap})
+    emit_json(payload, args, {"lcm_cap": MAX_PERIOD})
     return EXIT_OK
 
 
@@ -441,7 +439,7 @@ def _cmd_dist(args) -> int:
     if args.stat == "summary":
         emit_json(summary(dist), args, meta)
     elif args.stat == "ecdf":
-        xs = np.linspace(-4.0, 4.0, args.grid)
+        xs = np.linspace(-4.0, 4.0, 61)
         emit_csv(("x", "F"), (xs, ecdf_scaled(dist, xs)), args, meta)
     elif args.stat == "hist":
         _emit_histogram(dist, args, meta)

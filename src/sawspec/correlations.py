@@ -28,9 +28,11 @@ __all__ = [
     "b_lattice_estimate",
     "discrete_correlation",
     "MAX_FACTORS",
+    "MAX_PERIOD",
 ]
 
 MAX_FACTORS = 8
+MAX_PERIOD = 1_000_000  # reduced period b_exact integrates over, in unit intervals
 
 
 def reduce_correlation(moduli) -> tuple[tuple[int, ...], Fraction]:
@@ -87,13 +89,14 @@ def _integrate_reduced(moduli: tuple[int, ...], period: int) -> Fraction:
     return Fraction(num, denom)
 
 
-def b_exact(moduli, lcm_cap: int = 1_000_000) -> Fraction:
+def b_exact(moduli) -> Fraction:
     """Exact correlation integral of the sawtooths psi(x/n_j).
 
     Zero for an odd number of factors; gcd(n1,n2)^2/(12 n1 n2) for pairs;
     otherwise reduced and integrated exactly over one period of the reduced
     tuple (the full product of the moduli is a multiple of that period, so
-    the means agree).
+    the means agree).  An even count above ``MAX_FACTORS``, or a reduced
+    period above ``MAX_PERIOD``, raises ResourceLimitError before any array.
     """
     mods = tuple(int(n) for n in moduli)
     if not mods or any(n < 1 for n in mods):
@@ -105,11 +108,11 @@ def b_exact(moduli, lcm_cap: int = 1_000_000) -> Fraction:
         g = math.gcd(mods[0], mods[1])
         return Fraction(g * g, 12 * mods[0] * mods[1])
     if ell > MAX_FACTORS:
-        raise ResourceLimitError(f"integration degree capped at {MAX_FACTORS}")
+        raise ResourceLimitError(f"integration degree ell = {ell} exceeds cap {MAX_FACTORS}")
     reduced, scalar = reduce_correlation(mods)
     period = math.lcm(*reduced)
-    if period > lcm_cap:
-        raise ResourceLimitError(f"reduced period {period} exceeds cap {lcm_cap}")
+    if period > MAX_PERIOD:
+        raise ResourceLimitError(f"reduced period {period} exceeds cap {MAX_PERIOD}")
     return scalar * _integrate_reduced(reduced, period)
 
 
@@ -128,8 +131,12 @@ def b_lattice_estimate(moduli, K: int) -> float:
         raise ValueError("need at least two moduli")
     if K < 1:
         raise ValueError("K must be >= 1")
-    if (2 * K) ** (ell - 1) > _LATTICE_BUDGET:
-        raise ResourceLimitError("lattice enumeration exceeds budget")
+    points = (2 * K) ** (ell - 1)
+    if points > _LATTICE_BUDGET:
+        raise ResourceLimitError(
+            f"lattice enumeration of (2K)^(ell-1) = {points} points exceeds "
+            f"budget {_LATTICE_BUDGET}"
+        )
 
     # solve for the coordinate with the largest modulus (tightest
     # integrality constraint), enumerate the rest

@@ -6,8 +6,9 @@ single-prime reduction by factorization, the C model's moment one
 Fraction per unit interval and modulus, the multiplicative tables from one
 whole-table sieve, the totient error's samples as one whole-length
 expression and its moments from a whole prefix table (on the fixed block
-grid, and in 2^19-interval chunks at 8 nodes from m = 128), and the
-Freedman-Diaconis histogram by ``np.histogram(bins="fd")``.
+grid, and in 2^19-interval chunks at 8 nodes from m = 128), the
+Freedman-Diaconis histogram by ``np.histogram(bins="fd")``, and the
+Dedekind spectrum from the cotangent form, with no Dedekind sum.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from sawspec.characters import _odd_correlation, build_context
 from sawspec.distribution import DEFAULT_SCALES
 from sawspec.foundations import coeff_b_denominators, factorize, jordan_table, prime_array
 from sawspec.phi_error import _gauss_legendre_01, _node_count
@@ -294,3 +296,22 @@ def rtilde_moments_whole(y: int, ell_max: int, prefix: np.ndarray) -> list[float
 def histogram_fd(samples: np.ndarray):
     """Counts and edges of the Freedman-Diaconis histogram, by numpy."""
     return np.histogram(samples, bins="fd")
+
+
+def spectrum_by_cotangents(q: int) -> np.ndarray:
+    """Im s_hat_q(t), t = 0..q-1, with no Dedekind sum.  The cotangent form
+    s(a, q) = (1/4q) sum_{0<j<q} cot(pi j/q) cot(pi a j/q) (Rademacher and
+    Grosswald, *Dedekind Sums*, 1972) and sum_{0<b<q} cot(pi b/q)
+    sin(2 pi b r/q) = q - 2r for 0 < r < q give
+
+        Im s_hat_q(t) = -(1/2q) sum_{0<j<q} cot(pi j/q) psi(t inv(j)/q),
+
+    one ``_odd_correlation`` over the group of the odd f(a) = cot(pi inv(a)/q),
+    whose fold at a = g^m is 2 cot(pi inv(g^m)/q), with the odd psi(a/q).
+    cot(pi j/q) reaches q/pi at j = 1, so the roundoff grows like q."""
+    ctx = build_context(q)
+    u = 2.0 / np.tan((math.pi / q) * ctx.inverse(ctx.powers[: (q - 1) // 2]))
+    return _odd_correlation(
+        ctx, u, lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out),
+        -0.5 / q, 0.0,
+    )

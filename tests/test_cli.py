@@ -125,7 +125,6 @@ FLAGS = {
         "method": st.sampled_from(("exact", "lattice", "discrete")),
         "K": st.integers(-1, 30),
         "q": _maybe(_Q),
-        "lcm-cap": _maybe(st.integers(-1, 300)),
     },
     "moments": {
         "kind": st.sampled_from(("C", "s", "R")),
@@ -138,7 +137,6 @@ FLAGS = {
         "y": st.integers(-1, 10_000),
         "stat": st.sampled_from(("summary", "ecdf", "hist", "tails", "almost-period")),
         "m": st.integers(-300, 300),
-        "grid": _maybe(st.integers(-1, 100)),
     },
     "phi": {
         "y": st.integers(-1, 10_000),
@@ -186,9 +184,9 @@ def allowed_codes(command, f):
             and _coprime(residues, f["q"])
         )
     elif command == "bcorr":
-        mods, q, cap = f["moduli"], f["q"], f["lcm-cap"]
+        mods, q = f["moduli"], f["q"]
         offered = ("json",)
-        valid = min(mods) >= 1 and f["K"] >= 1 and _at_least_1(q) and _at_least_1(cap)
+        valid = min(mods) >= 1 and f["K"] >= 1 and _at_least_1(q)
         if f["method"] == "lattice":
             valid = valid and len(mods) % 2 == 0
         elif f["method"] == "discrete":
@@ -196,8 +194,6 @@ def allowed_codes(command, f):
             # the discrete route's precondition prod/min < q/ell
             if valid and math.prod(mods) // min(mods) * len(mods) >= q:
                 codes = {1}
-        elif len(mods) >= 4 and len(mods) % 2 == 0 and math.lcm(*mods) > (cap or 10**6):
-            codes = {0, 3}  # lcm_cap bounds the reduced period, which divides the lcm
     elif command == "moments":
         valid = f["ell"] >= 1 and f["B"] >= 1
         offered = ("json", "csv")
@@ -205,7 +201,7 @@ def allowed_codes(command, f):
             codes = {3}  # the multiset budget or the degree cap
     elif command == "dist":
         q, y = f["q"], f["y"]
-        valid = (q is None or _is_odd_prime(q)) and y >= 1 and _at_least_1(f["grid"])
+        valid = (q is None or _is_odd_prime(q)) and y >= 1
         if f["source"] == "rtilde":
             valid = valid and y >= 2 and f["stat"] != "almost-period"
         else:
@@ -446,6 +442,22 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("bcorr", "--moduli", "2,3", "--lcm-cap", "5"),
+            ("dist", "--source", "ck", "--q", "11", "--stat", "ecdf", "--grid", "5"),
+        ],
+    )
+    def test_cap_and_grid_flags_are_gone(self, capsys, argv):
+        # bcorr's period cap and the ECDF's 61-point grid are fixed
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("phi", "--y", "100000001"),
             ("dist", "--source", "rtilde", "--y", "100000001"),
         ],
@@ -513,11 +525,20 @@ class TestExitCodes:
         assert peak < 1 << 20
 
     def test_resource_error_is_3(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bcorr", "--moduli", "5,5,7,7", "--lcm-cap", "10"
+        # the reduced period 9 699 690 is above the fixed cap of 10^6: refused
+        # before any array, naming both
+        code, out, err, peak = run_cli_traced(
+            capsys, "bcorr", "--moduli", "2310,2730,2431,646,57,15"
         )
         assert code == 3
-        assert "resource" in err
+        assert out == ""
+        assert "resource error: reduced period 9699690 exceeds cap 1000000" in err
+        assert peak < 1 << 20
+
+    def test_exact_meta_prints_the_period_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "bcorr", "--moduli", "6,10,15,30")
+        assert code == 0
+        assert json.loads(out)["meta"]["truncation_params"] == {"lcm_cap": 1000000}
 
 
 class TestSpectrumCsv:

@@ -1,5 +1,7 @@
+import inspect
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -110,11 +112,32 @@ class TestExact:
         assert _integrate_reduced(mods, period) == _integrate_by_interval(mods, period)
 
     def test_lcm_cap(self):
-        with pytest.raises(ResourceLimitError):
-            sw.b_exact((64, 64, 81, 81), lcm_cap=1000)
+        # reduced period lcm(1000, 1001) = 1 001 000, just above the fixed cap
+        with pytest.raises(ResourceLimitError, match="reduced period 1001000 exceeds cap 1000000"):
+            sw.b_exact((1000, 1000, 1001, 1001))
+
+    def test_period_at_the_cap_is_integrated(self, monkeypatch):
+        # the cap refuses periods above MAX_PERIOD, not at it
+        monkeypatch.setattr(sw.correlations, "_integrate_reduced", lambda m, p: Fraction(p))
+        assert sw.correlations.MAX_PERIOD == 10**6
+        assert sw.b_exact((1000, 1000, 1000, 10**6)) == 10**6
+
+    def test_cap_is_fixed(self):
+        assert list(inspect.signature(sw.b_exact).parameters) == ["moduli"]
+
+    def test_period_cap_refuses_before_any_array(self):
+        # the reduced period 9 699 690 is refused before its coefficient rows exist
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="9699690 exceeds cap 1000000"):
+                sw.b_exact((2310, 2730, 2431, 646, 57, 15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_degree_cap(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="degree ell = 10 exceeds cap 8"):
             sw.b_exact((1,) * 10)
 
     def test_rejects_bad_moduli(self):
@@ -194,8 +217,12 @@ class TestLattice:
             sw.b_lattice_estimate((1, 2, 3), 50)
 
     def test_budget(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as exc:
             sw.b_lattice_estimate((1, 1, 1, 1), 10**6)
+        assert str(exc.value) == (
+            "lattice enumeration of (2K)^(ell-1) = 8000000000000000000 points "
+            "exceeds budget 20000000"
+        )
 
     def test_monotone_convergence(self):
         for mods in ((1, 1), (2, 3), (1, 2)):
