@@ -24,7 +24,7 @@ from .characters import (
     require_below_cap,
     require_odd_prime,
 )
-from .foundations import coeff_b_floats, constant_C
+from .foundations import coeff_b_floats, constant_C, require_sieve_limit
 
 __all__ = [
     "Pattern",
@@ -159,8 +159,11 @@ def ck_all(
         values[0] = np.nan
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
-        ctx = build_context(q)
         N = cutoff if cutoff is not None else max(1000, q)
+        # tracemalloc peak per entry of [0, N]: the b(n) table beside
+        # _coprime_terms' index arrays over the odd squarefree n (20.96)
+        require_sieve_limit(N, 21)
+        ctx = build_context(q)
         c_q, _ = constant_C(excluded_prime=q)
         weights, two_n = _coprime_terms(q, coeff_b_floats(N))
         u = _fold_by_exponent(ctx, two_n, weights)

@@ -31,7 +31,6 @@ from .characters import build_table, is_prime
 from .correlations import MAX_PERIOD, b_exact, b_lattice_estimate, discrete_correlation
 from .dedekind import dedekind_sum_pair, spectrum_all
 from .distribution import (
-    EULER_GAMMA,
     almost_period_stat,
     ecdf_scaled,
     from_ck_vector,
@@ -133,6 +132,17 @@ def emit_csv(header, columns, args, meta: dict) -> None:
     _write("\n".join(lines) + "\n" + body, args.output)
 
 
+def _emit_record(payload: dict, args, fmt: str, truncation: dict, header=None) -> None:
+    """One record: JSON with ``truncation`` in its meta, or CSV as a header
+    row (the payload's keys unless ``header`` is given) over one row of the
+    payload's values."""
+    if fmt == "csv":
+        columns = [(v,) for v in payload.values()]
+        emit_csv(header or tuple(payload), columns, args, {"command": args.command})
+    else:
+        emit_json(payload, args, truncation)
+
+
 def _emit_histogram(dist, args, meta: dict) -> None:
     counts, edges = histogram(dist)
     emit_csv(("bin_lo", "bin_hi", "count"), (edges[:-1], edges[1:], counts), args, meta)
@@ -190,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("dedekind", _cmd_dedekind, "exact Dedekind sum s_q(a)")
     p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "reciprocity"), default="reciprocity")
 
     p = command("spectrum", _cmd_spectrum, "Fourier transform of the Dedekind sums")
     p.add_argument("--q", type=_odd_prime, required=True)
@@ -200,11 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_odd_prime, required=True)
     p.add_argument("--method", choices=("characters", "truncated"), default="characters")
     p.add_argument("--N", type=_positive_int, default=None, help="series cutoff")
-    p.add_argument(
-        "--scale-egamma",
-        action="store_true",
-        help="emit 2 e^-gamma C(k) (the distributional normalization)",
-    )
 
     p = command("c2", _cmd_c2, "second-order pattern constant")
     p.add_argument("--q", type=_odd_prime, required=True)
@@ -282,22 +286,12 @@ def _check_residues(args, residues) -> None:
 def _cmd_dedekind(args) -> int:
     _check_residues(args, (args.a,))
     fmt = _format(args, "text", "csv", "json")
-    value = dedekind_sum_pair(args.a, args.q, args.method)
-    if fmt == "json":
-        emit_json(
-            {"q": args.q, "a": args.a, "method": args.method, "value": value},
-            args,
-            {},
-        )
-    elif fmt == "csv":
-        emit_csv(
-            ("q", "a", "method", "s_q_a"),
-            [(args.q,), (args.a,), (args.method,), (value,)],
-            args,
-            {"command": "dedekind"},
-        )
-    else:
+    value = dedekind_sum_pair(args.a, args.q)
+    if fmt == "text":
         _write(_fmt(value) + "\n", args.output)
+    else:
+        payload = {"q": args.q, "a": args.a, "method": "reciprocity", "value": value}
+        _emit_record(payload, args, fmt, {}, ("q", "a", "method", "s_q_a"))
     return EXIT_OK
 
 
@@ -319,21 +313,15 @@ def _cmd_spectrum(args) -> int:
 def _cmd_ck(args) -> int:
     fmt = _format(args, "csv", "json")
     if args.method == "characters":
-        table = build_table(args.q)
-        vec = ck_all(args.q, "characters", table=table)
+        vec = ck_all(args.q, "characters", table=build_table(args.q))
     else:
         vec = ck_all(args.q, "truncated", cutoff=args.N)
-    values = vec.samples
-    scale_note = "none"
-    if args.scale_egamma:
-        values = values * (2.0 * math.exp(-EULER_GAMMA))
-        scale_note = "2/e^gamma"
-    meta = {"q": args.q, "method": vec.method, "scale": scale_note}
-    meta.update(vec.truncation)
+    # the C(k) print unscaled; a distribution applies its scale at query time
+    meta = {"q": args.q, "method": vec.method, "scale": "none", **vec.truncation}
     if fmt == "json":
-        emit_json({"q": args.q, "c_k": values}, args, meta)
+        emit_json({"q": args.q, "c_k": vec.samples}, args, meta)
     else:
-        emit_csv(("k", "c_k"), (np.arange(1, args.q), values), args, meta)
+        emit_csv(("k", "c_k"), (np.arange(1, args.q), vec.samples), args, meta)
     return EXIT_OK
 
 
@@ -357,11 +345,7 @@ def _cmd_c2(args) -> int:
     else:
         value = c2_pair(args.q, args.a, args.b, table)
         payload = {"q": args.q, "a": args.a, "b": args.b, "c2": value}
-    if fmt == "csv":
-        columns = [(v,) for v in payload.values()]
-        emit_csv(tuple(payload), columns, args, {"command": "c2"})
-    else:
-        emit_json(payload, args, {"a_series_cutoff": table.cutoff})
+    _emit_record(payload, args, fmt, {"a_series_cutoff": table.cutoff})
     return EXIT_OK
 
 
@@ -408,11 +392,7 @@ def _cmd_moments(args) -> int:
         "value": est.value,
         "tail_note": est.tail_note,
     }
-    if fmt == "csv":
-        columns = [(v,) for v in payload.values()]
-        emit_csv(tuple(payload), columns, args, {"command": "moments"})
-    else:
-        emit_json(payload, args, {"B": args.B})
+    _emit_record(payload, args, fmt, {"B": args.B})
     return EXIT_OK
 
 
@@ -431,11 +411,7 @@ def _cmd_dist(args) -> int:
         dist = from_spectrum(spectrum_all(args.q))
     else:
         dist = make_distribution("R", rtilde_samples(build_phi_accumulator(args.y)))
-    meta = {"source": args.source, "scale": dist.scale}
-    if args.q is not None:
-        meta["q"] = args.q
-    if args.y is not None:
-        meta["y"] = args.y
+    meta = {"source": args.source, "scale": dist.scale, flag: getattr(args, flag)}
     if args.stat == "summary":
         emit_json(summary(dist), args, meta)
     elif args.stat == "ecdf":

@@ -122,7 +122,10 @@ _LATTICE_BUDGET = 20_000_000  # lattice points b_lattice_estimate enumerates
 def b_lattice_estimate(moduli, K: int) -> float:
     """Lattice-sum route: (i/2pi)^ell sum over nonzero |k_j| <= K with
     sum k_j/n_j = 0 of 1/(k_1 ... k_ell); defined for an even number of
-    factors (the exact value is zero for odd counts)."""
+    factors (the exact value is zero for odd counts).  The constraint is
+    tested in int64 as n_last sum_j k_j D/n_j = 0 mod D, D the lcm of the
+    free moduli, so a bound n_last K sum_j D/n_j of 2^63 or more raises
+    ValueError before any array."""
     mods = [int(n) for n in moduli]
     ell = len(mods)
     if ell % 2 == 1:
@@ -145,6 +148,12 @@ def b_lattice_estimate(moduli, K: int) -> float:
     n_last = mods[order[-1]]
     D = math.lcm(*free)
     mult = [D // n for n in free]
+    bound = n_last * K * sum(mult)
+    if bound >= 2**63:
+        raise ValueError(
+            f"the lattice sum needs n_last K sum_j D/n_j = {bound} below 2^63 "
+            "for its int64 arithmetic"
+        )
     ks = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
 
     total = 0.0

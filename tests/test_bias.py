@@ -160,6 +160,24 @@ class TestCkVector:
         with pytest.raises(ResourceLimitError, match="58000087 bytes"):
             sw.ck_all(2_000_003, "truncated")
 
+    def test_truncated_sieve_cap_states_its_peak(self):
+        # 21 bytes per entry of [0, N], the measured tracemalloc peak (20.96)
+        # rounded up, refused before the b(n) table
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="would peak below 4200000042 bytes"):
+                sw.ck_all(11, "truncated", cutoff=200_000_001)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            sw.ck_all(1009, "truncated", cutoff=1000)  # the context and C_q, memoised
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            N = 10**6
+            sw.ck_all(1009, "truncated", cutoff=N)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 21 * (N + 1), peak
+
     @pytest.mark.parametrize("q", [9, 25, 100])
     def test_truncated_route_rejects_composite_q(self, q):
         with pytest.raises(ValueError, match="prime"):

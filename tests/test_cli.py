@@ -49,11 +49,10 @@ class TestDedekind:
         assert rec["meta"]["command"] == "dedekind"
         assert "version" in rec["meta"] and "truncation_params" in rec["meta"]
 
-    def test_direct_method_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "dedekind", "--q", "7", "--a", "6", "--method", "direct"
-        )
-        assert code == 0 and out.strip() == "-5/14"
+    def test_descent_at_a_large_modulus(self, capsys):
+        code, out, _ = run_cli(capsys, "dedekind", "--q", "1000000007", "--a", "7")
+        assert code == 0
+        assert out.strip() == "23809524357142861/2000000014"
 
 
 def run_quiet(*argv):
@@ -102,17 +101,12 @@ _FORMAT = {"format": _maybe(st.sampled_from(("csv", "json")))}
 
 # every flag of every command, over small sizes; None leaves a flag out
 FLAGS = {
-    "dedekind": {
-        "q": _Q,
-        "a": st.integers(-1000, 1000),
-        "method": st.sampled_from(("direct", "reciprocity")),
-    },
+    "dedekind": {"q": _Q, "a": st.integers(-1000, 1000)},
     "spectrum": {"q": _Q, "algorithm": st.sampled_from(("naive", "chirp-z"))},
     "ck": {
         "q": _Q,
         "method": st.sampled_from(("characters", "truncated")),
         "N": _maybe(st.integers(-1, 10_000)),
-        "scale-egamma": st.booleans(),
     },
     "c2": {
         "q": _Q,
@@ -338,6 +332,25 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"coprime to --q {q}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "moduli, bound",
+        [
+            ("1,3689348814741910324", "18446744073709551620"),
+            (
+                "100000000000000,100000000000001,100000000000003,100000000000007",
+                "15000000000001450000000000029500000000000105",
+            ),
+        ],
+        ids=["pair", "quadruple"],
+    )
+    def test_lattice_int64_bound_is_1(self, capsys, moduli, bound):
+        code, out, err = run_cli(
+            capsys, "bcorr", "--moduli", moduli, "--method", "lattice", "--K", "5"
+        )
+        assert code == 1
+        assert out == ""
+        assert f"n_last K sum_j D/n_j = {bound} below 2^63" in err
+
     def test_computation_error_is_1(self, capsys):
         # prod/min = 3 >= q/ell = 2.5: the discrete route's precondition,
         # checked by the library, which raises ValueError
@@ -456,6 +469,24 @@ class TestExitCodes:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("dedekind", "--q", "7", "--a", "6"), ("--method", "direct")),
+            (("ck", "--q", "11"), ("--scale-egamma",)),
+        ],
+        ids=["dedekind", "ck"],
+    )
+    def test_method_and_scale_flags_are_gone(self, capsys, argv, flag):
+        # the CLI's Dedekind sum is the descent (the definitional sum is the
+        # library's oracle), and C(k) print unscaled
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in out.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("phi", "--y", "100000001"),
@@ -469,6 +500,16 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "800000008 bytes" in err
+
+    def test_truncated_ck_sieve_cap_is_3(self, capsys):
+        # refused before the b(n) table, at 21 bytes per entry of [0, N]
+        code, out, err, peak = run_cli_traced(
+            capsys, "ck", "--q", "11", "--method", "truncated", "--N", "200000001"
+        )
+        assert code == 3
+        assert out == ""
+        assert "4200000042 bytes" in err
+        assert peak < 1 << 20
 
     def test_spectrum_cap_is_3(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--q", "2000003")
@@ -501,17 +542,6 @@ class TestExitCodes:
         assert "500002500003 phase terms" in err
         assert "8192024576 bytes" in err
         assert peak < 1 << 20
-
-    def test_direct_dedekind_budget_is_3(self, capsys):
-        # refused before the loop over q - 1 terms; reciprocity still runs
-        argv = ("dedekind", "--q", "1000000007", "--a", "7")
-        code, out, err = run_cli(capsys, *argv, "--method", "direct")
-        assert code == 3
-        assert out == ""
-        assert "1000000006 terms" in err
-        code, out, _ = run_cli(capsys, *argv, "--method", "reciprocity")
-        assert code == 0
-        assert out.strip() == "23809524357142861/2000000014"
 
     def test_discrete_correlation_cap_is_3(self, capsys):
         # refused before its O(q) arrays, with the bytes they would need
@@ -641,6 +671,29 @@ class TestOther:
         rec = json.loads(out)
         assert rec["statistic"] == 0.0
 
+    @pytest.mark.parametrize(
+        "argv, other, meta",
+        [
+            (
+                ("dist", "--source", "rtilde", "--y", "1000", "--stat", "tails"),
+                ("--q", "7"),
+                ["source", "scale", "y"],
+            ),
+            (
+                ("dist", "--source", "spectrum", "--q", "11", "--stat", "ecdf"),
+                ("--y", "5"),
+                ["source", "scale", "q"],
+            ),
+        ],
+        ids=["rtilde", "spectrum"],
+    )
+    def test_dist_meta_names_only_its_source_flag(self, capsys, argv, other, meta):
+        # rtilde reads --y alone, ck and spectrum read --q alone
+        code, out, _ = run_cli(capsys, *argv, *other)
+        assert code == 0
+        assert [l[2:].split("=")[0] for l in out.splitlines() if l.startswith("#")] == meta
+        assert out == run_cli(capsys, *argv)[1]
+
     def test_phi_values(self, capsys):
         code, out, _ = run_cli(
             capsys, "phi", "--y", "100", "--stat", "values", "--x", "10"
@@ -686,7 +739,7 @@ class TestCsvRecords:
             ("moments", "--kind", "C", "--ell", "4", "--B", "5"),
             ("moments", "--kind", "s", "--ell", "4", "--B", "12"),
             ("dedekind", "--q", "101", "--a", "7"),
-            ("dedekind", "--q", "101", "--a", "7", "--method", "direct"),
+            ("dedekind", "--q", "7", "--a", "6"),
         ],
     )
     def test_single_row_records_parse_to_the_header_width(self, capsys, argv):

@@ -224,6 +224,26 @@ class TestLattice:
             "exceeds budget 20000000"
         )
 
+    def test_int64_bound(self):
+        # n_last K sum_j D/n_j must stay below 2^63: at 5 n = 2^64 + 4 the
+        # constraint wrapped to 4 and the estimate read 3.2e-3 for 2.3e-20
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                sw.b_lattice_estimate((1, 3689348814741910324), 10)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            "the lattice sum needs n_last K sum_j D/n_j = 36893488147419103240 "
+            "below 2^63 for its int64 arithmetic"
+        )
+        # just below the bound it runs: no lattice point has |k_2| = n |k_1| <= K
+        n = 2**63 // 10
+        assert sw.b_lattice_estimate((1, n), 10) == 0.0
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            sw.b_lattice_estimate((1, n + 1), 10)
+
     def test_monotone_convergence(self):
         for mods in ((1, 1), (2, 3), (1, 2)):
             exact = float(sw.b_exact(mods))
