@@ -161,8 +161,8 @@ def ck_all(
     elif method == "truncated":
         N = cutoff if cutoff is not None else max(1000, q)
         # tracemalloc peak per entry of [0, N]: the b(n) table beside
-        # _coprime_terms' index arrays over the odd squarefree n (20.96)
-        require_sieve_limit(N, 21)
+        # _coprime_terms' index array over the odd squarefree n (14.92)
+        require_sieve_limit(N, 15)
         ctx = build_context(q)
         c_q, _ = constant_C(excluded_prime=q)
         weights, two_n = _coprime_terms(q, coeff_b_floats(N))

@@ -267,7 +267,9 @@ def _coprime_terms(q: int, coeffs: np.ndarray):
     """The nonzero coeffs[n] with n coprime to q, and 2n mod q for each."""
     ns = np.nonzero(coeffs)[0]
     ns = ns[ns % q != 0]
-    return coeffs[ns], 2 * ns % q
+    weights = coeffs[ns]
+    np.multiply(ns, 2, out=ns)
+    return weights, np.remainder(ns, q, out=ns)
 
 
 def _odd_over_group(ctx: PrimeContext, half: np.ndarray, zero: float) -> np.ndarray:

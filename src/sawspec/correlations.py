@@ -154,25 +154,25 @@ def b_lattice_estimate(moduli, K: int) -> float:
             f"the lattice sum needs n_last K sum_j D/n_j = {bound} below 2^63 "
             "for its int64 arithmetic"
         )
-    ks = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
 
-    total = 0.0
-    last_mult = mult[-1]
-    for head in product(ks.tolist(), repeat=ell - 2):
+    # the last free coordinate runs over the 2K nonzero k in blocks of 2^16
+    total, block, last_mult = 0.0, 1 << 16, mult[-1]
+    heads = product([k for k in range(-K, K + 1) if k] if ell > 2 else [], repeat=ell - 2)
+    for head in heads:
         base = sum(k * m for k, m in zip(head, mult[:-1]))
-        s = base + ks * last_mult
-        num = n_last * s
-        k_last = -(num // D)
-        ok = (num % D == 0) & (np.abs(k_last) <= K) & (k_last != 0)
-        if not np.any(ok):
-            continue
-        prod_head = 1.0
-        for k in head:
-            prod_head *= float(k)
-        total += (
-            float(np.sum(1.0 / (ks[ok].astype(float) * k_last[ok].astype(float))))
-            / prod_head
-        )
+        head_sum = 0.0
+        for a in range(-K, K, block):
+            ks = np.arange(a, min(a + block, K))
+            ks += ks >= 0  # past k = 0
+            num = ks * (n_last * last_mult)
+            num += n_last * base
+            k_last = -(num // D)
+            ok = (num % D == 0) & (np.abs(k_last) <= K) & (k_last != 0)
+            if np.any(ok):
+                head_sum += float(
+                    np.sum(1.0 / (ks[ok].astype(float) * k_last[ok].astype(float)))
+                )
+        total += head_sum / math.prod(map(float, head))
     sign = -1.0 if (ell // 2) % 2 else 1.0
     return sign * total / (2.0 * math.pi) ** ell
 

@@ -7,7 +7,7 @@ at integers).  Between consecutive integers Rt is a rational function, so
 the moment integrals over [0, y] split into one smooth integral per unit
 interval.
 
-The phi stream.  The accumulator holds no table.  Each statistic sieves
+The phi stream.  The accumulator builds no table.  Each statistic sieves
 phi on [0, stop] itself, segment by segment, from the segmented
 multiplicative sieve of ``foundations`` (``phi_segments(stop)``): a
 segment is 2^15 ceil(sqrt(stop) / 2^9) entries, about 64 sqrt(stop), and
@@ -20,7 +20,8 @@ float64 straight into their own array (0.35 MB beside it).  Beyond that,
 the moments hold the pass's scratch rows (four float64 rows and one long
 double row of 2^15), the samples their 8 bytes per entry, and the values
 stop at the segment holding floor(x).  A ``build_sieves`` table passed in
-is summed whole into an int64 table instead, one segment.
+is read in place instead, 2^15 entries per segment, through the same
+copy and sum.
 
 Numerical note.  Expanding those integrals in powers of u cancels
 catastrophically for large m (terms of size (0.3 m)^ell against O(1)
@@ -91,37 +92,36 @@ _CHUNK = 1 << 15  # entries per block: 256 KB per float64 temporary
 
 @dataclass(frozen=True)
 class PhiAccumulator:
-    """The prefix sums S_m = sum_{n <= m} phi(n), m = 0..y: streamed from
-    the segmented phi sieve (``prefix`` None), or one int64 table."""
+    """The prefix sums S_m = sum_{n <= m} phi(n), m = 0..y, from phi
+    streamed by the segmented sieve (``phi`` None) or read from the
+    caller's table."""
 
     y: int
-    prefix: np.ndarray | None
+    phi: np.ndarray | None
 
     def prefix_segments(self, stop: int, out: np.ndarray | None = None):
         """(lo, S_m for lo <= m < hi) over consecutive segments of [0, stop],
         stop <= y: written into out[lo:hi] (float64) when ``out`` is given,
         else into one int64 buffer that the next segment overwrites.
 
-        Streamed: phi from ``phi_segments(stop)``, as int32 copied into the
-        buffer, or as float64 straight into ``out``, summed in place with the
-        running total carried (exact in float64 too, as S_y < 2^53 under
-        the 1e8 cap), so every segment but the last is a multiple of 2^15
-        entries long.  The int64 table is one segment.
+        phi comes from ``phi_segments(stop, out)``, or in 2^15-entry slices
+        of the table, and is copied into its destination (nothing to copy
+        where it was sieved into ``out``) and summed there with the running
+        total carried (exact in float64 too, as S_y < 2^53 under the 1e8
+        cap), so every segment but the last is a multiple of 2^15 entries.
         """
-        if self.prefix is not None:
-            S = self.prefix[: stop + 1]
-            if out is not None:
-                out[: stop + 1] = S
-                S = out[: stop + 1]
-            yield 0, S
-            return
+        if self.phi is None:
+            segments = phi_segments(stop, out)
+        else:
+            phi = self.phi[: stop + 1]
+            segments = ((lo, phi[lo : lo + _CHUNK]) for lo in range(0, stop + 1, _CHUNK))
         total, buffer = 0, None
-        for lo, S in phi_segments(stop, out):
-            if out is None:
-                if buffer is None:
-                    buffer = np.empty(S.size, dtype=np.int64)
-                buffer[: S.size] = S
-                S = buffer[: S.size]  # the int32 segment goes before the consumer runs
+        for lo, segment in segments:
+            if out is None and buffer is None:
+                buffer = np.empty(segment.size, dtype=np.int64)
+            S = (buffer if out is None else out[lo:])[: segment.size]
+            S[:] = segment
+            del segment  # a sieved int32 segment goes before the consumer runs
             S[0] += total
             np.cumsum(S, out=S)
             total = S[-1]
@@ -129,10 +129,10 @@ class PhiAccumulator:
 
 
 def build_phi_accumulator(y: int, phi: np.ndarray | None = None) -> PhiAccumulator:
-    """The accumulator of S_m, m <= y: streamed (no table; each consumer
-    sieves the segments it reads), or, given ``phi`` (a ``build_sieves``
-    table of length > y, copied, never mutated; a shorter one is a
-    ValueError), its int64 prefix table summed whole."""
+    """The accumulator of S_m, m <= y: streamed (each consumer sieves the
+    segments it reads), or, given ``phi`` (a ``build_sieves`` table of
+    length > y, read in place, never copied or mutated; a shorter one is a
+    ValueError), summed from that table."""
     if y < 2:
         raise ValueError("y must be >= 2")
     if y > 100_000_000:
@@ -141,13 +141,9 @@ def build_phi_accumulator(y: int, phi: np.ndarray | None = None) -> PhiAccumulat
             f"sums stay exact in float64 (~1.7e8); its samples alone would "
             f"take {8 * y} bytes"
         )
-    if phi is None:
-        return PhiAccumulator(y, None)
-    if len(phi) <= y:
+    if phi is not None and len(phi) <= y:
         raise ValueError(f"phi table of length {len(phi)} < y + 1 = {y + 1}")
-    prefix = phi[: y + 1].astype(np.int64)
-    np.cumsum(prefix, out=prefix)
-    return PhiAccumulator(y, prefix)
+    return PhiAccumulator(y, phi)
 
 
 def r_values(x: float, acc: PhiAccumulator) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import sawspec as sw
@@ -7,6 +8,12 @@ from sawspec.foundations import mobius_table
 @pytest.fixture(scope="session")
 def sieves_1m():
     return sw.build_sieves(10**6)
+
+
+@pytest.fixture(scope="session")
+def prefix_1m(sieves_1m):
+    """S_m = sum_{n <= m} phi(n), m = 0..1e6, as one int64 table."""
+    return np.cumsum(sieves_1m)
 
 
 @pytest.fixture(scope="session")

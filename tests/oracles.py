@@ -168,19 +168,19 @@ def model_moment_loop(ell: int, B: int) -> Fraction:
 _P = 3.0 / math.pi**2
 
 
-def rtilde_samples_whole(acc) -> np.ndarray:
+def rtilde_samples_whole(y: int, prefix: np.ndarray) -> np.ndarray:
     """Rt at m + 1/2, m = 0..y-1, as one expression over whole-length
-    arrays."""
-    u = np.arange(acc.y, dtype=float) + 0.5
-    return acc.prefix[: acc.y].astype(float) / u - _P * u
+    arrays, from the whole prefix table."""
+    u = np.arange(y, dtype=float) + 0.5
+    return prefix[:y].astype(float) / u - _P * u
 
 
-def _chunk_interval_sum(acc, lo: int, hi: int, ell_max: int) -> np.ndarray:
+def _chunk_interval_sum(prefix: np.ndarray, lo: int, hi: int, ell_max: int) -> np.ndarray:
     m_int = np.arange(lo, hi, dtype=np.int64)
     m = m_int.astype(float)
     ld = np.longdouble
     d0 = np.asarray(
-        acc.prefix[lo:hi].astype(ld) - ld(_P) * m_int.astype(ld) ** 2, dtype=float
+        prefix[lo:hi].astype(ld) - ld(_P) * m_int.astype(ld) ** 2, dtype=float
     )
     d1 = -2.0 * _P * m
     nodes, weights = np.polynomial.legendre.leggauss(64 if lo < 128 else 8)
@@ -194,17 +194,18 @@ def _chunk_interval_sum(acc, lo: int, hi: int, ell_max: int) -> np.ndarray:
     return sums
 
 
-def rtilde_moments_chunked(y: int, ell_max: int, acc) -> list[float]:
+def rtilde_moments_chunked(y: int, ell_max: int, prefix: np.ndarray) -> list[float]:
     """(1/y) int_0^y Rt^ell, ell = 1..ell_max, from the v-form at 64
     Gauss-Legendre nodes per interval below m = 128 and 8 from there, the
-    intervals summed in chunks of 2^19 and the chunk sums by fsum."""
+    intervals summed in chunks of 2^19 and the chunk sums by fsum, from the
+    whole prefix table."""
     parts = [[(-_P) ** ell / (ell + 1.0)] for ell in range(1, ell_max + 1)]
     lo = 1
     while lo < y:
         hi = min(lo + (1 << 19), y)
         if lo < 128 < hi:
             hi = 128
-        for part, s in zip(parts, _chunk_interval_sum(acc, lo, hi, ell_max).tolist()):
+        for part, s in zip(parts, _chunk_interval_sum(prefix, lo, hi, ell_max).tolist()):
             part.append(s)
         lo = hi
     return [math.fsum(part) / y for part in parts]

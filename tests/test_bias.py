@@ -161,11 +161,11 @@ class TestCkVector:
             sw.ck_all(2_000_003, "truncated")
 
     def test_truncated_sieve_cap_states_its_peak(self):
-        # 21 bytes per entry of [0, N], the measured tracemalloc peak (20.96)
+        # 15 bytes per entry of [0, N], the measured tracemalloc peak (14.92)
         # rounded up, refused before the b(n) table
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="would peak below 4200000042 bytes"):
+            with pytest.raises(ResourceLimitError, match="would peak below 3000000030 bytes"):
                 sw.ck_all(11, "truncated", cutoff=200_000_001)
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
             sw.ck_all(1009, "truncated", cutoff=1000)  # the context and C_q, memoised
@@ -176,7 +176,7 @@ class TestCkVector:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 21 * (N + 1), peak
+        assert peak < 15 * (N + 1), peak
 
     @pytest.mark.parametrize("q", [9, 25, 100])
     def test_truncated_route_rejects_composite_q(self, q):

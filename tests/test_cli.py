@@ -502,13 +502,13 @@ class TestExitCodes:
         assert "800000008 bytes" in err
 
     def test_truncated_ck_sieve_cap_is_3(self, capsys):
-        # refused before the b(n) table, at 21 bytes per entry of [0, N]
+        # refused before the b(n) table, at 15 bytes per entry of [0, N]
         code, out, err, peak = run_cli_traced(
             capsys, "ck", "--q", "11", "--method", "truncated", "--N", "200000001"
         )
         assert code == 3
         assert out == ""
-        assert "4200000042 bytes" in err
+        assert "3000000030 bytes" in err
         assert peak < 1 << 20
 
     def test_spectrum_cap_is_3(self, capsys):

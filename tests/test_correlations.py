@@ -257,6 +257,18 @@ class TestLattice:
         est = sw.b_lattice_estimate((1, 1, 1, 1), 40)
         assert abs(est - 1 / 80) <= 2e-3
 
+    def test_peak_does_not_grow_with_K(self):
+        # the last coordinate runs in blocks of 2^16 values: at K = 1e6 the
+        # whole 2K-value arrays took 57 bytes per lattice point, 114 MB
+        tracemalloc.start()
+        try:
+            est = sw.b_lattice_estimate((1, 1), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert abs(est - 1 / 12) <= 1e-6
+
 
 class TestDiscrete:
     def test_hand_value_q7(self):

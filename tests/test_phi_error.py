@@ -42,13 +42,16 @@ class TestRValues:
         with pytest.raises(ValueError):
             sw.r_values(10**6 + 1, acc_1m)
 
-    def test_prefix_invariants(self, acc_1m):
-        assert acc_1m.prefix[0] == 0
-        diffs = np.diff(acc_1m.prefix)
+    def test_prefix_invariants(self, acc_1m, prefix_1m):
+        # the table's prefix sums, read segment by segment, are its cumsum
+        joined = np.concatenate([S.copy() for _, S in acc_1m.prefix_segments(10**6)])
+        assert np.array_equal(joined, prefix_1m)
+        assert joined[0] == 0
+        diffs = np.diff(joined)
         assert np.all(diffs > 0)
         assert diffs[9] == 4  # phi(10)
 
-    def test_peak_is_phi_and_prefix(self):
+    def test_peak_is_phi_and_prefix(self, prefix_1m):
         # the accumulator holds no table: its prefix sums are streamed, equal
         # to the cumsum of the phi table, in one int64 buffer beside one
         # int32 segment of phi and the sieve's work, 1.2 MB at y = 1e6 where
@@ -56,9 +59,9 @@ class TestRValues:
         import tracemalloc
 
         y = 10**6
-        want = np.cumsum(sw.build_sieves(y))
+        want = prefix_1m
         acc = sw.build_phi_accumulator(y)
-        assert acc.prefix is None
+        assert acc.phi is None
         ends = []
         tracemalloc.start()
         try:
@@ -77,17 +80,19 @@ class TestRValues:
         with pytest.raises(ValueError, match="length 101 < y \\+ 1 = 201"):
             sw.build_phi_accumulator(200, phi)
         acc = sw.build_phi_accumulator(100, phi)
-        assert np.array_equal(acc.prefix, np.cumsum(phi))
+        assert acc.phi is phi
+        ((lo, S),) = acc.prefix_segments(100)
+        assert lo == 0 and np.array_equal(S, np.cumsum(phi))
 
     def test_sign_changes(self, acc_1m):
         vals = np.array([sw.r_values(x, acc_1m)[0] for x in range(1, 10_001)])
         assert np.any(vals > 0) and np.any(vals < 0)
 
 
-def _moment_quadrature(acc, y, ell):
+def _moment_quadrature(prefix, y, ell):
     total = 0.0
     for m in range(y):
-        S = float(acc.prefix[m])
+        S = float(prefix[m])
         val, err = quad(
             lambda u: (S / u - P * u) ** ell if u > 0 else 0.0,
             m,
@@ -99,14 +104,14 @@ def _moment_quadrature(acc, y, ell):
     return total / y
 
 
-def _moment_u_expansion_exact(acc, y, ell):
+def _moment_u_expansion_exact(prefix, y, ell):
     # slow oracle: exact rational u-power antiderivatives per interval, with
     # the float64 model constant lifted to an exact dyadic rational
     Pf = Fraction(P)
     total_rat = Fraction(0)
     total_log = 0.0
     for m in range(y):
-        S = int(acc.prefix[m])
+        S = int(prefix[m])
         for j in range(ell + 1):
             coef = math.comb(ell, j) * Fraction(S) ** j * (-Pf) ** (ell - j)
             e = ell - 2 * j
@@ -122,7 +127,7 @@ def _moment_u_expansion_exact(acc, y, ell):
     return (float(total_rat) + total_log) / y
 
 
-def _series_interval_sum(acc, lo, hi, ell, terms=26):
+def _series_interval_sum(prefix, lo, hi, ell, terms=26):
     # the earlier route, kept as an oracle: the numerator polynomial in
     # v = u - m times kernel integrals J_i = int_0^1 v^i (m+v)^-ell dv, by
     # the binomial series in 1/m (m >= 128) or 64-node Gauss-Legendre
@@ -130,7 +135,7 @@ def _series_interval_sum(acc, lo, hi, ell, terms=26):
     m = m_int.astype(float)
     ld = np.longdouble
     d0 = np.asarray(
-        acc.prefix[lo:hi].astype(ld) - ld(P) * m_int.astype(ld) ** 2, dtype=float
+        prefix[lo:hi].astype(ld) - ld(P) * m_int.astype(ld) ** 2, dtype=float
     )
     base = [d0, -2.0 * P * m, np.full_like(d0, -P)]
     coeffs = list(base)
@@ -164,34 +169,34 @@ def _series_interval_sum(acc, lo, hi, ell, terms=26):
     return float(np.sum(total))
 
 
-def _moment_series(acc, y, ell):
+def _moment_series(prefix, y, ell):
     parts = [(-P) ** ell / (ell + 1.0)]
     lo = 1
     while lo < y:
         hi = min(lo + (1 << 19), y)
         if lo < 128 < hi:
             hi = 128
-        parts.append(_series_interval_sum(acc, lo, hi, ell))
+        parts.append(_series_interval_sum(prefix, lo, hi, ell))
         lo = hi
     return math.fsum(parts) / y
 
 
 class TestMomentExact:
-    def test_against_quadrature_small_y(self, acc_1m):
+    def test_against_quadrature_small_y(self, acc_1m, prefix_1m):
         for ell in (1, 2, 3):
             val = sw.rtilde_moment_exact(10, ell, acc_1m)
-            assert val == pytest.approx(_moment_quadrature(acc_1m, 10, ell), abs=1e-10)
+            assert val == pytest.approx(_moment_quadrature(prefix_1m, 10, ell), abs=1e-10)
 
-    def test_against_exact_u_expansion(self, acc_1m):
+    def test_against_exact_u_expansion(self, acc_1m, prefix_1m):
         # even orders only past m = 128: the oracle's float log1p terms
         # cancel badly for odd ell at large m
         cases = ((60, 1), (60, 2), (500, 2), (500, 4), (500, 6), (500, 8), (1000, 4))
         for y, ell in cases:
             fast = sw.rtilde_moment_exact(y, ell, acc_1m)
-            slow = _moment_u_expansion_exact(acc_1m, y, ell)
+            slow = _moment_u_expansion_exact(prefix_1m, y, ell)
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-13)
 
-    def test_random_intervals_against_quadrature(self, acc_1m):
+    def test_random_intervals_against_quadrature(self, prefix_1m):
         # per-interval closed form vs adaptive quadrature on 100 random cells
         from sawspec.phi_error import _interval_sum
 
@@ -199,7 +204,7 @@ class TestMomentExact:
         ms = np.unique(rng.integers(1, 10**6, 50))
         for ell in (2, 3):
             for m in ms.tolist():
-                S = float(acc_1m.prefix[m])
+                S = float(prefix_1m[m])
                 ref = quad(
                     lambda u: (S / u - P * u) ** ell,
                     m,
@@ -208,15 +213,15 @@ class TestMomentExact:
                     epsrel=1e-12,
                 )[0]
                 work, x = np.empty((4, 1)), np.empty(1, dtype=np.longdouble)
-                mine = _interval_sum(acc_1m.prefix[m : m + 1], m, ell, work, x)[-1]
+                mine = _interval_sum(prefix_1m[m : m + 1], m, ell, work, x)[-1]
                 assert mine == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
-    def test_against_series_route(self, acc_1m):
+    def test_against_series_route(self, acc_1m, prefix_1m):
         # both sides are means of O(1) float64 integrals; the ell = 1 moment
         # is ~1e-5, so the agreement is stated in absolute terms
         for ell in (1, 2, 5, 8):
             fast = sw.rtilde_moment_exact(200_000, ell, acc_1m)
-            assert abs(fast - _moment_series(acc_1m, 200_000, ell)) <= 1e-15, ell
+            assert abs(fast - _moment_series(prefix_1m, 200_000, ell)) <= 1e-15, ell
 
     def test_one_pass_equals_separate_calls(self, acc_1m):
         together = sw.rtilde_moments_exact(10_000, 8, acc_1m)
@@ -263,10 +268,10 @@ class TestBlockedPipeline:
     from the module note's bound, and no temporary of length y."""
 
     @pytest.mark.parametrize("y", [2, 3, 2**15 - 1, 2**15, 2**15 + 1, 10**5, 10**6])
-    def test_samples_bit_identical_to_whole_array(self, sieves_1m, y):
+    def test_samples_bit_identical_to_whole_array(self, sieves_1m, prefix_1m, y):
         acc = sw.build_phi_accumulator(y, sieves_1m)
         got = sw.rtilde_samples(acc)
-        want = rtilde_samples_whole(acc)
+        want = rtilde_samples_whole(y, prefix_1m)
         assert got.shape == (y,)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -295,12 +300,12 @@ class TestBlockedPipeline:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
 
-    def test_against_chunked_pass(self, acc_1m):
+    def test_against_chunked_pass(self, acc_1m, prefix_1m):
         for y in (2, 3, 127, 128, 129, 1000, 2**15 - 1, 2**15):
-            assert sw.rtilde_moments_exact(y, 8, acc_1m) == rtilde_moments_chunked(y, 8, acc_1m), y
+            assert sw.rtilde_moments_exact(y, 8, acc_1m) == rtilde_moments_chunked(y, 8, prefix_1m), y
         for y in (10**5, 2 * 10**5, 10**6):
             got = sw.rtilde_moments_exact(y, 8, acc_1m)
-            want = rtilde_moments_chunked(y, 8, acc_1m)
+            want = rtilde_moments_chunked(y, 8, prefix_1m)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15, y
 
     def test_node_rule_from_the_bound(self):
@@ -324,16 +329,51 @@ class TestStream:
     @pytest.mark.parametrize("y", [2, 3, 2**15 - 1, 2**15, 2**15 + 1, 10**5, 10**6])
     def test_bit_identical_to_whole_table(self, y):
         phi = whole_table("jordan_1", y)
+        prefix = np.cumsum(phi)
         table = sw.build_phi_accumulator(y, phi)
         acc = sw.build_phi_accumulator(y)
-        assert acc.prefix is None
-        got, want = sw.rtilde_samples(acc), rtilde_samples_whole(table)
+        assert acc.phi is None
+        got, want = sw.rtilde_samples(acc), rtilde_samples_whole(y, prefix)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert sw.rtilde_moments_exact(y, 8, acc) == rtilde_moments_whole(y, 8, table.prefix)
-        assert sw.rtilde_moments_exact(y, 8, table) == rtilde_moments_whole(y, 8, table.prefix)
+        assert sw.rtilde_moments_exact(y, 8, acc) == rtilde_moments_whole(y, 8, prefix)
+        assert sw.rtilde_moments_exact(y, 8, table) == rtilde_moments_whole(y, 8, prefix)
         for x in {1, 1.5, 2, y // 2, y - 0.5, y, 2**15, 2**15 + 0.5, 2**15 + 1}:
             if x <= y:
                 assert sw.r_values(x, acc) == sw.r_values(x, table), x
+
+    @pytest.mark.parametrize("y", [2, 3, 100, 2**15, 2**15 + 1, 10**5, 10**6 + 3])
+    def test_sources_bit_identical(self, y):
+        # phi streamed by the sieve or read from a table in 2^15-entry
+        # slices: the same moments, samples and values bit for bit
+        table = sw.build_phi_accumulator(y, sw.build_sieves(y))
+        acc = sw.build_phi_accumulator(y)
+        ends = [lo + S.size for lo, S in table.prefix_segments(y)]
+        assert ends[-1] == y + 1 and all(e % 2**15 == 0 for e in ends[:-1])
+        got, want = sw.rtilde_samples(acc), sw.rtilde_samples(table)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert sw.rtilde_moments_exact(y, 8, acc) == sw.rtilde_moments_exact(y, 8, table)
+        for x in (1, 1.5, y / 3, y - 0.5, y):
+            assert sw.r_values(x, acc) == sw.r_values(x, table), x
+
+    def test_table_read_in_place(self, sieves_1m):
+        # the accumulator keeps the caller's table: it neither copies nor
+        # sums it up front (8 MB at y = 1e6), nor writes to it
+        import tracemalloc
+
+        y = 10**6
+        before = sieves_1m.copy()
+        tracemalloc.start()
+        try:
+            acc = sw.build_phi_accumulator(y, sieves_1m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, peak
+        assert acc.phi is sieves_1m
+        sw.rtilde_moments_exact(y, 8, acc)
+        sw.rtilde_samples(acc)
+        sw.r_values(y, acc)
+        assert np.array_equal(sieves_1m, before)
 
     def test_cut_blocks(self, monkeypatch):
         # segments of 64 entries cut the 2^15 blocks: the moments move only by
@@ -402,10 +442,10 @@ class TestTruncatedModel:
             -0.125, abs=1e-15
         )
 
-    def test_mean_gap_to_true_values(self, acc_1m):
+    def test_mean_gap_to_true_values(self, prefix_1m):
         N = 1000
         u = np.arange(N, 10**5, 7, dtype=float) + 0.5
-        S = acc_1m.prefix[np.floor(u).astype(np.int64)].astype(float)
+        S = prefix_1m[np.floor(u).astype(np.int64)].astype(float)
         truth = S / u - P * u
         model = sw.sawtooth_model("R", u, N)
         assert float(np.mean(np.abs(model - truth))) <= 0.05
