@@ -83,7 +83,8 @@ def require_odd_prime(q: int) -> None:
 
 
 # the largest modulus every O(q) route accepts; MAX_Q < 2^31 also keeps the int32
-# tables and int64 kernels exact (they form h^2 + k^2 + 1 with k <= q, products below q^2)
+# tables and int64 kernels exact (products below q^2), and 2 MAX_Q^2 + 1 < 2^53 the
+# Dedekind descent's float64 lanes (they form h^2 + k^2 + 1 with k <= q)
 MAX_Q = 2_000_000
 
 

@@ -65,8 +65,10 @@ def _poly_int_bound(moduli, ell: int, period: int) -> int:
 @functools.cache
 def _integrate_reduced(moduli: tuple[int, ...], period: int) -> Fraction:
     """Exact mean of prod psi(x/n_j) over [0, period): on each unit interval
-    the integrand is one degree-ell polynomial, integrated in integers.
-    Memoised per (moduli, period) for the process."""
+    the integrand is one degree-ell polynomial, integrated in integers.  The
+    period runs in blocks, and each block's coefficient sums are added as
+    Python integers, so no array spans the period.  Memoised per (moduli,
+    period) for the process."""
     ell = len(moduli)
     weight_lcm = math.lcm(*range(1, ell + 2))
     weights = [weight_lcm // (i + 1) for i in range(ell + 1)]
@@ -74,18 +76,25 @@ def _integrate_reduced(moduli: tuple[int, ...], period: int) -> Fraction:
     for n in moduli:
         denom *= 2 * n
 
-    # Python integers where the polynomial coefficients could overflow int64
-    dtype = np.int64 if _poly_int_bound(moduli, ell, period) < 2**62 else object
-    m = np.arange(period, dtype=dtype)
-    coeffs = [np.ones(period, dtype=dtype)]
-    for n in moduli:
-        e = 2 * (m % n) - n
-        nxt = [np.zeros(period, dtype=dtype) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * e
-            nxt[i + 1] += 2 * c
-        coeffs = nxt
-    num = sum(int(np.sum(c)) * w for c, w in zip(coeffs, weights))
+    # the longest block, of 2^8 to 2^16 unit intervals, whose coefficient sums
+    # stay in int64; Python integers in object arrays where none does
+    block = 1 << 16
+    while block > 1 << 8 and _poly_int_bound(moduli, ell, block) >= 2**62:
+        block >>= 1
+    block = min(block, period)
+    dtype = np.int64 if _poly_int_bound(moduli, ell, block) < 2**62 else object
+    num = 0
+    for lo in range(0, period, block):
+        m = np.arange(lo, min(lo + block, period), dtype=dtype)
+        coeffs = [np.ones(len(m), dtype=dtype)]
+        for n in moduli:
+            e = 2 * (m % n) - n
+            nxt = [np.zeros(len(m), dtype=dtype) for _ in range(len(coeffs) + 1)]
+            for i, c in enumerate(coeffs):
+                nxt[i] += c * e
+                nxt[i + 1] += 2 * c
+            coeffs = nxt
+        num += sum(int(np.sum(c)) * w for c, w in zip(coeffs, weights))
     return Fraction(num, denom)
 
 

@@ -101,37 +101,99 @@ def dedekind_values(q: int) -> np.ndarray:
     """s_q(a) for a = 0..q-1 as float64 (a = 0 entry is 0), q an odd prime.
 
     The float reciprocity descent runs in lockstep over blocks of
-    ``_DESCENT_BLOCK`` lanes a < q/2, each lane an int64 pair (h, k) with its
-    own running sum: each step adds sign * ((h^2 + k^2 + 1)/(12hk) - 1/4) to
-    the sums and maps (h, k) -> (k mod h, h).  Only on a step where some lane
-    reached h = 0 are the lanes compacted, and a finished lane's sum is
-    written to the values once.  All lanes of a block are at the same step,
-    so the sign is shared.  Each lane sees the float operations of a scalar
-    descent in the same order (0.0 + t_1, then +- t_i), so its value is the
-    scalar descent's bit for bit.
+    ``_DESCENT_BLOCK`` lanes a < q/2, each lane a pair (h, k) with its own
+    running sum: each step adds sign * ((h^2 + k^2 + 1)/(12hk) - 1/4) to the
+    sums and maps (h, k) -> (k mod h, h).  All lanes of a block are at the
+    same step, so the sign is shared.  Each lane sees the float operations of
+    the scalar descent in the same order (0.0 + t_1, then +- t_i), so its
+    value is the scalar descent's bit for bit:
+
+    - float64 lanes: h and k are held as float64 values of the same
+      integers, h < k <= q.  h^2 + k^2 + 1 is exact while 2q^2 + 1 < 2^53
+      (q < 6.7e7; ``characters.MAX_Q`` is 2e6), 12h is exact, and
+      fl(12h * k) is the product the scalar descent forms.
+    - k mod h is k - h floor(fl(k/h)).  If h divides k the quotient is
+      exact.  Otherwise k/h is at least 1/h from every integer and fl(k/h)
+      is within (k/h) 2^-53 < 1/h of it, so the floor is exact, and so are
+      h floor(k/h) <= k and the difference.
+    - Each step is written in place into the block's lane buffers (h, k, the
+      sums, two float temporaries and a mask), allocated once per block and
+      shortened only by a compaction.
+    - Parked lanes: a lane finishes on the step that leaves h = 0, and then
+      k = gcd = 1.  It is parked at (1, 1), whose term (1 + 1 + 1)/12 - 1/4
+      is exactly 0.0, so its sum keeps every bit (a sum is never -0.0: it
+      starts at +0.0, and x - x is +0.0).  The next step takes it to (0, 1),
+      and it is parked again.
+    - Compaction: only once more than half of the lanes have finished are
+      the finished sums written to the values, each once, and the live
+      lanes gathered into shorter arrays.
+
+    Error bound.  Let u = 2^-53, and let the descent from (a, q), a < q/2,
+    take n steps with partial quotients c_i = floor(k_i/h_i), those of the
+    continued fraction of q/a.  Then:
+
+    - x_i = (h^2 + k^2 + 1)/(12hk) < (c_i + 5/2)/12 (k/h < c_i + 1, h/k < 1,
+      hk >= 2), and x_i >= 1/6, so |t_i| = |x_i - 1/4| < (c_i + 5/2)/12;
+    - the product fl(12h * k), the division and the subtraction of 1/4 each
+      round once: |fl(t_i) - t_i| <= (3.01 x_i + 1/4) u < (c_i + 4) u/3;
+    - c_i h_i = k_i - k_(i+2), so the quotients after the first sum to at
+      most a + (q mod a) - 1, and sum_i c_i <= q/a + 2a - 2 <= q;
+    - the n - 1 additions after the exact 0.0 + t_1 each round once, by at
+      most u times a partial sum, below 1.01 (q + 5n/2)/12 < (q + 3n)/11.
+
+    Together, and for a > q/2 by exact oddness,
+
+        |value - s_q(a)| <= u ((q + 4n)/3 + (n - 1)(q + 3n)/11).
+
+    Lame's bound q >= F_(n+2) (the Fibonacci numbers) gives n <= 29 for
+    q <= ``characters.MAX_Q``, where the bound is 6.4e-10.
     """
     require_odd_prime(q)
-    # tracemalloc peak per residue: the values, and one block's lanes
-    require_below_cap(q, "Dedekind values", 12)
+    # tracemalloc peak per residue at q ~ 1e6 (10.4): the values, and one
+    # block's lanes with a compaction's gathers (2.4 MB)
+    require_below_cap(q, "Dedekind values", 11)
     half = (q - 1) // 2
     vals = np.zeros(q)
     for lo in range(1, half + 1, _DESCENT_BLOCK):
-        idx = np.arange(lo, min(lo + _DESCENT_BLOCK, half + 1), dtype=np.int64)
-        h = idx.copy()
-        k = np.full(len(idx), q, dtype=np.int64)
-        acc = np.zeros(len(idx))
-        sign = 1.0
-        while len(idx):
-            acc += sign * ((h * h + k * k + 1) / (12.0 * h * k) - 0.25)
-            h, k = k % h, h
-            if not h.all():
-                done = np.flatnonzero(h == 0)
-                vals[idx[done]] = acc[done]
-                live = np.flatnonzero(h)
-                idx, acc, h, k = idx[live], acc[live], h[live], k[live]
-            sign = -sign
+        hi = min(lo + _DESCENT_BLOCK, half + 1)
+        idx = np.arange(lo, hi)
+        h = np.arange(lo, hi, dtype=np.float64)
+        k = np.full(len(h), float(q))
+        acc = np.zeros(len(h))
+        t, w, live = np.empty(len(h)), np.empty(len(h)), np.empty(len(h), dtype=bool)
+        add = True
+        while True:
+            np.multiply(h, h, out=t)
+            np.multiply(k, k, out=w)
+            t += w
+            t += 1.0
+            np.multiply(h, 12.0, out=w)
+            w *= k
+            t /= w
+            t -= 0.25
+            if add:
+                acc += t
+            else:
+                acc -= t
+            np.divide(k, h, out=t)
+            np.floor(t, out=t)
+            t *= h
+            k -= t
+            h, k = k, h
+            # a lane is live while h >= 1; more than half finished: compact
+            if 2 * np.count_nonzero(np.greater_equal(h, 1.0, out=live)) < len(h):
+                keep = np.flatnonzero(live)
+                fin = np.flatnonzero(np.logical_not(live, out=live))
+                vals[idx[fin]] = acc[fin]
+                if not len(keep):
+                    break
+                idx, h, k, acc = idx[keep], h[keep], k[keep], acc[keep]
+                t, w, live = t[: len(keep)], w[: len(keep)], live[: len(keep)]
+            else:
+                np.maximum(h, 1.0, out=h)
+            add = not add
     # oddness s_q(q - a) = -s_q(a) fills the upper half exactly
-    vals[half + 1 :] = -vals[half:0:-1]
+    np.negative(vals[half:0:-1], out=vals[half + 1 :])
     return vals
 
 

@@ -2,7 +2,8 @@
 sawtooth, the per-n exact coefficients a(n) and b(n), by factorization, the
 second-moment pair sum one divisor at a time, the extremes and their
 report, the distribution statistics one scalar x at a time, the
-single-prime reduction by factorization, the C model's moment one
+single-prime reduction by factorization, the correlation integral with
+every coefficient array over the whole period, the C model's moment one
 Fraction per unit interval and modulus, the multiplicative tables from one
 whole-table sieve, the totient error's samples as one whole-length
 expression and its moments from a whole prefix table (on the fixed block
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from sawspec.characters import _odd_correlation, build_context
+from sawspec.correlations import _poly_int_bound
 from sawspec.distribution import DEFAULT_SCALES
 from sawspec.foundations import coeff_b_denominators, factorize, jordan_table, prime_array
 from sawspec.phi_error import _gauss_legendre_01, _node_count
@@ -147,6 +149,31 @@ def reduce_correlation_by_factors(moduli) -> tuple[tuple[int, ...], Fraction]:
                 mods[i] //= p**e
                 scalar *= Fraction(1, p**e)
     return tuple(sorted(mods)), scalar
+
+
+def integrate_whole_period(moduli: tuple[int, ...], period: int) -> Fraction:
+    """The mean of prod psi(x/n_j) over [0, period) with every coefficient
+    array over the whole period (int64 where ``_poly_int_bound`` of the
+    period allows it, else Python integers): the oracle for the blocked
+    ``correlations._integrate_reduced``."""
+    ell = len(moduli)
+    weight_lcm = math.lcm(*range(1, ell + 2))
+    weights = [weight_lcm // (i + 1) for i in range(ell + 1)]
+    denom = weight_lcm * period
+    for n in moduli:
+        denom *= 2 * n
+    dtype = np.int64 if _poly_int_bound(moduli, ell, period) < 2**62 else object
+    m = np.arange(period, dtype=dtype)
+    coeffs = [np.ones(period, dtype=dtype)]
+    for n in moduli:
+        e = 2 * (m % n) - n
+        nxt = [np.zeros(period, dtype=dtype) for _ in range(len(coeffs) + 1)]
+        for i, c in enumerate(coeffs):
+            nxt[i] += c * e
+            nxt[i + 1] += 2 * c
+        coeffs = nxt
+    num = sum(int(np.sum(c)) * w for c, w in zip(coeffs, weights))
+    return Fraction(num, denom)
 
 
 def model_moment_loop(ell: int, B: int) -> Fraction:

@@ -12,7 +12,7 @@ import sawspec as sw
 from sawspec.correlations import _integrate_reduced, _poly_int_bound, reduce_correlation
 from sawspec.errors import ResourceLimitError
 from sawspec.foundations import factorize
-from oracles import reduce_correlation_by_factors
+from oracles import integrate_whole_period, reduce_correlation_by_factors
 
 # four primes near 1e14: each divides one modulus only, so the whole tuple
 # reduces to (1, 1, 1, 1)
@@ -105,11 +105,40 @@ class TestExact:
             assert abs(val) <= Fraction(1, 2 ** len(mods) * r)
 
     def test_big_coefficient_route_matches_integer_loop(self):
-        # the coefficient bound passes 2**62 here, so the integration runs on
-        # Python integers in object arrays
+        # the coefficient bound over the whole period passes 2**62 here, so the
+        # period runs in two int64 blocks of 2^11 unit intervals
         mods, period = (5, 5, 11, 11, 25, 25, 121, 121), 3025
         assert _poly_int_bound(mods, len(mods), period) >= 2**62
+        assert _poly_int_bound(mods, len(mods), 1 << 11) < 2**62
         assert _integrate_reduced(mods, period) == _integrate_by_interval(mods, period)
+
+    def test_object_route_in_blocks_matches_integer_loop(self):
+        # the bound passes 2**62 even over a block of 2^8 unit intervals, so
+        # the blocks (three of 256, then 232) hold Python integers
+        mods, period = (97, 97, 98, 98, 99, 99, 100, 100), 1000
+        assert _poly_int_bound(mods, len(mods), 1 << 8) >= 2**62
+        assert _integrate_reduced(mods, period) == _integrate_by_interval(mods, period)
+
+    @pytest.mark.parametrize(
+        "mods",
+        [(5, 5, 11, 11, 25, 25, 121, 121), (1, 1, 1, 1, 199, 199, 200, 200), (6, 10, 15, 30), (2, 3, 4, 6, 8, 12)],
+    )
+    def test_blocks_match_whole_period(self, mods):
+        period = math.lcm(*mods)
+        assert _integrate_reduced.__wrapped__(mods, period) == integrate_whole_period(mods, period)
+
+    def test_blocks_hold_no_array_over_the_period(self):
+        # period 39 800: the whole-period arrays peaked at 28.7 MB; blocks of
+        # 2^10 unit intervals peak near 0.2 MB
+        mods, period = (1, 1, 1, 1, 199, 199, 200, 200), 39_800
+        tracemalloc.start()
+        try:
+            value = _integrate_reduced.__wrapped__(mods, period)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert value == integrate_whole_period(mods, period)
 
     def test_lcm_cap(self):
         # reduced period lcm(1000, 1001) = 1 001 000, just above the fixed cap

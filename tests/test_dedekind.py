@@ -105,6 +105,36 @@ def _scalar_values(q: int) -> np.ndarray:
     return np.array([0.0] + half + [-v for v in reversed(half)])
 
 
+def _assert_sampled_bit_identical(q: int, seed: int) -> None:
+    """dedekind_values(q) at 200 seeded a from both halves equals the scalar
+    descent bit for bit (the upper half as the odd extension of the lower)."""
+    vals = dedekind_values(q)
+    points = np.random.default_rng(seed).integers(1, q, 200).tolist()
+    assert {2 * a < q for a in points} == {True, False}
+    for a in points:
+        expected = _dedekind_float(a, q) if 2 * a < q else -_dedekind_float(q - a, q)
+        assert vals[a] == expected
+    assert vals[0] == 0.0
+
+
+def _descent_steps(h: int, k: int) -> int:
+    """Steps (h, k) -> (k mod h, h) of the reciprocity descent until h = 0."""
+    n = 0
+    while h:
+        h, k = k % h, h
+        n += 1
+    return n
+
+
+def _lame_steps(q: int) -> int:
+    """The largest n with F_(n+2) <= q: Lame's bound on the descent's steps
+    from any (a, q), a < q."""
+    fib = [0, 1]
+    while fib[-1] <= q:
+        fib.append(fib[-1] + fib[-2])
+    return len(fib) - 4
+
+
 class TestDedekindValues:
     # 65537: H = 2^15 lanes, exactly one descent block; 100003: a partial
     # last block
@@ -121,14 +151,53 @@ class TestDedekindValues:
         assert np.array_equal(values.view(np.int64), _scalar_values(q).view(np.int64))
 
     def test_bit_identical_sampled_near_1e6(self):
-        q = 1_000_003
+        _assert_sampled_bit_identical(1_000_003, seed=11)
+
+    def test_bit_identical_sampled_at_the_cap(self):
+        # 1 999 993: the largest prime below MAX_Q, where the float lanes form
+        # h^2 + k^2 + 1 up to 8.0e12
+        _assert_sampled_bit_identical(1_999_993, seed=12)
+
+    def test_float_lanes_exact_up_to_the_cap(self):
+        # the lanes hold h < k <= q as float64: h^2 + k^2 + 1 and k mod h are
+        # exact only while 2q^2 + 1 < 2^53, so a cap past that must fail here
+        assert 2 * characters.MAX_Q**2 + 1 < 2**53
+
+    @pytest.mark.parametrize("q", [1009, 10007, 1_000_003])
+    def test_error_bound_against_exact_sums(self, q):
+        # the docstring's bound u ((q + 4n)/3 + (n - 1)(q + 3n)/11), n the
+        # descent's step count, held against the exact Fraction of each a
         vals = dedekind_values(q)
-        rng = np.random.default_rng(11)
-        for a in rng.integers(1, q, 200).tolist():
-            # the upper half is the odd extension of the lower half
-            expected = _dedekind_float(a, q) if 2 * a < q else -_dedekind_float(q - a, q)
-            assert vals[a] == expected
-        assert vals[0] == 0.0
+        rng = np.random.default_rng(q)
+        points = [1, 2, (q - 1) // 2, q - 1] + rng.integers(1, q, 50).tolist()
+        assert {2 * a < q for a in points} == {True, False}
+        for a in points:
+            n = _descent_steps(min(a, q - a), q)
+            assert n <= _lame_steps(characters.MAX_Q)
+            bound = Fraction(1, 2**53) * (Fraction(q + 4 * n, 3) + Fraction((n - 1) * (q + 3 * n), 11))
+            assert abs(Fraction(vals[a]) - sw.dedekind_sum_pair(a, q)) <= bound
+
+    def test_lame_step_count_at_the_cap(self):
+        # F_31 = 1 346 269 <= MAX_Q < F_32: the descent takes at most 29 steps
+        # below the cap, where the docstring's bound is 6.4e-10
+        assert _lame_steps(characters.MAX_Q) == 29
+        n, q = 29, characters.MAX_Q
+        assert 2**-53 * ((q + 4 * n) / 3 + (n - 1) * (q + 3 * n) / 11) < 6.4e-10
+        # q/a = F_31/F_30 descends through quotients 1, ..., 1, 2: 29 steps
+        assert _descent_steps(832_040, 1_346_269) == 29
+
+    def test_peak_within_the_stated_bytes_per_residue(self):
+        # the values and one block's lanes: 10.4 bytes per residue at q ~ 1e6
+        q = 1_000_003
+        tracemalloc.start()
+        try:
+            dedekind_values(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * q
+        with pytest.raises(ResourceLimitError, match="11 bytes per residue, 22000033 bytes"):
+            dedekind_values(2_000_003)
 
     @pytest.mark.parametrize("q", [1, 2, 9, 15, 100])
     def test_rejects_non_odd_prime(self, q):
