@@ -19,7 +19,9 @@ from .characters import (
     CharacterTable,
     _coprime_terms,
     _fold_by_exponent,
+    _odd_at,
     _odd_correlation,
+    _odd_over_group,
     build_context,
     require_below_cap,
     require_odd_prime,
@@ -127,7 +129,8 @@ def ck_point(
 
 # tracemalloc peak per residue of ck_all: the truncated route at the default
 # cutoff N = q (29.0 at q ~ 1e6, binning or correlating beside the context);
-# the characters route peaks at 8, reading a built table
+# the characters route peaks at 12.1, the scaled half of a built table beside
+# the vector it is written into
 _CK_BYTES_PER_RESIDUE = 29
 
 
@@ -139,24 +142,25 @@ def ck_all(
 ) -> CkVector:
     """The full vector of bias values C(k), k = 1..q-1, exactly odd.
 
-    The character route scales the table's character sums, which
-    ``build_table`` computes from the Dedekind spectrum, C(k) = S(k)/(q-1),
-    computed as S(k) * (1/(q-1)).  The truncated route bins the weights
+    The character route scales the half of the table's character sums,
+    which ``build_table`` computes from the Dedekind spectrum, C(k) =
+    S(k)/(q-1), computed as S(k) * (1/(q-1)).  The truncated route bins the weights
     b(n) at x = inv(2n) mod q into W, so that
 
         C(k) = -C_q sum_x W(x) psi(kx/q),
 
     a correlation with the odd psi, which Rader's reindexing over the group
     computes by one real FFT at the smallest 5-smooth length >= q - 2
-    (``characters._odd_correlation``).
+    (``characters._odd_correlation``).  Either half is written into the
+    residue vector by one scatter through the group, NaN at 0.
     """
     require_odd_prime(q)
     require_below_cap(q, "C(k) vector", _CK_BYTES_PER_RESIDUE)
     if method == "characters":
         if table is None or table.q != q:
             raise ValueError("characters route needs a table built for q")
-        values = table.bias_sums * (1.0 / (q - 1))
-        values[0] = np.nan
+        ctx = table.context
+        half = table.half * (1.0 / (q - 1))
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         N = cutoff if cutoff is not None else max(1000, q)
@@ -168,14 +172,14 @@ def ck_all(
         weights, two_n = _coprime_terms(q, coeff_b_floats(N))
         u = _fold_by_exponent(ctx, two_n, weights)
         del weights, two_n  # at N = q they outweigh their fold
-        values = _odd_correlation(
+        half = _odd_correlation(
             ctx, u, lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out),
-            -c_q, np.nan,
+            -c_q,
         )
         meta = {"series_cutoff": N}
     else:
         raise ValueError(f"unknown method {method!r}")
-    return CkVector(q, values, method, meta)
+    return CkVector(q, _odd_over_group(ctx, half, np.nan), method, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +193,9 @@ def c2_pair(q: int, a: int, b: int, table: CharacterTable) -> float:
     nonprincipal-character sum with the (chi_bar(b) - chi_bar(a))/phi
     correction term is read from the table's character sums: with
     S(x) = sum_chi chi_bar(x) L(0,chi) L(1,chi) A_{q,chi}, the sum is
-    S(b-a) + (S(b) - S(a))/phi(q), each S read from ``bias_sums`` at its
-    residue mod q.  a or b = 0 mod q raises ValueError.
+    S(b-a) + (S(b) - S(a))/phi(q), each S read from the table's half
+    through the discrete log of its residue mod q.  a or b = 0 mod q raises
+    ValueError.
     """
     if a % q == 0 or b % q == 0:
         raise ValueError("a, b must be coprime to q")
@@ -199,8 +204,8 @@ def c2_pair(q: int, a: int, b: int, table: CharacterTable) -> float:
     if (a - b) % q == 0:
         return (q - 2) / 2.0 * math.log(q / (2.0 * math.pi))
     M = q - 1
-    S = table.bias_sums
-    total = float(S[(b - a) % q]) + (float(S[b % q]) - float(S[a % q])) / M
+    S = _odd_at(table.half, table.context.index[[(b - a) % q, b % q, a % q]])
+    total = float(S[0]) + (float(S[1]) - float(S[2])) / M
     return 0.5 * math.log(2.0 * math.pi / q) + (q / M) * total
 
 

@@ -55,11 +55,16 @@ def reduce_correlation(moduli) -> tuple[tuple[int, ...], Fraction]:
     return tuple(sorted(reduced)), Fraction(1, extracted)
 
 
-def _poly_int_bound(moduli, ell: int, period: int) -> int:
+def _poly_int_bound(moduli, period: int) -> int:
+    """A bound on every coefficient sum of ``_integrate_reduced`` over
+    ``period`` unit intervals, and on every partial coefficient: on [m, m + 1)
+    the integrand is prod_j (e_j + 2t)/(2 n_j) with |e_j| <= n_j, whose
+    numerator coefficients sum in absolute value to at most prod_j (n_j + 2).
+    The weights multiply the sums only as Python integers."""
     bound = 1
     for n in moduli:
         bound *= n + 2
-    return bound * (ell + 1) * 2520 * max(period, 1)
+    return bound * max(period, 1)
 
 
 @functools.cache
@@ -76,13 +81,15 @@ def _integrate_reduced(moduli: tuple[int, ...], period: int) -> Fraction:
     for n in moduli:
         denom *= 2 * n
 
-    # the longest block, of 2^8 to 2^16 unit intervals, whose coefficient sums
-    # stay in int64; Python integers in object arrays where none does
-    block = 1 << 16
-    while block > 1 << 8 and _poly_int_bound(moduli, ell, block) >= 2**62:
+    # the longest block, of 2^8 to 2^12 unit intervals, whose coefficient sums
+    # stay in int64; Python integers in object arrays where none does.  A
+    # block of 2^12 holds under 0.7 MiB of arrays at ell = 8, and longer ones
+    # ran no faster
+    block = 1 << 12
+    while block > 1 << 8 and _poly_int_bound(moduli, block) >= 2**62:
         block >>= 1
     block = min(block, period)
-    dtype = np.int64 if _poly_int_bound(moduli, ell, block) < 2**62 else object
+    dtype = np.int64 if _poly_int_bound(moduli, block) < 2**62 else object
     num = 0
     for lo in range(0, period, block):
         m = np.arange(lo, min(lo + block, period), dtype=dtype)

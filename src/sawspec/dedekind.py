@@ -8,14 +8,17 @@ zero-padded to a 5-smooth length >= q - 2, with no Bluestein step), a
 Dirichlet-character identity over the odd characters, and a truncated
 sawtooth series with an O(q/x) error contract.
 
-The fast route's spectrum is memoised for the last modulus as one
-read-only vector, which ``spectrum_all`` returns as is: it and
-``characters.build_table``, which computes the character sums S(k) from
-it, share one Dedekind descent and one prime context per modulus.
+The transform is exactly odd, so a ``Spectrum`` holds its group half
+Im s_hat_q(g^n), n < H = (q-1)/2, and writes the residue vector only when
+``values`` is first read.  The fast route's half is memoised for the last
+modulus, read-only (4 bytes per residue): ``spectrum_all`` and
+``characters.build_table``, which computes the character sums S(k) from it,
+share one Dedekind descent and one prime context per modulus.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import (
+    PrimeContext,
     _memo_last,
     _odd_correlation,
     _odd_over_group,
@@ -203,13 +207,29 @@ def dedekind_values(q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Imaginary parts of s_hat_q(t) for t = 0..q-1 (the transform is purely
-    imaginary).  ``values`` is exactly odd: values[(q-t) % q] == -values[t].
-    The chirp-z route's ``values`` is the read-only memo of the last modulus;
-    the naive route's is a fresh, writable array."""
+    """Imaginary parts of s_hat_q(t) (the transform is purely imaginary),
+    kept as the group half ``half[n]`` = Im s_hat_q(g^n), n < H = (q-1)/2,
+    g = ``context.powers[1]``; Im s_hat_q(g^(n+H)) = -half[n] and
+    Im s_hat_q(0) = 0.  The chirp-z route's ``half`` is the read-only memo of
+    the last modulus; the naive route's is a fresh, writable array.
+
+    ``values`` is the residue vector t = 0..q-1, exactly odd:
+    values[(q-t) % q] == -values[t].  It is written on first read (8 bytes
+    per residue) and read-only.
+
+    A kept ``Spectrum`` pins its half (4 bytes per residue) and its context
+    (8), 12 bytes per residue, 20 once ``values`` is read, also after the
+    last-modulus memos have moved on to another modulus."""
 
     q: int
-    values: np.ndarray
+    half: np.ndarray
+    context: PrimeContext
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = _odd_over_group(self.context, self.half.copy(), 0.0)
+        values.flags.writeable = False
+        return values
 
 
 _NAIVE_BLOCK = 256  # rows of t per outer product in _dft_positive_naive
@@ -228,37 +248,48 @@ def _dft_positive_naive(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_parseval(q: int, energy: float, values: np.ndarray) -> None:
-    """Given the energy E = (1/q) sum_a s_q(a)^2, require
-    |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E (ArithmeticError)."""
-    residual = abs(float(np.dot(values, values)) - energy)
+def _sum_of_squares(x: np.ndarray) -> float:
+    """sum_i x_i^2 by numpy's own loop, not BLAS.  OpenBLAS hands a dot of
+    more than 10 000 terms to its thread pool: with two threads on a 2-vCPU
+    x86-64 box, a dot at q ~ 1e6 took 8-12 ms against 0.4-1 ms on one
+    thread, and the work after it ran up to twice as slow while the pool's
+    worker spun.  The Parseval check needs no particular order of the sum."""
+    return float(np.einsum("i,i->", x, x))
+
+
+def _check_parseval(q: int, energy: float, half: np.ndarray) -> None:
+    """Given the energy E = (1/q) sum_a s_q(a)^2 and the spectrum's group
+    half, require |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E
+    (ArithmeticError); the sum over t is 2 sum_n half[n]^2."""
+    residual = abs(2.0 * _sum_of_squares(half) - energy)
     if residual > 1e-12 * math.log(q) * energy:
         raise ArithmeticError(f"spectrum Parseval residual {residual:g} above budget")
 
 
 @_memo_last
 def _spectrum_values(q: int) -> np.ndarray:
-    """Im s_hat_q(t), t = 0..q-1, by Rader's route, Parseval-checked and
+    """Im s_hat_q(g^n), n < (q-1)/2, by Rader's route, Parseval-checked and
     read-only; memoised for the last modulus, so ``spectrum_all`` and
-    ``build_table`` share one Dedekind descent and one context (16 bytes per
-    residue).  s_q is exactly odd, so its fold over the group is 2 s_q(g^m)."""
+    ``build_table`` share one Dedekind descent and one context (12 bytes per
+    residue with the context).  s_q is exactly odd, so its fold over the
+    group is 2 s_q(g^m)."""
     s = dedekind_values(q)
-    energy = float(np.dot(s, s)) / q
+    energy = _sum_of_squares(s) / q
     ctx = build_context(q)
     u = 2.0 * s[ctx.powers[: (q - 1) // 2]]
     del s
-    values = _odd_correlation(
+    half = _odd_correlation(
         ctx, u, lambda a, out: np.sin(np.multiply(a, 2.0 * math.pi / q, out=out), out=out),
-        1.0 / q, 0.0,
+        1.0 / q,
     )
-    _check_parseval(q, energy, values)
-    values.flags.writeable = False
-    return values
+    _check_parseval(q, energy, half)
+    half.flags.writeable = False
+    return half
 
 
 # tracemalloc peak per residue of spectrum_all (chirp-z) at q ~ 1e6 with
 # nothing memoised (28.2): the context and the fold (12) beside the real FFT
-# buffers of the correlation (16); the memo keeps the context and the spectrum
+# buffers of the correlation (16); the memo keeps the context and the half (12)
 _SPECTRUM_BYTES_PER_RESIDUE = 29
 
 
@@ -268,23 +299,24 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
     s_q is odd, so s_hat_q(t) = (i/q) sum_a s_q(a) sin(2 pi a t/q) is
     imaginary and odd in t, and only t = g^n, n < H = (q-1)/2, is computed;
     t = g^(n+H) = -g^n takes the negated value and t = 0 the value 0, so
-    ``values`` is exactly odd.  ``naive`` evaluates the definitional DFT at
-    those t in O(q^2), refuses more than 1e8 phase terms H q (q above about
-    14 000) before it allocates, and returns a fresh array.  ``chirp-z`` (the
+    the ``Spectrum`` holds that group half and its ``values`` are exactly
+    odd.  ``naive`` evaluates the definitional DFT at those t in O(q^2),
+    refuses more than 1e8 phase terms H q (q above about 14 000) before it
+    allocates, and returns a fresh half.  ``chirp-z`` (the
     name of the fast route) uses Rader's reindexing over the group, a = g^m:
 
         s_hat_q(g^n) = (i/q) sum_{m<H} (s_q(g^m) - s_q(g^(m+H))) sin(2 pi g^(m+n)/q),
 
     one real correlation by FFT at the smallest 5-smooth length >= q - 2
-    (``characters._odd_correlation``); its ``values`` are the read-only
-    memo of the last modulus, which ``build_table`` reads too.  Both routes
-    must pass Parseval: with E = (1/q) sum_a s_q(a)^2,
+    (``characters._odd_correlation``); its half is the read-only memo of
+    the last modulus, which ``build_table`` reads too.  Both routes must
+    pass Parseval: with E = (1/q) sum_a s_q(a)^2,
     |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E.
     """
     require_odd_prime(q)
     require_below_cap(q, "spectrum", _SPECTRUM_BYTES_PER_RESIDUE)
     if algorithm == "chirp-z":
-        values = _spectrum_values(q)
+        half = _spectrum_values(q)
     elif algorithm == "naive":
         terms = (q - 1) // 2 * q
         if terms > _NAIVE_BUDGET:
@@ -298,11 +330,10 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
         s = dedekind_values(q)
         ctx = build_context(q)
         half = _dft_positive_naive(s, ctx.powers[: (q - 1) // 2]).imag / q
-        values = _odd_over_group(ctx, half, 0.0)
-        _check_parseval(q, float(np.dot(s, s)) / q, values)
+        _check_parseval(q, _sum_of_squares(s) / q, half)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return Spectrum(q, values)
+    return Spectrum(q, half, build_context(q))
 
 
 _TRUNCATED_CHUNK = 1 << 22  # terms n per array step in spectrum_point_truncated

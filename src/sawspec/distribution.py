@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import _odd_over_group
 from .moments import empirical_moments
 
 __all__ = [
@@ -80,8 +81,20 @@ def from_ck_vector(vec) -> EmpiricalDistribution:
 
 
 def from_spectrum(spec) -> EmpiricalDistribution:
-    """Residue-indexed dataset of pi*i*s_hat_q(t) (real numbers), t = 1..q-1."""
-    return EmpiricalDistribution("s", -math.pi * spec.values[1:], True)
+    """Residue-indexed dataset of pi*i*s_hat_q(t) (real numbers), t = 1..q-1,
+    written from the spectrum's group half, -pi * half, by one scatter; the
+    spectrum's residue vector ``values`` is not materialised."""
+    samples = _odd_over_group(spec.context, np.multiply(spec.half, -math.pi), 0.0)
+    return EmpiricalDistribution("s", samples[1:], True)
+
+
+def _exactly_odd(x: np.ndarray) -> bool:
+    """x == -x[::-1], comparing the first half with the negated reversed
+    tail (and the middle sample of an odd count with 0): no full copy."""
+    m = x.size // 2
+    return np.array_equal(x[:m], -x[: x.size - 1 - m : -1]) and (
+        x.size % 2 == 0 or x[m] == 0
+    )
 
 
 def ecdf_scaled(dist: EmpiricalDistribution, x):
@@ -200,7 +213,7 @@ def summary(dist: EmpiricalDistribution) -> dict:
     """Min, max, moments 1..6 and the symmetry statistic on x = 0.1..3.0;
     exactly odd samples (v == -v[::-1]) have odd moments exactly 0."""
     moments = empirical_moments(dist.samples, 6)
-    if np.array_equal(dist.samples, -dist.samples[::-1]):
+    if _exactly_odd(dist.samples):
         moments[0::2] = [0.0, 0.0, 0.0]
     return {
         "label": dist.label,

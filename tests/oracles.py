@@ -18,8 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sawspec.characters import _odd_correlation, build_context
-from sawspec.correlations import _poly_int_bound
+from sawspec.characters import _odd_correlation, _odd_over_group, build_context
 from sawspec.distribution import DEFAULT_SCALES
 from sawspec.foundations import coeff_b_denominators, factorize, jordan_table, prime_array
 from sawspec.phi_error import _gauss_legendre_01, _node_count
@@ -153,16 +152,15 @@ def reduce_correlation_by_factors(moduli) -> tuple[tuple[int, ...], Fraction]:
 
 def integrate_whole_period(moduli: tuple[int, ...], period: int) -> Fraction:
     """The mean of prod psi(x/n_j) over [0, period) with every coefficient
-    array over the whole period (int64 where ``_poly_int_bound`` of the
-    period allows it, else Python integers): the oracle for the blocked
-    ``correlations._integrate_reduced``."""
+    array over the whole period, in Python integers, so no dtype bound is
+    trusted: the oracle for the blocked ``correlations._integrate_reduced``."""
     ell = len(moduli)
     weight_lcm = math.lcm(*range(1, ell + 2))
     weights = [weight_lcm // (i + 1) for i in range(ell + 1)]
     denom = weight_lcm * period
     for n in moduli:
         denom *= 2 * n
-    dtype = np.int64 if _poly_int_bound(moduli, ell, period) < 2**62 else object
+    dtype = object
     m = np.arange(period, dtype=dtype)
     coeffs = [np.ones(period, dtype=dtype)]
     for n in moduli:
@@ -335,11 +333,13 @@ def spectrum_by_cotangents(q: int) -> np.ndarray:
         Im s_hat_q(t) = -(1/2q) sum_{0<j<q} cot(pi j/q) psi(t inv(j)/q),
 
     one ``_odd_correlation`` over the group of the odd f(a) = cot(pi inv(a)/q),
-    whose fold at a = g^m is 2 cot(pi inv(g^m)/q), with the odd psi(a/q).
-    cot(pi j/q) reaches q/pi at j = 1, so the roundoff grows like q."""
+    whose fold at a = g^m is 2 cot(pi inv(g^m)/q), with the odd psi(a/q),
+    its half scattered to the residues.  cot(pi j/q) reaches q/pi at j = 1,
+    so the roundoff grows like q."""
     ctx = build_context(q)
     u = 2.0 / np.tan((math.pi / q) * ctx.inverse(ctx.powers[: (q - 1) // 2]))
-    return _odd_correlation(
+    half = _odd_correlation(
         ctx, u, lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out),
-        -0.5 / q, 0.0,
+        -0.5 / q,
     )
+    return _odd_over_group(ctx, half, 0.0)

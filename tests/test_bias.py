@@ -253,6 +253,24 @@ class TestC2:
             value = sw.c2_pair(q, a, b, table)
             assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("q", [5, 7, 101])
+    def test_index_read_equals_the_residue_read(self, q):
+        # c2_pair reads its three S values from the table's half through the
+        # discrete log; the residue vector of S gives the same float for every
+        # off-diagonal pair, and for residues given outside 0..q-1
+        table = sw.build_table(q)
+        ctx, H, M = table.context, (q - 1) // 2, q - 1
+        S = np.zeros(q)
+        S[ctx.powers[:H]] = table.half
+        S[ctx.powers[H:]] = -table.half
+        for a, b in product(range(1, q), repeat=2):
+            if a == b:
+                continue
+            total = float(S[(b - a) % q]) + (float(S[b]) - float(S[a])) / M
+            expected = 0.5 * math.log(2.0 * math.pi / q) + (q / M) * total
+            assert sw.c2_pair(q, a, b, table) == expected
+            assert sw.c2_pair(q, a - q, b + 2 * q, table) == expected
+
     def test_rejects_bad_residues(self, table_101):
         with pytest.raises(ValueError):
             sw.c2_pair(101, 0, 5, table_101)

@@ -176,6 +176,24 @@ class TestContext:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_mapped_tables_are_traced_until_freed(self):
+        # the tables live in mappings of their own, which tracemalloc still
+        # counts while the memo holds them and drops once it lets them go
+        q = 100_003
+        build_context(101)
+        tracemalloc.start()
+        try:
+            ctx = build_context(q)
+            nbytes = ctx.powers.nbytes + ctx.index.nbytes
+            held, _ = tracemalloc.get_traced_memory()
+            del ctx
+            build_context(101)  # the memo drops q's tables
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nbytes <= held < nbytes + (1 << 16)
+        assert left < 1 << 16
+
 
 def _odd_over_group_scatter(ctx, half, zero):
     """The odd vector by two scatters through the powers, -half a new array:
@@ -250,11 +268,11 @@ class TestMemo:
             table = sw.build_table(q)
         assert calls == {"dedekind_values": 1, "primitive_root": 1}
         assert table.context is build_context(q)
-        assert spectrum.values is dedekind._spectrum_values(q)
+        assert spectrum.half is dedekind._spectrum_values(q)
 
     def test_memo_is_read_only_and_a_new_modulus_evicts_it(self, monkeypatch):
         q = 1009
-        values = sw.spectrum_all(q).values
+        values = sw.spectrum_all(q).half
         ctx = build_context(q)
         for arr in (values, ctx.powers, ctx.index):
             assert not arr.flags.writeable
@@ -267,16 +285,16 @@ class TestMemo:
         monkeypatch.setattr(
             dedekind, "dedekind_values", lambda n: descents.append(n) or descent(n)
         )
-        again = sw.spectrum_all(q).values
+        again = sw.spectrum_all(q).half
         assert again is not values and np.array_equal(again, values)
-        assert sw.spectrum_all(q).values is again
+        assert sw.spectrum_all(q).half is again
         assert descents == [q]
 
     def test_last_modulus_is_dropped_before_the_next_is_built(self, monkeypatch):
         # the previous modulus's spectrum is gone when the next descent runs,
         # and its context when the next primitive root is sought, so the
         # arrays of two moduli are never held at once
-        refs = (weakref.ref(sw.spectrum_all(1013).values), weakref.ref(build_context(1013)))
+        refs = (weakref.ref(sw.spectrum_all(1013).half), weakref.ref(build_context(1013)))
         dead = {}
         for module, name in ((dedekind, "dedekind_values"), (characters, "primitive_root")):
             builder = getattr(module, name)
@@ -292,16 +310,46 @@ class TestMemo:
 
     def test_spectrum_values_are_the_memo(self):
         q = 1009
-        values = sw.spectrum_all(q).values
-        assert sw.spectrum_all(q).values is values
+        values = sw.spectrum_all(q).half
+        assert sw.spectrum_all(q).half is values
         assert sw.build_table(q).context is build_context(q)
-        assert sw.spectrum_all(q).values is values
+        assert sw.spectrum_all(q).half is values
         with pytest.raises(ValueError):
             values[1] = 0.0
-        naive = sw.spectrum_all(q, "naive").values
+        naive = sw.spectrum_all(q, "naive").half
         assert naive is not values and naive.flags.writeable
         naive[1] = 0.0
-        assert sw.spectrum_all(q, "naive").values[1] != 0.0
+        assert sw.spectrum_all(q, "naive").half[1] != 0.0
+
+    @pytest.mark.parametrize("algorithm", ["chirp-z", "naive"])
+    def test_residue_vector_is_written_once_from_the_half(self, algorithm):
+        # values is the parent's residue vector: the half scattered through
+        # the group, 0 at t = 0.  It is written on first read, read-only, and
+        # leaves the half as it was
+        q = 1009
+        spectrum = sw.spectrum_all(q, algorithm)
+        half = spectrum.half.copy()
+        assert "values" not in vars(spectrum)
+        values = spectrum.values
+        assert spectrum.values is values and not values.flags.writeable
+        expected = _odd_over_group_scatter(spectrum.context, half, 0.0)
+        assert np.array_equal(_bits(values), _bits(expected))
+        assert np.array_equal(_bits(spectrum.half), _bits(half))
+
+    def test_one_modulus_keeps_16_bytes_per_residue(self):
+        # the context (8), the spectrum's half (4) and the table's half (4)
+        # stay live after spectrum_all and build_table; no residue vector does
+        q = 1_000_003
+        sw.spectrum_all(101)  # the memos now hold another modulus
+        tracemalloc.start()
+        try:
+            spectrum = sw.spectrum_all(q)
+            table = sw.build_table(q)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 17 * q
+        assert spectrum.half is dedekind._spectrum_values(q) and table.q == q
 
 
 @pytest.mark.parametrize("q", [3, 101, 1_000_003])
@@ -380,7 +428,8 @@ class TestOddCorrelation:
         direct = scale * float(np.dot(weights, group[e]))
         table = sw.build_table(q)
         expected = _odd_over_group_scatter(ctx, half, 0.0)
-        assert np.array_equal(_bits(table.bias_sums), _bits(expected))
+        sums = _odd_over_group_scatter(ctx, table.half, 0.0)
+        assert np.array_equal(_bits(sums), _bits(expected))
         assert table.residual == abs(direct - half[0]) / (q - 1)
 
     def test_fold_passed_as_a_temporary_is_freed_after_its_transform(self, monkeypatch):
@@ -408,7 +457,7 @@ class TestOddCorrelation:
         )
         tracemalloc.start()
         try:
-            characters._odd_correlation(ctx, fold(), psi, 1.0, 0.0)
+            characters._odd_correlation(ctx, fold(), psi, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -432,8 +481,8 @@ def test_smooth_length_is_least_5_smooth_bound():
 
 class TestBuildTable:
     def test_resource_cap(self):
-        # 38 bytes per residue, past the cap at q = 2000003
-        with pytest.raises(ResourceLimitError, match="76000114 bytes"):
+        # 34 bytes per residue, past the cap at q = 2000003
+        with pytest.raises(ResourceLimitError, match="68000102 bytes"):
             sw.build_table(2_000_003)
 
     def test_peak_within_the_stated_bytes_per_residue(self):
@@ -493,7 +542,8 @@ class TestBuildTable:
         # and not made odd, so the gap also bounds their imaginary parts and
         # their oddness defect
         half, full = sw.build_table(q), _full_table(q)
-        S = half.bias_sums
+        assert half.half.shape == ((q - 1) // 2,)
+        S = _odd_over_group_scatter(half.context, half.half, 0.0)
         assert S.shape == (q,) and S.dtype == np.float64
         assert np.max(np.abs(S - full.bias_sums)) / (q - 1) <= 1e-13
         assert S[0] == 0.0
@@ -510,9 +560,10 @@ class TestBuildTable:
         table = sw.build_table(q)
         assert table.cutoff == cutoff
         exact = _character_sums_mp(q, cutoff, range(1, q))
+        S = _odd_over_group_scatter(table.context, table.half, 0.0)
         for a, value in zip(range(1, q), exact):
             assert abs(value.imag) / (q - 1) <= 1e-25
-            assert abs(table.bias_sums[a] - float(value.real)) / (q - 1) <= 1e-14
+            assert abs(S[a] - float(value.real)) / (q - 1) <= 1e-14
 
     def test_perturbed_correlation_fails_the_residual(self, monkeypatch):
         # a shift of 1e-9 in the table's correlation is ~4e-9 on the C scale,
@@ -522,7 +573,7 @@ class TestBuildTable:
         monkeypatch.setattr(
             characters,
             "_odd_correlation",
-            lambda ctx, f, h, scale, zero: correlation(ctx, f, h, scale, zero) + scale * 1e-9,
+            lambda ctx, f, h, scale: correlation(ctx, f, h, scale) + scale * 1e-9,
         )
         with pytest.raises(ArithmeticError, match="residual"):
             sw.build_table(101)

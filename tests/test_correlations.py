@@ -106,18 +106,36 @@ class TestExact:
 
     def test_big_coefficient_route_matches_integer_loop(self):
         # the coefficient bound over the whole period passes 2**62 here, so the
-        # period runs in two int64 blocks of 2^11 unit intervals
-        mods, period = (5, 5, 11, 11, 25, 25, 121, 121), 3025
-        assert _poly_int_bound(mods, len(mods), period) >= 2**62
-        assert _poly_int_bound(mods, len(mods), 1 << 11) < 2**62
+        # period runs in int64 blocks of 2^8 unit intervals (three of 256, then
+        # 232)
+        mods, period = (97, 97, 98, 98, 99, 99, 100, 100), 1000
+        assert _poly_int_bound(mods, period) >= 2**62
+        assert _poly_int_bound(mods, 1 << 8) < 2**62
         assert _integrate_reduced(mods, period) == _integrate_by_interval(mods, period)
 
     def test_object_route_in_blocks_matches_integer_loop(self):
         # the bound passes 2**62 even over a block of 2^8 unit intervals, so
         # the blocks (three of 256, then 232) hold Python integers
-        mods, period = (97, 97, 98, 98, 99, 99, 100, 100), 1000
-        assert _poly_int_bound(mods, len(mods), 1 << 8) >= 2**62
+        mods, period = (197, 197, 198, 198, 199, 199, 200, 200), 1000
+        assert _poly_int_bound(mods, 1 << 8) >= 2**62
         assert _integrate_reduced(mods, period) == _integrate_by_interval(mods, period)
+
+    @pytest.mark.parametrize(
+        "mods, period",
+        [
+            ((97, 97, 98, 98, 99, 99, 100, 100), 1000),
+            ((999, 999, 1000, 1000, 1, 1, 1, 1), 70_000),
+            ((5, 5, 11, 11, 25, 25, 121, 121), 3025),
+        ],
+    )
+    def test_int64_blocks_match_whole_period(self, mods, period):
+        # the bound is prod (n_j + 2) per unit interval, with no factor for the
+        # weights, which multiply only Python integers.  The first two tuples
+        # ran on Python integers under the bound with that factor, the third in
+        # two blocks; now each runs in int64 blocks (of 2^8, 2^12 and 3025
+        # intervals) and gives the Python-integer oracle's Fraction
+        assert _poly_int_bound(mods, 1 << 8) < 2**62
+        assert _integrate_reduced.__wrapped__(mods, period) == integrate_whole_period(mods, period)
 
     @pytest.mark.parametrize(
         "mods",
@@ -129,7 +147,7 @@ class TestExact:
 
     def test_blocks_hold_no_array_over_the_period(self):
         # period 39 800: the whole-period arrays peaked at 28.7 MB; blocks of
-        # 2^10 unit intervals peak near 0.2 MB
+        # 2^12 unit intervals peak near 0.65 MB
         mods, period = (1, 1, 1, 1, 199, 199, 200, 200), 39_800
         tracemalloc.start()
         try:
