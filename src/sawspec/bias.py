@@ -5,7 +5,7 @@ The second-order pair constant has an explicit diagonal closed form and a
 character-sum expression off the diagonal; its large-q behaviour is carried
 by the odd-character average C(k), computed here by independent routes: the
 table's character sums (from the Dedekind spectrum), the per-character
-products (``ck_point``), and the truncated sawtooth series.
+products (``ck_point``), and the truncated sawtooth series (``ck_all``).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .characters import (
     CharacterTable,
-    _coprime_terms,
-    _fold_by_exponent,
+    _fold,
+    _inverse_2n_terms,
     _odd_at,
     _odd_correlation,
     _odd_over_group,
@@ -100,31 +100,21 @@ def ck_point(
     method: str = "characters",
     table: CharacterTable | None = None,
 ) -> float:
-    """One bias value C(k) by the chosen route.
+    """One bias value C(k) from the table's per-character rows.
 
-    ``characters`` averages chi_bar(k) L(0,chi) L(1,chi) A_{q,chi} over odd
-    characters; ``truncated`` evaluates -C sum_{n <= N} b(n) psi(k inv(2n)/q)
-    at N = max(1000, q).  Both are antisymmetrized over k <-> q-k so oddness
-    is exact.
+    ``characters``, the one method, averages chi_bar(k) L(0,chi) L(1,chi)
+    A_{q,chi} over the odd characters, antisymmetrized over k <-> q-k so
+    oddness is exact.  The truncated series' point value is a test oracle
+    (``tests/oracles.py``); the library's truncated C(k) is ``ck_all``'s.
     """
     require_odd_prime(q)
     if k % q == 0:
         raise ValueError("k must be nonzero mod q")
-    if method == "characters":
-        if table is None or table.q != q:
-            raise ValueError("characters route needs a table built for q")
-        return 0.5 * (_ck_char_raw(table, k) - _ck_char_raw(table, q - k))
-    if method == "truncated":
-        ctx = build_context(q)  # the cap, before any length-q array
-        c_q, _ = constant_C(excluded_prime=q)
-        weights, two_n = _coprime_terms(q, coeff_b_floats(max(1000, q)))
-        inv2n = ctx.inverse(two_n)
-
-        def raw(kk: int) -> float:
-            return -c_q * float(np.sum(weights * ((kk * inv2n) % q / q - 0.5)))
-
-        return 0.5 * (raw(k % q) - raw(q - k % q))
-    raise ValueError(f"unknown method {method!r}")
+    if method != "characters":
+        raise ValueError(f"unknown method {method!r}")
+    if table is None or table.q != q:
+        raise ValueError("characters route needs a table built for q")
+    return 0.5 * (_ck_char_raw(table, k) - _ck_char_raw(table, q - k))
 
 
 # tracemalloc peak per residue of ck_all: the truncated route at the default
@@ -144,8 +134,8 @@ def ck_all(
 
     The character route scales the half of the table's character sums,
     which ``build_table`` computes from the Dedekind spectrum, C(k) =
-    S(k)/(q-1), computed as S(k) * (1/(q-1)).  The truncated route bins the weights
-    b(n) at x = inv(2n) mod q into W, so that
+    S(k)/(q-1), computed as S(k) * (1/(q-1)).  The truncated route bins the
+    weights b(n) at x = inv(2n) mod q into W, as ``build_table`` bins a(n), so that
 
         C(k) = -C_q sum_x W(x) psi(kx/q),
 
@@ -164,17 +154,16 @@ def ck_all(
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         N = cutoff if cutoff is not None else max(1000, q)
-        # tracemalloc peak per entry of [0, N]: the b(n) table beside
-        # _coprime_terms' index array over the odd squarefree n (14.92)
+        # tracemalloc peak per entry of [0, N]: the b(n) table beside the
+        # index array over its odd squarefree n (14.92)
         require_sieve_limit(N, 15)
         ctx = build_context(q)
         c_q, _ = constant_C(excluded_prime=q)
-        weights, two_n = _coprime_terms(q, coeff_b_floats(N))
-        u = _fold_by_exponent(ctx, two_n, weights)
-        del weights, two_n  # at N = q they outweigh their fold
+        # the terms are freed once folded (at N = q they outweigh their fold),
+        # and the fold once transformed
         half = _odd_correlation(
-            ctx, u, lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out),
-            -c_q,
+            ctx, _fold(q, *_inverse_2n_terms(ctx, coeff_b_floats, N)),
+            lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out), -c_q,
         )
         meta = {"series_cutoff": N}
     else:

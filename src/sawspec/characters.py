@@ -27,10 +27,12 @@ one real FFT zero-padded to a 5-smooth length >= 2H - 1, and T(-k) = -T(k).
 h_n = T(g^n), n < H, for the Dedekind spectrum (f = s_q, h = sin), the
 truncated C(k) (f the b-weights binned at inv(2n), h = psi) and the table's
 character sums S(k) (f the a-weights binned at inv(2n), h = Im s_hat_q;
-``build_table``).  The halves are what the spectrum and the table keep (4
-bytes per residue each); ``_odd_over_group`` writes the exactly odd residue
-vector only where a caller reads residue order, and ``_odd_at`` reads a
-half at any exponents.
+``build_table``).  Both series over inv(2n), and A_{q,chi}, read one
+binning: ``_inverse_2n_terms`` gives the terms with the exponent e of
+inv(2n) = g^e, and ``_fold`` bins them by e.  The halves are what the
+spectrum and the table keep (4 bytes per residue each); ``_odd_over_group``
+writes the exactly odd residue vector only where a caller reads residue
+order, and ``_odd_at`` reads a half at any exponents.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ class CharacterTable:
     are not stored: L(0,chi) vanishes for them, so they never contribute to
     the bias sums.  The conjugate of row i is row H-1-i.  At q ~ 1e6 the
     first access takes two length-H transforms, a tracemalloc peak of about
-    61 bytes per residue, and keeps 32.
+    52 bytes per residue, and keeps 32.
     """
 
     context: PrimeContext
@@ -305,12 +307,11 @@ class CharacterTable:
     @functools.cached_property
     def a_chi(self) -> np.ndarray:
         """A_{q,chi_j} = C_q sum_{n <= cutoff, (n,q)=1} a(n) chi_j(2n), one
-        half-length transform of the a-weights binned by ind(2n)."""
-        M = self.q - 1
-        weights, two_n = _coprime_terms(self.q, coeff_a_floats(self.cutoff))
-        w = np.bincount(self.context.index[two_n], weights=weights, minlength=M)
+        half-length transform of the fold of the a-weights binned by the
+        exponent e of inv(2n) = g^e: chi_j(2n) = conj(e(je/(q-1)))."""
         c_q, _ = constant_C(excluded_prime=self.q)
-        return c_q * _odd_dft(w[: M // 2] - w[M // 2 :], _twiddle(self.q))
+        u = _fold(self.q, *_inverse_2n_terms(self.context, coeff_a_floats, self.cutoff))
+        return c_q * np.conj(_odd_dft(u, _twiddle(self.q)))
 
     def chi_bar(self, a: int) -> np.ndarray:
         """conj(chi_j(a)) for every row; ValueError for a = 0 mod q."""
@@ -320,15 +321,6 @@ class CharacterTable:
         j = np.arange(1, M, 2)
         ind = int(self.context.index[a % self.q])
         return np.exp((-2j * math.pi / M) * (j * ind % M))
-
-
-def _coprime_terms(q: int, coeffs: np.ndarray):
-    """The nonzero coeffs[n] with n coprime to q, and 2n mod q for each."""
-    ns = np.nonzero(coeffs)[0]
-    ns = ns[ns % q != 0]
-    weights = coeffs[ns]
-    np.multiply(ns, 2, out=ns)
-    return weights, np.remainder(ns, q, out=ns)
 
 
 def _odd_over_group(ctx: PrimeContext, half: np.ndarray, zero: float) -> np.ndarray:
@@ -379,11 +371,36 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _fold_by_exponent(ctx: PrimeContext, two_n: np.ndarray, weights: np.ndarray):
+def _inverse_2n_terms(ctx: PrimeContext, sieve, N: int):
+    """The terms of a series over inv(2n) mod q: the nonzero coefficients
+    c(n), n <= N coprime to q, of the table ``sieve(N)`` (``coeff_a_floats``
+    or ``coeff_b_floats``), and the int32 exponent e = -ind(2n) mod (q-1) of
+    inv(2n) = g^e for each.  The table is freed before the exponents are
+    built, so its 8 bytes per entry never stand beside them."""
+    coeffs = sieve(N)
+    ns = np.nonzero(coeffs)[0]
+    ns = ns[ns % ctx.q != 0]
+    weights = coeffs[ns]
+    del coeffs
+    np.multiply(ns, 2, out=ns)
+    return weights, -ctx.index[np.remainder(ns, ctx.q, out=ns)] % (ctx.q - 1)
+
+
+def _fold(q: int, weights: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The fold u_e = W_e - W_(e+H), e < H = (q-1)/2, of the weights binned
-    by the exponent e = -ind(2n) mod (q-1) of inv(2n) = g^e."""
-    W = np.bincount(-ctx.index[two_n] % (ctx.q - 1), weights, minlength=ctx.q - 1)
+    by their exponents e < q - 1."""
+    W = np.bincount(e, weights, minlength=q - 1)
     return W[: len(W) // 2] - W[len(W) // 2 :]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum_i x_i y_i by numpy's own loop, not BLAS.  OpenBLAS hands a dot of
+    more than 10 000 terms to its thread pool: with two threads on a 2-vCPU
+    x86-64 box, a dot at q ~ 1e6 took 8-12 ms against 0.4-1 ms on one
+    thread, and the work after it ran up to twice as slow while the pool's
+    worker spun.  The Parseval check and the S(1) residual need no
+    particular order of the sum."""
+    return float(np.einsum("i,i->", x, y))
 
 
 def _odd_correlation(ctx: PrimeContext, u: np.ndarray, h, scale: float) -> np.ndarray:
@@ -419,8 +436,8 @@ def _odd_correlation(ctx: PrimeContext, u: np.ndarray, h, scale: float) -> np.nd
 
 
 # tracemalloc peak per residue of build_table at q ~ 1e6 with nothing memoised
-# (33.3): the context and spectrum half it memoises (12), h's transform beside
-# the fold and its transform (20), and the a-series terms (1.1)
+# (32.2): the context and spectrum half it memoises (12) and h's transform beside
+# the fold and its transform (20); the a-series terms (1.1) are gone by then
 _TABLE_BYTES_PER_RESIDUE = 34
 
 # the a-series cutoff N of A_{q,chi}: the terms n <= N enter the table
@@ -437,13 +454,14 @@ def build_table(q: int) -> CharacterTable:
 
         S(k) = pi C_q (q-1) sum_{n <= N, (n,q)=1} a(n) Im s_hat_q(k inv(2n)),
 
-    one ``_odd_correlation`` of the a-weights binned by the exponent of
-    inv(2n) with the memoised spectrum half that ``spectrum_all`` returns,
-    whose kernel Im s_hat_q(g^j), j < 2H - 1, is the two slices
-    [half, -half[:H-1]].  S(1) is also summed directly over the a-weights,
-    reading the half at the exponents of inv(2n), and a gap past the
-    ``residual`` bound raises ArithmeticError.  The a-series tail n > N
-    carries no bound yet.
+    one ``_odd_correlation`` of the a-weights binned by the exponent e of
+    inv(2n) = g^e (``_inverse_2n_terms``, ``_fold``) with the memoised
+    spectrum half that ``spectrum_all`` returns, whose kernel
+    Im s_hat_q(g^j), j < 2H - 1, is the two slices [half, -half[:H-1]].
+    S(1) = S(g^0) is first summed directly over the a-weights, reading the
+    half at the exponents e; the terms are then folded and dropped before
+    the correlation, and a gap past the ``residual`` bound raises
+    ArithmeticError.  The a-series tail n > N carries no bound yet.
     """
     require_below_cap(q, "character table", _TABLE_BYTES_PER_RESIDUE)
     from .dedekind import spectrum_all  # dedekind imports this module
@@ -456,13 +474,14 @@ def build_table(q: int) -> CharacterTable:
         out[:H] = half
         np.negative(half[: H - 1], out=out[H:])
 
-    weights, two_n = _coprime_terms(q, coeff_a_floats(A_SERIES_CUTOFF))
     c_q, _ = constant_C(excluded_prime=q)
     scale = math.pi * c_q * (q - 1)
-    sums = _odd_correlation(ctx, _fold_by_exponent(ctx, two_n, weights), kernel, scale)
-    # inv(2n) = g^e, e = -ind(2n) mod (q-1), and S(1) = S(g^0)
-    e = -ctx.index[two_n] % (q - 1)
-    direct = scale * float(np.dot(weights, _odd_at(half, e)))
+    weights, e = _inverse_2n_terms(ctx, coeff_a_floats, A_SERIES_CUTOFF)
+    # S(1) = S(g^0), summed before the correlation so that the terms are gone by then
+    direct = scale * _dot(weights, _odd_at(half, e))
+    u = _fold(q, weights, e)
+    del weights, e
+    sums = _odd_correlation(ctx, u, kernel, scale)
     residual = abs(direct - sums[0]) / (q - 1)
     if residual > 1e-12 * max(1.0, abs(sums[0]) / (q - 1)):
         raise ArithmeticError(f"character sum S(1) residual {residual:g} above budget")

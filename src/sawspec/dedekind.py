@@ -27,6 +27,7 @@ import numpy as np
 
 from .characters import (
     PrimeContext,
+    _dot,
     _memo_last,
     _odd_correlation,
     _odd_over_group,
@@ -248,20 +249,11 @@ def _dft_positive_naive(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum_of_squares(x: np.ndarray) -> float:
-    """sum_i x_i^2 by numpy's own loop, not BLAS.  OpenBLAS hands a dot of
-    more than 10 000 terms to its thread pool: with two threads on a 2-vCPU
-    x86-64 box, a dot at q ~ 1e6 took 8-12 ms against 0.4-1 ms on one
-    thread, and the work after it ran up to twice as slow while the pool's
-    worker spun.  The Parseval check needs no particular order of the sum."""
-    return float(np.einsum("i,i->", x, x))
-
-
 def _check_parseval(q: int, energy: float, half: np.ndarray) -> None:
     """Given the energy E = (1/q) sum_a s_q(a)^2 and the spectrum's group
     half, require |sum_t Im(s_hat_q(t))^2 - E| <= 1e-12 log(q) E
     (ArithmeticError); the sum over t is 2 sum_n half[n]^2."""
-    residual = abs(2.0 * _sum_of_squares(half) - energy)
+    residual = abs(2.0 * _dot(half, half) - energy)
     if residual > 1e-12 * math.log(q) * energy:
         raise ArithmeticError(f"spectrum Parseval residual {residual:g} above budget")
 
@@ -274,7 +266,7 @@ def _spectrum_values(q: int) -> np.ndarray:
     residue with the context).  s_q is exactly odd, so its fold over the
     group is 2 s_q(g^m)."""
     s = dedekind_values(q)
-    energy = _sum_of_squares(s) / q
+    energy = _dot(s, s) / q
     ctx = build_context(q)
     u = 2.0 * s[ctx.powers[: (q - 1) // 2]]
     del s
@@ -330,7 +322,7 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
         s = dedekind_values(q)
         ctx = build_context(q)
         half = _dft_positive_naive(s, ctx.powers[: (q - 1) // 2]).imag / q
-        _check_parseval(q, _sum_of_squares(s) / q, half)
+        _check_parseval(q, _dot(s, s) / q, half)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return Spectrum(q, half, build_context(q))

@@ -8,8 +8,9 @@ Fraction per unit interval and modulus, the multiplicative tables from one
 whole-table sieve, the totient error's samples as one whole-length
 expression and its moments from a whole prefix table (on the fixed block
 grid, and in 2^19-interval chunks at 8 nodes from m = 128), the
-Freedman-Diaconis histogram by ``np.histogram(bins="fd")``, and the
-Dedekind spectrum from the cotangent form, with no Dedekind sum.
+Freedman-Diaconis histogram by ``np.histogram(bins="fd")``, the
+Dedekind spectrum from the cotangent form, with no Dedekind sum, and one
+truncated C(k) summed term by term.
 """
 
 import itertools
@@ -20,7 +21,14 @@ import numpy as np
 
 from sawspec.characters import _odd_correlation, _odd_over_group, build_context
 from sawspec.distribution import DEFAULT_SCALES
-from sawspec.foundations import coeff_b_denominators, factorize, jordan_table, prime_array
+from sawspec.foundations import (
+    coeff_b_denominators,
+    coeff_b_floats,
+    constant_C,
+    factorize,
+    jordan_table,
+    prime_array,
+)
 from sawspec.phi_error import _gauss_legendre_01, _node_count
 
 
@@ -343,3 +351,24 @@ def spectrum_by_cotangents(q: int) -> np.ndarray:
         -0.5 / q,
     )
     return _odd_over_group(ctx, half, 0.0)
+
+
+def ck_point_truncated(q: int, k: int) -> float:
+    """C(k) by the truncated series -C_q sum_{n <= N, (n,q)=1} b(n)
+    psi(k inv(2n)/q), N = max(1000, q), summed directly at k and q - k and
+    antisymmetrized over k <-> q-k, so oddness is exact.  The prime check
+    and the cap come first, from the prime context; the inverses are int64,
+    so k inv(2n) < q^2 does not wrap around."""
+    ctx = build_context(q)
+    if k % q == 0:
+        raise ValueError("k must be nonzero mod q")
+    c_q, _ = constant_C(excluded_prime=q)
+    b = coeff_b_floats(max(1000, q))
+    ns = np.nonzero(b)[0]
+    ns = ns[ns % q != 0]
+    weights, inv2n = b[ns], ctx.inverse(2 * ns % q)
+
+    def raw(kk: int) -> float:
+        return -c_q * float(np.sum(weights * ((kk * inv2n) % q / q - 0.5)))
+
+    return 0.5 * (raw(k % q) - raw(q - k % q))

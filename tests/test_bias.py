@@ -11,6 +11,8 @@ from sawspec.errors import ResourceLimitError
 from sawspec.bias import Pattern
 from sawspec.characters import build_context
 
+from oracles import ck_point_truncated
+
 # pinned from the first verified run (default table settings), after the
 # dual-route C(k) checks and the c2/q bridge scan both passed
 C2_PIN_Q101_A1_B2 = 18.411653044372997
@@ -91,14 +93,19 @@ class TestCkPoint:
                 vec.values[k], abs=1e-12
             )
 
+    def test_truncated_method_is_refused(self):
+        # the truncated point value is the oracle's; the library's is ck_all's
+        with pytest.raises(ValueError, match="unknown method"):
+            sw.ck_point(101, 5, "truncated")
+
     def test_truncated_route_point(self):
-        a = sw.ck_point(101, 5, "truncated")
-        b = sw.ck_point(101, 96, "truncated")
+        a = ck_point_truncated(101, 5)
+        b = ck_point_truncated(101, 96)
         assert a + b == 0.0
 
     def test_truncated_route_rejects_composite_q(self):
         with pytest.raises(ValueError, match="prime"):
-            sw.ck_point(25, 3, "truncated")
+            ck_point_truncated(25, 3)
 
     def test_truncated_route_cap_raises_before_allocating(self):
         # 2^31 - 1 is prime and past the cap; unchecked, its prime context
@@ -106,7 +113,7 @@ class TestCkPoint:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="bytes"):
-                sw.ck_point(2_147_483_647, 1, "truncated")
+                ck_point_truncated(2_147_483_647, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -128,7 +135,7 @@ class TestCkPoint:
             )
 
         expected = 0.5 * (raw(k) - raw(q - k))
-        assert sw.ck_point(q, k, "truncated") == pytest.approx(expected, abs=1e-10)
+        assert ck_point_truncated(q, k) == pytest.approx(expected, abs=1e-10)
 
     def test_truncated_point_matches_truncated_vector(self):
         # both routes evaluate the same series terms: the point route sums
@@ -137,7 +144,7 @@ class TestCkPoint:
         for q, ks in cases.items():
             vec = sw.ck_all(q, "truncated")
             for k in ks:
-                point = sw.ck_point(q, k, "truncated")
+                point = ck_point_truncated(q, k)
                 assert point == pytest.approx(vec.values[k], abs=1e-12)
 
 
@@ -152,8 +159,16 @@ class TestCkVector:
     @pytest.mark.parametrize("q", [3, 5, 101, 199])
     def test_truncated_matches_direct_sums(self, q):
         values = sw.ck_all(q, "truncated").values
-        direct = [sw.ck_point(q, k, "truncated") for k in range(1, q)]
+        direct = [ck_point_truncated(q, k) for k in range(1, q)]
         assert np.max(np.abs(values[1:] - direct)) <= 1e-12
+
+    def test_truncated_near_the_cap_matches_direct_sums(self):
+        # the largest prime below the cap: the vector route against the
+        # oracle's direct sums, which read k inv(2n) up to 4e12 in int64
+        q = 1_999_993
+        values = sw.ck_all(q, "truncated").values
+        for k in (1, 2, q - 3):
+            assert values[k] == pytest.approx(ck_point_truncated(q, k), abs=1e-10)
 
     def test_resource_cap(self):
         # 29 bytes per residue, past the cap at q = 2000003

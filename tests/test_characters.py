@@ -425,7 +425,7 @@ class TestOddCorrelation:
         scale = math.pi * c_q * (q - 1)
         group = np.concatenate((spectrum_half, -spectrum_half))
         half = scale * _group_correlation(W[:H] - W[H:], group)
-        direct = scale * float(np.dot(weights, group[e]))
+        direct = scale * float(np.einsum("i,i->", weights, group[e]))
         table = sw.build_table(q)
         expected = _odd_over_group_scatter(ctx, half, 0.0)
         sums = _odd_over_group_scatter(ctx, table.half, 0.0)
@@ -463,6 +463,36 @@ class TestOddCorrelation:
             tracemalloc.stop()
         assert alive == [False]
         assert peak < 21 * q
+
+
+@pytest.mark.parametrize("q", [3, 101, 1_000_003])
+@pytest.mark.parametrize("sieve", [coeff_a_floats, coeff_b_floats])
+def test_inverse_2n_terms_are_the_exponents_of_inv_2n(q, sieve):
+    # every nonzero term n <= N coprime to q, in order, with inv(2n) = g^e
+    ctx, N = build_context(q), max(1000, q)
+    weights, e = characters._inverse_2n_terms(ctx, sieve, N)
+    coeffs = sieve(N)
+    ns = np.nonzero(coeffs)[0]
+    ns = ns[ns % q != 0]
+    assert np.array_equal(weights, coeffs[ns])
+    assert e.dtype == np.int32 and e.shape == ns.shape
+    assert 0 <= e.min() and e.max() < q - 1
+    assert np.all(ctx.powers[e].astype(np.int64) * (2 * ns % q) % q == 1)
+
+
+@pytest.mark.parametrize("q", [101, 1009, 10007])
+def test_a_chi_matches_the_bins_by_ind_2n(q):
+    # the former form: the a-weights binned by +ind(2n), so that
+    # A_{q,chi_j} = C_q sum_m W_m e(jm/(q-1)) with no conjugate
+    table, M = sw.build_table(q), q - 1
+    a = coeff_a_floats(table.cutoff)
+    ns = np.nonzero(a)[0]
+    ns = ns[ns % q != 0]
+    W = np.bincount(table.context.index[2 * ns % q], weights=a[ns], minlength=M)
+    c_q, _ = constant_C(excluded_prime=q)
+    expected = c_q * characters._odd_dft(W[: M // 2] - W[M // 2 :], characters._twiddle(q))
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(table.a_chi - expected)) <= 2e-15 * scale
 
 
 def test_smooth_length_is_least_5_smooth_bound():
