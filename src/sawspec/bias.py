@@ -59,8 +59,8 @@ class Pattern:
 
 @dataclass(frozen=True)
 class CkVector:
-    """C(k) for k = 1..q-1.  ``values`` has length q with entry 0 unused
-    (NaN); the stored table is exactly odd: values[q-k] == -values[k]."""
+    """C(k), k = 1..q-1, in ``values`` of length q, NaN at the unused entry 0:
+    written from a group half, so exactly odd, values[q-k] == -values[k]."""
 
     q: int
     values: np.ndarray
@@ -119,8 +119,7 @@ def ck_point(
 
 # tracemalloc peak per residue of ck_all: the truncated route at the default
 # cutoff N = q (29.0 at q ~ 1e6, binning or correlating beside the context);
-# the characters route peaks at 12.1, the scaled half of a built table beside
-# the vector it is written into
+# the characters route peaks at 8.1, its vector written and scaled in place
 _CK_BYTES_PER_RESIDUE = 29
 
 
@@ -132,25 +131,25 @@ def ck_all(
 ) -> CkVector:
     """The full vector of bias values C(k), k = 1..q-1, exactly odd.
 
-    The character route scales the half of the table's character sums,
-    which ``build_table`` computes from the Dedekind spectrum, C(k) =
-    S(k)/(q-1), computed as S(k) * (1/(q-1)).  The truncated route bins the
+    The character route writes the half of the table's character sums
+    (``build_table``, from the Dedekind spectrum) and scales the vector in
+    place, C(k) = S(k)/(q-1) as S(k) * (1/(q-1)).  The truncated route bins the
     weights b(n) at x = inv(2n) mod q into W, as ``build_table`` bins a(n), so that
 
         C(k) = -C_q sum_x W(x) psi(kx/q),
 
     a correlation with the odd psi, which Rader's reindexing over the group
     computes by one real FFT at the smallest 5-smooth length >= q - 2
-    (``characters._odd_correlation``).  Either half is written into the
-    residue vector by one scatter through the group, NaN at 0.
+    (``characters._odd_correlation``).  Either half is only read, written to
+    the residue vector through the group with NaN at 0.
     """
     require_odd_prime(q)
     require_below_cap(q, "C(k) vector", _CK_BYTES_PER_RESIDUE)
     if method == "characters":
         if table is None or table.q != q:
             raise ValueError("characters route needs a table built for q")
-        ctx = table.context
-        half = table.half * (1.0 / (q - 1))
+        values = _odd_over_group(table.context, table.half, np.nan)
+        values *= 1.0 / (q - 1)
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         N = cutoff if cutoff is not None else max(1000, q)
@@ -165,10 +164,11 @@ def ck_all(
             ctx, _fold(q, *_inverse_2n_terms(ctx, coeff_b_floats, N)),
             lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out), -c_q,
         )
+        values = _odd_over_group(ctx, half, np.nan)
         meta = {"series_cutoff": N}
     else:
         raise ValueError(f"unknown method {method!r}")
-    return CkVector(q, _odd_over_group(ctx, half, np.nan), method, meta)
+    return CkVector(q, values, method, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ character sums S(k) (f the a-weights binned at inv(2n), h = Im s_hat_q;
 ``build_table``).  Both series over inv(2n), and A_{q,chi}, read one
 binning: ``_inverse_2n_terms`` gives the terms with the exponent e of
 inv(2n) = g^e, and ``_fold`` bins them by e.  The halves are what the
-spectrum and the table keep (4 bytes per residue each); ``_odd_over_group``
-writes the exactly odd residue vector only where a caller reads residue
-order, and ``_odd_at`` reads a half at any exponents.
+spectrum and the table keep, read-only (4 bytes per residue each);
+``_odd_over_group`` only reads one to write the exactly odd residue vector,
+which a caller scales in place; ``_odd_at`` reads a half at any exponents.
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ class CharacterTable:
     use, the per-character rows of the (q-1)/2 odd characters.
 
     S(a) = sum_j conj(chi_j(a)) L(0,chi_j) L(1,chi_j) A_{q,chi_j} is real and
-    exactly odd, with S(0) = 0, so ``half`` holds S(g^n) for n < H = (q-1)/2
-    (S(g^(n+H)) = -S(g^n)); ``c2_pair`` reads it at its residues through the
+    exactly odd, with S(0) = 0, so ``half`` holds S(g^n) for n < H = (q-1)/2,
+    read-only (S(g^(n+H)) = -S(g^n)); ``c2_pair`` reads it through the
     discrete log (``_odd_at``).  Its a-series runs to n <= ``cutoff``.
     ``build_table`` computes it from the Dedekind spectrum, not from the
     rows; ``residual`` is the gap between the FFT value of S(1) and its
@@ -324,14 +324,14 @@ class CharacterTable:
 
 
 def _odd_over_group(ctx: PrimeContext, half: np.ndarray, zero: float) -> np.ndarray:
-    """f(a), a = 0..q-1: f(0) = zero, f(g^n) = half[n], f(g^(n+H)) = -half[n],
-    by two scatters through ``powers``; ``half`` is left negated in place."""
+    """f(a), a = 0..q-1: f(0) = zero, f(g^n) = half[n], f(g^(n+H)) = -half[n]:
+    two scatters through ``powers``, a negation between; ``half`` is only read."""
     H = len(half)
     values = np.empty(ctx.q)
-    values[0] = zero
-    values[ctx.powers[:H]] = half
-    np.negative(half, out=half)
     values[ctx.powers[H:]] = half
+    np.negative(values, out=values)
+    values[ctx.powers[:H]] = half
+    values[0] = zero
     return values
 
 
@@ -485,4 +485,5 @@ def build_table(q: int) -> CharacterTable:
     residual = abs(direct - sums[0]) / (q - 1)
     if residual > 1e-12 * max(1.0, abs(sums[0]) / (q - 1)):
         raise ArithmeticError(f"character sum S(1) residual {residual:g} above budget")
+    sums.flags.writeable = False
     return CharacterTable(ctx, A_SERIES_CUTOFF, sums, residual)

@@ -143,6 +143,8 @@ def b_lattice_estimate(moduli, K: int) -> float:
     free moduli, so a bound n_last K sum_j D/n_j of 2^63 or more raises
     ValueError before any array."""
     mods = [int(n) for n in moduli]
+    if any(n < 1 for n in mods):
+        raise ValueError("moduli must be positive integers")
     ell = len(mods)
     if ell % 2 == 1:
         raise ValueError("lattice estimator is defined for an even factor count")

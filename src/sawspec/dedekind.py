@@ -211,12 +211,12 @@ class Spectrum:
     """Imaginary parts of s_hat_q(t) (the transform is purely imaginary),
     kept as the group half ``half[n]`` = Im s_hat_q(g^n), n < H = (q-1)/2,
     g = ``context.powers[1]``; Im s_hat_q(g^(n+H)) = -half[n] and
-    Im s_hat_q(0) = 0.  The chirp-z route's ``half`` is the read-only memo of
-    the last modulus; the naive route's is a fresh, writable array.
+    Im s_hat_q(0) = 0.  ``half`` is read-only: the chirp-z route's is the
+    memo of the last modulus, the naive route's a fresh array per call.
 
     ``values`` is the residue vector t = 0..q-1, exactly odd:
-    values[(q-t) % q] == -values[t].  It is written on first read (8 bytes
-    per residue) and read-only.
+    values[(q-t) % q] == -values[t].  It is written from the half on first
+    read (8 bytes per residue, the half only read) and read-only.
 
     A kept ``Spectrum`` pins its half (4 bytes per residue) and its context
     (8), 12 bytes per residue, 20 once ``values`` is read, also after the
@@ -228,7 +228,7 @@ class Spectrum:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        values = _odd_over_group(self.context, self.half.copy(), 0.0)
+        values = _odd_over_group(self.context, self.half, 0.0)
         values.flags.writeable = False
         return values
 
@@ -294,7 +294,7 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
     the ``Spectrum`` holds that group half and its ``values`` are exactly
     odd.  ``naive`` evaluates the definitional DFT at those t in O(q^2),
     refuses more than 1e8 phase terms H q (q above about 14 000) before it
-    allocates, and returns a fresh half.  ``chirp-z`` (the
+    allocates, and returns a fresh read-only half.  ``chirp-z`` (the
     name of the fast route) uses Rader's reindexing over the group, a = g^m:
 
         s_hat_q(g^n) = (i/q) sum_{m<H} (s_q(g^m) - s_q(g^(m+H))) sin(2 pi g^(m+n)/q),
@@ -322,6 +322,7 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
         s = dedekind_values(q)
         ctx = build_context(q)
         half = _dft_positive_naive(s, ctx.powers[: (q - 1) // 2]).imag / q
+        half.flags.writeable = False
         _check_parseval(q, _dot(s, s) / q, half)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")

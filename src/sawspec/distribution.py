@@ -81,10 +81,11 @@ def from_ck_vector(vec) -> EmpiricalDistribution:
 
 
 def from_spectrum(spec) -> EmpiricalDistribution:
-    """Residue-indexed dataset of pi*i*s_hat_q(t) (real numbers), t = 1..q-1,
-    written from the spectrum's group half, -pi * half, by one scatter; the
-    spectrum's residue vector ``values`` is not materialised."""
-    samples = _odd_over_group(spec.context, np.multiply(spec.half, -math.pi), 0.0)
+    """Residue-indexed dataset of pi*i*s_hat_q(t) (real numbers), t = 1..q-1:
+    the spectrum's group half written to residue order, then scaled by -pi
+    in place; the spectrum's residue vector ``values`` is not materialised."""
+    samples = _odd_over_group(spec.context, spec.half, 0.0)
+    samples *= -math.pi
     return EmpiricalDistribution("s", samples[1:], True)
 
 

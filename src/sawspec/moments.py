@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .correlations import b_exact
+from .correlations import MAX_FACTORS, b_exact
 from .errors import ResourceLimitError
 from .foundations import (
     coeff_b_denominators,
@@ -135,7 +135,8 @@ def theoretical_moment(kind: str, ell: int, B: int) -> MomentEstimate:
     regrouping; even ell >= 4 enumerates support multisets (odd squarefree
     for the bias kind, squarefree for the totient kind), at most 300 000 of
     them, skips a tuple when its contribution bound falls below 1e-12 and
-    reports the skipped (pruned) mass.
+    reports the skipped (pruned) mass.  An even ell above the correlation
+    integral's ``MAX_FACTORS`` raises ResourceLimitError before any work.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
@@ -143,6 +144,8 @@ def theoretical_moment(kind: str, ell: int, B: int) -> MomentEstimate:
         raise ValueError("ell and B must be >= 1")
     if ell % 2 == 1:
         return MomentEstimate(kind, ell, B, 0.0, "odd moment vanishes identically")
+    if ell > MAX_FACTORS:
+        raise ResourceLimitError(f"integration degree ell = {ell} exceeds cap {MAX_FACTORS}")
     scale = _model_scale(kind) ** ell
 
     if ell == 2:

@@ -216,7 +216,8 @@ def _odd_over_group_gather(ctx, half, zero):
 
 @pytest.mark.parametrize("zero", [0.0, np.nan])
 def test_odd_over_group_gather_matches_scatter_bitwise(zero):
-    # the in-place negation gives -0.0 and NaN the same bits as -half does
+    # the in-place negation gives -0.0 and NaN the same bits as -half does,
+    # and the half is only read
     for q in (3, 10007, 1_000_003):
         ctx = build_context(q)
         half = np.random.default_rng(q).standard_normal((q - 1) // 2)
@@ -228,7 +229,7 @@ def test_odd_over_group_gather_matches_scatter_bitwise(zero):
         given = half.copy()
         got = characters._odd_over_group(ctx, given, zero)
         assert np.array_equal(_bits(got), _bits(expected))
-        assert np.array_equal(_bits(given), _bits(-half))
+        assert np.array_equal(_bits(given), _bits(half))
 
 
 def test_odd_over_group_allocates_only_its_output():
@@ -244,6 +245,43 @@ def test_odd_over_group_allocates_only_its_output():
     finally:
         tracemalloc.stop()
     assert 8 * q <= peak < 9 * q
+
+
+@pytest.mark.parametrize("q", [3, 101, 10007])
+def test_callers_scale_the_written_vector_bitwise(q):
+    # the formulas that scaled a copy of the half and wrote it: -pi half for
+    # from_spectrum, half (1/(q-1)) for the characters C(k), entry 0 included.
+    # fl(-x c) = -fl(x c), so scaling the written vector gives the same bits
+    spectrum, table = sw.spectrum_all(q), sw.build_table(q)
+    ctx = spectrum.context
+    expected = _odd_over_group_scatter(ctx, np.multiply(spectrum.half, -math.pi), 0.0)
+    assert np.array_equal(_bits(sw.from_spectrum(spectrum).samples), _bits(expected[1:]))
+    expected = _odd_over_group_scatter(ctx, table.half * (1.0 / (q - 1)), np.nan)
+    ck = sw.ck_all(q, "characters", table=table)
+    assert np.array_equal(_bits(ck.values), _bits(expected))
+    expected = _odd_over_group_scatter(ctx, spectrum.half, 0.0)
+    assert np.array_equal(_bits(spectrum.values), _bits(expected))
+
+
+def test_callers_allocate_only_the_written_vector():
+    # from_spectrum, the characters C(k) and the spectrum's values each write
+    # the half they hold as it is and scale the vector in place: 8 bytes per
+    # residue and numpy's fixed buffer for casting the int32 index (68 888
+    # bytes), with no copied or scaled half beside it (4 more per residue)
+    q = 100003
+    spectrum, table = sw.spectrum_all(q), sw.build_table(q)
+    for call in (
+        lambda: sw.from_spectrum(spectrum),
+        lambda: sw.ck_all(q, "characters", table=table),
+        lambda: spectrum.values,
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * q + (1 << 17)
 
 
 class TestMemo:
@@ -317,9 +355,10 @@ class TestMemo:
         with pytest.raises(ValueError):
             values[1] = 0.0
         naive = sw.spectrum_all(q, "naive").half
-        assert naive is not values and naive.flags.writeable
-        naive[1] = 0.0
-        assert sw.spectrum_all(q, "naive").half[1] != 0.0
+        assert naive is not values and not naive.flags.writeable
+        with pytest.raises(ValueError):
+            naive[1] = 0.0
+        assert sw.spectrum_all(q, "naive").half is not naive
 
     @pytest.mark.parametrize("algorithm", ["chirp-z", "naive"])
     def test_residue_vector_is_written_once_from_the_half(self, algorithm):

@@ -263,6 +263,12 @@ class TestLattice:
         with pytest.raises(ValueError):
             sw.b_lattice_estimate((1, 2, 3), 50)
 
+    def test_rejects_moduli_below_one(self):
+        # (0, 3) divided by zero, and (-2, 3) returned the negated (2, 3) value
+        for moduli in ((0, 3), (-2, 3)):
+            with pytest.raises(ValueError, match="moduli must be positive integers"):
+                sw.b_lattice_estimate(moduli, 10)
+
     def test_budget(self):
         with pytest.raises(ResourceLimitError) as exc:
             sw.b_lattice_estimate((1, 1, 1, 1), 10**6)

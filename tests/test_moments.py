@@ -73,6 +73,19 @@ class TestTheoretical:
             ratio = est.value ** (1.0 / ell) / math.log(ell)
             assert 0.3 <= ratio <= 1.6
 
+    def test_degree_above_the_integral_cap_is_refused_first(self):
+        # an even ell above MAX_FACTORS = 8 is b_exact's refusal, raised before
+        # the multisets are counted: at ell = 2000 a tuple's multiplicity
+        # overflowed a float, at 200 every tuple was pruned to 0.0, and 10 and
+        # 40 were refused only at the first unpruned tuple
+        for ell in (10, 40, 200, 2000):
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match=f"ell = {ell} exceeds cap 8"):
+                theoretical_moment("s", ell, 2)
+            assert time.perf_counter() - start < 0.1
+        for ell in (11, 41, 2001):
+            assert theoretical_moment("s", ell, 2).value == 0.0
+
     def test_budget_cap(self):
         # 595 665, 1.1e9 and 9.4e6 support multisets, each above the budget
         # of 300 000, refused before the first is enumerated
