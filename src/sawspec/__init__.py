@@ -56,6 +56,7 @@ from .phi_error import (
     PhiAccumulator,
     build_phi_accumulator,
     r_values,
+    rtilde_blocks,
     rtilde_moment_exact,
     rtilde_moments_exact,
     rtilde_samples,

@@ -46,6 +46,7 @@ from .phi_error import (
     MAX_MOMENT_ORDER,
     build_phi_accumulator,
     r_values,
+    rtilde_blocks,
     rtilde_moments_exact,
     rtilde_samples,
 )
@@ -410,7 +411,11 @@ def _cmd_dist(args) -> int:
     elif args.source == "spectrum":
         dist = from_spectrum(spectrum_all(args.q))
     else:
-        dist = make_distribution("R", rtilde_samples(build_phi_accumulator(args.y)))
+        # the order statistics regenerate the samples from an int32 phi table;
+        # the summary's moments sum the float64 array
+        acc = build_phi_accumulator(args.y)
+        samples = rtilde_samples(acc) if args.stat == "summary" else rtilde_blocks(acc)
+        dist = make_distribution("R", samples)
     meta = {"source": args.source, "scale": dist.scale, flag: getattr(args, flag)}
     if args.stat == "summary":
         emit_json(summary(dist), args, meta)
@@ -438,8 +443,9 @@ def _cmd_phi(args) -> int:
         args.usage_error(f"need --ell in [1, {MAX_MOMENT_ORDER}] for --stat moments")
     _format(args, "json" if args.stat == "values" else "csv")
     meta = {"y": args.y}
-    # the accumulator holds no table: each branch sieves the phi segments
-    # it reads, the values only up to the one holding floor(x)
+    # the accumulator holds no table: the values and moments sieve the phi
+    # segments they read, the values only up to the one holding floor(x); the
+    # histogram sieves phi once into an int32 table and regenerates the samples
     if args.stat == "values":
         R, Rt = r_values(x, build_phi_accumulator(args.y))
         emit_json({"x": x, "R": R, "R_tilde": Rt}, args, meta)
@@ -447,7 +453,7 @@ def _cmd_phi(args) -> int:
         moments = rtilde_moments_exact(args.y, args.ell, build_phi_accumulator(args.y))
         emit_csv(("ell", "moment"), (range(1, len(moments) + 1), moments), args, meta)
     else:
-        samples = rtilde_samples(build_phi_accumulator(args.y))
+        samples = rtilde_blocks(build_phi_accumulator(args.y))
         _emit_histogram(make_distribution("R", samples), args, meta)
     return EXIT_OK
 

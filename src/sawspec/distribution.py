@@ -5,8 +5,20 @@ constant (e^gamma/2 for the bias and spectrum datasets, 3 e^gamma/pi^2 for
 the totient error) is applied at query time, never baked into samples.  A
 residue-indexed dataset (C(k) or the spectrum) holds the value at residue k
 in position k - 1, so its residue labels are positions, not a stored array.
-Each statistic takes a number or an array of x and sorts at most once per
-call; nothing is cached on the dataset.
+
+The samples are an array, or a block source that regenerates them on every
+read (``phi_error.rtilde_blocks``): an object with a ``size`` and a method
+``blocks(size)`` that yields the samples in order, as float64 pieces of at
+most ``size`` entries, each valid until the next is drawn.  The order
+statistics (the ECDF, tails, symmetry statistic and histogram) read either
+one the same way, a piece of ``_BLOCK`` samples at a time (an array's
+pieces are views of it), and count each piece: the ECDF, the tails and the
+histogram's quartiles sort it in one reused buffer and place their grid in
+it, the histogram bins it by numpy's own arithmetic.  No statistic holds a
+sorted copy of its samples, and since every count is exact, every number
+they return is the one a full sort gives.  ``summary`` and the shift
+statistic need an array.  Each statistic takes a number or an array of x;
+nothing is cached on the dataset.
 """
 
 from __future__ import annotations
@@ -38,14 +50,27 @@ _EG = math.exp(EULER_GAMMA)
 
 DEFAULT_SCALES = {"C": _EG / 2.0, "s": _EG / 2.0, "R": 3.0 * _EG / math.pi**2}
 
+_BLOCK = 1 << 13  # samples a statistic reads at a time: 64 KB of float64
+
+
+def _pieces(samples, size: int = _BLOCK):
+    """The samples in order, in pieces of at most ``size``: views of an
+    array, or the pieces a block source regenerates."""
+    if isinstance(samples, np.ndarray):
+        return (samples[i : i + size] for i in range(0, samples.size, size))
+    return samples.blocks(size)
+
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """Labeled sample set with a query-time scale.
 
-    ``residue_indexed`` marks samples that come from a residue-indexed table,
-    the value at k = 1..q-1 in position k - 1, which the shift statistic
-    requires.
+    ``samples`` is a float64 array (made from any sequence) or a block
+    source (module note).  ``residue_indexed`` marks samples that come from
+    a residue-indexed table, the value at k = 1..q-1 in position k - 1,
+    which the shift statistic requires.  An empty sample set and an array
+    with non-finite samples are refused, the latter checked a piece at a
+    time; a block source is taken as it is.
     """
 
     label: str
@@ -55,7 +80,12 @@ class EmpiricalDistribution:
     def __post_init__(self):
         if self.label not in DEFAULT_SCALES:
             raise ValueError(f"label must be one of {tuple(DEFAULT_SCALES)}")
-        samples = np.asarray(self.samples, dtype=float)
+        samples = self.samples
+        if not hasattr(samples, "blocks"):
+            samples = np.asarray(samples, dtype=float)
+            bad = sum(v.size - np.count_nonzero(np.isfinite(v)) for v in _pieces(samples))
+            if bad:
+                raise ValueError(f"{bad} of {samples.size} samples are not finite")
         if samples.size == 0:
             raise ValueError("empty sample set")
         object.__setattr__(self, "samples", samples)
@@ -98,18 +128,37 @@ def _exactly_odd(x: np.ndarray) -> bool:
     )
 
 
+def _ranks(samples, *grids) -> list:
+    """``np.searchsorted(np.sort(samples), t, side)`` for each (t, side) of
+    ``grids``, in one pass and without a sorted copy of the samples: each
+    piece is sorted in one reused buffer, at least as long as the largest
+    grid, and each grid is placed in it; the placements, exact counts, are
+    summed over the pieces."""
+    ranks = [np.zeros(t.shape, dtype=np.intp) for t, _ in grids]
+    size = max(_BLOCK, *(t.size for t, _ in grids))
+    buffer = np.empty(min(size, samples.size))
+    for v in _pieces(samples, size):
+        piece = buffer[: v.size]
+        piece[:] = v
+        piece.sort()
+        for (t, side), rank in zip(grids, ranks):
+            rank += np.searchsorted(piece, t, side)
+    return ranks
+
+
 def ecdf_scaled(dist: EmpiricalDistribution, x):
     """Fraction of samples <= scale * x, for a number or an array of x."""
     t = np.multiply(dist.scale, x)
-    return np.searchsorted(np.sort(dist.samples), t, side="right") / dist.n
+    (rank,) = _ranks(dist.samples, (t, "right"))
+    return rank / dist.n
 
 
 def tail_frequency(dist: EmpiricalDistribution, x):
     """(upper, lower): the fractions of samples >= scale * x and
-    <= -scale * x, for a number x or an array of x, from one sort."""
-    s, t = np.sort(dist.samples), np.multiply(dist.scale, x)
-    upper = (dist.n - np.searchsorted(s, t, side="left")) / dist.n
-    return upper, np.searchsorted(s, -t, side="right") / dist.n
+    <= -scale * x, for a number x or an array of x, from one pass."""
+    t = np.multiply(dist.scale, x)
+    below, lower = _ranks(dist.samples, (t, "left"), (-t, "right"))
+    return (dist.n - below) / dist.n, lower / dist.n
 
 
 def almost_period_stat(dist: EmpiricalDistribution, m: int) -> float:
@@ -143,53 +192,86 @@ def symmetry_statistic(dist: EmpiricalDistribution, xs) -> float:
     return np.max(np.abs(F[: xs.size] + F[xs.size :] - 1.0))
 
 
-_BLOCK = 1 << 13  # samples a histogram pass reads at a time: 64 KB of float64
-_BINS = 1 << 12  # bins of an order-statistic pass
+_BINS = 1 << 10  # bins of an order-statistic pass
 
 
-def _counts(x: np.ndarray, bins: int, lo, hi):
-    """``np.histogram(x, bins, (lo, hi))``, max(_BLOCK, bins) samples at a
-    time: the same counts and edges, with temporaries the size of a block
-    or of the counts."""
+def _extremes(samples):
+    """(min, max): an array's own reductions, which settle a mix of 0.0 and
+    -0.0 as ``np.histogram`` does, or one pass over a block source."""
+    if isinstance(samples, np.ndarray):
+        return samples.min(), samples.max()
+    ends = [(v.min(), v.max()) for v in _pieces(samples)]
+    return min(a for a, _ in ends), max(b for _, b in ends)
+
+
+def _counts(samples, bins: int, lo, hi):
+    """``np.histogram(samples, bins, (lo, hi))`` for samples in [lo, hi],
+    bit for bit: numpy's arithmetic on equal bins, a piece of
+    max(_BLOCK, bins) samples at a time (numpy bins its input in blocks
+    too).  A sample's bin is estimated as (v - lo) / (hi - lo) * bins and
+    corrected against the edges, the last bin closed; lo == hi widens the
+    range by 1/2 each way, and edges that fail to increase are refused
+    with numpy's error.  Temporaries are the size of a piece or of the
+    counts."""
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        raise ValueError(
+            f"Too many bins for data range. Cannot create {bins} finite-sized bins."
+        )
     counts = np.zeros(bins, dtype=np.intp)
-    step = max(_BLOCK, bins)
-    for i in range(0, x.size, step):
-        part, edges = np.histogram(x[i : i + step], bins, (lo, hi))
-        counts += part
+    for v in _pieces(samples, max(_BLOCK, bins)):
+        f = v - lo
+        f /= hi - lo
+        f *= bins
+        i = f.astype(np.intp)
+        del f
+        i[i == bins] -= 1
+        i[v < edges[i]] -= 1
+        i[(v >= edges[1:][i]) & (i != bins - 1)] += 1
+        counts += np.bincount(i, minlength=bins)
+        del i  # before the next piece is made
     return counts, edges
 
 
-def _order_statistics(x: np.ndarray, ranks: list[int], lo, hi) -> list:
-    """The samples of rank r (0-based) of x, all in [lo, hi], for each r of
-    ``ranks``.  One pass counts them in _BINS equal bins (one bin if
-    [lo, hi] is too narrow for _BINS), and the samples of each bin holding a
-    rank are gathered one block at a time and sorted.  That copies one bin:
-    the CLI's datasets put at most 0.07% of their samples in one bin, while
-    concentrated data can put nearly all of them there."""
+def _order_statistics(samples, ranks: list[int], lo, hi) -> list:
+    """The samples of rank r (0-based) for each r of ``ranks``, all samples
+    in [lo, hi].  One pass counts the samples below each edge of _BINS
+    equal bins over [lo, hi] (one bin if [lo, hi] is too narrow for
+    _BINS), by ``_ranks``, which gives the bin [e_j, e_j+1) holding each
+    rank (the last bin closed at hi); a second gathers the samples of
+    those bins, piece by piece, and each bin's are sorted.  That copies
+    those bins: the CLI's datasets put at most 0.4% of their samples in one
+    bin, while concentrated data can put nearly all of them there."""
     if lo == hi:
         return [lo] * len(ranks)
-    bins = _BINS if np.all(np.diff(np.linspace(lo, hi, _BINS + 1)) > 0) else 1
-    counts, edges = _counts(x, bins, lo, hi)
-    above = np.cumsum(counts)
+    edges = np.linspace(lo, hi, _BINS + 1)
+    if not np.all(edges[:-1] < edges[1:]):
+        edges = np.array([lo, hi])
+    (below,) = _ranks(samples, (edges, "left"))
+    below[-1] = samples.size  # the last bin is closed
+    held = {j: [] for j in (np.searchsorted(below, ranks, side="right") - 1).tolist()}
+    for v in _pieces(samples):
+        for j, parts in held.items():
+            upper = np.less_equal if j == edges.size - 2 else np.less
+            parts.append(v[(v >= edges[j]) & upper(v, edges[j + 1])])
     found = {}
-    for j in sorted(set(np.searchsorted(above, ranks, side="right").tolist())):
-        a, b = edges[j], edges[j + 1]
-        upper = np.less_equal if j == bins - 1 else np.less  # the last bin is closed
-        blocks = (x[i : i + _BLOCK] for i in range(0, x.size, _BLOCK))
-        inside = np.sort(np.concatenate([v[(v >= a) & upper(v, b)] for v in blocks]))
-        below = above[j] - counts[j]
-        found.update((r, inside[r - below]) for r in ranks if below <= r < above[j])
+    for j, parts in held.items():
+        inside = np.sort(np.concatenate(parts))
+        found.update((r, inside[r - below[j]]) for r in ranks if below[j] <= r < below[j + 1])
     return [found[r] for r in ranks]
 
 
-def _quartiles(x: np.ndarray, lo, hi) -> np.ndarray:
-    """``np.percentile(x, [75, 25])`` bit for bit, x in [lo, hi], from the
-    four order statistics around them by ``_order_statistics``, combined by
-    numpy's linear method: rank (n - 1) q, between its floor and the next."""
-    index = (x.size - 1) * np.array([0.75, 0.25])
+def _quartiles(samples, lo, hi) -> np.ndarray:
+    """``np.percentile(samples, [75, 25])`` bit for bit, samples in
+    [lo, hi], from the four order statistics around them by
+    ``_order_statistics``, combined by numpy's linear method: rank
+    (n - 1) q, between its floor and the next."""
+    index = (samples.size - 1) * np.array([0.75, 0.25])
     prev = np.floor(index).astype(np.intp)
-    ranks = [*prev.tolist(), *np.minimum(prev + 1, x.size - 1).tolist()]
-    values = _order_statistics(x, ranks, lo, hi)
+    ranks = [*prev.tolist(), *np.minimum(prev + 1, samples.size - 1).tolist()]
+    values = _order_statistics(samples, ranks, lo, hi)
     a, b = np.array(values[:2]), np.array(values[2:])
     t = index - prev
     quartiles = np.add(a, (b - a) * t)
@@ -200,19 +282,22 @@ def _quartiles(x: np.ndarray, lo, hi) -> np.ndarray:
 def histogram(dist: EmpiricalDistribution):
     """Counts and edges of ``np.histogram(samples, bins="fd")``, bit for
     bit, without its copy of the samples: the interquartile range from
-    ``_quartiles`` gives the Freedman-Diaconis bin count, and
-    ``np.histogram`` bins the samples over [min, max] with that count, one
-    block at a time."""
+    ``_quartiles`` gives the Freedman-Diaconis bin count, and ``_counts``
+    bins the samples over [min, max] with that count, a piece at a time."""
     x = dist.samples
-    lo, hi = x.min(), x.max()
-    width = 2.0 * np.subtract(*_quartiles(x, lo, hi)) * x.size ** (-1.0 / 3.0)
+    lo, hi = _extremes(x)
+    width = 2.0 * np.subtract(*_quartiles(x, lo, hi)) * dist.n ** (-1.0 / 3.0)
     bins = int(np.ceil(np.subtract(hi, lo) / width)) if width else 1
     return _counts(x, bins, lo, hi)
 
 
 def summary(dist: EmpiricalDistribution) -> dict:
     """Min, max, moments 1..6 and the symmetry statistic on x = 0.1..3.0;
-    exactly odd samples (v == -v[::-1]) have odd moments exactly 0."""
+    exactly odd samples (v == -v[::-1]) have odd moments exactly 0.  The
+    samples must be an array: the moments sum each power of all of them at
+    once, which a sum over pieces would round differently."""
+    if not isinstance(dist.samples, np.ndarray):
+        raise ValueError("summary needs the samples as an array, not a block source")
     moments = empirical_moments(dist.samples, 6)
     if _exactly_odd(dist.samples):
         moments[0::2] = [0.0, 0.0, 0.0]

@@ -202,9 +202,9 @@ def _jordan_steps(k: int):
 
 def phi_segments(limit: int, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Euler's phi on [0, limit] as (lo, phi on [lo, hi)) per segment of
-    ``_sieve``: a new int32 array each, or, given ``out`` (float64, of
-    length > limit; exact, as phi(n) < 2^31), its slice.  A limit of 2^31
-    or more, where int32 wraps, is refused."""
+    ``_sieve``: a new int32 array each, or, given ``out`` (float64 or
+    int32, of length > limit; exact, as phi(n) < 2^31), its slice.  A
+    limit of 2^31 or more, where int32 wraps, is refused."""
     if limit >= 1 << 31:
         raise ResourceLimitError(f"phi stream limit {limit} is not below 2^31")
     return _sieve(limit, np.int32 if out is None else out.dtype, *_jordan_steps(1), out)

@@ -495,11 +495,12 @@ class TestExitCodes:
     )
     def test_accumulator_cap_is_3(self, capsys, argv):
         # rejected before any sieve work, for the float64 exactness of the
-        # prefix sums, with the bytes the samples alone would need: 8 per entry
+        # prefix sums, with the bytes the samples alone would need, 8 per
+        # entry, and those of the phi table the order statistics read, 4
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert "800000008 bytes" in err
+        assert "800000008 bytes" in err and "read 400000004 bytes" in err
 
     def test_truncated_ck_sieve_cap_is_3(self, capsys):
         # refused before the b(n) table, at 15 bytes per entry of [0, N]

@@ -51,6 +51,40 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dist.make_distribution("Z", [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_by_every_constructor(self, bad):
+        # a NaN once gave an ECDF of 0.75 at x = 100 and counted in the upper
+        # tail; every constructor now refuses it, and +-inf, naming the count
+        with pytest.raises(ValueError, match="^1 of 4 samples are not finite$"):
+            dist.make_distribution("C", [-1, 0.5, bad, 2])
+        with pytest.raises(ValueError, match="^2 of 3 samples are not finite$"):
+            dist.EmpiricalDistribution("R", np.array([bad, 1.0, bad]), False)
+        q = 11
+        values = np.arange(q, dtype=float) - 5.0
+        values[0], values[3] = np.nan, bad  # entry 0 is not a sample
+        with pytest.raises(ValueError, match=f"^1 of {q - 1} samples are not finite$"):
+            dist.from_ck_vector(sw.CkVector(q, values, "characters"))
+        spec = sw.spectrum_all(q)
+        half = spec.half.copy()
+        half[2] = bad  # a half entry is written to two residues, t and q - t
+        with pytest.raises(ValueError, match=f"^2 of {q - 1} samples are not finite$"):
+            dist.from_spectrum(sw.Spectrum(q, half, spec.context))
+
+    def test_non_finite_counted_across_pieces_without_a_copy(self):
+        # the check reads a piece at a time: bad samples in several pieces are
+        # all counted, and a float64 array is taken with no full-size temporary
+        x = np.linspace(-1.0, 1.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            d = dist.make_distribution("R", x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.samples is x and peak < 0.1 * x.size, peak
+        x[[0, 8191, 8192, 500_000, 999_999]] = [np.nan, np.inf, -np.inf, np.nan, np.inf]
+        with pytest.raises(ValueError, match="^5 of 1000000 samples are not finite$"):
+            dist.make_distribution("R", x)
+
 
 class TestEcdf:
     def test_limits(self, dist_ck):
@@ -106,7 +140,7 @@ def _bits(values) -> np.ndarray:
 
 class TestArrayStatistics:
     """The array calls against the scalar loops of the oracles, bit for bit:
-    one sort per call changes no value."""
+    counting the samples a piece at a time changes no value."""
 
     @pytest.fixture(scope="class")
     def datasets(self, dist_ck, dist_spec):
@@ -286,7 +320,7 @@ class TestSummary:
         # the oddness test reads half against the reversed tail, with no full
         # negated copy: the summary is the one from the full sort and the six
         # power sums, bit for bit, on odd samples (quantised, with ties on the
-        # grid, all zero) and on samples odd but for a sample or the middle NaN
+        # grid, all zero) and on samples odd but for one sample
         rng = np.random.default_rng(7)
         xs = np.linspace(0.1, 3.0, 30)
         grid = dist.DEFAULT_SCALES["C"] * xs
@@ -297,9 +331,7 @@ class TestSummary:
             tied = np.concatenate((np.resize(grid, n // 2), mid, -np.resize(grid, n // 2)[::-1]))
             off = odd.copy()
             off[0] += 1.0
-            nan = odd.copy()
-            nan[n // 2] = np.nan
-            for v in (odd, np.round(4 * odd) / 4, tied, np.zeros(n), off, nan):
+            for v in (odd, np.round(4 * odd) / 4, tied, np.zeros(n), off):
                 d = dist.make_distribution("C", v)
                 got = dist.summary(d)
                 moments = sw.empirical_moments(v, 6)
@@ -390,6 +422,17 @@ class TestCopyFreeHistogram:
         # many bins: each pass reads as many samples as there are bins
         _same_histogram(np.random.default_rng(6).standard_cauchy(20_000))
 
+    @pytest.mark.parametrize("lo, hi", [(-0.3877809, 0.3825101), (0.0, 1.0), (1e-3, 1e3)])
+    def test_counts_at_the_edges(self, lo, hi):
+        # samples on each edge and an ulp either side, where numpy's estimate
+        # (v - lo) / (hi - lo) * bins lands a bin off and its corrections decide
+        for bins in (1, 3, 7, 100, 171, 4096):
+            edges = np.linspace(lo, hi, bins + 1)
+            x = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
+            x = x[(x >= lo) & (x <= hi)]
+            for got, want in zip(dist._counts(x, bins, lo, hi), np.histogram(x, bins, (lo, hi))):
+                assert got.dtype == want.dtype and np.array_equal(got, want), bins
+
     def test_read_only_samples(self, dist_spec):
         # the memoised spectrum vector is read-only; its dataset is a copy,
         # so a read-only array is made here
@@ -416,3 +459,91 @@ class TestCopyFreeHistogram:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+
+class _Blocks:
+    """An array read through the block-source protocol: each piece is
+    copied into one reused buffer, as a source that regenerates its samples
+    writes them, so a statistic that kept a piece would read stale values."""
+
+    def __init__(self, x):
+        self.x = x
+        self.size = x.size
+
+    def blocks(self, size):
+        buffer = np.empty(min(size, self.size))
+        for i in range(0, self.size, size):
+            piece = buffer[: min(size, self.size - i)]
+            piece[:] = self.x[i : i + size]
+            yield piece
+
+
+class TestBlockSource:
+    """The order statistics read a block source as they read an array, and
+    both give the full sort's counts: the ECDF, tails and symmetry against
+    the scalar loops, the histogram against numpy's, bit for bit."""
+
+    @staticmethod
+    def on_samples(d):
+        # x with scale * x exactly a sample, where the side decides the count
+        v = d.samples[:: max(1, d.n // 400)]
+        xs = v / d.scale
+        return xs[np.multiply(d.scale, xs) == v]
+
+    @pytest.mark.parametrize("source", ["ck", "spectrum", "rtilde"])
+    def test_counts_on_grid_points_that_are_samples(self, dist_ck, dist_spec, source):
+        rtilde = dist.make_distribution("R", sw.rtilde_samples(sw.build_phi_accumulator(30_000)))
+        d = {"ck": dist_ck, "spectrum": dist_spec, "rtilde": rtilde}[source]
+        blocks = dist.EmpiricalDistribution(d.label, _Blocks(d.samples), False)
+        xs = self.on_samples(d)
+        assert xs.size > 100
+        for grid in (xs, np.concatenate((xs, -xs, [0.0, 1e9, -1e9]))):
+            for e in (d, blocks):
+                assert np.array_equal(_bits(dist.ecdf_scaled(e, grid)), _bits(ecdf_loop(d, grid)))
+                up, lo = dist.tail_frequency(e, grid)
+                want_up, want_lo = tail_loop(d, grid)
+                assert np.array_equal(_bits(up), _bits(want_up))
+                assert np.array_equal(_bits(lo), _bits(want_lo))
+                assert _bits(dist.symmetry_statistic(e, grid)) == _bits(symmetry_loop(d, grid))
+
+    def test_a_grid_longer_than_a_piece(self):
+        # each piece is at least as long as the grid, which it is placed in
+        x = np.random.default_rng(3).standard_normal(3 * 8192 + 5)
+        d = dist.make_distribution("C", _Blocks(x))
+        grid = np.linspace(-3.0, 3.0, 20_001)
+        assert np.array_equal(dist.ecdf_scaled(d, grid), ecdf_loop(dist.make_distribution("C", x), grid))
+
+    @pytest.mark.parametrize("n", [1, 2, 1001, 1002, 1003, 1004, 3 * 8192 + 5])
+    def test_ties_straddle_the_quartile_ranks(self, n):
+        # ranks (n - 1)/4 and 3(n - 1)/4 inside runs of equal values, and the
+        # percentiles between ranks in different runs, over several pieces
+        x = np.repeat(np.arange(8, dtype=float), -(-n // 8))[:n]
+        x = np.random.default_rng(n).permutation(x)
+        blocks = _Blocks(x)
+        got = dist._quartiles(blocks, x.min(), x.max())
+        assert np.array_equal(got.view(np.int64), np.percentile(x, [75, 25]).view(np.int64))
+        counts, edges = dist.histogram(dist.make_distribution("R", blocks))
+        want_counts, want_edges = histogram_fd(x)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(edges.view(np.int64), want_edges.view(np.int64))
+
+    def test_summary_needs_an_array(self):
+        d = dist.make_distribution("C", _Blocks(np.array([1.0, -1.0])))
+        with pytest.raises(ValueError, match="block source"):
+            dist.summary(d)
+
+    def test_array_ecdf_and_tails_copy_no_samples(self):
+        # the sorted copy they took (8 bytes per sample) is one sorted piece
+        x = np.random.default_rng(4).standard_normal(1_000_000)
+        d = dist.make_distribution("R", x)
+        for call in (
+            lambda: dist.ecdf_scaled(d, np.linspace(-4.0, 4.0, 61)),
+            lambda: dist.tail_frequency(d, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * x.size, peak / x.size

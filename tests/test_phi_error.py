@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import sawspec as sw
+from sawspec.distribution import histogram
 from sawspec.errors import ResourceLimitError
 
 from oracles import (
@@ -430,6 +432,70 @@ class TestStream:
             tracemalloc.stop()
         assert got == sw.r_values(10, sw.build_phi_accumulator(100))
         assert peak < 2**16, peak
+
+
+class TestRtildeBlocks:
+    """The samples regenerated piece by piece from an int32 phi table: the
+    array of ``rtilde_samples`` bit for bit, and the same ECDF, tails and
+    histogram from it, in about half the array's memory."""
+
+    @pytest.mark.parametrize("y", [2, 3, 8191, 8193, 32767, 32769, 100_003])
+    def test_statistics_equal_the_arrays(self, y):
+        # y at the ends of 2^13-sample pieces and 2^15-entry table segments
+        acc = sw.build_phi_accumulator(y)
+        samples = sw.rtilde_samples(acc)
+        blocks = sw.rtilde_blocks(acc)
+        assert blocks.size == y and blocks.acc.phi.dtype == np.int32
+        pieces = [piece.copy() for piece in blocks.blocks(8192)]
+        assert all(p.size <= 8192 for p in pieces)
+        assert np.array_equal(np.concatenate(pieces).view(np.int64), samples.view(np.int64))
+        d, a = sw.make_distribution("R", blocks), sw.make_distribution("R", samples)
+        for got, want in zip(histogram(d), histogram(a)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the CLI's grids, and x with scale * x a sample, where ties count
+        on = samples[:: max(1, y // 200)] / a.scale
+        for xs in (np.linspace(-4.0, 4.0, 61), [0.5, 1.0, 1.5, 2.0, 2.5, 3.0], on):
+            assert np.array_equal(sw.ecdf_scaled(d, xs), sw.ecdf_scaled(a, xs))
+            for got, want in zip(sw.tail_frequency(d, xs), sw.tail_frequency(a, xs)):
+                assert np.array_equal(got, want)
+
+    def test_a_table_is_read_in_place(self, acc_1m):
+        # a given table is read as it is, no int32 table sieved beside it
+        assert sw.rtilde_blocks(acc_1m).acc.phi is acc_1m.phi
+
+    @pytest.mark.parametrize(
+        "y, digest",
+        [
+            (2, "db5f662289a9972738235f3cae4b69262524f1851778d468997ecefe7936b1ee"),
+            (1000, "257064555d3990df752302edae9e5c7dee90223640a6f286cf12c4061769d473"),
+            (32769, "07cd5a28302836ccaedb5b8f2f25ef017754ab7e3df6e7b783d1aada242deea2"),
+            (10**6, "dc239df1c3a08e6a0f4cc324d39fb2fcdc7bcc7932d5f29b4e7ea92652c77fc8"),
+        ],
+    )
+    def test_samples_unchanged(self, y, digest):
+        # the arithmetic both routes share leaves the array's bytes as they were
+        samples = sw.rtilde_samples(sw.build_phi_accumulator(y))
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("stat", ["hist", "ecdf"])
+    def test_peak_per_sample(self, stat):
+        # from before the accumulator: the int32 table (4 bytes per sample)
+        # with its sieve, then one table segment of S_m and a piece; the array
+        # took 8 bytes per sample, and its sorted copy 8 more
+        import tracemalloc
+
+        y = 10**6
+        tracemalloc.start()
+        try:
+            d = sw.make_distribution("R", sw.rtilde_blocks(sw.build_phi_accumulator(y)))
+            if stat == "hist":
+                histogram(d)
+            else:
+                sw.ecdf_scaled(d, np.linspace(-4.0, 4.0, 61))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * y, peak / y
 
 
 class TestTruncatedModel:
