@@ -31,6 +31,7 @@ from .distribution import (
     EmpiricalDistribution,
     almost_period_stat,
     ecdf_scaled,
+    empirical_moments,
     from_ck_vector,
     from_spectrum,
     make_distribution,
@@ -47,7 +48,6 @@ from .foundations import (
 from .moments import (
     MomentEstimate,
     continuous_model_moment_exact,
-    empirical_moments,
     moment_tuple_sum_exact,
     sawtooth_model,
     theoretical_moment,

@@ -48,7 +48,6 @@ from .phi_error import (
     r_values,
     rtilde_blocks,
     rtilde_moments_exact,
-    rtilde_samples,
 )
 from .primes import conjecture_report, pattern_census
 
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("spectrum", _cmd_spectrum, "Fourier transform of the Dedekind sums")
     p.add_argument("--q", type=_odd_prime, required=True)
-    p.add_argument("--algorithm", choices=("naive", "chirp-z"), default="chirp-z")
 
     p = command("ck", _cmd_ck, "bias constants C(k), k = 1..q-1")
     p.add_argument("--q", type=_odd_prime, required=True)
@@ -298,15 +296,12 @@ def _cmd_dedekind(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     fmt = _format(args, "csv", "json")
-    spec = spectrum_all(args.q, args.algorithm)
+    algorithm = "chirp-z"  # the fast route; the naive DFT is the library's oracle
+    spec = spectrum_all(args.q, algorithm)
     if fmt == "json":
-        emit_json(
-            {"q": args.q, "im_s_hat": spec.values},
-            args,
-            {"algorithm": args.algorithm},
-        )
+        emit_json({"q": args.q, "im_s_hat": spec.values}, args, {"algorithm": algorithm})
     else:
-        meta = {"q": args.q, "algorithm": args.algorithm}
+        meta = {"q": args.q, "algorithm": algorithm}
         emit_csv(("t", "im_s_hat"), (np.arange(args.q), spec.values), args, meta)
     return EXIT_OK
 
@@ -411,11 +406,8 @@ def _cmd_dist(args) -> int:
     elif args.source == "spectrum":
         dist = from_spectrum(spectrum_all(args.q))
     else:
-        # the order statistics regenerate the samples from an int32 phi table;
-        # the summary's moments sum the float64 array
-        acc = build_phi_accumulator(args.y)
-        samples = rtilde_samples(acc) if args.stat == "summary" else rtilde_blocks(acc)
-        dist = make_distribution("R", samples)
+        # every statistic regenerates the samples from an int32 phi table
+        dist = make_distribution("R", rtilde_blocks(build_phi_accumulator(args.y)))
     meta = {"source": args.source, "scale": dist.scale, flag: getattr(args, flag)}
     if args.stat == "summary":
         emit_json(summary(dist), args, meta)

@@ -9,16 +9,17 @@ in position k - 1, so its residue labels are positions, not a stored array.
 The samples are an array, or a block source that regenerates them on every
 read (``phi_error.rtilde_blocks``): an object with a ``size`` and a method
 ``blocks(size)`` that yields the samples in order, as float64 pieces of at
-most ``size`` entries, each valid until the next is drawn.  The order
-statistics (the ECDF, tails, symmetry statistic and histogram) read either
-one the same way, a piece of ``_BLOCK`` samples at a time (an array's
-pieces are views of it), and count each piece: the ECDF, the tails and the
-histogram's quartiles sort it in one reused buffer and place their grid in
-it, the histogram bins it by numpy's own arithmetic.  No statistic holds a
-sorted copy of its samples, and since every count is exact, every number
-they return is the one a full sort gives.  ``summary`` and the shift
-statistic need an array.  Each statistic takes a number or an array of x;
-nothing is cached on the dataset.
+most ``size`` entries, each valid until the next is drawn.  Every statistic
+but the shift statistic, which needs an array, reads either one a piece of
+``_BLOCK`` samples at a time (an array's pieces are views of it): the ECDF,
+the tails and the histogram's quartiles sort each piece in one reused
+buffer and place their grid in it, the histogram bins it by numpy's own
+arithmetic, the moments build its powers in one reused buffer and add the
+piece sums exactly.  No statistic copies its samples whole.  Every count
+is exact, so every order statistic is the one a full sort gives; the
+moments depend on where the pieces start, every ``_BLOCK`` samples in an
+array and in ``rtilde_blocks``.  Each statistic takes a number or an array
+of x; nothing is cached on the dataset.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import _odd_over_group
-from .moments import empirical_moments
 
 __all__ = [
     "EULER_GAMMA",
@@ -42,6 +42,7 @@ __all__ = [
     "almost_period_stat",
     "symmetry_statistic",
     "histogram",
+    "empirical_moments",
     "summary",
 ]
 
@@ -120,12 +121,11 @@ def from_spectrum(spec) -> EmpiricalDistribution:
 
 
 def _exactly_odd(x: np.ndarray) -> bool:
-    """x == -x[::-1], comparing the first half with the negated reversed
-    tail (and the middle sample of an odd count with 0): no full copy."""
+    """x == -x[::-1]: the middle sample of an odd count against 0, then the
+    first half against the negated reversed tail, a piece at a time."""
     m = x.size // 2
-    return np.array_equal(x[:m], -x[: x.size - 1 - m : -1]) and (
-        x.size % 2 == 0 or x[m] == 0
-    )
+    halves = zip(_pieces(x[:m]), _pieces(x[::-1][:m]))
+    return (x.size % 2 == 0 or x[m] == 0) and all(np.array_equal(a, -b) for a, b in halves)
 
 
 def _ranks(samples, *grids) -> list:
@@ -291,22 +291,43 @@ def histogram(dist: EmpiricalDistribution):
     return _counts(x, bins, lo, hi)
 
 
+def empirical_moments(samples, ell_max: int) -> list[float]:
+    """Plain power means (1/n) sum v^ell for ell = 1..ell_max, of an array
+    (made from any sequence) or a block source, by ``_pieces``: each
+    piece's powers, p = 1 then p = p v, are built in one reused buffer,
+    and each power's piece sums are added by ``math.fsum``."""
+    if not hasattr(samples, "blocks"):
+        samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise ValueError("empty sample set")
+    sums = [[] for _ in range(ell_max)]
+    buffer = np.empty(min(_BLOCK, samples.size))
+    for v in _pieces(samples):
+        p = buffer[: v.size]
+        p.fill(1.0)
+        for piece_sums in sums:
+            p *= v
+            piece_sums.append(float(np.sum(p)))
+    return [math.fsum(piece_sums) / samples.size for piece_sums in sums]
+
+
 def summary(dist: EmpiricalDistribution) -> dict:
-    """Min, max, moments 1..6 and the symmetry statistic on x = 0.1..3.0;
-    exactly odd samples (v == -v[::-1]) have odd moments exactly 0.  The
-    samples must be an array: the moments sum each power of all of them at
-    once, which a sum over pieces would round differently."""
-    if not isinstance(dist.samples, np.ndarray):
-        raise ValueError("summary needs the samples as an array, not a block source")
-    moments = empirical_moments(dist.samples, 6)
-    if _exactly_odd(dist.samples):
+    """Min, max, moments 1..6 and the symmetry statistic on x = 0.1..3.0,
+    of an array or a block source, each read a piece at a time; an exactly
+    odd array (v == -v[::-1]) has odd moments exactly 0.  A block source
+    whose pieces start every ``_BLOCK`` samples, as ``rtilde_blocks``' do,
+    has the summary of the array of its samples, bit for bit."""
+    x = dist.samples
+    moments = empirical_moments(x, 6)
+    if isinstance(x, np.ndarray) and _exactly_odd(x):
         moments[0::2] = [0.0, 0.0, 0.0]
+    lo, hi = _extremes(x)
     return {
         "label": dist.label,
         "count": dist.n,
         "scale": dist.scale,
-        "min": float(np.min(dist.samples)),
-        "max": float(np.max(dist.samples)),
+        "min": float(lo),
+        "max": float(hi),
         "moments": moments,
         "symmetry_stat": symmetry_statistic(dist, np.linspace(0.1, 3.0, 30)),
     }

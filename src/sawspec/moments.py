@@ -1,4 +1,5 @@
-"""Theoretical and empirical moments of the bias statistics.
+"""Theoretical moments of the bias statistics; this module reads no samples
+(their power means are ``distribution.empirical_moments``).
 
 The limiting moments are weighted sums of the correlation integral over
 tuples: weights b(n_i) (bias constants, scaled by the Euler constant to
@@ -39,7 +40,6 @@ from .foundations import (
 __all__ = [
     "MomentEstimate",
     "theoretical_moment",
-    "empirical_moments",
     "sawtooth_model",
     "continuous_model_moment_exact",
     "moment_tuple_sum_exact",
@@ -172,20 +172,6 @@ def theoretical_moment(kind: str, ell: int, B: int) -> MomentEstimate:
         f"pruned mass bound {pruned_mass:.3g}"
     )
     return MomentEstimate(kind, ell, B, scale * total, note)
-
-
-def empirical_moments(values, ell_max: int) -> list[float]:
-    """Plain power means (1/n) sum v^ell for ell = 1..ell_max."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("empty sample set")
-    out = []
-    p = v.copy()
-    for ell in range(1, ell_max + 1):
-        if ell > 1:
-            p *= v
-        out.append(float(np.sum(p)) / v.size)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,17 @@ S_m, either an int32 segment of phi copied into an int64 buffer reused
 across segments (1.1 MB at y = 1e6), or, for the samples, phi sieved as
 float64 straight into their own array (0.35 MB beside it).  Beyond that,
 the moments hold the pass's scratch rows (four float64 rows and one long
-double row of 2^15), the samples their 8 bytes per entry, and the values
-stop at the segment holding floor(x).  A ``build_sieves`` table passed in
-is read in place instead, 2^15 entries per segment, through the same
-copy and sum.  The samples as a block source (``rtilde_blocks``) are no
-array: phi is sieved once into an int32 table (4 bytes per sample), which
-that table branch reads on every pass of a statistic, and each piece of a
-segment's S_m is turned into its samples in place.  With one segment of
-S_m (0.26 MB) and a piece's work beside the table, the histogram and the
-ECDF stay under 4.5 bytes per sample at y = 1e6 (4.46, at the table's
-sieve), where the array took 8 and the ECDF's sorted copy of it 8 more.
+double row of 2^15), the array of samples (``rtilde_samples``) its 8
+bytes per entry, and the values stop at the segment holding floor(x).  A
+``build_sieves`` table passed in is read in place instead, 2^15 entries
+per segment, through the same copy and sum.  The samples as a block
+source (``rtilde_blocks``) are no array: phi is sieved once into an int32
+table (4 bytes per sample), which that table branch reads on every pass
+of a statistic, and each piece of a segment's S_m is turned into its
+samples in place.  With one segment of S_m (0.26 MB) and a piece's work
+beside the table, every statistic of the samples stays under 4.5 bytes
+per sample at y = 1e6 (4.46, at the table's sieve), where their array
+alone takes 8.
 
 Numerical note.  Expanding those integrals in powers of u cancels
 catastrophically for large m (terms of size (0.3 m)^ell against O(1)
@@ -147,8 +148,8 @@ def build_phi_accumulator(y: int, phi: np.ndarray | None = None) -> PhiAccumulat
         raise ResourceLimitError(
             f"y = {y} exceeds the accumulator cap 1e8, below which the prefix "
             f"sums stay exact in float64 (~1.7e8); its samples alone would "
-            f"take {8 * y} bytes, and the int32 phi table its order statistics "
-            f"read {4 * y} bytes"
+            f"take {8 * y} bytes, and the int32 phi table its statistics read "
+            f"{4 * y} bytes"
         )
     if phi is not None and len(phi) <= y:
         raise ValueError(f"phi table of length {len(phi)} < y + 1 = {y + 1}")

@@ -102,7 +102,7 @@ _FORMAT = {"format": _maybe(st.sampled_from(("csv", "json")))}
 # every flag of every command, over small sizes; None leaves a flag out
 FLAGS = {
     "dedekind": {"q": _Q, "a": st.integers(-1000, 1000)},
-    "spectrum": {"q": _Q, "algorithm": st.sampled_from(("naive", "chirp-z"))},
+    "spectrum": {"q": _Q},
     "ck": {
         "q": _Q,
         "method": st.sampled_from(("characters", "truncated")),
@@ -473,12 +473,14 @@ class TestExitCodes:
         [
             (("dedekind", "--q", "7", "--a", "6"), ("--method", "direct")),
             (("ck", "--q", "11"), ("--scale-egamma",)),
+            (("spectrum", "--q", "11"), ("--algorithm", "naive")),
         ],
-        ids=["dedekind", "ck"],
+        ids=["dedekind", "ck", "spectrum"],
     )
     def test_method_and_scale_flags_are_gone(self, capsys, argv, flag):
-        # the CLI's Dedekind sum is the descent (the definitional sum is the
-        # library's oracle), and C(k) print unscaled
+        # the CLI's Dedekind sum is the descent and its spectrum the fast
+        # route (the definitional sum and the naive DFT are the library's
+        # oracles), and C(k) print unscaled
         with pytest.raises(SystemExit) as exc:
             main([*argv, *flag])
         assert exc.value.code == 2
@@ -496,7 +498,7 @@ class TestExitCodes:
     def test_accumulator_cap_is_3(self, capsys, argv):
         # rejected before any sieve work, for the float64 exactness of the
         # prefix sums, with the bytes the samples alone would need, 8 per
-        # entry, and those of the phi table the order statistics read, 4
+        # entry, and those of the phi table the statistics read, 4
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -531,17 +533,6 @@ class TestExitCodes:
         assert out == ""
         want = "250000000025 bytes" if ell == "2" else "100000000010 bytes"
         assert want in err
-        assert peak < 1 << 20
-
-    def test_naive_spectrum_budget_is_3(self, capsys):
-        # refused before the O(q^2) phase terms, with the bytes of one block
-        code, out, err, peak = run_cli_traced(
-            capsys, "spectrum", "--q", "1000003", "--algorithm", "naive"
-        )
-        assert code == 3
-        assert out == ""
-        assert "500002500003 phase terms" in err
-        assert "8192024576 bytes" in err
         assert peak < 1 << 20
 
     def test_discrete_correlation_cap_is_3(self, capsys):

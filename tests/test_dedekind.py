@@ -219,6 +219,19 @@ class TestSpectrum:
     def test_zero_mode(self, spec_101_naive):
         assert spec_101_naive.values[0] == 0.0
 
+    def test_naive_budget(self):
+        # refused before the O(q^2) phase terms, with the bytes of one block
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as exc:
+                sw.spectrum_all(1_000_003, "naive")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "500002500003 phase terms" in str(exc.value)
+        assert "8192024576 bytes" in str(exc.value)
+        assert peak < 1 << 20
+
     def test_naive_vs_chirpz(self, spec_101_naive):
         cz = sw.spectrum_all(101, "chirp-z")
         assert np.max(np.abs(spec_101_naive.values - cz.values)) <= 1e-9

@@ -345,15 +345,35 @@ class TestSummary:
                     np.array(got_all).view(np.int64), np.array(want_all).view(np.int64)
                 )
 
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_array_summary_copies_no_samples(self, odd):
+        # the moments' powers, the oddness test (run to its end: odd, or odd
+        # but for the last sample of the first half) and the symmetry
+        # statistic's sort each hold a piece: under 0.5 bytes per sample,
+        # where the moment copy took 8
+        h = np.random.default_rng(6).standard_normal(500_000)
+        x = np.concatenate((h, -h[::-1]))
+        x[h.size - 1] += 0.0 if odd else 1.0
+        d = dist.make_distribution("C", x)
+        tracemalloc.start()
+        try:
+            moments = dist.summary(d)["moments"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (moments[0] == 0.0) == odd
+        assert peak < 0.5 * x.size, peak / x.size
+
     def test_keeps_nothing_on_the_dataset(self, ck_10007):
         d = dist.from_ck_vector(ck_10007)
         dist.summary(d)
         assert set(vars(d)) == {"label", "samples", "residue_indexed"}
 
     def test_large_q_peak_and_nothing_left_live(self):
-        # the statistics' moment copy, sorted copy and difference vector live
-        # only while they run: at most 8.5 bytes per residue above the live
-        # vectors (8.0 measured), none of it left behind
+        # the summary's pieces and the shift statistic's difference vector
+        # live only while they run: at most 8.5 bytes per residue above the
+        # live vectors (8.0 measured, the difference vector), none of it left
+        # behind
         q = 1_000_003
         d = dist.from_ck_vector(sw.ck_all(q, "characters", table=sw.build_table(q)))
         tracemalloc.start()
@@ -527,10 +547,21 @@ class TestBlockSource:
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(edges.view(np.int64), want_edges.view(np.int64))
 
-    def test_summary_needs_an_array(self):
-        d = dist.make_distribution("C", _Blocks(np.array([1.0, -1.0])))
-        with pytest.raises(ValueError, match="block source"):
-            dist.summary(d)
+    @pytest.mark.parametrize("y", [2, 3, 8191, 8193, 32767, 32769, 100_003])
+    def test_summary_of_rtilde_blocks_is_the_arrays(self, y):
+        # y at the ends of 2^13-sample pieces and 2^15-entry table segments:
+        # both read pieces that start every 2^13 samples, so the moments add
+        # the same piece sums
+        acc = sw.build_phi_accumulator(y)
+        got = dist.summary(sw.make_distribution("R", sw.rtilde_blocks(acc)))
+        want = dist.summary(sw.make_distribution("R", sw.rtilde_samples(acc)))
+        assert got.keys() == want.keys() and got["label"] == want["label"]
+
+        def numbers(s):
+            values = [s["count"], s["scale"], s["min"], s["max"], *s["moments"]]
+            return np.array([*values, s["symmetry_stat"]], dtype=float).view(np.int64)
+
+        assert np.array_equal(numbers(got), numbers(want))
 
     def test_array_ecdf_and_tails_copy_no_samples(self):
         # the sorted copy they took (8 bytes per sample) is one sorted piece

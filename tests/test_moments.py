@@ -222,23 +222,28 @@ class TestMultisets:
             assert mult == orderings
 
 
-def _empirical_moments_from_ones(values, ell_max: int) -> list[float]:
-    """Power means from p = 1, p = p * v: the reference for the in-place
-    powers of empirical_moments."""
+def _empirical_moments_by_pieces(values, ell_max: int) -> list[float]:
+    """Power means from p = 1, p = p * v on each 2^13-sample piece, the
+    piece sums of each power added by math.fsum: the reference for the
+    in-place powers of empirical_moments."""
     v = np.asarray(values, dtype=float)
-    out = []
-    p = np.ones_like(v)
-    for _ in range(ell_max):
-        p = p * v
-        out.append(float(np.sum(p)) / v.size)
-    return out
+    sums = [[] for _ in range(ell_max)]
+    for i in range(0, v.size, 1 << 13):
+        piece = v[i : i + (1 << 13)]
+        p = np.ones_like(piece)
+        for piece_sums in sums:
+            p = p * piece
+            piece_sums.append(float(np.sum(p)))
+    return [math.fsum(piece_sums) / v.size for piece_sums in sums]
 
 
 class TestEmpirical:
     def test_in_place_powers_match_reference_bitwise(self, ck_10007, spec_10007):
-        for v in (ck_10007.samples, -math.pi * spec_10007.values[1:]):
+        # two pieces each, and the 13 pieces of Rt at y = 100 003
+        rtilde = sw.rtilde_samples(sw.build_phi_accumulator(100_003))
+        for v in (ck_10007.samples, -math.pi * spec_10007.values[1:], rtilde):
             got = np.array(sw.empirical_moments(v, 6))
-            expected = np.array(_empirical_moments_from_ones(v, 6))
+            expected = np.array(_empirical_moments_by_pieces(v, 6))
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_plus_minus_one(self):

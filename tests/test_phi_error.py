@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import sawspec as sw
-from sawspec.distribution import histogram
+from sawspec.distribution import histogram, summary
 from sawspec.errors import ResourceLimitError
 
 from oracles import (
@@ -436,8 +436,8 @@ class TestStream:
 
 class TestRtildeBlocks:
     """The samples regenerated piece by piece from an int32 phi table: the
-    array of ``rtilde_samples`` bit for bit, and the same ECDF, tails and
-    histogram from it, in about half the array's memory."""
+    array of ``rtilde_samples`` bit for bit, and the same ECDF, tails,
+    histogram and summary from it, in about half the array's memory."""
 
     @pytest.mark.parametrize("y", [2, 3, 8191, 8193, 32767, 32769, 100_003])
     def test_statistics_equal_the_arrays(self, y):
@@ -477,11 +477,11 @@ class TestRtildeBlocks:
         samples = sw.rtilde_samples(sw.build_phi_accumulator(y))
         assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("stat", ["hist", "ecdf"])
+    @pytest.mark.parametrize("stat", ["hist", "ecdf", "summary"])
     def test_peak_per_sample(self, stat):
         # from before the accumulator: the int32 table (4 bytes per sample)
         # with its sieve, then one table segment of S_m and a piece; the array
-        # took 8 bytes per sample, and its sorted copy 8 more
+        # took 8 bytes per sample, and its sorted copy or moment copy 8 more
         import tracemalloc
 
         y = 10**6
@@ -490,8 +490,10 @@ class TestRtildeBlocks:
             d = sw.make_distribution("R", sw.rtilde_blocks(sw.build_phi_accumulator(y)))
             if stat == "hist":
                 histogram(d)
-            else:
+            elif stat == "ecdf":
                 sw.ecdf_scaled(d, np.linspace(-4.0, 4.0, 61))
+            else:
+                summary(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
