@@ -25,7 +25,7 @@ from .dedekind import (
     dedekind_values,
     spectrum_all,
     spectrum_point_characters,
-    spectrum_point_truncated,
+    spectrum_truncated,
 )
 from .distribution import (
     EmpiricalDistribution,

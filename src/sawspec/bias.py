@@ -22,6 +22,7 @@ from .characters import (
     _odd_at,
     _odd_correlation,
     _odd_over_group,
+    _psi_kernel,
     build_context,
     require_below_cap,
     require_odd_prime,
@@ -153,6 +154,8 @@ def ck_all(
         meta = {"a_series_cutoff": table.cutoff}
     elif method == "truncated":
         N = cutoff if cutoff is not None else max(1000, q)
+        if N < 1:
+            raise ValueError(f"series cutoff N = {N} must be >= 1")
         # tracemalloc peak per entry of [0, N]: the b(n) table beside the
         # index array over its odd squarefree n (14.92)
         require_sieve_limit(N, 15)
@@ -161,8 +164,7 @@ def ck_all(
         # the terms are freed once folded (at N = q they outweigh their fold),
         # and the fold once transformed
         half = _odd_correlation(
-            ctx, _fold(q, *_inverse_2n_terms(ctx, coeff_b_floats, N)),
-            lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out), -c_q,
+            ctx, _fold(q, *_inverse_2n_terms(ctx, coeff_b_floats, N)), _psi_kernel(q), -c_q
         )
         values = _odd_over_group(ctx, half, np.nan)
         meta = {"series_cutoff": N}

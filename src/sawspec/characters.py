@@ -2,13 +2,13 @@
 
 A ``PrimeContext`` fixes a primitive root g = ``powers[1]`` and the int32
 discrete-log table, so character j acts by chi_j(a) = e(j * ind(a) / (q-1))
-and inv(g^m) = g^(-m) (``PrimeContext.inverse``); ``build_context`` memoises
-the last modulus's one.  Only the odd characters (odd j) enter the bias
-sums, so the table's rows hold those alone, one row per odd character:
-L(0,chi) (finite sum), L(1,chi) (functional equation), the Gauss sum, and
-the Euler-correction factor A_{q,chi} as its a-series over n <=
-``A_SERIES_CUTOFF``.  Each is a sum over the cyclic group, evaluated for all
-odd characters at once by one half-length FFT: with H = (q-1)/2, j = 2i + 1,
+and inv(g^m) = g^(-m); ``build_context`` memoises the last modulus's one.
+Only the odd characters (odd j) enter the bias sums, so the table's rows
+hold those alone, one row per odd character: L(0,chi) (finite sum),
+L(1,chi) (functional equation), the Gauss sum, and the Euler-correction
+factor A_{q,chi} as its a-series over n <= ``A_SERIES_CUTOFF``.  Each is a
+sum over the cyclic group, evaluated for all odd characters at once by one
+half-length FFT: with H = (q-1)/2, j = 2i + 1,
 
     sum_{m<q-1} x_m e(jm/(q-1)) = sum_{m<H} (x_m - x_{m+H}) e(m/(q-1)) e(im/H),
 
@@ -25,9 +25,10 @@ mod q, a linear one: with k = g^n, n < H,
 one real FFT zero-padded to a 5-smooth length >= 2H - 1, and T(-k) = -T(k).
 ``_odd_correlation`` computes it from the fold of f as its group half
 h_n = T(g^n), n < H, for the Dedekind spectrum (f = s_q, h = sin), the
-truncated C(k) (f the b-weights binned at inv(2n), h = psi) and the table's
-character sums S(k) (f the a-weights binned at inv(2n), h = Im s_hat_q;
-``build_table``).  Both series over inv(2n), and A_{q,chi}, read one
+truncated C(k) and spectrum (f the weights b(n) or 1/n binned at inv(2n) or
+at inv(n) = 2 inv(2n), h = psi: ``_psi_kernel``) and the table's character
+sums S(k) (f the a-weights binned at inv(2n), h = Im s_hat_q;
+``build_table``).  These series over inverses, and A_{q,chi}, read one
 binning: ``_inverse_2n_terms`` gives the terms with the exponent e of
 inv(2n) = g^e, and ``_fold`` bins them by e.  The halves are what the
 spectrum and the table keep, read-only (4 bytes per residue each);
@@ -131,10 +132,6 @@ class PrimeContext:
     q: int
     powers: np.ndarray
     index: np.ndarray
-
-    def inverse(self, a):
-        """inv(a) mod q as int64 for residues a (int or int array) coprime to q."""
-        return self.powers[-self.index[a] % (self.q - 1)].astype(np.int64)
 
 
 def _memo_last(build):
@@ -391,6 +388,11 @@ def _fold(q: int, weights: np.ndarray, e: np.ndarray) -> np.ndarray:
     by their exponents e < q - 1."""
     W = np.bincount(e, weights, minlength=q - 1)
     return W[: len(W) // 2] - W[len(W) // 2 :]
+
+
+def _psi_kernel(q: int):
+    """``_odd_correlation``'s odd h(a, out) = psi(a/q) = a/q - 1/2, 0 < a < q."""
+    return lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:

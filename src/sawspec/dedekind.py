@@ -5,13 +5,13 @@ and odd in t.  Three independent routes are provided: the full transform
 (the naive definitional sums, or Rader's reindexing over the cyclic group,
 which makes it one real correlation of length-(q-1)/2 sequences by an FFT
 zero-padded to a 5-smooth length >= q - 2, with no Bluestein step), a
-Dirichlet-character identity over the odd characters, and a truncated
-sawtooth series with an O(q/x) error contract.
+Dirichlet-character identity over the odd characters, and the truncated
+sawtooth series over inv(n) at every t, within O(q/N) (``spectrum_truncated``).
 
 The transform is exactly odd, so a ``Spectrum`` holds its group half
 Im s_hat_q(g^n), n < H = (q-1)/2, and writes the residue vector only when
-``values`` is first read.  The fast route's half is memoised for the last
-modulus, read-only (4 bytes per residue): ``spectrum_all`` and
+``values`` is first read.  Every half is read-only (4 bytes per residue);
+the fast route's is memoised for the last modulus: ``spectrum_all`` and
 ``characters.build_table``, which computes the character sums S(k) from it,
 share one Dedekind descent and one prime context per modulus.
 """
@@ -28,21 +28,25 @@ import numpy as np
 from .characters import (
     PrimeContext,
     _dot,
+    _fold,
+    _inverse_2n_terms,
     _memo_last,
     _odd_correlation,
     _odd_over_group,
+    _psi_kernel,
     build_context,
     require_below_cap,
     require_odd_prime,
 )
 from .errors import ResourceLimitError
+from .foundations import require_sieve_limit
 
 __all__ = [
     "dedekind_sum_pair",
     "dedekind_values",
     "Spectrum",
     "spectrum_all",
-    "spectrum_point_truncated",
+    "spectrum_truncated",
     "spectrum_point_characters",
 ]
 
@@ -212,7 +216,7 @@ class Spectrum:
     kept as the group half ``half[n]`` = Im s_hat_q(g^n), n < H = (q-1)/2,
     g = ``context.powers[1]``; Im s_hat_q(g^(n+H)) = -half[n] and
     Im s_hat_q(0) = 0.  ``half`` is read-only: the chirp-z route's is the
-    memo of the last modulus, the naive route's a fresh array per call.
+    memo of the last modulus, the other routes' a fresh array per call.
 
     ``values`` is the residue vector t = 0..q-1, exactly odd:
     values[(q-t) % q] == -values[t].  It is written from the half on first
@@ -280,8 +284,9 @@ def _spectrum_values(q: int) -> np.ndarray:
 
 
 # tracemalloc peak per residue of spectrum_all (chirp-z) at q ~ 1e6 with
-# nothing memoised (28.2): the context and the fold (12) beside the real FFT
-# buffers of the correlation (16); the memo keeps the context and the half (12)
+# nothing memoised (28.2), and of spectrum_truncated at N = 1000 (28.3): the
+# context and the fold (12) beside the real FFT buffers of the correlation
+# (16); the chirp-z memo keeps the context and the half (12)
 _SPECTRUM_BYTES_PER_RESIDUE = 29
 
 
@@ -329,33 +334,27 @@ def spectrum_all(q: int, algorithm: str = "chirp-z") -> Spectrum:
     return Spectrum(q, half, build_context(q))
 
 
-_TRUNCATED_CHUNK = 1 << 22  # terms n per array step in spectrum_point_truncated
-
-
-def spectrum_point_truncated(q: int, t: int, x: float) -> complex:
-    """Truncated series (1/(pi i)) sum_{n<=x, (n,q)=1} psi(t inv(n)/q)/n.
-
-    Error contract: |result - s_hat_q(t)| = O(q/x).  t is reduced mod q,
-    so t * inv(n) < q^2 cannot wrap around int64.
-    """
+def spectrum_truncated(q: int, N: int) -> Spectrum:
+    """Im s_hat_q(t) ~ -(1/pi) sum_{n<=N, (n,q)=1} psi(t inv(n)/q)/n at
+    every t, within O(q/N), as a ``Spectrum`` with a fresh read-only half:
+    ``ck_all``'s truncated route with 1/n in place of b(n), binned at the
+    exponent of inv(n) = 2 inv(2n), ind(2) past that of inv(2n).  N < 1 is
+    refused with ValueError before any work."""
     require_odd_prime(q)
-    t %= q
-    if t == 0:
-        raise ValueError("t must be coprime to q")
-    if x < 1:
-        raise ValueError("x must be >= 1")
+    if N < 1:
+        raise ValueError(f"series cutoff N = {N} must be >= 1")
+    # tracemalloc peak per entry of [0, N]: the table of n beside its index
+    # array, that array mod q and the coprime mask (25.0 at q = 101, N = 1e7)
+    require_sieve_limit(N, 26)
+    require_below_cap(q, "truncated spectrum", _SPECTRUM_BYTES_PER_RESIDUE)
     ctx = build_context(q)
-    total = 0.0
-    top = int(x)
-    for lo in range(1, top + 1, _TRUNCATED_CHUNK):
-        n = np.arange(lo, min(lo + _TRUNCATED_CHUNK, top + 1), dtype=np.int64)
-        nm = n % q
-        keep = nm != 0
-        n = n[keep]
-        r = (t * ctx.inverse(nm[keep])) % q
-        total += float(np.sum((r / q - 0.5) / n))
-    # 1/(pi i) = -i/pi, so the value is purely imaginary by construction
-    return complex(0.0, -total / math.pi)
+    weights, e = _inverse_2n_terms(ctx, lambda n: np.arange(n + 1.0), N)
+    np.divide(1.0, weights, out=weights)
+    u = _fold(q, weights, np.remainder(e + ctx.index[2], q - 1, out=e))
+    del weights, e  # at N = q the terms outweigh their fold
+    half = _odd_correlation(ctx, u, _psi_kernel(q), -1.0 / math.pi)
+    half.flags.writeable = False
+    return Spectrum(q, half, ctx)
 
 
 def spectrum_point_characters(q: int, t: int, table) -> complex:

@@ -12,14 +12,13 @@ read (``phi_error.rtilde_blocks``): an object with a ``size`` and a method
 most ``size`` entries, each valid until the next is drawn.  Every statistic
 but the shift statistic, which needs an array, reads either one a piece of
 ``_BLOCK`` samples at a time (an array's pieces are views of it): the ECDF,
-the tails and the histogram's quartiles sort each piece in one reused
-buffer and place their grid in it, the histogram bins it by numpy's own
-arithmetic, the moments build its powers in one reused buffer and add the
-piece sums exactly.  No statistic copies its samples whole.  Every count
-is exact, so every order statistic is the one a full sort gives; the
-moments depend on where the pieces start, every ``_BLOCK`` samples in an
-array and in ``rtilde_blocks``.  Each statistic takes a number or an array
-of x; nothing is cached on the dataset.
+the tails, the histogram's quartiles and its counts sort each piece in one
+reused buffer and place their grid in it, the moments build its powers in
+one reused buffer and add the piece sums exactly.  No statistic copies its
+samples whole.  Every count is exact, so every order statistic is the one
+a full sort gives; the moments depend on where the pieces start, every
+``_BLOCK`` samples in an array and in ``rtilde_blocks``.  Each statistic
+takes a number or an array of x; nothing is cached on the dataset.
 """
 
 from __future__ import annotations
@@ -62,6 +61,18 @@ def _pieces(samples, size: int = _BLOCK):
     return samples.blocks(size)
 
 
+def _as_samples(samples):
+    """A block source as it is, or a 1-D float64 array from any sequence;
+    ValueError if there are none."""
+    if not hasattr(samples, "blocks"):
+        samples = np.asarray(samples, dtype=float)
+        if samples.ndim != 1:
+            raise ValueError(f"samples must be one-dimensional, not of shape {samples.shape}")
+    if samples.size == 0:
+        raise ValueError("empty sample set")
+    return samples
+
+
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """Labeled sample set with a query-time scale.
@@ -69,9 +80,10 @@ class EmpiricalDistribution:
     ``samples`` is a float64 array (made from any sequence) or a block
     source (module note).  ``residue_indexed`` marks samples that come from
     a residue-indexed table, the value at k = 1..q-1 in position k - 1,
-    which the shift statistic requires.  An empty sample set and an array
-    with non-finite samples are refused, the latter checked a piece at a
-    time; a block source is taken as it is.
+    which the shift statistic requires.  An empty sample set, an array
+    that is not one-dimensional and one with non-finite samples are
+    refused, the last checked a piece at a time; a block source is taken
+    as it is.
     """
 
     label: str
@@ -81,14 +93,11 @@ class EmpiricalDistribution:
     def __post_init__(self):
         if self.label not in DEFAULT_SCALES:
             raise ValueError(f"label must be one of {tuple(DEFAULT_SCALES)}")
-        samples = self.samples
-        if not hasattr(samples, "blocks"):
-            samples = np.asarray(samples, dtype=float)
+        samples = _as_samples(self.samples)
+        if isinstance(samples, np.ndarray):
             bad = sum(v.size - np.count_nonzero(np.isfinite(v)) for v in _pieces(samples))
             if bad:
                 raise ValueError(f"{bad} of {samples.size} samples are not finite")
-        if samples.size == 0:
-            raise ValueError("empty sample set")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -204,42 +213,32 @@ def _extremes(samples):
     return min(a for a, _ in ends), max(b for _, b in ends)
 
 
+def _below(samples, edges: np.ndarray) -> np.ndarray:
+    """The ranks that start the bins [e_j, e_j+1) of ``edges``, the last closed."""
+    (below,) = _ranks(samples, (edges, "left"))
+    below[-1] = samples.size
+    return below
+
+
 def _counts(samples, bins: int, lo, hi):
     """``np.histogram(samples, bins, (lo, hi))`` for samples in [lo, hi],
-    bit for bit: numpy's arithmetic on equal bins, a piece of
-    max(_BLOCK, bins) samples at a time (numpy bins its input in blocks
-    too).  A sample's bin is estimated as (v - lo) / (hi - lo) * bins and
-    corrected against the edges, the last bin closed; lo == hi widens the
-    range by 1/2 each way, and edges that fail to increase are refused
-    with numpy's error.  Temporaries are the size of a piece or of the
-    counts."""
+    bit for bit: numpy's equal bins, corrected against their edges, are
+    [e_j, e_j+1) with the last closed, so the counts are the differences
+    of ``_below``.  lo == hi widens the range by 1/2 each way, and edges
+    that fail to increase are refused with numpy's error."""
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, bins + 1)
     if np.any(edges[:-1] >= edges[1:]):
-        raise ValueError(
-            f"Too many bins for data range. Cannot create {bins} finite-sized bins."
-        )
-    counts = np.zeros(bins, dtype=np.intp)
-    for v in _pieces(samples, max(_BLOCK, bins)):
-        f = v - lo
-        f /= hi - lo
-        f *= bins
-        i = f.astype(np.intp)
-        del f
-        i[i == bins] -= 1
-        i[v < edges[i]] -= 1
-        i[(v >= edges[1:][i]) & (i != bins - 1)] += 1
-        counts += np.bincount(i, minlength=bins)
-        del i  # before the next piece is made
-    return counts, edges
+        raise ValueError(f"Too many bins for data range. Cannot create {bins} finite-sized bins.")
+    return np.diff(_below(samples, edges)), edges
 
 
 def _order_statistics(samples, ranks: list[int], lo, hi) -> list:
     """The samples of rank r (0-based) for each r of ``ranks``, all samples
     in [lo, hi].  One pass counts the samples below each edge of _BINS
     equal bins over [lo, hi] (one bin if [lo, hi] is too narrow for
-    _BINS), by ``_ranks``, which gives the bin [e_j, e_j+1) holding each
+    _BINS), by ``_below``, which gives the bin [e_j, e_j+1) holding each
     rank (the last bin closed at hi); a second gathers the samples of
     those bins, piece by piece, and each bin's are sorted.  That copies
     those bins: the CLI's datasets put at most 0.4% of their samples in one
@@ -249,8 +248,7 @@ def _order_statistics(samples, ranks: list[int], lo, hi) -> list:
     edges = np.linspace(lo, hi, _BINS + 1)
     if not np.all(edges[:-1] < edges[1:]):
         edges = np.array([lo, hi])
-    (below,) = _ranks(samples, (edges, "left"))
-    below[-1] = samples.size  # the last bin is closed
+    below = _below(samples, edges)
     held = {j: [] for j in (np.searchsorted(below, ranks, side="right") - 1).tolist()}
     for v in _pieces(samples):
         for j, parts in held.items():
@@ -292,14 +290,11 @@ def histogram(dist: EmpiricalDistribution):
 
 
 def empirical_moments(samples, ell_max: int) -> list[float]:
-    """Plain power means (1/n) sum v^ell for ell = 1..ell_max, of an array
-    (made from any sequence) or a block source, by ``_pieces``: each
+    """Plain power means (1/n) sum v^ell for ell = 1..ell_max, of a 1-D
+    array (made from any sequence) or a block source, by ``_pieces``: each
     piece's powers, p = 1 then p = p v, are built in one reused buffer,
     and each power's piece sums are added by ``math.fsum``."""
-    if not hasattr(samples, "blocks"):
-        samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("empty sample set")
+    samples = _as_samples(samples)
     sums = [[] for _ in range(ell_max)]
     buffer = np.empty(min(_BLOCK, samples.size))
     for v in _pieces(samples):

@@ -9,8 +9,9 @@ whole-table sieve, the totient error's samples as one whole-length
 expression and its moments from a whole prefix table (on the fixed block
 grid, and in 2^19-interval chunks at 8 nodes from m = 128), the
 Freedman-Diaconis histogram by ``np.histogram(bins="fd")``, the
-Dedekind spectrum from the cotangent form, with no Dedekind sum, and one
-truncated C(k) summed term by term.
+Dedekind spectrum from the cotangent form, with no Dedekind sum, the
+truncated spectrum at one t and one truncated C(k), each summed term by
+term, and the inverses mod a prime from the group tables.
 """
 
 import itertools
@@ -345,12 +346,43 @@ def spectrum_by_cotangents(q: int) -> np.ndarray:
     its half scattered to the residues.  cot(pi j/q) reaches q/pi at j = 1,
     so the roundoff grows like q."""
     ctx = build_context(q)
-    u = 2.0 / np.tan((math.pi / q) * ctx.inverse(ctx.powers[: (q - 1) // 2]))
+    u = 2.0 / np.tan((math.pi / q) * inverse(ctx, ctx.powers[: (q - 1) // 2]))
     half = _odd_correlation(
         ctx, u, lambda a, out: np.subtract(np.divide(a, q, out=out), 0.5, out=out),
         -0.5 / q,
     )
     return _odd_over_group(ctx, half, 0.0)
+
+
+def inverse(ctx, a):
+    """inv(a) mod q as int64 for residues a (int or int array) coprime to q:
+    the inverse of g^m is g^(-m mod q-1)."""
+    return ctx.powers[-ctx.index[a] % (ctx.q - 1)].astype(np.int64)
+
+
+_TRUNCATED_CHUNK = 1 << 22  # terms n per array step in spectrum_point_truncated
+
+
+def spectrum_point_truncated(q: int, t: int, x: float) -> complex:
+    """The truncated series (1/(pi i)) sum_{n<=x, (n,q)=1} psi(t inv(n)/q)/n
+    at one t, summed in chunks of n; the per-point reference of
+    ``spectrum_truncated``.  t is reduced mod q, so t * inv(n) < q^2 cannot
+    wrap around int64."""
+    ctx = build_context(q)
+    t %= q
+    if t == 0:
+        raise ValueError("t must be coprime to q")
+    total = 0.0
+    top = int(x)
+    for lo in range(1, top + 1, _TRUNCATED_CHUNK):
+        n = np.arange(lo, min(lo + _TRUNCATED_CHUNK, top + 1), dtype=np.int64)
+        nm = n % q
+        keep = nm != 0
+        n = n[keep]
+        r = (t * inverse(ctx, nm[keep])) % q
+        total += float(np.sum((r / q - 0.5) / n))
+    # 1/(pi i) = -i/pi, so the value is purely imaginary by construction
+    return complex(0.0, -total / math.pi)
 
 
 def ck_point_truncated(q: int, k: int) -> float:
@@ -366,7 +398,7 @@ def ck_point_truncated(q: int, k: int) -> float:
     b = coeff_b_floats(max(1000, q))
     ns = np.nonzero(b)[0]
     ns = ns[ns % q != 0]
-    weights, inv2n = b[ns], ctx.inverse(2 * ns % q)
+    weights, inv2n = b[ns], inverse(ctx, 2 * ns % q)
 
     def raw(kk: int) -> float:
         return -c_q * float(np.sum(weights * ((kk * inv2n) % q / q - 0.5)))

@@ -193,6 +193,18 @@ class TestCkVector:
             tracemalloc.stop()
         assert peak < 15 * (N + 1), peak
 
+    @pytest.mark.parametrize("N", [0, -5])
+    def test_truncated_route_rejects_cutoff_below_one(self, N):
+        # before, N = 0 gave signed zeros and N = -5 numpy's negative dimensions
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"N = {N} must be >= 1"):
+                sw.ck_all(101, "truncated", cutoff=N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     @pytest.mark.parametrize("q", [9, 25, 100])
     def test_truncated_route_rejects_composite_q(self, q):
         with pytest.raises(ValueError, match="prime"):

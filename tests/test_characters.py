@@ -12,7 +12,7 @@ from sawspec.characters import CharacterTable, _smooth_length, build_context
 from sawspec.errors import ResourceLimitError
 from sawspec.foundations import coeff_a_floats, coeff_b_floats, constant_C
 
-from oracles import coeff_a, psi
+from oracles import coeff_a, inverse, psi
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +396,9 @@ def test_inverse_matches_pow(q):
     ctx = build_context(q)
     a = np.random.default_rng(q).integers(1, q, 500)
     expected = [pow(int(x), -1, q) for x in a]
-    assert ctx.inverse(a).tolist() == expected
-    assert [int(ctx.inverse(int(x))) for x in a[:20]] == expected[:20]
-    assert int(ctx.inverse(1)) == 1 and int(ctx.inverse(q - 1)) == q - 1
+    assert inverse(ctx, a).tolist() == expected
+    assert [int(inverse(ctx, int(x))) for x in a[:20]] == expected[:20]
+    assert int(inverse(ctx, 1)) == 1 and int(inverse(ctx, q - 1)) == q - 1
 
 
 # ---------------------------------------------------------------------------

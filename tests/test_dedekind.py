@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sawspec as sw
-from sawspec import characters, dedekind
+from sawspec import characters, dedekind, foundations
 from sawspec.dedekind import dedekind_values
 from sawspec.errors import ResourceLimitError
-from oracles import psi, spectrum_by_cotangents
+from oracles import psi, spectrum_by_cotangents, spectrum_point_truncated
 
 
 def _dedekind_float(h: int, k: int) -> float:
@@ -308,41 +308,70 @@ class TestSpectrum:
 
 
 class TestTruncatedRoute:
-    def test_purely_imaginary(self):
-        v = sw.spectrum_point_truncated(101, 7, 101**2)
-        assert v.real == 0.0
+    """``spectrum_truncated``: the whole vector at once, against the naive
+    and Rader spectra and the per-point oracle summed term by term."""
+
+    def test_exactly_odd(self):
+        spec = sw.spectrum_truncated(101, 101**2)
+        v = spec.values
+        assert isinstance(spec, sw.Spectrum) and v.dtype == np.float64
+        assert np.array_equal(v[1:], -v[:0:-1])
+        assert not spec.half.flags.writeable and not v.flags.writeable
+
+    def test_zero_class_is_zero(self):
+        assert sw.spectrum_truncated(101, 100).values[0] == 0.0
+
+    @pytest.mark.parametrize("q", [101, 1009])
+    @pytest.mark.parametrize("factor", [1, 10])
+    def test_matches_the_point_oracle_at_every_t(self, q, factor):
+        x = factor * q
+        v = sw.spectrum_truncated(q, x).values
+        worst = max(abs(v[t] - spectrum_point_truncated(q, t, x).imag) for t in range(1, q))
+        assert worst <= 1e-15
 
     def test_error_contract_scan(self, spec_101_naive):
         q = 101
         x = q * q
-        worst = max(
-            abs(sw.spectrum_point_truncated(q, t, x).imag - spec_101_naive.values[t])
-            for t in range(1, q)
-        )
+        worst = np.max(np.abs(sw.spectrum_truncated(q, x).values - spec_101_naive.values))
         assert worst <= 10 * q / x
 
     def test_converges_in_x(self, spec_101_naive):
         q = 101
         errs = [
-            abs(
-                sw.spectrum_point_truncated(q, 3, x).imag
-                - spec_101_naive.values[3]
-            )
+            np.max(np.abs(sw.spectrum_truncated(q, x).values - spec_101_naive.values))
             for x in (q, q**2, 50 * q**2)
         ]
         assert errs[2] < errs[0]
         assert errs[2] <= 10 * q / (50 * q**2)
 
-    def test_rejects_zero_class(self):
-        with pytest.raises(ValueError):
-            sw.spectrum_point_truncated(101, 0, 100)
+    @pytest.mark.parametrize("N", [0, -5])
+    def test_rejects_cutoff_below_one(self, N):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"N = {N} must be >= 1"):
+                sw.spectrum_truncated(101, N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
-    def test_t_is_reduced_mod_q(self):
-        # unreduced, t * inv(n) wraps around int64 without an error
-        q, x = 101, 10**4
-        value = sw.spectrum_point_truncated(q, 5, x)
-        for shift in (2**50, 2**56):
-            assert sw.spectrum_point_truncated(q, 5 + q * shift, x) == value
+    def test_sieve_cap_states_its_peak(self):
+        # 26 bytes per entry of [0, N], the measured tracemalloc peak (25.0)
+        # rounded up, refused before the 1/n table
+        N = foundations.MAX_SIEVE_LIMIT + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"below {26 * (N + 1)} bytes"):
+                sw.spectrum_truncated(101, N)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            sw.spectrum_truncated(101, 1000)  # the context, memoised
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sw.spectrum_truncated(101, 10**6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * (10**6 + 1), peak
 
     def test_resource_cap_raises_before_allocating(self):
         # 2^31 - 1 is prime and past the cap; unchecked, its prime context
@@ -350,28 +379,31 @@ class TestTruncatedRoute:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="bytes"):
-                sw.spectrum_point_truncated(2_147_483_647, 1, 10.0)
+                sw.spectrum_truncated(2_147_483_647, 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("t", [1_999_992, 1_000_003, 7])
-    def test_products_near_the_cap_match_python_ints(self, t):
-        # t * inv(n) reaches 4e12 at q = 1999993: the int32 group tables give
-        # inverses as int64, so the products do not wrap around
+    def test_products_near_the_cap_match_python_ints(self, t, spec_near_the_cap):
+        # the largest prime below the cap: python ints give each inverse and
+        # t inv(n), which reaches 4e12, exactly
         q, x = 1_999_993, 5000
         expected = -math.fsum(
             ((t * pow(n, -1, q)) % q / q - 0.5) / n for n in range(1, x + 1)
         ) / math.pi
-        assert sw.spectrum_point_truncated(q, t, x).imag == pytest.approx(
-            expected, rel=1e-13, abs=1e-13
-        )
+        assert spec_near_the_cap.values[t] == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
     def test_rejects_composite_q(self):
         # the inverses come from a primitive root, which needs a prime
         with pytest.raises(ValueError, match="prime"):
-            sw.spectrum_point_truncated(100, 3, 1000)
+            sw.spectrum_truncated(100, 1000)
+
+
+@pytest.fixture(scope="module")
+def spec_near_the_cap():
+    return sw.spectrum_truncated(1_999_993, 5000)
 
 
 class TestCharacterRoute:
@@ -413,15 +445,10 @@ class TestThreeRouteAgreement1009:
         assert worst <= 1e-8
 
     def test_truncated_route_sampled(self, spec_1009):
+        # the whole truncated vector, every t
         q = 1009
         x = q * q
-        rng = np.random.default_rng(3)
-        for t in rng.integers(1, q, 25):
-            err = abs(
-                sw.spectrum_point_truncated(q, int(t), x).imag
-                - spec_1009.values[int(t)]
-            )
-            assert err <= 10 * q / x
+        assert np.max(np.abs(sw.spectrum_truncated(q, x).values - spec_1009.values)) <= 10 * q / x
 
 
 class TestCotangentRoute:

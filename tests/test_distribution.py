@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,20 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dist.make_distribution("C", [])
+
+    @pytest.mark.parametrize(
+        "samples, shape", [(np.ones((3, 4)), "(3, 4)"), (2.5, "()"), ([[1.0], [2.0]], "(2, 1)")]
+    )
+    def test_not_one_dimensional_refused(self, samples, shape):
+        # a 2-D array was taken, and every statistic then raised a broadcast
+        # error; a scalar raised IndexError in _pieces
+        pattern = "^" + re.escape(f"samples must be one-dimensional, not of shape {shape}") + "$"
+        with pytest.raises(ValueError, match=pattern):
+            dist.make_distribution("C", samples)
+        with pytest.raises(ValueError, match=pattern):
+            dist.EmpiricalDistribution("R", samples, True)
+        with pytest.raises(ValueError, match=pattern):
+            sw.empirical_moments(samples, 2)
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
@@ -442,11 +457,15 @@ class TestCopyFreeHistogram:
         # many bins: each pass reads as many samples as there are bins
         _same_histogram(np.random.default_rng(6).standard_cauchy(20_000))
 
-    @pytest.mark.parametrize("lo, hi", [(-0.3877809, 0.3825101), (0.0, 1.0), (1e-3, 1e3)])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-0.3877809, 0.3825101), (0.0, 1.0), (1e-3, 1e3), (-1e300, 1e300), (5e-324, 1e-300)],
+    )
     def test_counts_at_the_edges(self, lo, hi):
         # samples on each edge and an ulp either side, where numpy's estimate
-        # (v - lo) / (hi - lo) * bins lands a bin off and its corrections decide
-        for bins in (1, 3, 7, 100, 171, 4096):
+        # (v - lo) / (hi - lo) * bins lands a bin off and its corrections decide;
+        # 65 537 bins is more than a piece of _BLOCK samples
+        for bins in (1, 3, 7, 100, 171, 4096, 65_537):
             edges = np.linspace(lo, hi, bins + 1)
             x = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
             x = x[(x >= lo) & (x <= hi)]

@@ -16,8 +16,9 @@ NO_CALLER_YET = {
     "sawtooth_model": "the sawtooth model of each dataset kind, whose "
     "distribution the C(k), spectrum and totient error data are to be "
     "compared against",
-    "spectrum_point_truncated": "the independent truncated route of the "
-    "three-way spectrum agreement",
+    "spectrum_truncated": "the independent truncated route of the "
+    "three-way spectrum agreement, which the CLI's spectrum command is to "
+    "offer beside Rader's",
 }
 
 # public class members read nowhere yet, each with the reason it stays
